@@ -35,6 +35,7 @@ from repro.cache.replacement import ReplacementPolicy
 from repro.config import packet_flits
 from repro.core.geometry import CacheGeometry
 from repro.errors import ProtocolError
+from repro.sim.resource import Resource
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import (
     CHAIN_DEPTH_EDGES,
@@ -154,6 +155,14 @@ class TransactionEngine:
             [0] * slots for _ in range(geometry.num_columns)
         ]
         self._spine_bank_cycles = 0
+        #: Per column, one (bank resource, tag latency, tag+replace
+        #: latency) triple per position, built on the column's first
+        #: multicast tag match. That match reserves every bank of the
+        #: column in position order, so each bank resource is still created
+        #: at its first use (power accounting sums in creation order).
+        self._bank_rows: list[tuple[tuple[Resource, int, int], ...] | None] = (
+            [None] * geometry.num_columns
+        )
         #: Core node the current access belongs to (CMP support); None
         #: means the geometry's default single core.
         self._core = None
@@ -334,24 +343,30 @@ class TransactionEngine:
 
     # -- bank helpers ---------------------------------------------------------
 
-    def _bank_latency(self, column: int, position: int, replace: bool) -> int:
-        timing = self.geometry.bank(column, position).timing
-        return timing.tag_replace_latency if replace else timing.tag_latency
-
     def _bank_acquire(
-        self, column: int, position: int, time: int, replace: bool,
-        charge: bool = True,
+        self, column: int, position: int, time: int, replace: bool
     ) -> tuple[int, int]:
-        """Reserve the bank; returns (done, latency_charged).
-
-        *charge* adds the latency to the access's spine bank-cycle count
-        (set False for tag matches running in parallel off the spine).
-        """
-        latency = self._bank_latency(column, position, replace)
+        """Reserve the bank and charge its latency to the access's spine
+        bank-cycle count; returns (done, latency_charged)."""
+        timing = self.geometry.bank(column, position).timing
+        latency = timing.tag_replace_latency if replace else timing.tag_latency
         start = self.geometry.bank_resource(column, position).acquire(time, latency)
-        if charge:
-            self._spine_bank_cycles += latency
+        self._spine_bank_cycles += latency
         return start + latency, latency
+
+    def _bank_row(self, column: int) -> tuple[tuple[Resource, int, int], ...]:
+        row = self._bank_rows[column]
+        if row is None:
+            geometry = self.geometry
+            row = self._bank_rows[column] = tuple(
+                (
+                    geometry.bank_resource(column, position),
+                    descriptor.timing.tag_latency,
+                    descriptor.timing.tag_replace_latency,
+                )
+                for position, descriptor in enumerate(geometry.columns[column])
+            )
+        return row
 
     @staticmethod
     def _head(tail_arrival: int, flits: int) -> int:
@@ -428,17 +443,16 @@ class TransactionEngine:
         fast = self.scheme.is_fast
 
         arrivals = self.geometry.multicast_column(column, t0, core=self._core)
-        # All banks tag-match concurrently; the MRU bank of a Fast-LRU flow
-        # additionally reads out its victim right after miss detection.
+        # All banks tag-match concurrently (off the spine); the MRU bank of
+        # a Fast-LRU flow additionally reads out its victim right after
+        # miss detection.
+        row = self._bank_row(column)
         done: list[int] = []
-        for position in range(banks):
-            is_hit_bank = hit_pos is not None and position == hit_pos
-            evicts_now = fast and position == 0 and not is_hit_bank
-            finish, _ = self._bank_acquire(
-                column, position, arrivals[position], replace=evicts_now,
-                charge=False,
-            )
-            done.append(finish)
+        evicts = fast and hit_pos != 0  # bank 0 only
+        for (resource, tag, tag_replace), arrival in zip(row, arrivals):
+            latency = tag_replace if evicts else tag
+            done.append(resource.acquire(arrival, latency) + latency)
+            evicts = False
         if self._sink.enabled:
             self._sink.complete(
                 "multicast", "cache.txn", t0, max(done) - t0,
@@ -447,7 +461,7 @@ class TransactionEngine:
             )
 
         if hit_pos is not None:
-            hit_bank_latency = self._bank_latency(column, hit_pos, replace=False)
+            hit_bank_latency = row[hit_pos][1]
             self._spine_bank_cycles += hit_bank_latency
             timing = self._finish_hit(
                 column,
@@ -475,7 +489,7 @@ class TransactionEngine:
         fast_chain_done = None
         if fast:
             fast_chain_done = self._fast_chain(column, done, stop=banks - 1)
-        last_bank_latency = self._bank_latency(column, banks - 1, replace=False)
+        last_bank_latency = row[-1][1]
         self._spine_bank_cycles += last_bank_latency
         return self._finish_miss(
             column,
@@ -706,13 +720,28 @@ class TransactionEngine:
             self._chain_depths.record(0)
             return done[0]
         self._chain_depths.record(stop)
+        geometry = self.geometry
+        # The eviction chain walks the multicast chain's bank-to-bank links.
+        links = geometry.column_chain(column, self._core).links
+        row = self._bank_row(column)
+        send = geometry.reserve_segment
         current = done[0]
+        travel = 0
+        hop_cycles = 0
+        bank_cycles = 0
         for position in range(1, stop + 1):
-            tail = self.geometry.bank_to_bank(
-                column, position - 1, position, current, DATA
-            )
-            ready = max(self._head(tail, DATA), done[position])
-            current, _ = self._bank_acquire(column, position, ready, replace=True)
+            link = links[position - 1]
+            tail = send(link, current, DATA)
+            travel += tail - current
+            hop_cycles += link.cost
+            ready = tail - (DATA - 1)
+            if ready < done[position]:
+                ready = done[position]
+            resource, _, latency = row[position]
+            current = resource.acquire(ready, latency) + latency
+            bank_cycles += latency
+        geometry.charge_traversals(travel, hop_cycles, stop, DATA)
+        self._spine_bank_cycles += bank_cycles
         current += DATA - 1
         if self._sink.enabled:
             self._sink.complete(

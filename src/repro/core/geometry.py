@@ -19,7 +19,51 @@ from repro.config import RouterConfig, packet_flits
 from repro.errors import ConfigurationError
 from repro.noc.routing import RouteComputer, routing_for
 from repro.noc.topology import HaloTopology, NodeId, Topology, spike_node
-from repro.sim.resource import FloorClock, OccupancyTracker, Resource
+from repro.sim.resource import FloorClock, OccupancyTracker, Resource, reserve_path
+
+#: One hop of a routed path: (channel resource, hop cost, node reached).
+Hop = tuple[Resource, int, NodeId]
+
+#: Flits of a multicast request (a control packet).
+MULTICAST_FLITS = packet_flits(carries_block=False)
+
+
+class Segment:
+    """The resolved route of one (src, dst) pair: its hops and their cost.
+
+    Routes are a pure function of the topology, so each pair's path,
+    per-hop costs and channel resources are resolved exactly once.
+    """
+
+    __slots__ = ("src", "dst", "hops", "cost")
+
+    def __init__(self, src: NodeId, dst: NodeId, hops: tuple[Hop, ...]) -> None:
+        self.src = src
+        self.dst = dst
+        self.hops = hops
+        #: Uncontended head-flit cost: the sum of the hop costs.
+        self.cost = sum(cost for _, cost, _ in hops)
+
+
+class ColumnChain:
+    """A column's multicast replication chain from one entry node.
+
+    *entry* is the route from the entry node into bank 0 (None when the
+    entry node is bank 0's router); ``links[p]`` is the route from bank
+    *p* to bank *p* + 1. The Fast-LRU eviction chain walks the same links.
+    """
+
+    __slots__ = ("entry", "links", "hop_cycles", "sends")
+
+    def __init__(self, entry: Segment | None, links: tuple[Segment, ...]) -> None:
+        self.entry = entry
+        self.links = links
+        #: Uncontended hop cycles and packet-moving segments of the chain.
+        self.hop_cycles = sum(link.cost for link in links)
+        self.sends = len(links)
+        if entry is not None:
+            self.hop_cycles += entry.cost
+            self.sends += 1
 
 
 class CacheGeometry:
@@ -49,23 +93,18 @@ class CacheGeometry:
         self.floor_clock = FloorClock()
         self._channel_resources: dict[tuple[NodeId, NodeId], Resource] = {}
         self._bank_resources: dict[tuple[int, int], Resource] = {}
-        #: (src, dst) -> tuple of (channel resource, hop cost, hop node):
-        #: routes are a pure function of the topology, so each pair's path,
-        #: per-hop costs, and channel resources are resolved exactly once.
-        self._plans: dict[
-            tuple[NodeId, NodeId], tuple[tuple[Resource, int, NodeId], ...]
-        ] = {}
+        #: (src, dst) -> resolved route, built on the pair's first use and
+        #: not before: degraded routing counts detour hops as routes are
+        #: built, and a warm-up reset clears that count.
+        self._plans: dict[tuple[NodeId, NodeId], Segment] = {}
+        #: (column, entry node) -> multicast chain, built on first use.
+        self._chains: dict[tuple[int, NodeId], ColumnChain] = {}
         self._spike_queues: dict[int, OccupancyTracker] | None = None
         if self.is_halo:
             self._spike_queues = {
                 s: OccupancyTracker(spike_queue_entries, name=f"spike-queue-{s}")
                 for s in range(len(columns))
             }
-        #: Uncontended path cost per (src, dst), filled lazily with _plans.
-        self._plan_costs: dict[tuple[NodeId, NodeId], int] = {}
-        #: Per-(column, entry node) total uncontended cost of the multicast
-        #: replication chain, resolved once.
-        self._multicast_costs: dict[tuple[int, NodeId], int] = {}
         #: Cycles multicast deliveries lost to channel contention -- the
         #: transaction-level analogue of replica-blocked router cycles.
         self.multicast_blocked_cycles = 0
@@ -217,21 +256,81 @@ class CacheGeometry:
         channel = self.topology.channel(src, dst)
         return self.router_config.hop_latency + channel.wire_delay
 
-    def _plan(self, src: NodeId, dst: NodeId) -> tuple[tuple[Resource, int, NodeId], ...]:
-        """Resolved traversal plan for (src, dst): one (channel resource,
-        hop cost, hop node) triple per hop, computed once per geometry."""
-        plan = tuple(
-            (
-                self.channel_resource(hop_src, hop_dst),
-                self.hop_cost(hop_src, hop_dst),
-                hop_dst,
-            )
-            for hop_src, hop_dst in itertools.pairwise(
-                self.routing.path(self.topology, src, dst)
-            )
+    def _segment(self, src: NodeId, dst: NodeId) -> Segment:
+        """Resolved route of (src, dst), computed on the pair's first use."""
+        segment = self._plans.get((src, dst))
+        if segment is not None:
+            return segment
+        segment = Segment(
+            src,
+            dst,
+            tuple(
+                (
+                    self.channel_resource(hop_src, hop_dst),
+                    self.hop_cost(hop_src, hop_dst),
+                    hop_dst,
+                )
+                for hop_src, hop_dst in itertools.pairwise(
+                    self.routing.path(self.topology, src, dst)
+                )
+            ),
         )
-        self._plans[(src, dst)] = plan
-        return plan
+        self._plans[(src, dst)] = segment
+        return segment
+
+    def column_chain(self, column: int, core: NodeId | None = None) -> ColumnChain:
+        """The multicast chain into *column* from *core* (default: the
+        geometry's core), resolved once per (column, entry node)."""
+        entry = core if core is not None else self.core_node
+        chain = self._chains.get((column, entry))
+        if chain is None:
+            nodes = [
+                self.bank_node(column, position)
+                for position in range(self.banks_per_column(column))
+            ]
+            chain = self._chains[(column, entry)] = ColumnChain(
+                self._segment(entry, nodes[0]) if entry != nodes[0] else None,
+                tuple(self._segment(a, b) for a, b in itertools.pairwise(nodes)),
+            )
+        return chain
+
+    def reserve_segment(
+        self,
+        segment: Segment,
+        time: int,
+        flits: int,
+        waypoints: dict[NodeId, int] | None = None,
+    ) -> int:
+        """Reserve one segment's channels for a *flits*-flit packet whose
+        head leaves at *time*; returns the tail's arrival.
+
+        This is the only place channels are reserved. When *waypoints* is
+        given it receives the head's arrival at every intermediate node.
+        The caller charges the traversal counters for it as one traversal
+        from *time* to the returned arrival (:meth:`charge_traversals`).
+        """
+        hops = segment.hops
+        if waypoints is None:
+            return reserve_path(hops, time, flits) + (flits - 1)
+        head = time
+        for hop in hops[:-1]:
+            head = reserve_path((hop,), head, flits)
+            waypoints[hop[2]] = head
+        return reserve_path(hops[-1:], head, flits) + (flits - 1)
+
+    def charge_traversals(
+        self, travel: int, hop_cycles: int, sends: int, flits: int
+    ) -> int:
+        """Charge *sends* traversals of *flits* flits that took *travel*
+        cycles in all from send to tail arrival over *hop_cycles* of
+        uncontended hops. What serialization does not explain is channel
+        queueing; returns it."""
+        serialization = sends * (flits - 1)
+        queued = travel - hop_cycles - serialization
+        self.traversal_queue_cycles += queued
+        self.traversal_hop_cycles += hop_cycles
+        self.serialization_cycles += serialization
+        return queued
 
     def traverse(
         self,
@@ -251,35 +350,13 @@ class CacheGeometry:
         """
         if src == dst:
             return time, {}
-        plan = self._plans.get((src, dst))
-        if plan is None:
-            plan = self._plan(src, dst)
-        head = time
-        queued = 0
-        hop_cycles = 0
-        if record_waypoints:
-            waypoints: dict[NodeId, int] = {}
-            last = len(plan) - 1
-            for i, (resource, cost, node) in enumerate(plan):
-                granted = resource.acquire(head, flits)
-                queued += granted - head
-                hop_cycles += cost
-                head = granted + cost
-                if i < last:
-                    waypoints[node] = head
-            self.traversal_queue_cycles += queued
-            self.traversal_hop_cycles += hop_cycles
-            self.serialization_cycles += flits - 1
-            return head + (flits - 1), waypoints
-        for resource, cost, _ in plan:
-            granted = resource.acquire(head, flits)
-            queued += granted - head
-            hop_cycles += cost
-            head = granted + cost
-        self.traversal_queue_cycles += queued
-        self.traversal_hop_cycles += hop_cycles
-        self.serialization_cycles += flits - 1
-        return head + (flits - 1), {}
+        segment = self._plans.get((src, dst)) or self._segment(src, dst)
+        waypoints: dict[NodeId, int] = {}
+        arrival = self.reserve_segment(
+            segment, time, flits, waypoints if record_waypoints else None
+        )
+        self.charge_traversals(arrival - time, segment.cost, 1, flits)
+        return arrival, waypoints
 
     def multicast_column(
         self, column: int, time: int, core: NodeId | None = None
@@ -291,50 +368,23 @@ class CacheGeometry:
         while the original continues to the next bank. Returns the request
         arrival time at each bank position.
         """
-        flits = packet_flits(carries_block=False)
-        arrivals: list[int] = []
+        chain = self.column_chain(column, core)
+        send = self.reserve_segment
         head = time
-        src = core if core is not None else self.core_node
-        chain_cost = self._multicast_costs.get((column, src))
-        if chain_cost is None:
-            chain_cost = self._multicast_chain_cost(column, src, flits)
-        for position in range(self.banks_per_column(column)):
-            dst = self.bank_node(column, position)
-            arrival, _ = self.traverse(src, dst, head, flits)
-            arrivals.append(arrival)
-            head = arrival
-            src = dst
-        # A grant never starts before its request, so each segment's actual
-        # arrival >= its uncontended arrival; the chain's total slip is the
-        # final arrival minus the zero-contention chain cost.
-        self.multicast_blocked_cycles += head - time - chain_cost
+        if chain.entry is not None:
+            head = send(chain.entry, head, MULTICAST_FLITS)
+        arrivals = [head]
+        for link in chain.links:
+            head = send(link, head, MULTICAST_FLITS)
+            arrivals.append(head)
+        # Each segment leaves when the previous one arrives, so the chain
+        # travels from *time* to the final arrival; a grant never starts
+        # before its request, so all its queueing is the replicas'
+        # blocking.
+        self.multicast_blocked_cycles += self.charge_traversals(
+            head - time, chain.hop_cycles, chain.sends, MULTICAST_FLITS
+        )
         return arrivals
-
-    def _multicast_chain_cost(
-        self, column: int, src: NodeId, flits: int
-    ) -> int:
-        """Total uncontended cost of the column's replication chain."""
-        entry = src
-        total = 0
-        for position in range(self.banks_per_column(column)):
-            dst = self.bank_node(column, position)
-            total += self._uncontended_cost(src, dst, flits)
-            src = dst
-        self._multicast_costs[(column, entry)] = total
-        return total
-
-    def _uncontended_cost(self, src: NodeId, dst: NodeId, flits: int) -> int:
-        """Zero-contention traversal cost of (src, dst) for *flits* flits."""
-        if src == dst:
-            return 0
-        cost = self._plan_costs.get((src, dst))
-        if cost is None:
-            plan = self._plans.get((src, dst))
-            if plan is None:
-                plan = self._plan(src, dst)
-            cost = sum(hop_cost for _, hop_cost, _ in plan)
-            self._plan_costs[(src, dst)] = cost
-        return cost + (flits - 1)
 
     # -- common endpoints -----------------------------------------------------
 

@@ -32,13 +32,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, fields
 
-from repro.core.geometry import CacheGeometry
+from repro.core.geometry import CacheGeometry, Segment
 from repro.errors import ConfigurationError
 from repro.faults.models import FaultInjector, FaultPlan
 from repro.faults.reroute import DegradedRouting, verify_degraded
 from repro.noc.packet import Packet
 from repro.noc.routing import routing_for
-from repro.noc.topology import HaloTopology, Topology, spike_node
+from repro.noc.topology import HaloTopology, NodeId, Topology, spike_node
 from repro.sim.kernel import DeadlineQueue
 from repro.telemetry.registry import RECOVERY_LATENCY_EDGES
 
@@ -356,9 +356,11 @@ class DegradedCacheGeometry(CacheGeometry):
 
     Construction truncates columns to their live prefixes, swaps in
     degraded routing, and (by default) proof-checks every endpoint pair it
-    can ever route. ``traverse`` then counts rerouted traversals and runs
-    the seeded transient retry loop; with a null plan both additions are
-    inert and the geometry times identically to the base class.
+    can ever route. ``reserve_segment``, through which every traversal and
+    fused column walk reserves its channels, then counts rerouted
+    traversals and runs the seeded transient retry loop on every segment;
+    with a null plan both additions are inert and the geometry times
+    identically to the base class.
     """
 
     def __init__(
@@ -404,21 +406,18 @@ class DegradedCacheGeometry(CacheGeometry):
         pairs = [(s, d) for s in ordered for d in ordered if s != d]
         return verify_degraded(self.topology, self.routing, pairs=pairs)
 
-    def traverse(
+    def reserve_segment(
         self,
-        src,
-        dst,
+        segment: Segment,
         time: int,
         flits: int,
-        record_waypoints: bool = False,
-    ):
-        if src != dst and self.routing.is_rerouted(src, dst):
+        waypoints: dict[NodeId, int] | None = None,
+    ) -> int:
+        if self.routing.is_rerouted(segment.src, segment.dst):
             self.fault_stats.rerouted_traversals += 1
-        arrival, waypoints = super().traverse(
-            src, dst, time, flits, record_waypoints
-        )
-        if self._transient_rate <= 0.0 or src == dst:
-            return arrival, waypoints
+        arrival = super().reserve_segment(segment, time, flits, waypoints)
+        if self._transient_rate <= 0.0:
+            return arrival
         first_arrival = arrival
         attempt = 0
         send_time = time
@@ -430,17 +429,21 @@ class DegradedCacheGeometry(CacheGeometry):
             # The sender detects the loss one timeout after issue, backs
             # off, and re-sends; the wire/bank reservations of the doomed
             # attempt stay charged (the flits did occupy them).
-            send_time = send_time + policy.timeout + policy.backoff(attempt)
-            arrival, waypoints = super().traverse(
-                src, dst, send_time, flits, record_waypoints
-            )
+            resend = send_time + policy.timeout + policy.backoff(attempt)
+            # The caller charges the segment as one traversal from *time*
+            # to the final arrival. Charging each abandoned attempt as a
+            # traversal from the resend to its own arrival makes the
+            # totals equal one charge per attempt (send to arrival).
+            self.charge_traversals(arrival - resend, segment.cost, 1, flits)
+            arrival = super().reserve_segment(segment, resend, flits, waypoints)
+            send_time = resend
             self.fault_stats.retries += 1
             attempt += 1
         if attempt:
             self.fault_stats.recovery_penalties.append(
                 arrival - first_arrival
             )
-        return arrival, waypoints
+        return arrival
 
     def reset_contention(self) -> None:
         super().reset_contention()

@@ -46,9 +46,8 @@ class FloorClock:
 class Resource:
     """A single-server resource granting earliest-fit time intervals.
 
-    ``advance_floor`` lets the driver promise that no future request will
-    start before a given time, allowing old intervals to be pruned so the
-    busy list stays short over long runs.
+    Reservations behind the floor clock are pruned lazily and idle-tail
+    requests append in O(1); an unshared resource gets a private clock.
     """
 
     __slots__ = (
@@ -60,7 +59,6 @@ class Resource:
         "floor_clock",
         "_starts",
         "_ends",
-        "_floor",
     )
 
     def __init__(
@@ -73,15 +71,9 @@ class Resource:
         #: Number of grants that could not start at their requested time --
         #: the transaction-level analogue of a failed same-cycle allocation.
         self.waits = 0
-        self.floor_clock = floor_clock
+        self.floor_clock = floor_clock if floor_clock is not None else FloorClock()
         self._starts: list[int] = []
         self._ends: list[int] = []
-        self._floor = 0
-
-    @property
-    def _intervals(self) -> list[tuple[int, int]]:
-        """Busy intervals as (start, end) pairs (for tests/debugging)."""
-        return list(zip(self._starts, self._ends))
 
     def acquire(self, time: int, duration: int) -> int:
         """Reserve *duration* cycles at the earliest gap at/after *time*.
@@ -94,9 +86,20 @@ class Resource:
         if duration == 0:
             self.grants += 1
             return start
-        self._prune()
         starts = self._starts
         ends = self._ends
+        floor = self.floor_clock.time
+        if ends and ends[0] <= floor:
+            if ends[-1] <= floor:
+                starts, ends = self._starts, self._ends = [], []
+            else:
+                self._prune()
+        if time >= 0 and (not ends or ends[-1] <= time):
+            starts.append(time)
+            ends.append(time + duration)
+            self.busy_cycles += duration
+            self.grants += 1
+            return time
         # All reservations starting at or before `start` are behind us; only
         # the latest of them can still be busy (intervals are disjoint).
         i = bisect_right(starts, start)
@@ -115,45 +118,16 @@ class Resource:
         self.grants += 1
         return start
 
-    def advance_floor(self, time: int) -> None:
-        """Promise that no future ``acquire`` will ask for a start < *time*."""
-        if time > self._floor:
-            self._floor = time
-
     def _prune(self) -> None:
-        floor = self._floor
-        clock = self.floor_clock
-        if clock is not None and clock.time > floor:
-            floor = self._floor = clock.time
-        ends = self._ends
-        if not ends or floor <= 0:
-            return
-        keep_from = bisect_right(ends, floor)
-        if keep_from:
-            del self._starts[:keep_from]
-            del ends[:keep_from]
-
-    def is_free_at(self, time: int) -> bool:
-        """True if an acquire of length 1 at *time* would start immediately."""
-        i = bisect_right(self._starts, time)
-        return not i or self._ends[i - 1] <= time
-
-    @property
-    def next_free(self) -> int:
-        """End of the last reservation (0 when idle)."""
-        return self._ends[-1] if self._ends else 0
-
-    def utilization(self, horizon: int) -> float:
-        """Fraction of ``[0, horizon)`` the resource was busy."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / horizon)
+        """Drop the reservations that ended at or before the floor."""
+        keep_from = bisect_right(self._ends, self.floor_clock.time)
+        del self._starts[:keep_from]
+        del self._ends[:keep_from]
 
     def reset(self) -> None:
         """Return the resource to its initial idle state, keeping its name."""
         self._starts.clear()
         self._ends.clear()
-        self._floor = 0
         self.busy_cycles = 0
         self.grants = 0
         self.queued_cycles = 0
@@ -161,6 +135,30 @@ class Resource:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Resource(name={self.name!r}, reservations={len(self._starts)})"
+
+
+def reserve_path(
+    hops: tuple[tuple[Resource, int, object], ...], head: int, flits: int
+) -> int:
+    """Reserve each (resource, cost, node) hop as ``acquire(head, flits > 0)``
+    would (idle tails inline); head moves on by each cost and is returned."""
+    for resource, cost, _ in hops:
+        ends = resource._ends
+        floor = resource.floor_clock.time
+        if head >= 0 and (not ends or ends[-1] <= floor):
+            resource._starts, resource._ends = [head], [head + flits]
+        elif ends and ends[-1] <= head:
+            if ends[0] <= floor:
+                resource._prune()
+            resource._starts.append(head)
+            ends.append(head + flits)
+        else:
+            head = resource.acquire(head, flits) + cost
+            continue
+        resource.busy_cycles += flits
+        resource.grants += 1
+        head += cost
+    return head
 
 
 class OccupancyTracker:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import FloorClock, OccupancyTracker, Resource
+from repro.sim.resource import reserve_path
 
 
 class TestResource:
@@ -54,7 +55,6 @@ class TestResource:
         assert resource.grants == 2
         assert resource.busy_cycles == 15
         assert resource.queued_cycles == 10
-        assert resource.utilization(30) == pytest.approx(0.5)
 
     def test_reset(self):
         resource = Resource()
@@ -62,14 +62,6 @@ class TestResource:
         resource.reset()
         assert resource.acquire(0, 1) == 0
         assert resource.busy_cycles == 1
-
-    def test_is_free_at(self):
-        resource = Resource()
-        resource.acquire(5, 10)
-        assert resource.is_free_at(4)
-        assert not resource.is_free_at(5)
-        assert not resource.is_free_at(14)
-        assert resource.is_free_at(15)
 
     def test_floor_pruning_keeps_results_correct(self):
         clock = FloorClock()
@@ -87,7 +79,22 @@ class TestResource:
         for t in range(0, 10_000, 10):
             clock.advance(t)
             resource.acquire(t, 5)
-        assert len(resource._intervals) < 50
+        assert len(resource._starts) < 50
+
+    @pytest.mark.parametrize("via_path", [False, True])
+    def test_tail_appends_prune_a_list_that_never_empties(self, via_path):
+        # Every request lands at the idle tail, ahead of reservations that
+        # still end past the floor, so the list never empties; partial
+        # pruning must still keep it short, on both grant paths.
+        clock = FloorClock()
+        resource = Resource(floor_clock=clock)
+        for t in range(0, 10_000, 10):
+            clock.advance(t)
+            if via_path:
+                assert reserve_path(((resource, 0, None),), t + 20, 5) == t + 20
+            else:
+                assert resource.acquire(t + 20, 5) == t + 20
+            assert 1 <= len(resource._starts) <= 3
 
     @given(
         requests=st.lists(
