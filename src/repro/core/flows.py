@@ -35,7 +35,6 @@ from repro.cache.replacement import ReplacementPolicy
 from repro.config import packet_flits
 from repro.core.geometry import CacheGeometry
 from repro.errors import ProtocolError
-from repro.sim.resource import Resource
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import (
     CHAIN_DEPTH_EDGES,
@@ -138,13 +137,13 @@ class TransactionEngine:
         self._chain_depths = self.metrics.histogram(
             "cache.bankset.eviction_chain_depth", CHAIN_DEPTH_EDGES
         )
-        #: Always-on per-leg latency-breakdown histograms (fixed edges, so
-        #: they merge across cells). Like _chain_depths, the objects
-        #: survive registry resets.
-        self._span_hists = {
-            leg: self.metrics.histogram(f"cache.span.{leg}", SPAN_CYCLE_EDGES)
+        #: Always-on per-leg latency-breakdown histograms in SPAN_LEGS
+        #: order (fixed edges, so they merge across cells). Like
+        #: _chain_depths, the objects survive registry resets.
+        self._span_hists = [
+            self.metrics.histogram(f"cache.span.{leg}", SPAN_CYCLE_EDGES)
             for leg in SPAN_LEGS
-        }
+        ]
         self._sink = _trace.NULL_SINK
         #: Per-column transaction slots: the cache controller admits one
         #: transaction per bank-set column at a time on meshes, and two per
@@ -155,17 +154,8 @@ class TransactionEngine:
             [0] * slots for _ in range(geometry.num_columns)
         ]
         self._spine_bank_cycles = 0
-        #: Per column, one (bank resource, tag latency, tag+replace
-        #: latency) triple per position, built on the column's first
-        #: multicast tag match. That match reserves every bank of the
-        #: column in position order, so each bank resource is still created
-        #: at its first use (power accounting sums in creation order).
-        self._bank_rows: list[tuple[tuple[Resource, int, int], ...] | None] = (
-            [None] * geometry.num_columns
-        )
-        #: Core node the current access belongs to (CMP support); None
-        #: means the geometry's default single core.
-        self._core = None
+        #: Core node the current access belongs to (CMP support).
+        self._core = geometry.core_node
         #: Transaction validators (see repro.validation.invariants): each
         #: sees ``on_transaction(column, outcome, timing)`` after every
         #: executed access. Empty in normal runs.
@@ -200,58 +190,7 @@ class TransactionEngine:
         transaction's full settle time -- exactly what Fast-LRU shortens --
         gates the column's throughput.
         """
-        self.geometry.floor_clock.advance(issue_time)
-        self._spine_bank_cycles = 0
-        self._core = core_node
-        self._sink = sink = _trace.current_sink()
-        slots = self._column_slots[column]
-        slot = min(range(len(slots)), key=slots.__getitem__)
-        start = max(issue_time, slots[slot])
-        geometry = self.geometry
-        queue0 = geometry.traversal_queue_cycles
-        hop0 = geometry.traversal_hop_cycles
-        ser0 = geometry.serialization_cycles
-        fault_stats = getattr(self.geometry, "fault_stats", None)
-        if fault_stats is not None:
-            degraded_before = (
-                fault_stats.rerouted_traversals + fault_stats.retries
-            )
-        t0 = self.geometry.enter_column(column, start)
-        if self.scheme.multicast:
-            timing = self._multicast_access(column, outcome, t0, is_write)
-        else:
-            timing = self._unicast_access(column, outcome, t0, is_write)
-        if fault_stats is not None:
-            # Accesses whose flow crossed a reroute or ran the transient
-            # retry loop (per-access view of the per-traversal counters).
-            degraded = (
-                fault_stats.rerouted_traversals + fault_stats.retries
-            ) > degraded_before
-            if degraded:
-                self.metrics.counter("cache.txn.degraded_accesses").inc()
-        timing.issued = issue_time
-        timing.bank_cycles = self._spine_bank_cycles
-        if timing.settled < timing.data_at_core:
-            timing.settled = timing.data_at_core
-        slots[slot] = timing.settled
-        self._record_spans(
-            column, issue_time, sink, timing,
-            injection_queueing=t0 - issue_time,
-            serialization=geometry.serialization_cycles - ser0,
-            hop_traversal=geometry.traversal_hop_cycles - hop0,
-            network_queueing=geometry.traversal_queue_cycles - queue0,
-        )
-        if sink.enabled:
-            sink.complete(
-                "hit" if timing.hit else "miss", "cache.txn", issue_time,
-                timing.completion - issue_time, tid=f"column-{column}",
-                args={"bank": timing.bank_position,
-                      "data_at_core": timing.data_at_core,
-                      "settled": timing.settled, "write": is_write},
-            )
-        for validator in self.validators:
-            validator.on_transaction(column, outcome, timing)
-        return timing
+        return self._transact(column, outcome, issue_time, is_write, core_node)
 
     def execute_early_miss(
         self,
@@ -267,158 +206,140 @@ class TransactionEngine:
         request leaves the core immediately -- no column search. The fill
         and the recursive demotion chain still run normally.
         """
-        self.geometry.floor_clock.advance(issue_time)
+        return self._transact(
+            column, outcome, issue_time, is_write, core_node, early_miss=True
+        )
+
+    def _transact(
+        self,
+        column: int,
+        outcome: AccessOutcome,
+        issue_time: int,
+        is_write: bool,
+        core_node,
+        early_miss: bool = False,
+    ) -> AccessTiming:
+        geometry = self.geometry
+        geometry.floor_clock.advance(issue_time)
         self._spine_bank_cycles = 0
-        self._core = core_node
+        self._core = core_node if core_node is not None else geometry.core_node
         self._sink = sink = _trace.current_sink()
         slots = self._column_slots[column]
-        slot = min(range(len(slots)), key=slots.__getitem__)
+        slot = slots.index(min(slots))  # earliest free, first on ties
         start = max(issue_time, slots[slot])
-        geometry = self.geometry
         queue0 = geometry.traversal_queue_cycles
         hop0 = geometry.traversal_hop_cycles
         ser0 = geometry.serialization_cycles
-        t0 = self.geometry.enter_column(column, start)
-        timing = self._finish_miss(
-            column,
-            outcome,
-            miss_decided=t0,
-            miss_source_pos=None,
-            bank_cycles=0,
-            is_write=is_write,
-            chain_already_ran=False,
-        )
+        fault_stats = None if early_miss else getattr(geometry, "fault_stats", None)
+        if fault_stats is not None:
+            degraded_before = fault_stats.rerouted_traversals + fault_stats.retries
+        t0 = geometry.enter_column(column, start)
+        if early_miss:
+            timing = self._finish_miss(
+                column,
+                outcome,
+                miss_decided=t0,
+                miss_source_pos=None,
+                is_write=is_write,
+                chain_already_ran=False,
+            )
+        elif self.scheme.multicast:
+            timing = self._multicast_access(column, outcome, t0, is_write)
+        else:
+            timing = self._unicast_access(column, outcome, t0, is_write)
+        # Accesses whose flow crossed a reroute or ran the transient retry
+        # loop (per-access view of the per-traversal counters).
+        if fault_stats is not None and (
+            fault_stats.rerouted_traversals + fault_stats.retries
+        ) > degraded_before:
+            self.metrics.counter("cache.txn.degraded_accesses").inc()
         timing.issued = issue_time
         timing.bank_cycles = self._spine_bank_cycles
         if timing.settled < timing.data_at_core:
             timing.settled = timing.data_at_core
         slots[slot] = timing.settled
-        self._record_spans(
-            column, issue_time, sink, timing,
-            injection_queueing=t0 - issue_time,
-            serialization=geometry.serialization_cycles - ser0,
-            hop_traversal=geometry.traversal_hop_cycles - hop0,
-            network_queueing=geometry.traversal_queue_cycles - queue0,
+        # The latency-breakdown legs, in SPAN_LEGS order.
+        spans = (
+            t0 - issue_time,
+            geometry.serialization_cycles - ser0,
+            geometry.traversal_hop_cycles - hop0,
+            geometry.traversal_queue_cycles - queue0,
+            timing.bank_cycles,
+            timing.memory_cycles,
         )
+        for histogram, cycles in zip(self._span_hists, spans):
+            histogram.record(cycles)
         if sink.enabled:
+            tid = f"column-{column}"
+            for leg, cycles in zip(SPAN_LEGS, spans):
+                sink.complete(leg, "cache.span", issue_time, cycles, tid=tid)
+            args = {"data_at_core": timing.data_at_core,
+                    "settled": timing.settled, "write": is_write}
+            if early_miss:
+                name = "early_miss"
+            else:
+                name = "hit" if timing.hit else "miss"
+                args = {"bank": timing.bank_position, **args}
             sink.complete(
-                "early_miss", "cache.txn", issue_time,
-                timing.completion - issue_time, tid=f"column-{column}",
-                args={"data_at_core": timing.data_at_core,
-                      "settled": timing.settled, "write": is_write},
+                name, "cache.txn", issue_time, timing.completion - issue_time,
+                tid=tid, args=args,
             )
         for validator in self.validators:
             validator.on_transaction(column, outcome, timing)
         return timing
-
-    def _record_spans(
-        self,
-        column: int,
-        issue_time: int,
-        sink,
-        timing: AccessTiming,
-        *,
-        injection_queueing: int,
-        serialization: int,
-        hop_traversal: int,
-        network_queueing: int,
-    ) -> None:
-        """Roll one access's latency-breakdown legs into the ``cache.span``
-        histograms and (when tracing) emit one span event per leg."""
-        legs = (
-            ("injection_queueing", injection_queueing),
-            ("serialization", serialization),
-            ("hop_traversal", hop_traversal),
-            ("network_queueing", network_queueing),
-            ("bank_service", timing.bank_cycles),
-            ("memory", timing.memory_cycles),
-        )
-        hists = self._span_hists
-        for leg, cycles in legs:
-            hists[leg].record(cycles)
-        if sink.enabled:
-            tid = f"column-{column}"
-            for leg, cycles in legs:
-                sink.complete(leg, "cache.span", issue_time, cycles, tid=tid)
-
-    # -- bank helpers ---------------------------------------------------------
-
-    def _bank_acquire(
-        self, column: int, position: int, time: int, replace: bool
-    ) -> tuple[int, int]:
-        """Reserve the bank and charge its latency to the access's spine
-        bank-cycle count; returns (done, latency_charged)."""
-        timing = self.geometry.bank(column, position).timing
-        latency = timing.tag_replace_latency if replace else timing.tag_latency
-        start = self.geometry.bank_resource(column, position).acquire(time, latency)
-        self._spine_bank_cycles += latency
-        return start + latency, latency
-
-    def _bank_row(self, column: int) -> tuple[tuple[Resource, int, int], ...]:
-        row = self._bank_rows[column]
-        if row is None:
-            geometry = self.geometry
-            row = self._bank_rows[column] = tuple(
-                (
-                    geometry.bank_resource(column, position),
-                    descriptor.timing.tag_latency,
-                    descriptor.timing.tag_replace_latency,
-                )
-                for position, descriptor in enumerate(geometry.columns[column])
-            )
-        return row
-
-    @staticmethod
-    def _head(tail_arrival: int, flits: int) -> int:
-        """Head-flit arrival given a full-packet (tail) arrival time."""
-        return tail_arrival - (flits - 1)
 
     # -- unicast flows ----------------------------------------------------------
 
     def _unicast_access(
         self, column: int, outcome: AccessOutcome, t0: int, is_write: bool
     ) -> AccessTiming:
-        banks = self.geometry.banks_per_column(column)
+        geometry = self.geometry
         hit_pos = outcome.bank if outcome.hit else None
+        last = geometry.banks_per_column(column) - 1 if hit_pos is None else hit_pos
         fast = self.scheme.is_fast
 
         # Sequential tag-match walk down the column (Fig. 2). With Fast-LRU
         # the evicted block rides as the wormhole body behind the request
         # head, so each next tag match is gated by the head flit only while
         # the bank stays busy for the tag+replacement time.
-        bank_cycles = 0
-        arrival = self.geometry.core_to_bank(column, 0, t0, CONTROL, core=self._core)
+        flits = DATA if fast else CONTROL
+        gap = DATA - 1 if fast else 0  # how far the body trails the head
+        rows = geometry.bank_rows[column]
+        links = geometry.links[column]
+        send = geometry.reserve_segment
+        arrival = geometry.core_to_bank(column, 0, t0, CONTROL, core=self._core)
+        travel = hop_cycles = bank_cycles = 0
         position = 0
-        tail_gap = 0  # how far the block body trails the head at this bank
         while True:
-            is_hit_bank = hit_pos is not None and position == hit_pos
-            replace = fast and not is_hit_bank
-            done, charged = self._bank_acquire(column, position, arrival, replace)
-            bank_cycles += charged
-            if is_hit_bank or position == banks - 1:
+            resource, tag, tag_replace = (
+                rows[position] if position < len(rows)
+                else geometry.bank_row(column, position)
+            )
+            latency = tag_replace if fast and position != hit_pos else tag
+            done = resource.acquire(arrival, latency) + latency
+            bank_cycles += latency
+            if position == last:
                 break
-            if fast:
-                tail = self.geometry.bank_to_bank(
-                    column, position, position + 1, done, DATA
-                )
-                arrival = self._head(tail, DATA)
-                tail_gap = DATA - 1
-            else:
-                arrival = self.geometry.bank_to_bank(
-                    column, position, position + 1, done, CONTROL
-                )
+            link = (
+                links[position] if position < len(links)
+                else geometry.bank_link(column, position)
+            )
+            tail = send(link, done, flits)
+            travel += tail - done
+            hop_cycles += link.cost
+            arrival = tail - gap
             position += 1
+        geometry.charge_traversals(travel, hop_cycles, position, flits)
+        self._spine_bank_cycles += bank_cycles
+        tail_gap = gap if position else 0
 
         if hit_pos is not None:
-            timing = self._finish_hit(
-                column, hit_pos, done, bank_cycles, is_write, multicast=False
-            )
+            timing = self._finish_hit(column, hit_pos, done, is_write)
             if fast and hit_pos > 0:
                 # The hit bank still absorbs the incoming evicted block
                 # (its frame was freed by the departing hit block).
-                absorb, _ = self._bank_acquire(
-                    column, hit_pos, done + tail_gap, replace=True
-                )
+                absorb = resource.acquire(done + tail_gap, tag_replace) + tag_replace
+                self._spine_bank_cycles += tag_replace
                 timing.settled = max(timing.settled, absorb)
                 timing.completion = max(timing.completion, absorb)
             return timing
@@ -426,8 +347,7 @@ class TransactionEngine:
             column,
             outcome,
             miss_decided=done + tail_gap,
-            miss_source_pos=banks - 1,
-            bank_cycles=bank_cycles,
+            miss_source_pos=last,
             is_write=is_write,
             chain_already_ran=fast,
             fast_chain_done=done + tail_gap,
@@ -438,18 +358,20 @@ class TransactionEngine:
     def _multicast_access(
         self, column: int, outcome: AccessOutcome, t0: int, is_write: bool
     ) -> AccessTiming:
-        banks = self.geometry.banks_per_column(column)
+        geometry = self.geometry
+        banks = geometry.banks_per_column(column)
         hit_pos = outcome.bank if outcome.hit else None
         fast = self.scheme.is_fast
 
-        arrivals = self.geometry.multicast_column(column, t0, core=self._core)
+        arrivals = geometry.multicast_column(column, t0, core=self._core)
         # All banks tag-match concurrently (off the spine); the MRU bank of
         # a Fast-LRU flow additionally reads out its victim right after
         # miss detection.
-        row = self._bank_row(column)
+        geometry.bank_row(column, banks - 1)
+        rows = geometry.bank_rows[column]
         done: list[int] = []
         evicts = fast and hit_pos != 0  # bank 0 only
-        for (resource, tag, tag_replace), arrival in zip(row, arrivals):
+        for (resource, tag, tag_replace), arrival in zip(rows, arrivals):
             latency = tag_replace if evicts else tag
             done.append(resource.acquire(arrival, latency) + latency)
             evicts = False
@@ -461,18 +383,10 @@ class TransactionEngine:
             )
 
         if hit_pos is not None:
-            hit_bank_latency = row[hit_pos][1]
-            self._spine_bank_cycles += hit_bank_latency
-            timing = self._finish_hit(
-                column,
-                hit_pos,
-                done[hit_pos],
-                hit_bank_latency,
-                is_write,
-                multicast=True,
-            )
+            self._spine_bank_cycles += rows[hit_pos][1]
+            timing = self._finish_hit(column, hit_pos, done[hit_pos], is_write)
             if fast and hit_pos > 0:
-                chain_done = self._fast_chain(column, done, stop=hit_pos)
+                chain_done = self._chain(column, done[0], hit_pos, done)
                 timing.settled = max(timing.settled, chain_done)
                 timing.completion = max(timing.completion, chain_done)
             return timing
@@ -483,20 +397,18 @@ class TransactionEngine:
         # the per-bank notifications as combined in-column into one control
         # packet from the LRU bank (the others are subsumed by it and would
         # otherwise only add artificial reply-channel pressure).
-        miss_decided, _ = self.geometry.bank_to_core(
+        miss_decided = geometry.bank_to_core(
             column, banks - 1, max(done), CONTROL, core=self._core
         )
         fast_chain_done = None
         if fast:
-            fast_chain_done = self._fast_chain(column, done, stop=banks - 1)
-        last_bank_latency = row[-1][1]
-        self._spine_bank_cycles += last_bank_latency
+            fast_chain_done = self._chain(column, done[0], banks - 1, done)
+        self._spine_bank_cycles += rows[-1][1]
         return self._finish_miss(
             column,
             outcome,
             miss_decided=miss_decided,
             miss_source_pos=None,  # the core issues the memory request
-            bank_cycles=last_bank_latency,
             is_write=is_write,
             chain_already_ran=fast,
             fast_chain_done=fast_chain_done,
@@ -505,37 +417,35 @@ class TransactionEngine:
     # -- shared hit/miss completion ----------------------------------------------
 
     def _finish_hit(
-        self,
-        column: int,
-        hit_pos: int,
-        hit_done: int,
-        bank_cycles: int,
-        is_write: bool,
-        multicast: bool,
+        self, column: int, hit_pos: int, hit_done: int, is_write: bool
     ) -> AccessTiming:
+        geometry = self.geometry
         policy = self.scheme.policy.name
         reply_flits = CONTROL if is_write else DATA
+        nodes = geometry.nodes[column]
+        rows = geometry.bank_rows[column]
+        reply = geometry.route(nodes[hit_pos], self._core)
 
         if policy == "promotion":
-            data_at_core, _ = self.geometry.bank_to_core(
-                column, hit_pos, hit_done, reply_flits, core=self._core
-            )
+            data_at_core = geometry.send(reply, hit_done, reply_flits)
             settled = hit_done
             completion = data_at_core
             if hit_pos > 0:
                 # Swap with the next-closer bank: two one-hop block moves.
-                up = self.geometry.bank_to_bank(
-                    column, hit_pos, hit_pos - 1, hit_done, DATA
+                up = geometry.route(nodes[hit_pos], nodes[hit_pos - 1])
+                down = geometry.bank_link(column, hit_pos - 1)
+                upper, _, upper_latency = rows[hit_pos - 1]
+                lower, _, lower_latency = rows[hit_pos]
+                up_tail = geometry.reserve_segment(up, hit_done, DATA)
+                w_up = upper.acquire(up_tail, upper_latency) + upper_latency
+                down_tail = geometry.reserve_segment(down, w_up, DATA)
+                settled = lower.acquire(down_tail, lower_latency) + lower_latency
+                geometry.charge_traversals(
+                    up_tail - hit_done + down_tail - w_up,
+                    up.cost + down.cost, 2, DATA,
                 )
-                w_up, _ = self._bank_acquire(column, hit_pos - 1, up, replace=True)
-                down = self.geometry.bank_to_bank(
-                    column, hit_pos - 1, hit_pos, w_up, DATA
-                )
-                w_down, _ = self._bank_acquire(column, hit_pos, down, replace=True)
-                settled = w_down
-                notify, _ = self.geometry.bank_to_core(
-                    column, hit_pos, w_down, CONTROL, core=self._core
-                )
+                self._spine_bank_cycles += upper_latency + lower_latency
+                notify = geometry.send(reply, settled, CONTROL)
                 completion = max(completion, notify)
             return AccessTiming(
                 issued=0,
@@ -543,37 +453,34 @@ class TransactionEngine:
                 completion=completion,
                 hit=True,
                 bank_position=hit_pos,
-                bank_cycles=bank_cycles,
                 settled=settled,
             )
 
         # LRU / Fast-LRU: the hit block is forwarded toward the core and
         # dropped off at the MRU frame on the way.
-        data_at_core, waypoints = self.geometry.bank_to_core(
-            column, hit_pos, hit_done, reply_flits, record_waypoints=True,
-            core=self._core,
-        )
+        heads: list[int] = []
+        data_at_core = geometry.send(reply, hit_done, reply_flits, heads)
         settled = hit_done
         completion = data_at_core
         if hit_pos > 0:
-            mru_node = self.geometry.bank_node(column, 0)
-            # Waypoints carry head arrivals; the write needs the tail.
-            mru_arrival = waypoints.get(mru_node, self._head(data_at_core, reply_flits))
-            mru_write, _ = self._bank_acquire(
-                column, 0, mru_arrival + (DATA - 1), replace=True
+            # The head reaches the MRU router on its way to the core, or
+            # with the reply when that router is the core's; the write
+            # needs the tail.
+            index = reply.waypoint_index.get(nodes[0])
+            mru_head = (
+                heads[index] if index is not None
+                else data_at_core - (reply_flits - 1)
             )
+            resource, _, latency = rows[0]
+            mru_write = resource.acquire(mru_head + (DATA - 1), latency) + latency
+            self._spine_bank_cycles += latency
             settled = mru_write
             completion = max(completion, mru_write)
             if policy == "lru":
                 # Classic LRU: sequential shift-down chain after the hit
                 # block lands in the MRU bank (Fig. 2(a) moves (7)-(9)).
-                chain_done = self._shift_chain(
-                    column, start=mru_write, first=0, last=hit_pos
-                )
-                settled = chain_done
-                notify, _ = self.geometry.bank_to_core(
-                    column, hit_pos, chain_done, CONTROL, core=self._core
-                )
+                settled = self._chain(column, mru_write, hit_pos)
+                notify = geometry.send(reply, settled, CONTROL)
                 completion = max(completion, notify)
         return AccessTiming(
             issued=0,
@@ -581,7 +488,6 @@ class TransactionEngine:
             completion=completion,
             hit=True,
             bank_position=hit_pos,
-            bank_cycles=bank_cycles,
             settled=settled,
         )
 
@@ -591,20 +497,20 @@ class TransactionEngine:
         outcome: AccessOutcome,
         miss_decided: int,
         miss_source_pos: int | None,
-        bank_cycles: int,
         is_write: bool,
         chain_already_ran: bool,
         fast_chain_done: int | None = None,
     ) -> AccessTiming:
-        banks = self.geometry.banks_per_column(column)
+        geometry = self.geometry
+        banks = geometry.banks_per_column(column)
 
         # Memory request: from the last bank (unicast) or the core (multicast).
         if miss_source_pos is None:
-            mem_request = self.geometry.core_to_memory(
+            mem_request = geometry.core_to_memory(
                 miss_decided, CONTROL, core=self._core
             )
         else:
-            mem_request = self.geometry.bank_to_memory(
+            mem_request = geometry.bank_to_memory(
                 column, miss_source_pos, miss_decided, CONTROL
             )
         _, data_ready = self.memory.read(mem_request)
@@ -612,20 +518,22 @@ class TransactionEngine:
 
         # Fill the MRU bank; the MRU router cut-through-forwards the block
         # to the core as its flits stream in.
-        fill_tail = self.geometry.memory_to_bank(column, 0, data_ready, DATA)
-        fill_write, _ = self._bank_acquire(column, 0, fill_tail, replace=True)
+        fill_tail = geometry.memory_to_bank(column, 0, data_ready, DATA)
+        fill_head = fill_tail - (DATA - 1)
+        resource, _, latency = geometry.bank_row(column, 0)
+        fill_write = resource.acquire(fill_tail, latency) + latency
+        self._spine_bank_cycles += latency
         if self._sink.enabled:
             self._sink.complete(
                 "memory", "cache.txn", mem_request, memory_cycles,
                 tid=f"column-{column}",
             )
             self._sink.complete(
-                "mru_fill", "cache.txn", self._head(fill_tail, DATA),
-                fill_write - self._head(fill_tail, DATA),
+                "mru_fill", "cache.txn", fill_head, fill_write - fill_head,
                 tid=f"column-{column}",
             )
-        data_at_core, _ = self.geometry.bank_to_core(
-            column, 0, self._head(fill_tail, DATA), DATA, core=self._core
+        data_at_core = geometry.bank_to_core(
+            column, 0, fill_head, DATA, core=self._core
         )
         settled = fill_write
         completion = max(data_at_core, fill_write)
@@ -647,9 +555,7 @@ class TransactionEngine:
                 chain_end = min(1, banks - 1)
             else:
                 chain_end = banks - 1
-            chain_done = self._shift_chain(
-                column, start=fill_write, first=0, last=chain_end
-            )
+            chain_done = self._chain(column, fill_write, chain_end)
         settled = max(settled, chain_done)
         completion = max(completion, chain_done)
 
@@ -662,12 +568,12 @@ class TransactionEngine:
                 if outcome.victim_bank is not None
                 else banks - 1
             )
-            wb_arrival = self.geometry.bank_to_memory(
+            wb_arrival = geometry.bank_to_memory(
                 column, victim_bank, chain_done, DATA
             )
             self.memory.writeback(wb_arrival)
 
-        notify, _ = self.geometry.bank_to_core(
+        notify = geometry.bank_to_core(
             column, chain_end, chain_done, CONTROL, core=self._core
         )
         completion = max(completion, notify)
@@ -677,76 +583,63 @@ class TransactionEngine:
             completion=completion,
             hit=False,
             bank_position=None,
-            bank_cycles=bank_cycles,
             memory_cycles=memory_cycles,
             settled=settled,
         )
 
     # -- replacement chains --------------------------------------------------------
 
-    def _shift_chain(self, column: int, start: int, first: int, last: int) -> int:
-        """Sequential demotion chain: bank i's block moves to bank i+1 for
-        ``i = first..last-1`` (classic LRU shifts / Promotion's recursive
-        replacement after a fill). Each link is gated by the head flit of
-        the incoming block (cut-through: the tail streams into the frame
-        while the next link's victim already departs)."""
-        self._chain_depths.record(max(0, last - first))
-        current = start
-        for position in range(first, last):
-            tail = self.geometry.bank_to_bank(
-                column, position, position + 1, current, DATA
-            )
-            current, _ = self._bank_acquire(
-                column, position + 1, self._head(tail, DATA), replace=True
-            )
-        if last <= first:
-            return current
-        # The last block's tail must fully land before the set settles.
-        current += DATA - 1
-        if self._sink.enabled:
-            self._sink.complete(
-                "chain", "cache.txn", start, current - start,
-                tid=f"column-{column}", args={"links": last - first},
-            )
-        return current
+    def _chain(
+        self, column: int, start: int, last: int, done: list[int] | None = None
+    ) -> int:
+        """Replacement chain down the column: bank p-1's block moves to
+        bank p for ``p = 1..last``, each link departing at *start* or when
+        the previous bank's write finished. Each bank's write is gated by
+        the head flit of the incoming block (cut-through: the tail streams
+        into the frame while the next link's victim already departs).
 
-    def _fast_chain(self, column: int, done: list[int], stop: int) -> int:
-        """Fast-LRU eviction chain (Fig. 3): bank 0's victim moves to bank 1
-        as soon as bank 0 detects its miss; each subsequent bank releases
-        its own victim once it has both missed and received its
-        predecessor's block. The chain is absorbed at bank *stop* (the hit
-        bank's freed frame, or the LRU bank on a global miss)."""
-        if stop <= 0:
-            self._chain_depths.record(0)
-            return done[0]
-        self._chain_depths.record(stop)
+        Without *done* this is the sequential demotion chain (classic LRU
+        shifts, recursive replacement after a fill). With *done*, each
+        bank's multicast tag-match completion, it is Fast-LRU's eviction
+        chain (Fig. 3): bank 0's victim leaves as soon as bank 0 detects
+        its miss, each later bank writes once it has both missed and
+        received its predecessor's block, and bank *last* (the hit bank's
+        freed frame, or the LRU bank on a global miss) absorbs the chain.
+        """
+        self._chain_depths.record(last)
+        if last <= 0:
+            return start
         geometry = self.geometry
-        # The eviction chain walks the multicast chain's bank-to-bank links.
-        links = geometry.column_chain(column, self._core).links
-        row = self._bank_row(column)
+        rows = geometry.bank_rows[column]
+        links = geometry.links[column]
         send = geometry.reserve_segment
-        current = done[0]
-        travel = 0
-        hop_cycles = 0
-        bank_cycles = 0
-        for position in range(1, stop + 1):
-            link = links[position - 1]
+        current = start
+        travel = hop_cycles = bank_cycles = 0
+        for position in range(1, last + 1):
+            link = (
+                links[position - 1] if position <= len(links)
+                else geometry.bank_link(column, position - 1)
+            )
             tail = send(link, current, DATA)
             travel += tail - current
             hop_cycles += link.cost
             ready = tail - (DATA - 1)
-            if ready < done[position]:
+            if done is not None and ready < done[position]:
                 ready = done[position]
-            resource, _, latency = row[position]
+            resource, _, latency = (
+                rows[position] if position < len(rows)
+                else geometry.bank_row(column, position)
+            )
             current = resource.acquire(ready, latency) + latency
             bank_cycles += latency
-        geometry.charge_traversals(travel, hop_cycles, stop, DATA)
+        geometry.charge_traversals(travel, hop_cycles, last, DATA)
         self._spine_bank_cycles += bank_cycles
+        # The last block's tail must fully land before the set settles.
         current += DATA - 1
         if self._sink.enabled:
             self._sink.complete(
-                "fast_chain", "cache.txn", done[0], current - done[0],
-                tid=f"column-{column}", args={"links": stop},
+                "chain" if done is None else "fast_chain", "cache.txn", start,
+                current - start, tid=f"column-{column}", args={"links": last},
             )
         return current
 

@@ -19,10 +19,14 @@ from repro.config import RouterConfig, packet_flits
 from repro.errors import ConfigurationError
 from repro.noc.routing import RouteComputer, routing_for
 from repro.noc.topology import HaloTopology, NodeId, Topology, spike_node
-from repro.sim.resource import FloorClock, OccupancyTracker, Resource, reserve_path
+from repro.sim.resource import FloorClock, OccupancyTracker, Resource
 
 #: One hop of a routed path: (channel resource, hop cost, node reached).
 Hop = tuple[Resource, int, NodeId]
+
+#: One bank as the flows grant it: (bank resource, tag latency,
+#: tag+replace latency).
+BankRow = tuple[Resource, int, int]
 
 #: Flits of a multicast request (a control packet).
 MULTICAST_FLITS = packet_flits(carries_block=False)
@@ -32,10 +36,11 @@ class Segment:
     """The resolved route of one (src, dst) pair: its hops and their cost.
 
     Routes are a pure function of the topology, so each pair's path,
-    per-hop costs and channel resources are resolved exactly once.
+    per-hop costs and channel resources are resolved exactly once. A
+    pair whose endpoints coincide has no hops.
     """
 
-    __slots__ = ("src", "dst", "hops", "cost")
+    __slots__ = ("src", "dst", "hops", "cost", "waypoint_index")
 
     def __init__(self, src: NodeId, dst: NodeId, hops: tuple[Hop, ...]) -> None:
         self.src = src
@@ -43,6 +48,11 @@ class Segment:
         self.hops = hops
         #: Uncontended head-flit cost: the sum of the hop costs.
         self.cost = sum(cost for _, cost, _ in hops)
+        #: Intermediate node -> its index in the waypoints a reservation
+        #: of this segment records (:meth:`CacheGeometry.reserve_segment`).
+        self.waypoint_index = {
+            node: index for index, (_, _, node) in enumerate(hops[:-1])
+        }
 
 
 class ColumnChain:
@@ -97,6 +107,18 @@ class CacheGeometry:
         #: not before: degraded routing counts detour hops as routes are
         #: built, and a warm-up reset clears that count.
         self._plans: dict[tuple[NodeId, NodeId], Segment] = {}
+        #: Per column, the router node of each bank position.
+        self.nodes: list[list[NodeId]] = [
+            [self.bank_node(col, pos) for pos in range(len(banks))]
+            for col, banks in enumerate(columns)
+        ]
+        #: Per column, the bank rows and the bank p -> p+1 link segments
+        #: resolved so far. Both grow lazily in position order
+        #: (:meth:`bank_row`, :meth:`bank_link`), so bank resources and
+        #: routes are still created at their first use: the power model
+        #: sums in resource creation order.
+        self.bank_rows: list[list[BankRow]] = [[] for _ in columns]
+        self.links: list[list[Segment]] = [[] for _ in columns]
         #: (column, entry node) -> multicast chain, built on first use.
         self._chains: dict[tuple[int, NodeId], ColumnChain] = {}
         self._spike_queues: dict[int, OccupancyTracker] | None = None
@@ -119,13 +141,11 @@ class CacheGeometry:
         self._validate()
 
     def _validate(self) -> None:
-        for col in range(len(self.columns)):
-            for descriptor in self.columns[col]:
-                node = self.bank_node(col, descriptor.position)
+        for col, nodes in enumerate(self.nodes):
+            for position, node in enumerate(nodes):
                 if node not in self.topology.nodes:
                     raise ConfigurationError(
-                        f"bank ({col},{descriptor.position}) maps to missing "
-                        f"node {node}"
+                        f"bank ({col},{position}) maps to missing node {node}"
                     )
 
     # -- layout -------------------------------------------------------------
@@ -164,6 +184,28 @@ class CacheGeometry:
             resource = Resource(name=f"bank{key}", floor_clock=self.floor_clock)
             self._bank_resources[key] = resource
         return resource
+
+    def bank_row(self, column: int, position: int) -> BankRow:
+        """The row of bank (*column*, *position*), resolving the column's
+        rows up to it in position order on first use."""
+        rows = self.bank_rows[column]
+        while len(rows) <= position:
+            timing = self.columns[column][len(rows)].timing
+            rows.append((
+                self.bank_resource(column, len(rows)),
+                timing.tag_latency,
+                timing.tag_replace_latency,
+            ))
+        return rows[position]
+
+    def bank_link(self, column: int, position: int) -> Segment:
+        """The route from bank *position* to bank *position* + 1, resolving
+        the column's links up to it in position order on first use."""
+        links = self.links[column]
+        nodes = self.nodes[column]
+        while len(links) <= position:
+            links.append(self.route(nodes[len(links)], nodes[len(links) + 1]))
+        return links[position]
 
     def spike_queue(self, column: int) -> OccupancyTracker:
         if self._spike_queues is None:
@@ -256,26 +298,24 @@ class CacheGeometry:
         channel = self.topology.channel(src, dst)
         return self.router_config.hop_latency + channel.wire_delay
 
-    def _segment(self, src: NodeId, dst: NodeId) -> Segment:
+    def route(self, src: NodeId, dst: NodeId) -> Segment:
         """Resolved route of (src, dst), computed on the pair's first use."""
         segment = self._plans.get((src, dst))
-        if segment is not None:
-            return segment
-        segment = Segment(
-            src,
-            dst,
-            tuple(
-                (
-                    self.channel_resource(hop_src, hop_dst),
-                    self.hop_cost(hop_src, hop_dst),
-                    hop_dst,
-                )
-                for hop_src, hop_dst in itertools.pairwise(
-                    self.routing.path(self.topology, src, dst)
-                )
-            ),
-        )
-        self._plans[(src, dst)] = segment
+        if segment is None:
+            segment = self._plans[(src, dst)] = Segment(
+                src,
+                dst,
+                tuple(
+                    (
+                        self.channel_resource(hop_src, hop_dst),
+                        self.hop_cost(hop_src, hop_dst),
+                        hop_dst,
+                    )
+                    for hop_src, hop_dst in itertools.pairwise(
+                        self.routing.path(self.topology, src, dst)
+                    )
+                ),
+            )
         return segment
 
     def column_chain(self, column: int, core: NodeId | None = None) -> ColumnChain:
@@ -284,13 +324,13 @@ class CacheGeometry:
         entry = core if core is not None else self.core_node
         chain = self._chains.get((column, entry))
         if chain is None:
-            nodes = [
-                self.bank_node(column, position)
-                for position in range(self.banks_per_column(column))
-            ]
+            bank0 = self.nodes[column][0]
             chain = self._chains[(column, entry)] = ColumnChain(
-                self._segment(entry, nodes[0]) if entry != nodes[0] else None,
-                tuple(self._segment(a, b) for a, b in itertools.pairwise(nodes)),
+                self.route(entry, bank0) if entry != bank0 else None,
+                tuple(
+                    self.bank_link(column, position)
+                    for position in range(self.banks_per_column(column) - 1)
+                ),
             )
         return chain
 
@@ -299,24 +339,43 @@ class CacheGeometry:
         segment: Segment,
         time: int,
         flits: int,
-        waypoints: dict[NodeId, int] | None = None,
+        waypoints: list[int] | None = None,
     ) -> int:
         """Reserve one segment's channels for a *flits*-flit packet whose
         head leaves at *time*; returns the tail's arrival.
 
-        This is the only place channels are reserved. When *waypoints* is
-        given it receives the head's arrival at every intermediate node.
-        The caller charges the traversal counters for it as one traversal
-        from *time* to the returned arrival (:meth:`charge_traversals`).
+        This is the only place channels are reserved. Each hop is granted
+        exactly as ``Resource.acquire(head, flits)`` would grant it: the
+        fresh-list and idle-tail cases inline (every channel shares this
+        geometry's floor clock), the rest through ``acquire``. When
+        *waypoints* is given it receives the head's arrival at every
+        intermediate node, in hop order (``segment.waypoint_index``). The
+        caller charges the traversal counters for it as one traversal from
+        *time* to the returned arrival (:meth:`charge_traversals`).
         """
-        hops = segment.hops
-        if waypoints is None:
-            return reserve_path(hops, time, flits) + (flits - 1)
         head = time
-        for hop in hops[:-1]:
-            head = reserve_path((hop,), head, flits)
-            waypoints[hop[2]] = head
-        return reserve_path(hops[-1:], head, flits) + (flits - 1)
+        floor = self.floor_clock.time
+        for resource, cost, _ in segment.hops:
+            ends = resource._ends
+            if head >= 0 and (not ends or ends[-1] <= floor):
+                resource._starts, resource._ends = [head], [head + flits]
+                resource.busy_cycles += flits
+                resource.grants += 1
+            elif ends and ends[-1] <= head:
+                if ends[0] <= floor:
+                    resource._prune()
+                resource._starts.append(head)
+                ends.append(head + flits)
+                resource.busy_cycles += flits
+                resource.grants += 1
+            else:
+                head = resource.acquire(head, flits)
+            head += cost
+            if waypoints is not None:
+                waypoints.append(head)
+        if waypoints:
+            waypoints.pop()  # the last hop reaches dst
+        return head + (flits - 1)
 
     def charge_traversals(
         self, travel: int, hop_cycles: int, sends: int, flits: int
@@ -331,6 +390,27 @@ class CacheGeometry:
         self.traversal_hop_cycles += hop_cycles
         self.serialization_cycles += serialization
         return queued
+
+    def send(
+        self,
+        segment: Segment,
+        time: int,
+        flits: int,
+        waypoints: list[int] | None = None,
+    ) -> int:
+        """Move a *flits*-flit packet along *segment* starting at *time* and
+        charge it as one traversal; returns the tail's arrival (*time*
+        itself when the segment has no hops)."""
+        if not segment.hops:
+            return time
+        arrival = self.reserve_segment(segment, time, flits, waypoints)
+        serialization = flits - 1
+        self.traversal_queue_cycles += (
+            arrival - time - segment.cost - serialization
+        )
+        self.traversal_hop_cycles += segment.cost
+        self.serialization_cycles += serialization
+        return arrival
 
     def traverse(
         self,
@@ -348,15 +428,14 @@ class CacheGeometry:
         *waypoints* maps intermediate nodes to head-flit arrival times
         (only filled when *record_waypoints*).
         """
-        if src == dst:
-            return time, {}
-        segment = self._plans.get((src, dst)) or self._segment(src, dst)
-        waypoints: dict[NodeId, int] = {}
-        arrival = self.reserve_segment(
-            segment, time, flits, waypoints if record_waypoints else None
-        )
-        self.charge_traversals(arrival - time, segment.cost, 1, flits)
-        return arrival, waypoints
+        segment = self.route(src, dst)
+        if not record_waypoints:
+            return self.send(segment, time, flits), {}
+        heads: list[int] = []
+        arrival = self.send(segment, time, flits, heads)
+        return arrival, {
+            node: heads[index] for node, index in segment.waypoint_index.items()
+        }
 
     def multicast_column(
         self, column: int, time: int, core: NodeId | None = None
@@ -397,21 +476,9 @@ class CacheGeometry:
         core: NodeId | None = None,
     ) -> int:
         src = core if core is not None else self.core_node
-        arrival, _ = self.traverse(
-            src, self.bank_node(column, position), time, flits
+        return self.send(
+            self.route(src, self.nodes[column][position]), time, flits
         )
-        return arrival
-
-    def bank_to_bank(
-        self, column: int, src_pos: int, dst_pos: int, time: int, flits: int
-    ) -> int:
-        arrival, _ = self.traverse(
-            self.bank_node(column, src_pos),
-            self.bank_node(column, dst_pos),
-            time,
-            flits,
-        )
-        return arrival
 
     def bank_to_core(
         self,
@@ -419,41 +486,36 @@ class CacheGeometry:
         position: int,
         time: int,
         flits: int,
-        record_waypoints: bool = False,
         core: NodeId | None = None,
-    ) -> tuple[int, dict[NodeId, int]]:
+    ) -> int:
         dst = core if core is not None else self.core_node
-        return self.traverse(
-            self.bank_node(column, position),
-            dst,
-            time,
-            flits,
-            record_waypoints=record_waypoints,
+        return self.send(
+            self.route(self.nodes[column][position], dst), time, flits
         )
 
     def core_to_memory(
         self, time: int, flits: int, core: NodeId | None = None
     ) -> int:
         src = core if core is not None else self.core_node
-        arrival, _ = self.traverse(src, self.memory_node, time, flits)
+        arrival = self.send(self.route(src, self.memory_node), time, flits)
         return arrival + self.memory_pin_delay
 
     def memory_to_bank(
         self, column: int, position: int, time: int, flits: int
     ) -> int:
-        arrival, _ = self.traverse(
-            self.memory_node,
-            self.bank_node(column, position),
+        return self.send(
+            self.route(self.memory_node, self.nodes[column][position]),
             time + self.memory_pin_delay,
             flits,
         )
-        return arrival
 
     def bank_to_memory(
         self, column: int, position: int, time: int, flits: int
     ) -> int:
-        arrival, _ = self.traverse(
-            self.bank_node(column, position), self.memory_node, time, flits
+        arrival = self.send(
+            self.route(self.nodes[column][position], self.memory_node),
+            time,
+            flits,
         )
         return arrival + self.memory_pin_delay
 

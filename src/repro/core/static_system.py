@@ -62,7 +62,7 @@ class StaticNUCASystem:
         memory_cycles = 0
         if hit:
             reply = CONTROL if is_write else DATA
-            data_at_core, _ = self.geometry.bank_to_core(column, bank, done, reply)
+            data_at_core = self.geometry.bank_to_core(column, bank, done, reply)
             completion = data_at_core
         else:
             mem_request = self.geometry.bank_to_memory(column, bank, done, CONTROL)
@@ -71,7 +71,7 @@ class StaticNUCASystem:
             fill = self.geometry.memory_to_bank(column, bank, ready, DATA)
             fill_done, extra = self._bank_acquire(column, bank, fill, replace=True)
             charged += extra
-            data_at_core, _ = self.geometry.bank_to_core(
+            data_at_core = self.geometry.bank_to_core(
                 column, bank, fill - (DATA - 1), DATA
             )
             completion = max(data_at_core, fill_done)

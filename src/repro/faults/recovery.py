@@ -38,7 +38,7 @@ from repro.faults.models import FaultInjector, FaultPlan
 from repro.faults.reroute import DegradedRouting, verify_degraded
 from repro.noc.packet import Packet
 from repro.noc.routing import routing_for
-from repro.noc.topology import HaloTopology, NodeId, Topology, spike_node
+from repro.noc.topology import HaloTopology, Topology, spike_node
 from repro.sim.kernel import DeadlineQueue
 from repro.telemetry.registry import RECOVERY_LATENCY_EDGES
 
@@ -411,7 +411,7 @@ class DegradedCacheGeometry(CacheGeometry):
         segment: Segment,
         time: int,
         flits: int,
-        waypoints: dict[NodeId, int] | None = None,
+        waypoints: list[int] | None = None,
     ) -> int:
         if self.routing.is_rerouted(segment.src, segment.dst):
             self.fault_stats.rerouted_traversals += 1
@@ -435,6 +435,8 @@ class DegradedCacheGeometry(CacheGeometry):
             # traversal from the resend to its own arrival makes the
             # totals equal one charge per attempt (send to arrival).
             self.charge_traversals(arrival - resend, segment.cost, 1, flits)
+            if waypoints:
+                waypoints.clear()  # only the delivered attempt's heads count
             arrival = super().reserve_segment(segment, resend, flits, waypoints)
             send_time = resend
             self.fault_stats.retries += 1

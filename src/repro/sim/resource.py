@@ -137,30 +137,6 @@ class Resource:
         return f"Resource(name={self.name!r}, reservations={len(self._starts)})"
 
 
-def reserve_path(
-    hops: tuple[tuple[Resource, int, object], ...], head: int, flits: int
-) -> int:
-    """Reserve each (resource, cost, node) hop as ``acquire(head, flits > 0)``
-    would (idle tails inline); head moves on by each cost and is returned."""
-    for resource, cost, _ in hops:
-        ends = resource._ends
-        floor = resource.floor_clock.time
-        if head >= 0 and (not ends or ends[-1] <= floor):
-            resource._starts, resource._ends = [head], [head + flits]
-        elif ends and ends[-1] <= head:
-            if ends[0] <= floor:
-                resource._prune()
-            resource._starts.append(head)
-            ends.append(head + flits)
-        else:
-            head = resource.acquire(head, flits) + cost
-            continue
-        resource.busy_cycles += flits
-        resource.grants += 1
-        head += cost
-    return head
-
-
 class OccupancyTracker:
     """A k-server resource (e.g. the 2-entry spike issue queue of a halo).
 

@@ -20,6 +20,7 @@ serial and parallel sweeps produce identical merged metrics.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Callable, cast
 
 from repro.errors import TelemetryError
@@ -103,13 +104,9 @@ class Histogram:
         self.count = 0
 
     def record(self, value: float) -> None:
-        counts = self.counts
-        for i, edge in enumerate(self.edges):
-            if value <= edge:
-                counts[i] += 1
-                break
-        else:
-            counts[-1] += 1
+        # The first bucket whose upper edge is >= value; past the last
+        # edge, the overflow bucket.
+        self.counts[bisect_left(self.edges, value)] += 1
         self.total += value
         self.count += 1
 
@@ -254,12 +251,7 @@ class Series:
             counts = windows.get(index)
             if counts is None:
                 counts = windows[index] = [0] * (len(edges) + 1)
-            for i, edge in enumerate(edges):
-                if value <= edge:
-                    counts[i] += 1
-                    break
-            else:
-                counts[-1] += 1
+            counts[bisect_left(edges, value)] += 1
         elif self.agg == "sum":
             windows[index] = windows.get(index, 0) + value
         else:  # max

@@ -2,8 +2,9 @@
 
 Each cell runs the transaction model over a fault plan with dead links and
 transient losses, so every traversal kind (multicast chains, Fast-LRU
-eviction chains, unicast walks, replies) goes through rerouting and the
-seeded retry loop. The golden holds the cycles, the contents digest and
+eviction chains, unicast walks, LRU shift chains, Promotion swaps,
+waypoint-read hit replies, fills and notifications) goes through
+rerouting and the seeded retry loop. The golden holds the cycles, the contents digest and
 the fault, traversal and bank counters of every cell; any change in how
 degraded traversals are reserved, retried or accounted moves one of them.
 
@@ -23,7 +24,12 @@ GOLDEN_PATH = (
     Path(__file__).resolve().parent.parent / "data" / "txn_fault_golden.json"
 )
 DESIGNS = ("A", "C", "F")
-SCHEMES = ("multicast+fast_lru", "unicast+fast_lru")
+SCHEMES = (
+    "multicast+fast_lru",
+    "unicast+fast_lru",
+    "unicast+lru",
+    "unicast+promotion",
+)
 #: Registry counters pinned per cell, by name prefix.
 PINNED_PREFIXES = (
     "faults.",

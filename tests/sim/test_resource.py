@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.designs import design_a
+from repro.core.geometry import Segment
 from repro.errors import SimulationError
 from repro.sim import FloorClock, OccupancyTracker, Resource
-from repro.sim.resource import reserve_path
 
 
 class TestResource:
@@ -81,17 +82,20 @@ class TestResource:
             resource.acquire(t, 5)
         assert len(resource._starts) < 50
 
-    @pytest.mark.parametrize("via_path", [False, True])
-    def test_tail_appends_prune_a_list_that_never_empties(self, via_path):
+    @pytest.mark.parametrize("via_segment", [False, True])
+    def test_tail_appends_prune_a_list_that_never_empties(self, via_segment):
         # Every request lands at the idle tail, ahead of reservations that
         # still end past the floor, so the list never empties; partial
         # pruning must still keep it short, on both grant paths.
-        clock = FloorClock()
+        geometry = design_a.build()
+        clock = geometry.floor_clock
         resource = Resource(floor_clock=clock)
+        segment = Segment(0, 1, ((resource, 0, 1),))
         for t in range(0, 10_000, 10):
             clock.advance(t)
-            if via_path:
-                assert reserve_path(((resource, 0, None),), t + 20, 5) == t + 20
+            if via_segment:
+                # The tail of a 5-flit packet trails its head by 4 cycles.
+                assert geometry.reserve_segment(segment, t + 20, 5) == t + 24
             else:
                 assert resource.acquire(t + 20, 5) == t + 20
             assert 1 <= len(resource._starts) <= 3

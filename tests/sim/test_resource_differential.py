@@ -3,10 +3,10 @@
 ``_EagerResource`` is the earlier ``Resource.acquire``/``_prune`` verbatim:
 it pruned every reservation behind the floor on every acquire and placed
 each request by binary search. The current resource prunes lazily and
-grants idle-tail requests in O(1); ``reserve_path`` inlines that fast path
-over a routed path. All three must grant the same intervals and keep the
-same counters for any request sequence, including negative times, zero
-durations and requests below the floor.
+grants idle-tail requests in O(1); ``CacheGeometry.reserve_segment``
+inlines that fast path over a routed segment. All three must grant the
+same intervals and keep the same counters for any request sequence,
+including negative times, zero durations and requests below the floor.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from bisect import bisect_right
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.designs import design_a
+from repro.core.geometry import Segment
 from repro.errors import SimulationError
 from repro.sim import FloorClock, Resource
-from repro.sim.resource import reserve_path
 
 
 class _EagerResource:
@@ -132,8 +133,9 @@ def test_acquire_matches_eager_reference(steps):
     costs=st.lists(st.integers(0, 4), min_size=4, max_size=4),
 )
 @settings(max_examples=200, deadline=None)
-def test_reserve_path_matches_per_hop_reference(steps, costs):
-    reference_clock, clock = FloorClock(), FloorClock()
+def test_reserve_segment_matches_per_hop_reference(steps, costs):
+    geometry = design_a.build()
+    reference_clock, clock = FloorClock(), geometry.floor_clock
     references = [_EagerResource(reference_clock) for _ in range(4)]
     channels = [Resource(floor_clock=clock) for _ in range(4)]
     for time, flits, path, advance in steps:
@@ -141,11 +143,18 @@ def test_reserve_path_matches_per_hop_reference(steps, costs):
             reference_clock.advance(time)
             clock.advance(time)
             continue
-        expected = time
+        heads = [time]
         for index in path:
-            expected = references[index].acquire(expected, flits) + costs[index]
-        hops = [(channels[index], costs[index], index) for index in path]
-        assert reserve_path(hops, time, flits) == expected
+            heads.append(references[index].acquire(heads[-1], flits) + costs[index])
+        segment = Segment(
+            "src", "dst",
+            tuple((channels[index], costs[index], index) for index in path),
+        )
+        waypoints: list[int] = []
+        tail = geometry.reserve_segment(segment, time, flits, waypoints)
+        assert tail == heads[-1] + (flits - 1)
+        # Head arrivals at every node but dst, as the per-hop walk saw them.
+        assert waypoints == heads[1:-1]
         for channel, reference in zip(channels, references):
             assert _counters(channel) == _counters(reference)
             assert _live(channel, clock.time) == _live(reference, clock.time)

@@ -9,6 +9,8 @@ sweeps fold per-cell snapshots into identical totals.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TelemetryError
 from repro.telemetry import (
@@ -91,6 +93,64 @@ class TestHistogram:
         # The figure drivers and the merge path both depend on these
         # exact edges; changing them silently breaks series comparability.
         assert CHAIN_DEPTH_EDGES == (0, 1, 2, 3, 4, 6, 8, 12, 16)
+
+
+def _linear_record(edges, counts, value) -> None:
+    """The linear edge scan ``Histogram.record`` used before bisecting."""
+    for i, edge in enumerate(edges):
+        if value <= edge:
+            counts[i] += 1
+            break
+    else:
+        counts[-1] += 1
+
+
+_numbers = st.one_of(
+    st.integers(-50, 50),
+    st.floats(-50, 50, allow_nan=False, allow_infinity=False),
+)
+_edges = st.lists(_numbers, min_size=1, max_size=8, unique=True).map(
+    lambda edges: tuple(sorted(edges))
+)
+
+
+@st.composite
+def _edges_and_values(draw):
+    """Edges plus values that hit every edge exactly, fall below the first
+    and above the last, and land anywhere in between."""
+    edges = draw(_edges)
+    values = list(edges) + [edges[0] - 1, edges[0] - 0.5, edges[-1] + 0.5]
+    values += draw(st.lists(_numbers, max_size=20))
+    return edges, draw(st.permutations(values))
+
+
+class TestBisectBuckets:
+    @given(case=_edges_and_values())
+    @settings(max_examples=200, deadline=None)
+    def test_histogram_matches_linear_scan(self, case):
+        edges, values = case
+        hist = Histogram(edges)
+        counts = [0] * (len(edges) + 1)
+        total = 0
+        for value in values:
+            hist.record(value)
+            _linear_record(edges, counts, value)
+            total += value
+        assert hist.counts == counts
+        assert hist.total == total
+        assert hist.count == len(values)
+
+    @given(case=_edges_and_values())
+    @settings(max_examples=200, deadline=None)
+    def test_hist_series_matches_linear_scan(self, case):
+        edges, values = case
+        series = Series(3, "hist", edges)
+        windows: dict[int, list[int]] = {}
+        for cycle, value in enumerate(values):
+            series.record(cycle, value)
+            counts = windows.setdefault(cycle // 3, [0] * (len(edges) + 1))
+            _linear_record(edges, counts, value)
+        assert series.windows == windows
 
 
 class TestSeries:
