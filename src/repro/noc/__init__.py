@@ -25,7 +25,7 @@ from repro.noc.topology import (
     SimplifiedMeshTopology,
     Topology,
 )
-from repro.noc.arraycore import HAVE_NUMPY, ArrayNetwork, FlitPool
+from repro.noc.arraycore import ArrayNetwork, FlitPool
 from repro.noc.network import (
     CORES,
     Network,
@@ -56,7 +56,6 @@ __all__ = [
     "Router",
     "ArrayNetwork",
     "FlitPool",
-    "HAVE_NUMPY",
     "CORES",
     "make_network",
     "normalize_core",

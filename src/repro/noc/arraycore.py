@@ -23,21 +23,10 @@ the fabric is provably idle (nothing buffered, nothing to inject) --
 both are pure reorderings of no-ops, so counters and timings match the
 object core bit for bit.
 
-When NumPy is available (``HAVE_NUMPY``) the per-cycle inner sweeps --
-link arrivals and the switch-allocation candidate scan -- additionally
-run as whole-mesh vectorized passes over the same flat columns (see
-DESIGN.md section 13). The vectorized switch pass evaluates every
-occupied input unit against the cycle-start state and *proves*, per
-unit, whether that early answer is identical to the answer the
-sequential object-core sweep would produce at the unit's turn; units it
-cannot prove stable (their credit / downstream-VC gates could be
-re-opened by a pop at an earlier-ranked router in the same sweep) fall
-back to the exact scalar evaluation at their position in router order.
-Arbitration, commits, and link traversal replay in the object core's
-router order either way, so phase order, stringified-port tie-breaks,
-round-robin pointers, and every side-effect counter stay bit-identical.
-Without NumPy the same scalar loops run alone: the array core degrades
-gracefully instead of refusing to construct.
+Each cycle phase is one fused scalar loop over those flat columns (see
+DESIGN.md section 13): the switch phase scans, arbitrates, commits and
+forwards router by router in the object core's order without a method
+call per flit, and link arrivals buffer each flit inline.
 
 The equivalence contract is enforced by ``tests/noc/test_arraycore.py``,
 ``tests/noc/test_arraycore_saturation.py``, the differential oracle, and
@@ -49,7 +38,6 @@ intentionally unsupported here; install them on the object core.
 
 from __future__ import annotations
 
-import importlib.util
 from array import array
 from collections import deque
 from typing import Any, Callable
@@ -63,23 +51,11 @@ from repro.noc.routing import RouteComputer, routing_for
 from repro.noc.topology import NodeId, Topology
 from repro.telemetry import trace as _trace
 
-HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
-
 #: Sentinel in the next-hop table: route not computed yet.
 _UNROUTED = -9
 #: Next-hop values at or below this encode "no channel to that node"
 #: (the object core raises at VC allocation time; so do we).
 _INVALID_BASE = -100
-#: Buffered flits below which the vectorized switch pass costs more than
-#: the scalar sweep it replaces: the whole-mesh pass has a few hundred
-#: microseconds of fixed NumPy-dispatch cost per cycle, while the scalar
-#: scan costs a few microseconds per occupied unit, so the pass only
-#: pays off at multi-hundred-flit occupancy (measured crossover).
-_VECTOR_SWITCH_THRESHOLD = 512
-#: Arrival-batch size below which the scalar delivery loop is faster
-#: than the vectorized one (measured crossover ~128 flits; the vector
-#: path wins >2x at 1000-flit batches).
-_VECTOR_ARRIVAL_THRESHOLD = 128
 
 #: A switch-allocation candidate: (in_local, out_local, out_vc, flit, gvc).
 _Cand = tuple[int, int, int, int, int]
@@ -93,7 +69,7 @@ class FlitPool:
     the object core). ``destinations`` holds tuples of *destination node
     ids* (ints), empty for body/tail flits; ``dest0`` / ``is_mc``
     denormalize its first element and multicast bit into flat columns the
-    sweeps (scalar and vectorized) can read without touching the list.
+    cycle loop reads without touching the list.
     ``group_node`` caches which router the ``groups`` column was computed
     for (-1 = stale).
     """
@@ -115,8 +91,8 @@ class FlitPool:
         #: with ``destinations`` so unicast route lookups skip the list.
         self.dest0: array[int] = array("i", bytes(4 * capacity))
         #: 1 when the flit is a head with >1 destinations (the multicast
-        #: communication-type bit); gates replication and marks the flit
-        #: too complex for the vectorized single-destination route path.
+        #: communication-type bit); gates replication and sends the route
+        #: lookup through the per-port grouping.
         self.is_mc: array[int] = array("b", bytes(capacity))
         self.group_node: array[int] = array("i", bytes(4 * capacity))
         self.groups: list[list[tuple[int, tuple[int, ...]]]] = [[]] * capacity
@@ -181,13 +157,6 @@ class ArrayNetwork:
     timed injections, step/run/run_until_drained, delivery callbacks,
     stats, metrics) and is bit-identical to it on every healthy
     workload.
-
-    ``vectorize`` selects the sweep implementation: ``None`` (default)
-    enables the whole-mesh NumPy passes when NumPy is importable and the
-    fabric is busy enough for them to pay off; ``True`` forces them on
-    every non-empty cycle (raises :class:`SimulationError` without
-    NumPy); ``False`` runs the pure-Python scalar sweeps, which need no
-    NumPy at all. All three modes are bit-identical.
     """
 
     def __init__(
@@ -196,27 +165,7 @@ class ArrayNetwork:
         routing: RouteComputer | None = None,
         router_config: RouterConfig | None = None,
         window: int = 0,
-        vectorize: bool | None = None,
     ) -> None:
-        if vectorize and not HAVE_NUMPY:
-            raise SimulationError(
-                "vectorized sweeps require numpy; "
-                "use vectorize=False (or core='array-scalar') without it"
-            )
-        self._vector = HAVE_NUMPY if vectorize is None else bool(vectorize)
-        if self._vector:
-            import numpy
-
-            self._np: Any = numpy
-        else:
-            self._np = None
-        if vectorize:  # forced: vectorize every non-empty cycle
-            self._switch_threshold = 0
-            self._arrival_threshold = 0
-        else:  # auto: only when the fixed whole-mesh pass cost pays off
-            self._switch_threshold = _VECTOR_SWITCH_THRESHOLD
-            self._arrival_threshold = _VECTOR_ARRIVAL_THRESHOLD
-
         self.topology = topology
         self.routing = routing or routing_for(topology)
         self.router_config = router_config or RouterConfig()
@@ -253,14 +202,10 @@ class ArrayNetwork:
         self._packets: list[Packet] = []
         self._packet_dests: list[tuple[int, ...]] = []
         self._packet_nflits: list[int] = []
-        #: packet_id per packet row (the vectorized arrival pass reads
-        #: these through a NumPy view instead of Packet attributes).
-        self._packet_pid: array[int] = array("q")
 
         #: Lazily filled next-hop table, one machine int per (router,
-        #: destination) pair. A plain ``array`` on purpose: single-cell
-        #: reads are ~3x faster than NumPy scalar indexing, and the
-        #: vectorized pass reads it through a shared-memory view anyway.
+        #: destination) pair (a plain ``array``: single-cell reads are
+        #: ~3x faster than NumPy scalar indexing).
         self._route: array[int] = array("i", [_UNROUTED]) * (n * n)
 
         #: cycle -> [(dst_router, in_local, vc, flit)] link arrivals
@@ -295,8 +240,6 @@ class ArrayNetwork:
             self._series = make_noc_series(self.window)
         else:
             self._series = None
-        if self._vector:
-            self._build_views()
 
     # -- static geometry ----------------------------------------------------
 
@@ -333,8 +276,6 @@ class ArrayNetwork:
             self._chan_base.append(chans)
             units += len(self._in_nodes[r]) + 1
             chans += len(self._out_nodes[r])
-        self._num_units = units
-        self._num_chans = chans
 
         #: local input index of node ``src`` at router ``dst``
         in_local: list[dict[int, int]] = [
@@ -426,79 +367,6 @@ class ArrayNetwork:
         self._router_mc: array[int] = array("i", bytes(4 * len(self._nodes)))
         #: buffered multicast heads fabric-wide (skips the whole phase)
         self._mc_total = 0
-        #: buffered flits fabric-wide (gates the vectorized switch pass)
-        self._buffered = 0
-
-    def _build_views(self) -> None:
-        """NumPy views over the flat state plus static geometry tables.
-
-        Views share memory with the ``array`` columns (``frombuffer``),
-        so scalar writes are visible to vectorized reads and vice versa.
-        Only fixed-size arrays get persistent views; growable pool
-        columns are viewed per pass (see :meth:`_pool_views`) because a
-        live buffer export would make ``array.extend`` raise.
-        """
-        np = self._np
-        self._v_vc_len = np.frombuffer(self._vc_len, dtype=np.intc)
-        self._v_vc_head = np.frombuffer(self._vc_head, dtype=np.intc)
-        self._v_vc_active = np.frombuffer(self._vc_active, dtype=np.longlong)
-        self._v_vc_out_local = np.frombuffer(self._vc_out_local, dtype=np.intc)
-        self._v_vc_out_vc = np.frombuffer(self._vc_out_vc, dtype=np.intc)
-        self._v_vc_max_occ = np.frombuffer(self._vc_max_occ, dtype=np.intc)
-        self._v_slots = np.frombuffer(self._slots, dtype=np.intc)
-        self._v_credit = np.frombuffer(self._credit, dtype=np.intc)
-        self._v_credit_stall = np.frombuffer(
-            self._credit_stall, dtype=np.longlong
-        )
-        self._v_rr_in = np.frombuffer(self._rr_in, dtype=np.intc)
-        self._v_unit_len = np.frombuffer(self._unit_len, dtype=np.intc)
-        self._v_router_occ = np.frombuffer(self._router_occ, dtype=np.intc)
-        self._v_router_mc = np.frombuffer(self._router_mc, dtype=np.intc)
-        self._v_route = np.frombuffer(self._route, dtype=np.intc)
-
-        n = len(self._nodes)
-        units = self._num_units
-        unit_router = np.empty(units, dtype=np.int64)
-        unit_local = np.empty(units, dtype=np.int64)
-        unit_eject = np.empty(units, dtype=np.int64)
-        for r in range(n):
-            base = self._unit_base[r]
-            stop = base + self._inject_local[r] + 1
-            unit_router[base:stop] = r
-            unit_local[base:stop] = np.arange(stop - base)
-            unit_eject[base:stop] = self._eject_local[r]
-        self._g_unit_router = unit_router
-        self._g_unit_local = unit_local
-        self._g_unit_eject = unit_eject
-        self._g_unit_base = np.asarray(self._unit_base, dtype=np.int64)
-        self._g_chan_base = np.asarray(self._chan_base, dtype=np.int64)
-        chan_down_unit = np.empty(self._num_chans, dtype=np.int64)
-        chan_down_router = np.empty(self._num_chans, dtype=np.int64)
-        for r in range(n):
-            base = self._chan_base[r]
-            for o, dst in enumerate(self._out_nodes[r]):
-                chan_down_unit[base + o] = self._down_unit[r][o]
-                chan_down_router[base + o] = dst
-        self._g_chan_down_unit = chan_down_unit
-        self._g_chan_down_router = chan_down_router
-        self._g_arange_vcs = np.arange(self._vcs, dtype=np.int64)
-
-    def _pool_views(self) -> tuple[Any, Any, Any, Any]:
-        """Fresh views of the growable pool columns the sweeps read.
-
-        Built per pass and dropped with the caller's frame: a persistent
-        export would block :meth:`FlitPool._grow` (``array.extend``
-        raises while a buffer export is alive). No pool growth happens
-        while these views exist -- the sweeps never allocate flits.
-        """
-        np = self._np
-        pool = self.pool
-        return (
-            np.frombuffer(pool.eligible_at, dtype=np.longlong),
-            np.frombuffer(pool.is_head, dtype=np.int8),
-            np.frombuffer(pool.is_mc, dtype=np.int8),
-            np.frombuffer(pool.dest0, dtype=np.intc),
-        )
 
     # -- client API ---------------------------------------------------------
 
@@ -570,7 +438,6 @@ class ArrayNetwork:
         self._packets.append(packet)
         self._packet_dests.append(dests)
         self._packet_nflits.append(int(packet.num_flits))
-        self._packet_pid.append(int(packet.packet_id))
         queue = self._inject_queues.get(r)
         if queue is None:
             queue = deque()
@@ -901,46 +768,10 @@ class ArrayNetwork:
         if self.pool.is_mc[flit]:
             self._router_mc[r] += 1
             self._mc_total += 1
-        self._buffered += 1
         occ = self._router_occ[r] + 1
         self._router_occ[r] = occ
         if occ == 1:
             self._active.add(r)
-
-    def _pop(self, r: int, p: int, gvc: int) -> int:
-        """Pop a VC's head flit, returning the freed slot's credit."""
-        length = self._vc_len[gvc]
-        if not length:
-            raise SimulationError("pop from empty VC")
-        head = self._vc_head[gvc]
-        flit = self._slots[gvc * self._depth + head]
-        self._vc_head[gvc] = (head + 1) % self._depth
-        self._vc_len[gvc] = length - 1
-        if self.pool.is_tail[flit]:
-            self._vc_active[gvc] = -1
-            self._vc_out_local[gvc] = -1
-            self._vc_out_vc[gvc] = -1
-        self._unit_len[gvc // self._vcs] -= 1
-        if self.pool.is_mc[flit]:
-            self._router_mc[r] -= 1
-            self._mc_total -= 1
-        self._buffered -= 1
-        if p != self._inject_local[r]:
-            self._return_credit(self._up_chan[r][p], gvc % self._vcs, r)
-        occ = self._router_occ[r] - 1
-        self._router_occ[r] = occ
-        if not occ:
-            self._active.discard(r)
-        return flit
-
-    def _return_credit(self, chan: int, vc: int, r: int) -> None:
-        key = chan * self._vcs + vc
-        credit = self._credit[key] + 1
-        if credit > self._depth:
-            raise SimulationError(
-                f"credit overflow on channel into {self._nodes[r]}"
-            )
-        self._credit[key] = credit
 
     def _next_local(self, r: int, dest: int) -> int:
         """Local output toward *dest* from router *r* (lazy route table)."""
@@ -982,87 +813,70 @@ class ArrayNetwork:
     # -- link traversal (arrival delivery) ----------------------------------
 
     def _deliver_arrivals(self, cycle: int) -> None:
+        """Buffer every flit whose link traversal ends this cycle."""
         batch = self._arrivals.pop(cycle, None)
         if batch is None:
             return
-        if (
-            self._vector
-            and len(batch) >= self._arrival_threshold
-            and not self._sink.enabled
-        ):
-            self._deliver_arrivals_vector(batch, cycle)
-            return
-        pool = self.pool
         vcs = self._vcs
+        depth = self._depth
+        pool = self.pool
+        is_head = pool.is_head
+        vc_len = self._vc_len
+        vc_active = self._vc_active
+        vc_max_occ = self._vc_max_occ
+        router_occ = self._router_occ
+        unit_base = self._unit_base
+        packets = self._packets
+        eligible = cycle + self._hop_wait
+        sink = self._sink
         for r, p, vc, flit in batch:
-            pool.eligible_at[flit] = cycle + self._hop_wait
-            self._push(r, (self._unit_base[r] + p) * vcs + vc, flit)
-            if self._sink.enabled:
-                self._sink.instant(
+            pool.eligible_at[flit] = eligible
+            # Buffer the flit: the body of _push, inline.
+            unit = unit_base[r] + p
+            gvc = unit * vcs + vc
+            length = vc_len[gvc]
+            if length >= depth:
+                raise SimulationError(
+                    f"VC overflow at router {self._nodes[r]} gvc {gvc}: "
+                    "credit flow control violated"
+                )
+            pid = packets[pool.packet[flit]].packet_id
+            active = vc_active[gvc]
+            if is_head[flit]:
+                if active >= 0 and active != pid:
+                    raise SimulationError(
+                        f"head flit of packet {pid} entered VC held by "
+                        f"packet {active}"
+                    )
+                vc_active[gvc] = pid
+            elif active != pid:
+                raise SimulationError(
+                    "body flit entered a VC not allocated to its packet"
+                )
+            slot = gvc * depth + (self._vc_head[gvc] + length) % depth
+            self._slots[slot] = flit
+            length += 1
+            vc_len[gvc] = length
+            if length > vc_max_occ[gvc]:
+                vc_max_occ[gvc] = length
+            self._unit_len[unit] += 1
+            if pool.is_mc[flit]:
+                self._router_mc[r] += 1
+                self._mc_total += 1
+            occ = router_occ[r] + 1
+            router_occ[r] = occ
+            if occ == 1:
+                self._active.add(r)
+            if sink.enabled:
+                sink.instant(
                     "traverse", "noc.flit", cycle, tid=self._nodes[r],
                     args={
-                        "packet": self._packets[pool.packet[flit]].packet_id,
+                        "packet": pid,
                         "vc": vc,
                         "from": str(self._nodes[self._in_nodes[r][p]]),
                         "hops": pool.hops[flit],
                     },
                 )
-
-    def _deliver_arrivals_vector(
-        self, batch: list[tuple[int, int, int, int]], cycle: int
-    ) -> None:
-        """Whole-batch link traversal: the ``_push`` loop as array ops.
-
-        Exact because at most one flit per cycle arrives at any (unit,
-        vc) -- each input unit maps 1:1 to one upstream channel, a
-        channel carries at most one flit per cycle (one switch winner per
-        output port), and its wire delay is constant -- so every scatter
-        below writes disjoint cells and the batch order cannot matter.
-        Validation failures replay through the scalar loop to raise the
-        identical diagnostics.
-        """
-        np = self._np
-        vcs = self._vcs
-        depth = self._depth
-        cols = np.array(batch, dtype=np.int64).T
-        rs, ps, vc_arr, flits = cols[0], cols[1], cols[2], cols[3]
-        gvc = (self._g_unit_base[rs] + ps) * vcs + vc_arr
-        vlen = self._v_vc_len[gvc].astype(np.int64)
-        pool = self.pool
-        pkt_rows = np.frombuffer(pool.packet, dtype=np.longlong)[flits]
-        pids = np.frombuffer(self._packet_pid, dtype=np.longlong)[pkt_rows]
-        heads = np.frombuffer(pool.is_head, dtype=np.int8)[flits] != 0
-        active = self._v_vc_active[gvc]
-        claim_bad = np.where(
-            heads, (active >= 0) & (active != pids), active != pids
-        )
-        if (vlen >= depth).any() or claim_bad.any():
-            # Replay sequentially so the error message (and any partial
-            # state before the raise) matches the scalar path exactly.
-            eligible = pool.eligible_at
-            for r, p, vc, flit in batch:
-                eligible[flit] = cycle + self._hop_wait
-                self._push(r, (self._unit_base[r] + p) * vcs + vc, flit)
-            raise SimulationError("unreachable: scalar replay must raise")
-        np.frombuffer(pool.eligible_at, dtype=np.longlong)[flits] = (
-            cycle + self._hop_wait
-        )
-        slot = gvc * depth + (self._v_vc_head[gvc] + vlen) % depth
-        self._v_slots[slot] = flits
-        newlen = vlen + 1
-        self._v_vc_len[gvc] = newlen
-        self._v_vc_max_occ[gvc] = np.maximum(self._v_vc_max_occ[gvc], newlen)
-        self._v_vc_active[gvc[heads]] = pids[heads]
-        # One arrival per unit (see docstring), so a plain scatter-add is
-        # exact for unit_len; routers can repeat across units.
-        self._v_unit_len[gvc // vcs] += 1
-        np.add.at(self._v_router_occ, rs, 1)
-        mc = np.frombuffer(pool.is_mc, dtype=np.int8)[flits] != 0
-        if mc.any():
-            np.add.at(self._v_router_mc, rs[mc], 1)
-            self._mc_total += int(mc.sum())
-        self._buffered += len(batch)
-        self._active.update(rs.tolist())
 
     def _inject_phase(self, cycle: int) -> None:
         """Move at most one flit per router from its inject queue to a VC."""
@@ -1252,415 +1066,228 @@ class ArrayNetwork:
                 return p, gvc
         return None
 
-    # -- switch allocation --------------------------------------------------
-
-    def _candidate_for_port(self, r: int, p: int, cycle: int) -> _Cand | None:
-        """Pick at most one ready VC of input PC *p* (round-robin).
-
-        Returns ``(in_local, out_local, out_vc, flit, gvc)``; ``out_vc``
-        is -1 for ejection.
-        """
-        vcs = self._vcs
-        unit = self._unit_base[r] + p
-        base = unit * vcs
-        start = self._rr_in[unit]
-        vc_len = self._vc_len
-        vc_ready = self._vc_ready
-        for offset in range(vcs):
-            vc = (start + offset) % vcs
-            if not vc_len[base + vc]:
-                continue
-            forward = vc_ready(r, p, base + vc, cycle)
-            if forward is not None:
-                self._rr_in[unit] = (start + offset + 1) % vcs
-                return forward
-        return None
-
-    def _vc_ready(self, r: int, p: int, gvc: int, cycle: int) -> _Cand | None:
-        if not self._vc_len[gvc]:
-            return None
-        pool = self.pool
-        flit = self._slots[gvc * self._depth + self._vc_head[gvc]]
-        if pool.eligible_at[flit] > cycle:
-            return None
-        eject = self._eject_local[r]
-        if pool.is_head[flit]:
-            if pool.is_mc[flit]:
-                groups = self._output_groups(r, flit)
-                if len(groups) > 1:
-                    return None  # must replicate first
-                out_local = groups[0][0]
-                if out_local == eject:
-                    return (p, eject, -1, flit, gvc)
-            else:
-                # Unicast fast path: one destination, no grouping dict.
-                dest = pool.dest0[flit]
-                if dest == r:
-                    return (p, eject, -1, flit, gvc)
-                out_local = self._next_local(r, dest)
-            if out_local < 0:
-                port = self.routing.next_hop(
-                    self.topology, self._nodes[r],
-                    self._nodes[_INVALID_BASE - out_local],
-                )
-                raise SimulationError(f"no downstream router on port {port}")
-            out_vc = self._allocate_downstream_vc(r, out_local)
-            if out_vc < 0:
-                self.vc_alloc_failures += 1
-                return None
-            return (p, out_local, out_vc, flit, gvc)
-        # Body/tail flit: follows the wormhole's allocated route.
-        out_local = self._vc_out_local[gvc]
-        if out_local == eject:
-            return (p, eject, -1, flit, gvc)
-        out_vc = self._vc_out_vc[gvc]
-        if out_local < 0 or out_vc < 0:
-            return None  # head has not been switched yet
-        chan = self._chan_base[r] + out_local
-        if self._credit[chan * self._vcs + out_vc] <= 0:
-            self._credit_stall[chan * self._vcs + out_vc] += 1
-            return None
-        return (p, out_local, out_vc, flit, gvc)
-
-    def _allocate_downstream_vc(self, r: int, out_local: int) -> int:
-        """Find a free downstream VC with credit (VC allocation)."""
-        vcs = self._vcs
-        down_base = self._down_unit[r][out_local] * vcs
-        credit_base = (self._chan_base[r] + out_local) * vcs
-        for vc in range(vcs):
-            gvc = down_base + vc
-            if (
-                self._vc_active[gvc] < 0
-                and not self._vc_len[gvc]
-                and self._credit[credit_base + vc] > 0
-            ):
-                return vc
-        return -1
-
-    def _sweep_candidates(
-        self, cycle: int
-    ) -> tuple[dict[int, _Cand], set[int]] | None:
-        """Whole-mesh switch-allocation pre-filter against cycle-start state.
-
-        Evaluates the round-robin input-VC scan, route lookup, credit
-        gates, and downstream VC allocation for *every* occupied input
-        unit in one batch of array ops, then classifies each unit:
-
-        * **stable with candidate** -- every VC the scan examined (all
-          round-robin offsets up to and including the first passing one)
-          has a verdict that provably cannot change before the unit's
-          router takes its sequential turn. The precomputed candidate IS
-          the answer; its round-robin pointer advance and failure-counter
-          side effects are applied here.
-        * **stable without candidate** -- same proof, no VC passed; the
-          unit is skipped at its turn (side effects applied here).
-        * **live** (returned in the second element) -- some examined VC's
-          verdict depends on external state a pop at an earlier-ranked
-          router could still change this sweep (its credit / downstream
-          gate could be re-opened, or its head is a multicast the
-          grouping dict must resolve). These re-run the exact scalar
-          evaluation at their turn.
-
-        Stability hinges on the sweep's write pattern: between the cycle
-        start and router ``r``'s turn, the only cross-router writes are
-        pops at routers ``d < r``, which *free* resources (return credit
-        on the ``r -> d`` channel, release VCs of ``r``'s dedicated input
-        unit at ``d``). A unit's own state cannot change before its turn,
-        failing gates can only flip if such a pop exists (``d < r`` and
-        ``d`` held flits at cycle start), and a passing gate whose
-        allocation picked VC 0 cannot be changed by freeing. Everything
-        else is conservatively classified live.
-        """
-        np = self._np
-        vcs = self._vcs
-        depth = self._depth
-        units = np.nonzero(self._v_unit_len)[0]
-        k = int(units.size)
-        if not k:
-            return None
-        arange_v = self._g_arange_vcs
-        gvc = units[:, None] * vcs + arange_v[None, :]
-        vlen = self._v_vc_len[gvc]
-        has = vlen > 0
-        head_slot = gvc * depth + self._v_vc_head[gvc]
-        flit = np.where(has, self._v_slots[head_slot].astype(np.int64), 0)
-        p_elig, p_head, p_mc, p_dest0 = self._pool_views()
-        r_col = self._g_unit_router[units][:, None]
-        eject_col = self._g_unit_eject[units][:, None]
-        act = has & (p_elig[flit] <= cycle)
-        is_head = p_head[flit] != 0
-        head_act = act & is_head
-        body_act = act & ~is_head
-
-        # Heads: multicast -> live (grouping dict); unicast -> flat route.
-        mc = head_act & (p_mc[flit] != 0)
-        uni = head_act & ~mc
-        dest = p_dest0[flit].astype(np.int64)
-        self_dest = uni & (dest == r_col)
-        routed = uni & ~self_dest
-        n = len(self._nodes)
-        route_key = np.where(routed & (dest >= 0), r_col * n + dest, 0)
-        route = self._v_route[route_key].astype(np.int64)
-        unrouted = routed & (route == _UNROUTED)
-        if unrouted.any():
-            # Warm the lazy route table for cold (router, dest) pairs up
-            # front: _next_local caches a pure function of the topology,
-            # so filling early is value-identical to the scalar path
-            # filling at each unit's turn.
-            cold_r = np.broadcast_to(r_col, dest.shape)[unrouted].tolist()
-            cold_d = dest[unrouted].tolist()
-            for fr, fd in zip(cold_r, cold_d):
-                self._next_local(fr, fd)
-            route = self._v_route[route_key].astype(np.int64)
-        invalid = routed & (route < 0)  # scalar path raises on these
-        head_sw = routed & ~invalid
-        complex_cell = mc | invalid
-
-        # Bodies: follow the wormhole's allocated (out_local, out_vc).
-        b_out = self._v_vc_out_local[gvc].astype(np.int64)
-        b_vc = self._v_vc_out_vc[gvc].astype(np.int64)
-        body_eject = body_act & (b_out == eject_col)
-        body_sw = body_act & ~body_eject & (b_out >= 0) & (b_vc >= 0)
-
-        # External gates for cells that target a real output channel.
-        gated = head_sw | body_sw
-        out_local = np.where(head_sw, route, np.where(body_sw, b_out, 0))
-        chan = np.where(gated, self._g_chan_base[r_col] + out_local, 0)
-        cbase = chan * vcs
-        body_ok = self._v_credit[np.where(body_sw, cbase + b_vc, 0)] > 0
-        body_pass = body_sw & body_ok
-        body_fail = body_sw & ~body_ok
-        down_unit = np.where(gated, self._g_chan_down_unit[chan], 0)
-        idx3 = (down_unit * vcs)[:, :, None] + arange_v[None, None, :]
-        cidx3 = cbase[:, :, None] + arange_v[None, None, :]
-        alloc_free = (
-            (self._v_vc_active[idx3] < 0)
-            & (self._v_vc_len[idx3] == 0)
-            & (self._v_credit[cidx3] > 0)
-        )
-        alloc_any = alloc_free.any(axis=2)
-        alloc_vc = alloc_free.argmax(axis=2)  # first free+credited VC
-        head_pass = head_sw & alloc_any
-        head_fail = head_sw & ~alloc_any
-
-        # A failing (or non-first-VC-allocating) gate is only unstable if
-        # a pop at an earlier-ranked router could re-open it this sweep.
-        # The only pops that touch r's gates pop from r's dedicated input
-        # unit at the downstream router (returning credit on r's channel
-        # and freeing that unit's VCs), so the reopen test is per
-        # down-unit VC: a VC with nothing buffered at cycle start cannot
-        # be popped, hence cannot flip the verdict it gates.
-        down_router = np.where(gated, self._g_chan_down_router[chan], 0)
-        earlier = gated & (down_router < r_col)
-        occ3 = self._v_vc_len[idx3] > 0
-        body_reopen = body_fail & (
-            self._v_vc_len[np.where(body_sw, down_unit * vcs + b_vc, 0)] > 0
-        )
-        fail_reopen = head_fail & occ3.any(axis=2)
-        pick_reopen = head_pass & (
-            occ3 & (arange_v[None, None, :] < alloc_vc[:, :, None])
-        ).any(axis=2)
-        sensitive = complex_cell | (
-            earlier & (body_reopen | fail_reopen | pick_reopen)
-        )
-
-        cand = self_dest | body_eject | head_pass | body_pass
-        out_vc = np.where(
-            head_pass, alloc_vc, np.where(body_pass, b_vc, -1)
-        )
-        out_final = np.where(self_dest | body_eject, eject_col, out_local)
-
-        # Round-robin first-match scan, in each unit's rotated VC order.
-        start = self._v_rr_in[units].astype(np.int64)
-        offs = (start[:, None] + arange_v[None, :]) % vcs
-        cand_rot = np.take_along_axis(cand, offs, axis=1)
-        first = cand_rot.argmax(axis=1)
-        any_cand = cand_rot.any(axis=1)
-        limit = np.where(any_cand, first, vcs - 1)
-        examined = arange_v[None, :] <= limit[:, None]
-        sens_rot = np.take_along_axis(sensitive, offs, axis=1)
-        live_unit = (sens_rot & examined).any(axis=1)
-        stable = ~live_unit
-
-        # Side effects of the examined, stable cells (the scalar sweep
-        # would apply these at each unit's turn; they are pure sums).
-        ex_stable = examined & stable[:, None]
-        fail_rot = np.take_along_axis(head_fail, offs, axis=1)
-        failures = int((fail_rot & ex_stable).sum())
-        if failures:
-            self.vc_alloc_failures += failures
-        stall_rot = np.take_along_axis(body_fail, offs, axis=1)
-        stall_mask = stall_rot & ex_stable
-        if stall_mask.any():
-            stall_key = np.take_along_axis(
-                np.where(body_fail, cbase + b_vc, 0), offs, axis=1
-            )
-            np.add.at(self._v_credit_stall, stall_key[stall_mask], 1)
-        granted = stable & any_cand
-        if granted.any():
-            self._v_rr_in[units[granted]] = (
-                (start[granted] + first[granted] + 1) % vcs
-            ).astype(np.intc)
-
-        # Python-side decision table for the sequential walk.
-        pick_vc = np.take_along_axis(offs, first[:, None], axis=1)[:, 0]
-        rows = np.arange(k)
-        c_p = self._g_unit_local[units].tolist()
-        c_out = out_final[rows, pick_vc].tolist()
-        c_vc = out_vc[rows, pick_vc].tolist()
-        c_flit = flit[rows, pick_vc].tolist()
-        c_gvc = gvc[rows, pick_vc].tolist()
-        units_l = units.tolist()
-        granted_l = granted.tolist()
-        live_l = live_unit.tolist()
-        pre: dict[int, _Cand] = {}
-        live: set[int] = set()
-        for i in range(k):
-            if granted_l[i]:
-                pre[units_l[i]] = (
-                    c_p[i], c_out[i], c_vc[i], c_flit[i], c_gvc[i]
-                )
-            elif live_l[i]:
-                live.add(units_l[i])
-        return pre, live
+    # -- switch allocation and traversal -------------------------------------
 
     def _switch_phase(self, cycle: int, order: list[int]) -> None:
-        """Arbitrate every crossbar in router order; commit the winners.
+        """Arbitrate every crossbar in router order; commit, then forward.
 
-        When the vectorized pre-filter ran, units it proved stable use
-        their precomputed candidates and the rest re-evaluate live; the
-        arbitration/commit walk itself always runs in the object core's
-        sequential router order, so intra-cycle credit visibility -- a
-        pop at router ``d`` freeing resources routers ``> d`` see in the
-        same sweep -- is preserved exactly.
+        One pass per router of *order*: each occupied input PC offers at
+        most one ready VC (round-robin from its ``_rr_in`` pointer), the
+        candidates are arbitrated per output port, every winner is
+        committed (pop, credit return, downstream VC claim), and only
+        then are the winners put on their links or ejected. Two orderings
+        make this the object core's sweep exactly: every candidate of a
+        router is found before any of its commits, and all of its commits
+        precede its forwards. A pop at one router is visible to every
+        later router of the same sweep, and the delivery callbacks an
+        ejection fires (which may inject packets) see the router's final
+        state.
         """
-        pre: dict[int, _Cand] | None = None
-        live: set[int] = set()
-        if self._vector and self._buffered >= self._switch_threshold:
-            swept = self._sweep_candidates(cycle)
-            if swept is not None:
-                pre, live = swept
-        for r in order:
-            winners = self._switch_router(r, cycle, pre, live)
-            for winner in winners:
-                self._handle_forward(r, winner, cycle)
-
-    def _switch_router(
-        self,
-        r: int,
-        cycle: int,
-        pre: dict[int, _Cand] | None,
-        live: set[int],
-    ) -> tuple[_Cand, ...] | list[_Cand]:
-        """Arbitrate one crossbar; commit and return this cycle's winners."""
-        candidates: list[_Cand] = []
-        unit_base = self._unit_base[r]
+        vcs = self._vcs
+        depth = self._depth
+        pool = self.pool
+        eligible_at = pool.eligible_at
+        is_head = pool.is_head
+        is_tail = pool.is_tail
+        is_mc = pool.is_mc
+        dest0 = pool.dest0
+        slots = self._slots
+        vc_len = self._vc_len
+        vc_head = self._vc_head
+        vc_active = self._vc_active
+        vc_out_local = self._vc_out_local
+        vc_out_vc = self._vc_out_vc
+        credit = self._credit
         unit_len = self._unit_len
-        if pre is None:
-            candidate = self._candidate_for_port
-            for p in range(self._inject_local[r] + 1):
-                if not unit_len[unit_base + p]:
-                    continue
-                forward = candidate(r, p, cycle)
-                if forward is not None:
-                    candidates.append(forward)
-        else:
-            for p in range(self._inject_local[r] + 1):
+        rr_in = self._rr_in
+        rr_out = self._rr_out
+        router_occ = self._router_occ
+        route = self._route
+        arrivals = self._arrivals
+        series = self._series
+        single_cycle = self._single_cycle
+        n = len(self._nodes)
+        for r in order:
+            unit_base = self._unit_base[r]
+            inject = self._inject_local[r]
+            eject = self._eject_local[r]
+            chan_base = self._chan_base[r]
+            down_unit = self._down_unit[r]
+            candidates: list[_Cand] = []
+            for p in range(inject + 1):
                 unit = unit_base + p
                 if not unit_len[unit]:
                     continue
-                cached = pre.get(unit)
-                if cached is not None:
-                    candidates.append(cached)
-                elif unit in live:
-                    forward = self._candidate_for_port(r, p, cycle)
-                    if forward is not None:
-                        candidates.append(forward)
-        if not candidates:
-            return ()
-        if len(candidates) == 1:
-            # One input PC competing: it wins its output unopposed, but
-            # the output's round-robin pointer still advances.
-            winner = candidates[0]
-            slot = self._rr_out_base[r] + winner[1]
-            self._rr_out[slot] = self._rr_out[slot] + 1
-            self._commit(r, winner, cycle)
-            return candidates
-        by_out: dict[int, list[_Cand]] = {}
-        for forward in candidates:
-            by_out.setdefault(forward[1], []).append(forward)
-        winners: list[_Cand] = []
-        rank = self._in_sort_rank[r]
-        rr_out = self._rr_out
-        base_slot = self._rr_out_base[r]
-        for out_local in sorted(by_out):
-            contenders = by_out[out_local]
-            slot = base_slot + out_local
-            if len(contenders) > 1:
-                self.switch_conflicts += len(contenders) - 1
-                contenders.sort(key=lambda c: rank[c[0]])
-                winner = contenders[rr_out[slot] % len(contenders)]
+                base = unit * vcs
+                start = rr_in[unit]
+                for offset in range(vcs):
+                    vc = (start + offset) % vcs
+                    gvc = base + vc
+                    if not vc_len[gvc]:
+                        continue
+                    flit = slots[gvc * depth + vc_head[gvc]]
+                    if eligible_at[flit] > cycle:
+                        continue
+                    if is_head[flit]:
+                        if is_mc[flit]:
+                            groups = self._output_groups(r, flit)
+                            if len(groups) > 1:
+                                continue  # must replicate first
+                            out_local = groups[0][0]
+                        else:
+                            dest = dest0[flit]
+                            if dest == r:
+                                out_local = eject
+                            else:
+                                out_local = route[r * n + dest]
+                                if out_local == _UNROUTED:
+                                    out_local = self._next_local(r, dest)
+                        if out_local == eject:
+                            out_vc = -1
+                        else:
+                            if out_local < 0:
+                                port = self.routing.next_hop(
+                                    self.topology, self._nodes[r],
+                                    self._nodes[_INVALID_BASE - out_local],
+                                )
+                                raise SimulationError(
+                                    f"no downstream router on port {port}"
+                                )
+                            # VC allocation: the first free downstream VC
+                            # with credit on the channel feeding it.
+                            down = down_unit[out_local] * vcs
+                            cbase = (chan_base + out_local) * vcs
+                            for out_vc in range(vcs):
+                                if (
+                                    vc_active[down + out_vc] < 0
+                                    and not vc_len[down + out_vc]
+                                    and credit[cbase + out_vc] > 0
+                                ):
+                                    break
+                            else:
+                                self.vc_alloc_failures += 1
+                                continue
+                    else:
+                        # Body/tail flit: follows the wormhole's route.
+                        out_local = vc_out_local[gvc]
+                        if out_local == eject:
+                            out_vc = -1
+                        else:
+                            out_vc = vc_out_vc[gvc]
+                            if out_local < 0 or out_vc < 0:
+                                continue  # head has not been switched yet
+                            key = (chan_base + out_local) * vcs + out_vc
+                            if credit[key] <= 0:
+                                self._credit_stall[key] += 1
+                                continue
+                    rr_in[unit] = (vc + 1) % vcs
+                    candidates.append((p, out_local, out_vc, flit, gvc))
+                    break
+            if not candidates:
+                continue
+
+            rr_base = self._rr_out_base[r]
+            if len(candidates) == 1:
+                # One input PC competing: it wins its output unopposed, but
+                # the output's round-robin pointer still advances.
+                winners = candidates
+                rr_out[rr_base + candidates[0][1]] += 1
             else:
-                winner = contenders[0]
-            rr_out[slot] = rr_out[slot] + 1
-            self._commit(r, winner, cycle)
-            winners.append(winner)
-        return winners
+                by_out: dict[int, list[_Cand]] = {}
+                for forward in candidates:
+                    by_out.setdefault(forward[1], []).append(forward)
+                winners = []
+                rank = self._in_sort_rank[r]
+                for out_local in sorted(by_out):
+                    contenders = by_out[out_local]
+                    slot = rr_base + out_local
+                    if len(contenders) > 1:
+                        self.switch_conflicts += len(contenders) - 1
+                        contenders.sort(key=lambda c: rank[c[0]])
+                        winners.append(
+                            contenders[rr_out[slot] % len(contenders)]
+                        )
+                    else:
+                        winners.append(contenders[0])
+                    rr_out[slot] += 1
 
-    def _commit(self, r: int, forward: _Cand, cycle: int) -> None:
-        """Perform the switch traversal for a winning flit."""
-        p, out_local, out_vc, flit, gvc = forward
-        pool = self.pool
-        eject = self._eject_local[r]
-        if self._single_cycle and pool.eligible_at[flit] == cycle:
-            if self._vc_len[gvc] == 1:
-                self.buffer_bypass_hits += 1
-            if pool.is_head[flit] and out_local != eject:
-                self.speculative_switch_wins += 1
-        self._pop(r, p, gvc)
-        pool.hops[flit] = pool.hops[flit] + 1
-        if out_local == eject:
-            self.flits_ejected += 1
-            if pool.is_head[flit] and not pool.is_tail[flit]:
-                # Body flits of this wormhole must also eject here.
-                self._vc_out_local[gvc] = eject
-                self._vc_out_vc[gvc] = -1
-            return
-        self.flits_forwarded += 1
-        key = (self._chan_base[r] + out_local) * self._vcs + out_vc
-        if self._credit[key] <= 0:
-            raise SimulationError("switched a flit without credit")
-        self._credit[key] = self._credit[key] - 1
-        if pool.is_head[flit]:
-            # Reserve the downstream VC for this wormhole.
-            down_gvc = self._down_unit[r][out_local] * self._vcs + out_vc
-            if not pool.is_tail[flit]:
-                self._vc_out_local[gvc] = out_local
-                self._vc_out_vc[gvc] = out_vc
-            pid = self._packets[pool.packet[flit]].packet_id
-            active = self._vc_active[down_gvc]
-            if active >= 0 and active != pid:
-                raise SimulationError("downstream VC reserved by another packet")
-            self._vc_active[down_gvc] = pid
+            up_chan = self._up_chan[r]
+            for p, out_local, out_vc, flit, gvc in winners:
+                head = is_head[flit]
+                tail = is_tail[flit]
+                length = vc_len[gvc]
+                if single_cycle and eligible_at[flit] == cycle:
+                    if length == 1:
+                        self.buffer_bypass_hits += 1
+                    if head and out_local != eject:
+                        self.speculative_switch_wins += 1
+                # Pop the flit; its freed slot returns a credit upstream.
+                vc_head[gvc] = (vc_head[gvc] + 1) % depth
+                vc_len[gvc] = length - 1
+                if tail:
+                    vc_active[gvc] = -1
+                    vc_out_local[gvc] = -1
+                    vc_out_vc[gvc] = -1
+                unit_len[unit_base + p] -= 1
+                if is_mc[flit]:
+                    self._router_mc[r] -= 1
+                    self._mc_total -= 1
+                if p != inject:
+                    key = up_chan[p] * vcs + gvc % vcs
+                    returned = credit[key] + 1
+                    if returned > depth:
+                        raise SimulationError(
+                            f"credit overflow on channel into {self._nodes[r]}"
+                        )
+                    credit[key] = returned
+                occ = router_occ[r] - 1
+                router_occ[r] = occ
+                if not occ:
+                    self._active.discard(r)
+                pool.hops[flit] += 1
+                if out_local == eject:
+                    self.flits_ejected += 1
+                    if head and not tail:
+                        # Body flits of this wormhole must also eject here.
+                        vc_out_local[gvc] = eject
+                        vc_out_vc[gvc] = -1
+                    continue
+                self.flits_forwarded += 1
+                key = (chan_base + out_local) * vcs + out_vc
+                if credit[key] <= 0:
+                    raise SimulationError("switched a flit without credit")
+                credit[key] -= 1
+                if head:
+                    # Reserve the downstream VC for this wormhole.
+                    if not tail:
+                        vc_out_local[gvc] = out_local
+                        vc_out_vc[gvc] = out_vc
+                    down_gvc = down_unit[out_local] * vcs + out_vc
+                    pid = self._packets[pool.packet[flit]].packet_id
+                    held = vc_active[down_gvc]
+                    if held >= 0 and held != pid:
+                        raise SimulationError(
+                            "downstream VC reserved by another packet"
+                        )
+                    vc_active[down_gvc] = pid
 
-    def _handle_forward(self, r: int, forward: _Cand, cycle: int) -> None:
-        _, out_local, out_vc, flit, _ = forward
-        if out_local == self._eject_local[r]:
-            if self._series is not None:
-                self._series["noc.series.flits_ejected"].record(cycle)
-            self._eject(r, flit, cycle)
-            return
-        self._link_flits[self._chan_base[r] + out_local] += 1
-        if self._series is not None:
-            self._series["noc.series.flits_forwarded"].record(cycle)
-        arrival = cycle + self._wire_delay[r][out_local] + 1
-        dst = self._out_nodes[r][out_local]
-        entry = (dst, self._in_local[dst][r], out_vc, flit)
-        batch = self._arrivals.get(arrival)
-        if batch is None:
-            self._arrivals[arrival] = [entry]
-        else:
-            batch.append(entry)
+            for _, out_local, out_vc, flit, _ in winners:
+                if out_local == eject:
+                    if series is not None:
+                        series["noc.series.flits_ejected"].record(cycle)
+                    self._eject(r, flit, cycle)
+                    continue
+                self._link_flits[chan_base + out_local] += 1
+                if series is not None:
+                    series["noc.series.flits_forwarded"].record(cycle)
+                dst = self._out_nodes[r][out_local]
+                arrival = cycle + self._wire_delay[r][out_local] + 1
+                entry = (dst, self._in_local[dst][r], out_vc, flit)
+                batch = arrivals.get(arrival)
+                if batch is None:
+                    arrivals[arrival] = [entry]
+                else:
+                    batch.append(entry)
 
     def _eject(self, r: int, flit: int, cycle: int) -> None:
         pool = self.pool

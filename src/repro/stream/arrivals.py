@@ -183,15 +183,22 @@ def _rate_at(
     return base
 
 
-def _classify(tenant: TenantSpec, rank: int) -> tuple[int, bool, float]:
+def _space_offset(tenant: TenantSpec) -> int:
+    """The tenant's address-space offset, a function of its name only."""
+    return random.Random(f"stream/space/{tenant.name}").getrandbits(16)
+
+
+def _classify(
+    tenant: TenantSpec, rank: int, offset: int
+) -> tuple[int, bool, float]:
     """Map a Zipf rank (1-based) to (column, hit, depth_unit).
 
-    The column scatter is a bijective multiplicative hash offset by the
-    tenant name, so tenants occupy disjoint address slices and rank never
-    correlates with column. Residency follows rank: the hot head of the
-    catalog hits (shallow for the hottest ranks), the cold tail misses.
+    The column scatter is a bijective multiplicative hash shifted by the
+    tenant's :func:`_space_offset`, so tenants occupy disjoint address
+    slices and rank never correlates with column. Residency follows rank:
+    the hot head of the catalog hits (shallow for the hottest ranks), the
+    cold tail misses.
     """
-    offset = random.Random(f"stream/space/{tenant.name}").getrandbits(16)
     scattered = ((rank + offset) * _SCATTER) & 0xFFFFFFFF
     column = (scattered >> 4) % NUM_COLUMNS
     resident = max(1, int(tenant.catalog_blocks * tenant.resident_fraction))
@@ -218,6 +225,7 @@ def generate_tenant_arrivals(
     cumulative = _zipf_cumulative(tenant.catalog_blocks, tenant.zipf_alpha)
     total_weight = cumulative[-1]
     peak = _peak_rate(tenant)
+    offset = _space_offset(tenant)
     out: list[Request] = []
     t = 0.0
     while True:
@@ -231,7 +239,7 @@ def generate_tenant_arrivals(
             cumulative, content_rng.random() * total_weight
         )
         rank = min(rank, tenant.catalog_blocks)
-        column, hit, depth_unit = _classify(tenant, rank)
+        column, hit, depth_unit = _classify(tenant, rank, offset)
         out.append(
             Request(
                 cycle=int(t),

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.noc.arraycore import HAVE_NUMPY, ArrayNetwork
+from repro.noc.arraycore import ArrayNetwork
 from repro.noc.network import Network
 from repro.noc.packet import MessageType, Packet
 from repro.validation.invariants import (
@@ -218,10 +218,8 @@ def _crosscheck_array_core(system, sampled, report) -> None:
     Every delivery's (destination, injection cycle, delivery cycle, hop
     count) must match bit-for-bit between the object core and the
     struct-of-arrays core; packet ids are process-global counters and are
-    deliberately not compared. Skipped without NumPy.
+    deliberately not compared.
     """
-    if not HAVE_NUMPY:
-        return
     topology = system.geometry.topology
     observed: dict[str, list[tuple]] = {}
     for name, network in (

@@ -23,10 +23,9 @@
   rule -- the lint engine fuzz-tests itself;
 * **arraycore** -- a noc-family geometry and traffic (half the cases
   sampled at saturated / near-saturated injection rates around the
-  knee) replayed on the object core and every array-core mode --
-  scalar fallback always, auto and forced-vector sweeps when NumPy is
-  present (:class:`repro.noc.arraycore.ArrayNetwork`) -- diffing
-  normalized deliveries, stats, and telemetry counters bit-for-bit;
+  knee) replayed on the object core and the array core
+  (:class:`repro.noc.arraycore.ArrayNetwork`), diffing normalized
+  deliveries, stats, and telemetry counters bit-for-bit;
 * **telemetry** -- a noc-family geometry and traffic replayed on both
   cores with a random windowed-series sample size, requiring the full
   published registry snapshots (series windows, per-link flit counts,
@@ -160,8 +159,8 @@ class ArraycoreCase:
 class TelemetryCase:
     """A random geometry + traffic with windowed series on both cores.
 
-    Runs the same traffic through the object core and (when NumPy is
-    present) the array core with a random ``--window`` size, publishes
+    Runs the same traffic through the object core and the array core
+    with a random ``--window`` size, publishes
     each into a fresh registry, and requires the full snapshots --
     windowed series, per-link counters, per-VC occupancy, credit
     stalls -- to be byte-identical across cores and for the merge of
@@ -662,14 +661,15 @@ def _core_digest(network) -> tuple:
 
 def _run_arraycore_case(case: ArraycoreCase) -> None:
     from repro.config import RouterConfig
-    from repro.noc.arraycore import HAVE_NUMPY, ArrayNetwork
+    from repro.noc.arraycore import ArrayNetwork
     from repro.noc.network import Network
     from repro.noc.packet import MessageType, Packet
 
-    def run(factory) -> tuple:
+    def run(cls) -> tuple:
         topology = _build_topology(NocCase(case.kind, case.cols, case.rows))
-        network = factory(
-            topology, RouterConfig(single_cycle=bool(case.single_cycle))
+        network = cls(
+            topology,
+            router_config=RouterConfig(single_cycle=bool(case.single_cycle)),
         )
         for spec in case.packets:
             packet = Packet(
@@ -679,38 +679,23 @@ def _run_arraycore_case(case: ArraycoreCase) -> None:
         network.run_until_drained(max_cycles=20_000)
         return _core_digest(network)
 
-    # The scalar fallback sweeps run everywhere; the auto and forced
-    # whole-mesh vector sweeps join the diff when NumPy is present.
-    variants = [
-        ("array-scalar",
-         lambda t, c: ArrayNetwork(t, router_config=c, vectorize=False)),
+    reference = run(Network)
+    digest = run(ArrayNetwork)
+    if digest == reference:
+        return
+    fields_ = (
+        "cycles", "packets_injected", "flits_injected",
+        "packets_delivered", "deliveries", "counters",
+    )
+    diffs = [
+        name
+        for name, obj, arr in zip(fields_, reference, digest)
+        if obj != arr
     ]
-    if HAVE_NUMPY:
-        variants.append(
-            ("array-auto", lambda t, c: ArrayNetwork(t, router_config=c))
-        )
-        variants.append(
-            ("array-vector",
-             lambda t, c: ArrayNetwork(t, router_config=c, vectorize=True))
-        )
-    reference = run(lambda t, c: Network(t, router_config=c))
-    for label, factory in variants:
-        digest = run(factory)
-        if digest == reference:
-            continue
-        fields_ = (
-            "cycles", "packets_injected", "flits_injected",
-            "packets_delivered", "deliveries", "counters",
-        )
-        diffs = [
-            name
-            for name, obj, arr in zip(fields_, reference, digest)
-            if obj != arr
-        ]
-        raise ValidationError(
-            f"{label} diverged from object core on {', '.join(diffs)}: "
-            f"object={reference!r} array={digest!r}"
-        )
+    raise ValidationError(
+        f"array diverged from object core on {', '.join(diffs)}: "
+        f"object={reference!r} array={digest!r}"
+    )
 
 
 def _run_telemetry_case(case: TelemetryCase) -> None:
@@ -722,8 +707,6 @@ def _run_telemetry_case(case: TelemetryCase) -> None:
     from repro.noc.packet import MessageType, Packet
     from repro.telemetry.registry import MetricsRegistry
 
-    # Without NumPy the array core degrades to its scalar sweeps, so the
-    # cross-core telemetry diff runs in every environment.
     cores = [("object", Network), ("array", ArrayNetwork)]
     snapshots = {}
     for name, cls in cores:

@@ -5,7 +5,8 @@ reference ``Network``: identical cycle counts, delivery records, and
 telemetry counters for any legal workload. The sweeps here drive both
 cores over designs x traffic x seeds and assert digest equality; the
 unit tests pin the SoA plumbing (ring-buffer wraparound, pool growth,
-credit accounting, replication slot borrowing) directly.
+credit accounting, replication slot borrowing) and the flow-control
+guards of the arrival and switch phases directly.
 """
 
 from __future__ import annotations
@@ -24,13 +25,9 @@ from repro.noc import (
     Packet,
     SimplifiedMeshTopology,
 )
-from repro.noc.arraycore import HAVE_NUMPY, ArrayNetwork, FlitPool
+from repro.noc.arraycore import ArrayNetwork, FlitPool
 from repro.noc.network import make_network, normalize_core
 from repro.validation.fuzzer import _core_digest
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="array core requires numpy"
-)
 
 
 def _run_both(make_topology, packets, single_cycle=True, max_cycles=50_000):
@@ -50,6 +47,23 @@ def _run_both(make_topology, packets, single_cycle=True, max_cycles=50_000):
     return digests
 
 
+def _west_input_vc(net):
+    """(router, local input, VC 0) of router (1, 0)'s input from (0, 0)."""
+    r = net._node_index[(1, 0)]
+    p = net._in_local[r][net._node_index[(0, 0)]]
+    return r, p, (net._unit_base[r] + p) * net._vcs
+
+
+def _plant_flit(net, r, head, tail, row=None):
+    """One flit destined for router *r*; a fresh packet row by default."""
+    if row is None:
+        packet = Packet(MessageType.READ_REQUEST, (0, 0), (net._nodes[r],))
+        row = len(net._packets)
+        net._packets.append(packet)
+    dests = (r,) if head else ()
+    return net.pool.alloc(row, head, tail, 0 if head else 1, dests, 0, 0, 0)
+
+
 def _unicast_stream(nodes, seed, count, spacing):
     rng = random.Random(seed)
     stream = []
@@ -62,10 +76,9 @@ def _unicast_stream(nodes, seed, count, spacing):
     return stream
 
 
-@needs_numpy
 class TestEquivalenceSweeps:
     @pytest.mark.parametrize("single_cycle", [True, False])
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 21])
     def test_mesh_unicast(self, seed, single_cycle):
         nodes = [(x, y) for x in range(5) for y in range(4)]
         packets = _unicast_stream(nodes, seed, count=30, spacing=2)
@@ -74,11 +87,14 @@ class TestEquivalenceSweeps:
         )
         assert digests["object"] == digests["array"]
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_simplified_mesh_multicast(self, seed):
+    @pytest.mark.parametrize(
+        "seed, count", [(1, 20), (2, 20), (3, 20), (23, 15)],
+        ids=["1", "2", "3", "23"],
+    )
+    def test_simplified_mesh_multicast(self, seed, count):
         rng = random.Random(seed)
         packets = []
-        for i in range(20):
+        for i in range(count):
             x = rng.randrange(4)
             column = tuple((x, y) for y in range(4))
             packets.append(
@@ -111,7 +127,6 @@ class TestEquivalenceSweeps:
         assert digests["object"] == digests["array"]
 
 
-@needs_numpy
 class TestProtocolAndLoadParity:
     def test_protocol_trace_identical(self):
         from repro.noc.protocol import FlitLevelCacheProtocol
@@ -148,7 +163,8 @@ class TestCoreSelector:
         assert normalize_core(None) == "object"
         assert normalize_core("object") == "object"
         assert normalize_core("array") == "array"
-        assert normalize_core("array-scalar") == "array-scalar"
+        with pytest.raises(SimulationError):
+            normalize_core("array-scalar")
         with pytest.raises(SimulationError):
             normalize_core("simd")
 
@@ -156,17 +172,14 @@ class TestCoreSelector:
         net = make_network(MeshTopology(2, 2), core="object")
         assert isinstance(net, Network)
 
-    @needs_numpy
     def test_make_network_array(self):
         net = make_network(MeshTopology(2, 2), core="array")
         assert isinstance(net, ArrayNetwork)
-        assert net._vector
 
     def test_make_network_array_scalar(self):
-        # The scalar core needs no numpy: it must construct either way.
-        net = make_network(MeshTopology(2, 2), core="array-scalar")
-        assert isinstance(net, ArrayNetwork)
-        assert not net._vector
+        # The array core has one cycle loop; the old selector is gone.
+        with pytest.raises(SimulationError, match="unknown flit core"):
+            make_network(MeshTopology(2, 2), core="array-scalar")
 
     def test_cellspec_records_core(self):
         from repro.experiments.common import ExperimentConfig
@@ -180,7 +193,6 @@ class TestCoreSelector:
         assert "array" in str(spec.key())
 
 
-@needs_numpy
 class TestSoAPlumbing:
     def test_flit_pool_growth_doubles(self):
         pool = FlitPool(capacity=2)
@@ -207,10 +219,61 @@ class TestSoAPlumbing:
         assert len(net.stats.deliveries) == 12
 
     def test_credit_overflow_raises(self):
+        # A buffered flit whose upstream channel already holds full
+        # credit: popping it in the switch phase returns one credit too
+        # many.
         net = ArrayNetwork(MeshTopology(2, 2))
-        with pytest.raises(SimulationError, match="credit overflow"):
-            for _ in range(20):
-                net._return_credit(0, 0, 0)
+        r, p, gvc = _west_input_vc(net)
+        net._push(r, gvc, _plant_flit(net, r, head=True, tail=True))
+        chan = net._up_chan[r][p]
+        net._credit[chan * net._vcs] = net._depth
+        with pytest.raises(
+            SimulationError, match=r"^credit overflow on channel into \(1, 0\)$"
+        ):
+            net._switch_phase(0, sorted(net._active))
+
+    def test_vc_overflow_raises(self):
+        net = ArrayNetwork(MeshTopology(2, 2))
+        r, p, gvc = _west_input_vc(net)
+        head = _plant_flit(net, r, head=True, tail=False)
+        row = net.pool.packet[head]
+        net._push(r, gvc, head)
+        for _ in range(net._depth - 1):
+            net._push(r, gvc, _plant_flit(net, r, False, False, row))
+        late = _plant_flit(net, r, False, True, row)
+        net._arrivals[0] = [(r, p, 0, late)]
+        with pytest.raises(
+            SimulationError,
+            match=rf"^VC overflow at router \(1, 0\) gvc {gvc}: "
+                  r"credit flow control violated$",
+        ):
+            net._deliver_arrivals(0)
+
+    def test_head_into_held_vc_raises(self):
+        net = ArrayNetwork(MeshTopology(2, 2))
+        r, p, gvc = _west_input_vc(net)
+        net._vc_active[gvc] = 10**9
+        head = _plant_flit(net, r, head=True, tail=True)
+        pid = net._packets[net.pool.packet[head]].packet_id
+        net._arrivals[0] = [(r, p, 0, head)]
+        with pytest.raises(
+            SimulationError,
+            match=rf"^head flit of packet {pid} entered VC held by "
+                  rf"packet {10**9}$",
+        ):
+            net._deliver_arrivals(0)
+
+    def test_body_into_unallocated_vc_raises(self):
+        net = ArrayNetwork(MeshTopology(2, 2))
+        r, p, gvc = _west_input_vc(net)
+        body = _plant_flit(net, r, head=False, tail=True)
+        net._arrivals[0] = [(r, p, 0, body)]
+        with pytest.raises(
+            SimulationError,
+            match=r"^body flit entered a VC not allocated to its packet$",
+        ):
+            net._deliver_arrivals(0)
+        assert net._vc_len[gvc] == 0
 
     def test_checkers_and_faults_unsupported(self):
         net = ArrayNetwork(MeshTopology(2, 2))
@@ -240,51 +303,7 @@ class TestSoAPlumbing:
         assert results["ArrayNetwork"][0] >= 1
         assert results["ArrayNetwork"][1] == 4
 
-class TestScalarFallbackEquivalence:
-    """The no-NumPy code path is proven, not just the fast one: these
-    tests monkeypatch ``HAVE_NUMPY`` off (a no-op in a genuinely
-    numpy-free environment) and hold the scalar sweeps to the same
-    bit-equivalence contract as the vectorized ones. No ``needs_numpy``
-    marker on purpose -- this class runs in the no-numpy CI job too."""
 
-    @pytest.fixture(autouse=True)
-    def _force_scalar(self, monkeypatch):
-        import repro.noc.arraycore as arraycore
-
-        monkeypatch.setattr(arraycore, "HAVE_NUMPY", False)
-
-    def test_without_numpy_scalar_fallback(self):
-        # Without numpy the array core degrades to its scalar sweeps
-        # instead of refusing to construct; only forcing vectorize=True
-        # is an error.
-        net = ArrayNetwork(MeshTopology(2, 2))
-        assert not net._vector
-        with pytest.raises(SimulationError, match="numpy"):
-            ArrayNetwork(MeshTopology(2, 2), vectorize=True)
-
-    @pytest.mark.parametrize("single_cycle", [True, False])
-    def test_mesh_unicast_fallback(self, single_cycle):
-        nodes = [(x, y) for x in range(5) for y in range(4)]
-        packets = _unicast_stream(nodes, 21, count=30, spacing=2)
-        digests = _run_both(
-            lambda: MeshTopology(5, 4), packets, single_cycle=single_cycle
-        )
-        assert digests["object"] == digests["array"]
-
-    def test_simplified_multicast_fallback(self):
-        rng = random.Random(23)
-        packets = []
-        for i in range(15):
-            x = rng.randrange(4)
-            column = tuple((x, y) for y in range(4))
-            packets.append(
-                (MessageType.READ_REQUEST, (x, 0), column, i * 3)
-            )
-        digests = _run_both(lambda: SimplifiedMeshTopology(4, 4), packets)
-        assert digests["object"] == digests["array"]
-
-
-@needs_numpy
 class TestObservabilityEquivalence:
     """Windowed series and spatial congestion counters are part of the
     bit-equivalence contract: publishing each core into a fresh registry

@@ -4,12 +4,11 @@ The full-sim equivalence sweeps only visit (occupancy, credit,
 round-robin pointer) states reachable from empty fabrics. These tests
 plant *arbitrary* table states -- random buffered heads and wormhole
 bodies, random credit counts, random rr pointers, randomly reserved
-VCs -- into the object core and both array-core sweep implementations,
-run exactly one switch-allocation phase with link traversal stubbed
-out, and require identical grant vectors, identical post-state
-(pointers, credits, VC bookkeeping), and identical counters. This pins
-the stringified-port tie-break order and the vectorized pre-filter's
-stability proof independently of any workload generator.
+VCs -- into the object core and the array core, run exactly one
+switch-allocation phase without delivering ejected flits, and require
+identical grant vectors, identical post-state (pointers, credits, VC
+bookkeeping), and identical counters. This pins the stringified-port
+tie-break order independently of any workload generator.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.config import RouterConfig
 from repro.noc import MeshTopology, MessageType, Network, Packet
-from repro.noc.arraycore import HAVE_NUMPY, ArrayNetwork
+from repro.noc.arraycore import ArrayNetwork
 from repro.noc.router import EJECT, INJECT
 
 MESH = 3
@@ -159,8 +158,8 @@ def _plant_object(spec):
     return net, tag_of_pid
 
 
-def _plant_array(spec, vectorize):
-    net = ArrayNetwork(MeshTopology(MESH, MESH), vectorize=vectorize)
+def _plant_array(spec):
+    net = ArrayNetwork(MeshTopology(MESH, MESH))
     tag_of_pid = {}
     for key, planted in sorted(spec["flits"].items()):
         r, p, vc_index = key
@@ -223,22 +222,35 @@ def _run_object(spec):
     return grants, _object_state(net, tags)
 
 
-def _run_array(spec, vectorize):
-    net, tags = _plant_array(spec, vectorize)
-    grants = []
+def _run_array(spec):
+    """One array switch phase; grants in the object core's record order.
 
-    def record(r, forward, cycle):
-        _, out_local, out_vc, flit, _ = forward
-        eject = out_local == net._eject_local[r]
+    Forwards are read back off the links (``_arrivals``) and ejections
+    through a stubbed ``_eject``. Each router grants at most one flit
+    per output, so ordering them by (router, local output) -- EJECT is
+    the last local output -- reproduces the sweep's forward order.
+    """
+    net, tags = _plant_array(spec)
+    moves = []
+
+    def eject(r, flit, cycle):
+        moves.append((r, net._eject_local[r], -1, flit))
+
+    net._eject = eject
+    net._switch_phase(0, sorted(net._active))
+    for batch in net._arrivals.values():
+        for dst, p, out_vc, flit in batch:
+            r = net._in_nodes[dst][p]
+            moves.append((r, net._out_local[r][dst], out_vc, flit))
+    grants = []
+    for r, out_local, out_vc, flit in sorted(moves):
+        ejected = out_local == net._eject_local[r]
         grants.append((
             str(NODES[r]),
-            "EJECT" if eject else str(NODES[net._out_nodes[r][out_local]]),
-            None if eject else out_vc,
+            "EJECT" if ejected else str(NODES[net._out_nodes[r][out_local]]),
+            None if ejected else out_vc,
             tags[net._packets[net.pool.packet[flit]].packet_id],
         ))
-
-    net._handle_forward = record
-    net._switch_phase(0, sorted(net._active))
     return grants, _array_state(net, tags)
 
 
@@ -337,14 +349,7 @@ class TestArbitrationEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_scalar_grants_match_object(self, spec):
         expected = _run_object(spec)
-        assert _run_array(spec, vectorize=False) == expected
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="vector sweeps need numpy")
-    @given(spec=table_state())
-    @settings(max_examples=60, deadline=None)
-    def test_vector_grants_match_object(self, spec):
-        expected = _run_object(spec)
-        assert _run_array(spec, vectorize=True) == expected
+        assert _run_array(spec) == expected
 
 
 class TestTieBreakPinned:
@@ -388,5 +393,4 @@ class TestTieBreakPinned:
         expected = ("flit",) + ranked[rr_out_value % len(ranked)]
         assert winners[0][3] == expected
         assert state["totals"]["conflicts"] == 1
-        for vectorize in (False, True) if HAVE_NUMPY else (False,):
-            assert _run_array(spec, vectorize=vectorize) == (grants, state)
+        assert _run_array(spec) == (grants, state)

@@ -1,13 +1,11 @@
 """Saturation-grade cross-core parity: the regime the paper's figures live in.
 
 The paper's headline results (figures 9-11) sit at and beyond the
-saturation knee, exactly where the vectorized sweeps earn their keep and
-where short equivalence sweeps barely tread. These tests drive all four
-execution modes -- object core, array auto, array forced-vector, array
-scalar fallback -- through long-horizon (>= 20k cycle) workloads at
-injection rates straddling the knee on mesh / simplified-mesh / halo
-fabrics, and assert *byte* equality of flit traces and windowed metric
-snapshots, not just digest equality.
+saturation knee, where short equivalence sweeps barely tread. These
+tests drive the object core and the array core through long-horizon
+(>= 20k cycle) workloads at injection rates straddling the knee on
+mesh / simplified-mesh / halo fabrics, and assert *byte* equality of
+flit traces and windowed metric snapshots, not just digest equality.
 
 Long runs are slow-marked; each fabric also gets a short tier-1 smoke
 variant with the same structure so every CI run exercises the harness.
@@ -32,30 +30,13 @@ from repro.noc import (
     SimplifiedMeshTopology,
 )
 import repro.noc.packet as packet_mod
-from repro.noc.arraycore import HAVE_NUMPY, ArrayNetwork
+from repro.noc.arraycore import ArrayNetwork
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.trace import JsonlTraceSink
 from repro.validation.fuzzer import _core_digest
 
-
-def _modes() -> list[str]:
-    """Execution modes available in this environment.
-
-    ``array-vector`` (forced whole-mesh sweeps) needs numpy; the other
-    three run everywhere, so the suite stays green in the no-numpy job.
-    """
-    modes = ["object", "array-auto", "array-scalar"]
-    if HAVE_NUMPY:
-        modes.insert(2, "array-vector")
-    return modes
-
-
-def _build(mode, topology, window=0):
-    if mode == "object":
-        return Network(topology, window=window)
-    vectorize = {"array-auto": None, "array-vector": True,
-                 "array-scalar": False}[mode]
-    return ArrayNetwork(topology, window=window, vectorize=vectorize)
+#: Simulation cores under comparison; the object core is the reference.
+CORE_CLASSES = {"object": Network, "array": ArrayNetwork}
 
 
 def _inject_all(net, packets):
@@ -66,10 +47,10 @@ def _inject_all(net, packets):
 
 
 def _parity_run(make_topology, packets, window=256, max_cycles=400_000):
-    """Run every mode; return {mode: (digest, snapshot_bytes, cycles)}."""
+    """Run every core; return {core: (digest, snapshot_bytes, cycles)}."""
     results = {}
-    for mode in _modes():
-        net = _build(mode, make_topology(), window=window)
+    for core, cls in CORE_CLASSES.items():
+        net = cls(make_topology(), window=window)
         _inject_all(net, packets)
         cycles = net.run_until_drained(max_cycles=max_cycles)
         registry = MetricsRegistry()
@@ -77,20 +58,20 @@ def _parity_run(make_topology, packets, window=256, max_cycles=400_000):
         snapshot = json.dumps(
             registry.snapshot(), sort_keys=True, default=str
         ).encode()
-        results[mode] = (_core_digest(net), snapshot, cycles)
+        results[core] = (_core_digest(net), snapshot, cycles)
     return results
 
 
 def _assert_parity(results):
     reference = results["object"]
-    for mode, got in results.items():
-        assert got[0] == reference[0], f"digest mismatch: {mode}"
-        assert got[1] == reference[1], f"snapshot mismatch: {mode}"
-        assert got[2] == reference[2], f"cycle count mismatch: {mode}"
+    for core, got in results.items():
+        assert got[0] == reference[0], f"digest mismatch: {core}"
+        assert got[1] == reference[1], f"snapshot mismatch: {core}"
+        assert got[2] == reference[2], f"cycle count mismatch: {core}"
 
 
-def _trace_bytes(mode, make_topology, packets, max_cycles=400_000):
-    """Run one mode with a JSONL flit trace; return the trace bytes.
+def _trace_bytes(core, make_topology, packets, max_cycles=400_000):
+    """Run one core with a JSONL flit trace; return the trace bytes.
 
     Packet ids feed the trace, so the process-global id counter is reset
     before each run -- identical workloads then produce byte-identical
@@ -100,7 +81,7 @@ def _trace_bytes(mode, make_topology, packets, max_cycles=400_000):
     fd, path = tempfile.mkstemp(suffix=".jsonl")
     os.close(fd)
     try:
-        net = _build(mode, make_topology())
+        net = CORE_CLASSES[core](make_topology())
         sink = JsonlTraceSink(path)
         net.set_trace_sink(sink)
         _inject_all(net, packets)
@@ -251,13 +232,13 @@ class TestSaturatedTraceEquality:
     def test_mesh_hotspot_traces_identical(self):
         packets = _mesh_stream(303, count=2_500, spacing=1, hotspot=0.35)
         traces = {
-            mode: _trace_bytes(mode, lambda: MeshTopology(4, 4), packets)
-            for mode in _modes()
+            core: _trace_bytes(core, lambda: MeshTopology(4, 4), packets)
+            for core in CORE_CLASSES
         }
         reference = traces["object"]
         assert reference.count(b"\n") > 2_500
-        for mode, got in traces.items():
-            assert got == reference, f"trace mismatch: {mode}"
+        for core, got in traces.items():
+            assert got == reference, f"trace mismatch: {core}"
 
 
 # -- tier-1 smoke (same harness, short horizon) -------------------------
@@ -286,10 +267,10 @@ class TestSaturationSmoke:
     def test_trace_smoke(self):
         packets = _mesh_stream(13, count=150, spacing=1, hotspot=0.35)
         traces = {
-            mode: _trace_bytes(mode, lambda: MeshTopology(4, 4), packets)
-            for mode in _modes()
+            core: _trace_bytes(core, lambda: MeshTopology(4, 4), packets)
+            for core in CORE_CLASSES
         }
         reference = traces["object"]
         assert reference.count(b"\n") > 150
-        for mode, got in traces.items():
-            assert got == reference, f"trace mismatch: {mode}"
+        for core, got in traces.items():
+            assert got == reference, f"trace mismatch: {core}"
