@@ -2,22 +2,19 @@
 
 Standalone (not collected by pytest)::
 
-    PYTHONPATH=src python benchmarks/bench_arraycore.py \
-        [--packets N] [--cell NAME] [--json-out P]
+    PYTHONPATH=src python benchmarks/bench_arraycore.py [--packets N]
 
-Runs identical flit workloads through the object-model ``Network`` and
-the struct-of-arrays ``ArrayNetwork`` (``repro.noc.arraycore``), checks
-the two cores produce bit-identical observables -- cycle counts,
-normalized delivery records, and every telemetry counter -- then reports
-the per-cell speedup plus a per-phase wall-time attribution from
-``repro.perf.profiler`` (arrivals / inject / replication / switch) for
-both cores. ``--cell`` restricts the run to one cell, and
-``--json-out`` writes the section to a standalone file
-without touching the repo-level records -- together they form the CI
-smoke that fails whenever a downsized saturated cell stops being
-bit-identical. Without those flags, human-readable output goes to
+Runs the three :func:`cell` workloads through the object-model
+``Network`` and the struct-of-arrays ``ArrayNetwork``
+(``repro.noc.arraycore``) under
+:func:`repro.validation.differential.compare`, which must find the two
+cores bit-identical, then reports the per-cell speedup plus a per-phase
+wall-time attribution from ``repro.perf.profiler`` (arrivals / inject /
+replication / switch) for both cores. Human-readable output goes to
 ``benchmarks/out/arraycore.txt`` and the machine-readable ``array_core``
-section is merged into ``BENCH_runtime.json`` at the repo root.
+section is merged into ``BENCH_runtime.json`` at the repo root. The
+tier-1 parity suite (``tests/noc/test_arraycore_saturation.py``) runs
+the same cells at small sizes.
 """
 
 from __future__ import annotations
@@ -31,136 +28,113 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from repro.config import RouterConfig
-from repro.noc import MeshTopology, MessageType, Network, Packet
-from repro.noc.arraycore import ArrayNetwork
-from repro.noc.topology import SimplifiedMeshTopology
 from repro.perf import profiler
-from repro.validation.fuzzer import _core_digest
+from repro.validation.differential import FlitWorkload, PacketSpec, compare
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUT_DIR = pathlib.Path(__file__).resolve().parent / "out"
 
+#: Mesh cells: one random unicast every this many cycles on a 16x16 mesh.
+_MESH_SPACING = {"protocol_paced": 130, "mesh16_saturated": 2}
 
-def _mesh_workload(packets: int, spacing: int) -> list:
-    """Random unicast stream on a 16x16 mesh, one packet per *spacing*.
 
-    ``spacing=2`` saturates the mesh (the SoA core's worst case: every
-    cycle busy); ``spacing=130`` reproduces the cache-transaction pacing
-    of :class:`repro.noc.protocol.FlitLevelCacheProtocol`, where long
-    idle gaps between request/response legs dominate a cell and the
-    array core's idle fast-forward pays off.
+def cell(name: str, packets: int) -> FlitWorkload:
+    """The bench cell *name* carrying *packets* packets.
+
+    ``mesh16_saturated`` injects a random unicast every 2 cycles, which
+    saturates the mesh (the SoA core's worst case: every cycle busy).
+    ``protocol_paced`` spaces the same stream 130 cycles apart, the
+    cache-transaction pacing of
+    :class:`repro.noc.protocol.FlitLevelCacheProtocol`, where long idle
+    gaps between request/response legs dominate and the array core's
+    idle fast-forward pays off. ``simplified_multicast`` sends
+    spine-to-column multicasts on an 8x6 simplified mesh (Fig. 5(b)
+    traffic): every packet starts on the row-0 spine, so it respects the
+    legal-traffic enumeration while exercising the hybrid replication
+    path on every column router.
     """
+    if name == "simplified_multicast":
+        cols, rows = 8, 6
+        return FlitWorkload("simplified", cols, rows, packets=tuple(
+            PacketSpec(
+                "read_request",
+                (i % cols, 0),
+                tuple((i % cols, y) for y in range(rows)),
+                i * 4,
+            )
+            for i in range(packets)
+        ))
     rng = random.Random(20070212)
     nodes = [(x, y) for x in range(16) for y in range(16)]
-    specs = []
+    stream = []
     for i in range(packets):
         source, destination = rng.sample(nodes, 2)
-        specs.append(
-            (MessageType.READ_REQUEST, source, (destination,), i * spacing)
-        )
-    return specs
+        stream.append(PacketSpec(
+            "read_request", source, (destination,), i * _MESH_SPACING[name]
+        ))
+    return FlitWorkload("mesh", 16, 16, packets=tuple(stream))
 
 
-def _multicast_workload(rounds: int, cols: int = 8, rows: int = 6) -> list:
-    """Spine-to-column multicasts on a simplified mesh (Fig. 5(b) traffic).
+class _TimedRuns:
+    """A workload whose ``run(core)`` times the drain alone.
 
-    Every packet starts on the row-0 spine, so the workload respects the
-    simplified mesh's legal-traffic enumeration while exercising the
-    hybrid replication path on every column router.
+    Construction and scheduling stay outside the timer, so the speedup
+    table compares the cycle loops; ``compare`` drives the timed runs.
     """
-    specs = []
-    for i in range(rounds):
-        x = i % cols
-        column = tuple((x, y) for y in range(rows))
-        specs.append((MessageType.READ_REQUEST, (x, 0), column, i * 4))
-    return specs
+
+    def __init__(self, workload: FlitWorkload) -> None:
+        self.workload = workload
+        self.seconds: dict[str, float] = {}
+        self.stats: dict = {}
+
+    def run(self, core: str):
+        network = self.workload.build(core)
+        t0 = time.perf_counter()
+        network.run_until_drained(max_cycles=self.workload.drain_cycles)
+        self.seconds[core] = time.perf_counter() - t0
+        self.stats[core] = network.stats
+        return network
+
+    def __repr__(self) -> str:
+        return repr(self.workload)
 
 
-def _inject(network, specs: list) -> None:
-    for message, source, destinations, at_cycle in specs:
-        packet = Packet(message, source, destinations)
-        network.schedule_injection(packet, at_cycle=at_cycle)
-
-
-def _run(make_network, specs: list, core: str) -> tuple[float, tuple, dict]:
-    """Time an unprofiled run, then re-run profiled for attribution.
-
-    The timing run carries zero wrapper overhead, so the speedup table
-    stays honest; the second run only feeds the per-phase breakdown.
-    """
-    network = make_network()
-    _inject(network, specs)
-    t0 = time.perf_counter()
-    network.run_until_drained(max_cycles=200_000)
-    elapsed = time.perf_counter() - t0
-    digest = _core_digest(network)
-
-    network = make_network()
+def _phases(workload: FlitWorkload, core: str) -> dict:
+    """Per-phase seconds of a profiled rerun (the timed run stays bare)."""
+    network = workload.build(core)
     profile = profiler.attach(network, core=core)
-    _inject(network, specs)
-    network.run_until_drained(max_cycles=200_000)
+    network.run_until_drained(max_cycles=workload.drain_cycles)
     profiler.detach(network)
-    phases = {
+    return {
         phase: round(profile.seconds[phase], 4) for phase in profiler.PHASES
     }
-    return elapsed, digest, phases
 
 
-def _bench_cell(name: str, make_topology, specs: list) -> dict:
-    config = RouterConfig(single_cycle=True)
-    object_s, object_digest, object_phases = _run(
-        lambda: Network(make_topology(), router_config=config),
-        specs, core="object",
-    )
-    array_s, array_digest, array_phases = _run(
-        lambda: ArrayNetwork(make_topology(), router_config=config),
-        specs, core="array",
-    )
-    identical = object_digest == array_digest
-    assert identical, f"{name}: array core diverged from object core"
+def _bench_cell(name: str, packets: int) -> dict:
+    workload = cell(name, packets)
+    timed = _TimedRuns(workload)
+    divergence = compare(timed)
+    if divergence is not None:
+        raise SystemExit(f"{name}: {divergence.render()}")
+    object_s, array_s = timed.seconds["object"], timed.seconds["array"]
     return {
         "cell": name,
-        "packets": len(specs),
-        "cycles": object_digest[0],
-        "deliveries": object_digest[3],
+        "packets": packets,
+        "cycles": timed.stats["object"].cycles,
+        "deliveries": timed.stats["object"].packets_delivered,
         "object_s": round(object_s, 3),
         "array_s": round(array_s, 4),
         "speedup": round(object_s / array_s, 1),
-        "bit_identical": identical,
-        "phases": {"object": object_phases, "array": array_phases},
+        "phases": {core: _phases(workload, core) for core in timed.seconds},
     }
 
 
-def bench_array_core(packets: int, only_cell: str | None = None) -> dict:
+def bench_array_core(packets: int) -> dict:
     """The reference cells; returns the ``array_core`` payload section."""
-    cells = [
-        (
-            "protocol_paced",
-            lambda: MeshTopology(16, 16),
-            _mesh_workload(max(packets // 4, 1), spacing=130),
-        ),
-        (
-            "mesh16_saturated",
-            lambda: MeshTopology(16, 16),
-            _mesh_workload(packets, spacing=2),
-        ),
-        (
-            "simplified_multicast",
-            lambda: SimplifiedMeshTopology(8, 6),
-            _multicast_workload(max(packets // 2, 1)),
-        ),
-    ]
-    if only_cell is not None:
-        names = [name for name, _, _ in cells]
-        if only_cell not in names:
-            raise SystemExit(
-                f"unknown cell {only_cell!r}; choose from {names}"
-            )
-        cells = [entry for entry in cells if entry[0] == only_cell]
     results = [
-        _bench_cell(name, make_topology, specs)
-        for name, make_topology, specs in cells
+        _bench_cell("protocol_paced", max(packets // 4, 1)),
+        _bench_cell("mesh16_saturated", packets),
+        _bench_cell("simplified_multicast", max(packets // 2, 1)),
     ]
     return {
         "packets": packets,
@@ -169,7 +143,7 @@ def bench_array_core(packets: int, only_cell: str | None = None) -> dict:
         #: actually exercises the flit core (sparse protocol legs).
         "per_cell_speedup": results[0]["speedup"],
         "min_speedup": min(cell["speedup"] for cell in results),
-        "bit_identical": all(cell["bit_identical"] for cell in results),
+        "bit_identical": True,
     }
 
 
@@ -208,22 +182,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--packets", type=int, default=400,
                         help="unicast packets in the mesh cell (default 400)")
-    parser.add_argument("--cell", default=None,
-                        help="run only this cell (e.g. mesh16_saturated)")
-    parser.add_argument("--json-out", default=None,
-                        help="write the section to this file and leave "
-                             "BENCH_runtime.json / out/ untouched (CI smoke)")
     args = parser.parse_args(argv)
 
-    section = bench_array_core(args.packets, only_cell=args.cell)
+    section = bench_array_core(args.packets)
     text = render(section)
     print(text)
-
-    if args.json_out is not None:
-        pathlib.Path(args.json_out).write_text(
-            json.dumps(section, indent=2) + "\n", encoding="utf-8"
-        )
-        return 0 if section["bit_identical"] else 1
 
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / "arraycore.txt").write_text(text + "\n", encoding="utf-8")
@@ -236,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_path.write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
-    return 0 if section["bit_identical"] else 1
+    return 0
 
 
 if __name__ == "__main__":

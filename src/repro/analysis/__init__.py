@@ -23,10 +23,7 @@ review time instead (DESIGN.md §12):
   identity, even through assignments, returns, and cross-module calls;
 * :mod:`repro.analysis.catalog` -- the static telemetry-key catalog:
   every metric/series key the tree can emit, linted for collisions,
-  near-miss typos, undocumented keys, and catalog staleness;
-* :mod:`repro.analysis.contracts` -- the object core and the array core
-  must agree on the cycle phase order and the stringified-port
-  tie-breaks that the bit-equivalence suite depends on.
+  near-miss typos, undocumented keys, and catalog staleness.
 
 Run it as ``repro lint`` or ``python -m repro.analysis``. Findings are
 suppressed per line with ``# repro: allow[rule-id] -- justification``;
@@ -56,7 +53,6 @@ from repro.analysis.core import (
 
 # Importing the rule modules registers their rules with the registry.
 from repro.analysis import catalog as _catalog  # noqa: F401
-from repro.analysis import contracts as _contracts  # noqa: F401
 from repro.analysis import dataflow as _dataflow  # noqa: F401
 from repro.analysis import determinism as _determinism  # noqa: F401
 from repro.analysis import discipline as _discipline  # noqa: F401

@@ -27,9 +27,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Determinism, process-safety, dataflow-taint, telemetry-"
-            "catalog, and cross-core contract static analysis for the "
-            "repro tree (see DESIGN.md §12 and §16)."
+            "Determinism, process-safety, dataflow-taint, and telemetry-"
+            "catalog static analysis for the repro tree (see DESIGN.md "
+            "§12 and §16)."
         ),
     )
     parser.add_argument(

@@ -152,8 +152,8 @@ class ProjectIndex:
     """Every parsed module of one analysis run, plus shared context.
 
     Per-module rules see one :class:`ModuleInfo` at a time; project rules
-    (taint flows across call edges, telemetry-key catalogs, cross-core
-    contracts) see the whole index. ``design_text`` carries the DESIGN.md
+    (taint flows across call edges, telemetry-key catalogs) see the whole
+    index. ``design_text`` carries the DESIGN.md
     schema tables when the run is anchored in a repo checkout; it is None
     for synthetic single-module runs (fixtures, fuzzer cases), which
     disables the documentation-coverage rule there.
@@ -184,8 +184,8 @@ class Rule:
     #: Stable kebab-case identifier used in output and suppressions.
     id: str = ""
     #: Rule family (``determinism`` | ``process-safety`` | ``telemetry`` |
-    #: ``exceptions`` | ``dataflow`` | ``catalog`` | ``contract``) -- the
-    #: DESIGN.md §12/§16 grouping.
+    #: ``exceptions`` | ``dataflow`` | ``catalog``) -- the DESIGN.md
+    #: §12/§16 grouping.
     family: str = ""
     #: One-line description shown by ``repro lint --list-rules``.
     summary: str = ""

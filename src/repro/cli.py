@@ -46,7 +46,6 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         measure=args.measure,
         seed=args.seed,
-        core=getattr(args, "core", "object"),
         window=getattr(args, "window", 0),
     )
 
@@ -284,7 +283,6 @@ def cmd_validate(args: argparse.Namespace) -> str:
             measure=measure,
             seed=args.seed,
             sample=args.sample,
-            core=getattr(args, "core", "object"),
         )
         if not oracle.ok:
             raise SystemExit(oracle.render())
@@ -308,7 +306,6 @@ def cmd_faults(args: argparse.Namespace) -> str:
         measure=args.accesses,
         seed=args.seed,
         fault_seed=args.fault_seed if args.fault_seed is not None else args.seed,
-        core=getattr(args, "core", "object"),
     )
     return fault_sweep.render(fault_sweep.run(config))
 
@@ -381,7 +378,6 @@ def cmd_serve(args: argparse.Namespace) -> str:
     from repro.stream import stream_spec_for
 
     window = args.window if args.window > 0 else 64
-    core = getattr(args, "core", "object")
     if args.sweep:
         config = stream_sweep.StreamSweepConfig(
             design=args.design,
@@ -393,7 +389,7 @@ def cmd_serve(args: argparse.Namespace) -> str:
             max_outstanding=args.outstanding,
             token_rate=args.token_rate,
             token_burst=args.token_burst,
-            core=core,
+            core=args.core,
             window=window,
         )
         out = stream_sweep.render(config, stream_sweep.run_sweep(config))
@@ -409,7 +405,7 @@ def cmd_serve(args: argparse.Namespace) -> str:
             max_outstanding=args.outstanding,
             token_rate=args.token_rate,
             token_burst=args.token_burst,
-            core=core,
+            core=args.core,
             window=window,
             drain=not args.no_drain,
         )
@@ -556,11 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="jsonl",
                        help="trace encoding: jsonl lines or a Chrome "
                             "trace_event file loadable in Perfetto")
-        p.add_argument("--core", choices=CORES,
-                       default="object",
-                       help="flit-simulation core: the reference object "
-                            "model or the struct-of-arrays core "
-                            "(bit-identical, much faster)")
         p.add_argument("--window", type=int, default=0, metavar="N",
                        help="sample windowed metric series every N "
                             "sim-cycles (0 = off); series appear in "
@@ -715,6 +706,10 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="LOAD",
                        help="sweep these load multipliers across both "
                             "admission policies through run_cells")
+    serve.add_argument("--core", choices=CORES, default="object",
+                       help="flit-simulation core: the reference object "
+                            "model or the struct-of-arrays core "
+                            "(bit-identical, much faster)")
     common(serve)
     serve.set_defaults(handler=cmd_serve)
 

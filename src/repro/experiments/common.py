@@ -25,9 +25,6 @@ class ExperimentConfig:
     seed: int = 1
     benchmarks: tuple = BENCHMARK_NAMES
     warmup_mix_factor: float = 0.5
-    #: Flit-simulation core ("object" | "array"); recorded on every
-    #: CellSpec and honored wherever flit-level simulation runs.
-    core: str = "object"
     #: Windowed-telemetry sample window in sim-cycles (0 = off); recorded
     #: on every CellSpec so windowed runs never share cache entries with
     #: unwindowed ones.
@@ -40,7 +37,6 @@ class ExperimentConfig:
             seed=self.seed,
             benchmarks=self.benchmarks,
             warmup_mix_factor=self.warmup_mix_factor,
-            core=self.core,
             window=self.window,
         )
 

@@ -82,12 +82,6 @@ class CellSpec:
     bank_fault_rate: float = 0.0
     transient_fault_rate: float = 0.0
     fault_seed: int = 0
-    #: Flit-simulation core selector ("object" | "array"). Sweep cells run
-    #: on the transaction-level model either way, so results are identical
-    #: by construction; the selector is recorded here so provenance captures
-    #: it and flit-level consumers (oracle legs, protocol validation,
-    #: benches) honor it.
-    core: str = "object"
     #: Windowed-telemetry sample window in sim-cycles (0 = off). Part of
     #: the cache key: windowed cells carry extra Series metrics in their
     #: snapshots, so they must never replay from unwindowed entries.
@@ -119,10 +113,7 @@ def spec_for(
     :class:`~repro.experiments.common.ExperimentConfig`, normalizing the
     scheme name so aliases share cache entries."""
     from repro.core.flows import make_scheme
-    from repro.noc.network import normalize_core
 
-    overrides.setdefault("core", getattr(config, "core", "object"))
-    overrides["core"] = normalize_core(overrides["core"])
     overrides.setdefault("window", int(getattr(config, "window", 0)))
     return CellSpec(
         design=design,

@@ -38,8 +38,6 @@ class CampaignConfig:
     seed: int = 1
     #: Seed of the fault-plan sampler and transient streams.
     fault_seed: int = 7
-    #: Flit-simulation core recorded on every cell ("object" | "array").
-    core: str = "object"
 
     def __post_init__(self) -> None:
         if not self.rates:
@@ -119,7 +117,6 @@ def run_campaign(config: CampaignConfig | None = None) -> CampaignResult:
             link_fault_rate=rate,
             transient_fault_rate=rate,
             fault_seed=config.fault_seed,
-            core=config.core,
         )
         for design, scheme, rate in coords
     ]

@@ -7,10 +7,12 @@ Three layers of defense against silently-wrong simulation:
   :class:`~repro.errors.ValidationError` at the cycle an invariant breaks
   (flit and credit conservation, XYX channel ordering, multicast delivery
   completeness, block conservation, timing causality, stall watchdogs);
-* :mod:`repro.validation.differential` -- the same seeded trace through
-  the experiment engine and through a checked in-process replay, diffed on
-  hit/miss outcomes and final bank contents, plus a flit-level
-  re-enactment of sampled transactions checked against the
+* :mod:`repro.validation.differential` -- :func:`compare`, the one
+  cross-core check: a flit workload run on the object core and the array
+  core must agree on every observable; and the oracle, the same seeded
+  trace through the experiment engine and through a checked in-process
+  replay, diffed on hit/miss outcomes and final bank contents, plus a
+  flit-level re-enactment of sampled transactions checked against the
   transaction-level model's hop assumptions;
 * :mod:`repro.validation.fuzzer` -- ``repro validate --fuzz N`` samples
   random geometries, bank-set shapes, traffic, and traces, runs them
@@ -19,9 +21,14 @@ Three layers of defense against silently-wrong simulation:
 """
 
 from repro.validation.differential import (
+    Divergence,
+    FlitWorkload,
     LegResult,
     OracleReport,
+    PacketSpec,
     Tolerances,
+    compare,
+    observe,
     run_oracle,
 )
 from repro.validation.fuzzer import (
@@ -31,7 +38,6 @@ from repro.validation.fuzzer import (
     FuzzReport,
     NocCase,
     OracleCase,
-    PacketSpec,
     case_to_pytest,
     fuzz,
     generate_case,
@@ -58,7 +64,9 @@ __all__ = [
     "CacheCase",
     "ChannelOrderChecker",
     "CreditConservationChecker",
+    "Divergence",
     "FlitConservationChecker",
+    "FlitWorkload",
     "FuzzFailure",
     "FuzzReport",
     "LegResult",
@@ -72,9 +80,11 @@ __all__ = [
     "Tolerances",
     "TransactionTimingChecker",
     "case_to_pytest",
+    "compare",
     "default_network_checkers",
     "fuzz",
     "generate_case",
+    "observe",
     "run_case",
     "run_oracle",
     "run_with_checkers",

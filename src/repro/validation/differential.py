@@ -1,37 +1,280 @@
-"""Differential oracle: the same trace through two independent models.
+"""Differential checks: two models of one workload, diffed.
 
-One seeded trace is evaluated twice:
+Cross-core differential
+    :func:`compare` runs one flit workload on the object core (the
+    reference) and on the array core and reports the first observable on
+    which they part as a :class:`Divergence`, or None when they agree.
+    :func:`observe` is the one definition of "the cores agree": traffic
+    counts, normalized per-delivery records, the drain cycle, and the
+    full published :class:`~repro.telemetry.registry.MetricsRegistry`
+    snapshot.
+    :class:`FlitWorkload` is the shrinkable workload shape (a topology
+    plus :class:`PacketSpec` traffic) the tests, the fuzzer and the
+    benches feed it.
 
-* the **engine path** -- :func:`repro.experiments.runner.run_cells` on the
-  cell's spec, which exercises the memo, the persistent result cache, and
-  the worker-pool fan-out exactly as figure drivers do;
-* the **checked replay** -- a fresh :class:`NetworkedCacheSystem` walking
-  the identical trace in-process with the content and transaction
-  invariant checkers installed.
+Differential oracle
+    :func:`run_oracle` evaluates one seeded trace twice:
 
-The two runs are diffed on hit/miss outcomes, final bank contents (the
-contents digest), and aggregate counters; then a deterministic sample of
-the replay's measured transactions is re-enacted leg by leg on the real
-flit-level network over the same topology, comparing each delivered hop
-count against the transaction-level geometry model's assumption
-(``routing.hops(src, dst) + 1`` -- the ejection switch also counts a hop).
-Divergence within the declared :class:`Tolerances` passes; anything else
-is reported, making silent drift between the two models loud.
+    * the **engine path** -- :func:`repro.experiments.runner.run_cells` on
+      the cell's spec, which exercises the memo, the persistent result
+      cache, and the worker-pool fan-out exactly as figure drivers do;
+    * the **checked replay** -- a fresh :class:`NetworkedCacheSystem`
+      walking the identical trace in-process with the content and
+      transaction invariant checkers installed.
+
+    The two runs are diffed on hit/miss outcomes, final bank contents
+    (the contents digest), and aggregate counters; then a deterministic
+    sample of the replay's measured transactions is re-enacted leg by
+    leg on the real flit-level network over the same topology, comparing
+    each delivered hop count against the transaction-level geometry
+    model's assumption (``routing.hops(src, dst) + 1`` -- the ejection
+    switch also counts a hop), and the same legs go through
+    :func:`compare`. Divergence within the declared :class:`Tolerances`
+    passes; anything else is reported, making silent drift between the
+    models loud.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from itertools import zip_longest
+from typing import Any
 
-from repro.noc.arraycore import ArrayNetwork
-from repro.noc.network import Network
+from repro.config import RouterConfig, packet_flits
+from repro.errors import ValidationError
+from repro.noc.network import Network, make_network
 from repro.noc.packet import MessageType, Packet
+from repro.noc.topology import (
+    HaloTopology,
+    MeshTopology,
+    SimplifiedMeshTopology,
+    Topology,
+)
+from repro.telemetry.registry import MetricsRegistry
 from repro.validation.invariants import (
     BlockConservationChecker,
     TransactionTimingChecker,
     default_network_checkers,
     run_with_checkers,
 )
+
+
+# -- cross-core differential ------------------------------------------------
+
+#: Hang guard of a flit workload (:attr:`FlitWorkload.drain_cycles`):
+#: its last injection cycle, plus DRAIN_LATENCY for a packet to cross the
+#: fabric, plus DRAIN_PER_FLIT for every flit delivery queued ahead of
+#: it, capped at DRAIN_CYCLES. Measured workloads drain within 200 cycles
+#: plus 0.06 per flit delivery of their last injection, and the slowest
+#: lone packet (a 5-flit fill across a 16x16 mesh of 2-cycle routers)
+#: takes 168 cycles, so only a hung run reaches the guard -- and a small
+#: hung workload fails within a few thousand cycles.
+DRAIN_CYCLES = 400_000
+DRAIN_LATENCY = 1_000
+DRAIN_PER_FLIT = 10
+
+#: Observables in the order :func:`compare` checks them: the workload's
+#: own traffic counts, then the per-delivery record (the most specific
+#: evidence of where the cores part), then what summarizes it.
+OBSERVABLES = (
+    "packets_injected",
+    "flits_injected",
+    "packets_delivered",
+    "deliveries",
+    "cycles",
+    "metrics",
+)
+
+#: Differing metric keys a :class:`Divergence` keeps.
+MAX_METRIC_KEYS = 8
+
+
+@dataclass(frozen=True)
+class PacketSpec:
+    """One workload packet: message name, endpoints, and injection cycle."""
+
+    message: str
+    source: tuple
+    destinations: tuple
+    inject_cycle: int = 0
+
+
+def build_topology(kind: str, cols: int, rows: int) -> Topology:
+    """The ``kind`` ("mesh" | "simplified" | "halo") fabric of a workload."""
+    if kind == "mesh":
+        return MeshTopology(cols, rows)
+    if kind == "simplified":
+        return SimplifiedMeshTopology(cols, rows)
+    if kind == "halo":
+        return HaloTopology(cols, rows)
+    raise ValidationError(f"unknown flit workload kind {kind!r}")
+
+
+@dataclass(frozen=True)
+class FlitWorkload:
+    """A fabric plus its traffic, runnable on any flit core.
+
+    Plain data whose ``repr`` round-trips, so a failing workload shrinks
+    (over its packets) and pastes verbatim into a pytest repro.
+    ``window`` > 0 turns on the windowed metric series.
+    """
+
+    kind: str  # "mesh" | "simplified" | "halo"
+    cols: int
+    rows: int
+    single_cycle: bool = True
+    window: int = 0
+    packets: tuple = ()
+
+    def build(self, core: str) -> Any:
+        """The workload's network on *core*, every packet scheduled."""
+        network = make_network(
+            build_topology(self.kind, self.cols, self.rows),
+            router_config=RouterConfig(single_cycle=bool(self.single_cycle)),
+            core=core,
+            window=self.window,
+        )
+        for spec in self.packets:
+            network.schedule_injection(
+                Packet(
+                    MessageType(spec.message),
+                    spec.source,
+                    tuple(spec.destinations),
+                ),
+                at_cycle=spec.inject_cycle,
+            )
+        return network
+
+    @property
+    def drain_cycles(self) -> int:
+        """The cycle budget :meth:`run` drains under (see :data:`DRAIN_CYCLES`)."""
+        last = max((spec.inject_cycle for spec in self.packets), default=0)
+        flits = sum(
+            packet_flits(MessageType(spec.message).carries_block)
+            * len(spec.destinations)
+            for spec in self.packets
+        )
+        return min(DRAIN_CYCLES, last + DRAIN_LATENCY + DRAIN_PER_FLIT * flits)
+
+    def run(self, core: str) -> Any:
+        """:meth:`build` on *core*, drained."""
+        network = self.build(core)
+        network.run_until_drained(max_cycles=self.drain_cycles)
+        return network
+
+
+def observe(network: Any) -> dict[str, Any]:
+    """Everything two cores must agree on after draining one workload.
+
+    Packet ids are process-global counters that differ between two runs,
+    so deliveries are keyed by (created_at, source, first-seen order)
+    instead of ``packet_id`` and sorted.
+    """
+    order: dict[int, tuple[int, str, int]] = {}
+    rows = []
+    for delivery in network.stats.deliveries:
+        pid = delivery.packet.packet_id
+        if pid not in order:
+            order[pid] = (
+                delivery.packet.created_at,
+                str(delivery.packet.source),
+                len(order),
+            )
+        rows.append(
+            (
+                order[pid],
+                str(delivery.destination),
+                delivery.injected_at,
+                delivery.delivered_at,
+                delivery.hops,
+            )
+        )
+    rows.sort()
+    registry = MetricsRegistry()
+    network.publish_metrics(registry)
+    stats = network.stats
+    return {
+        "cycles": stats.cycles,
+        "packets_injected": stats.packets_injected,
+        "flits_injected": stats.flits_injected,
+        "packets_delivered": stats.packets_delivered,
+        "deliveries": rows,
+        "metrics": registry.snapshot(),
+    }
+
+
+@dataclass(frozen=True)
+class Divergence:
+    """The first observable on which *core* departs from *reference*.
+
+    ``expected``/``actual`` are bounded: a scalar, the first differing
+    delivery row (None past the end of the shorter list), or at most
+    :data:`MAX_METRIC_KEYS` differing metric entries.
+    """
+
+    observable: str
+    reference: str
+    core: str
+    expected: Any
+    actual: Any
+    workload: Any
+
+    def render(self) -> str:
+        return "\n".join(
+            [
+                f"{self.core} core diverged from the {self.reference} core "
+                f"on {self.observable}",
+                f"  {self.reference}: {self.expected!r}",
+                f"  {self.core}: {self.actual!r}",
+                f"  workload: {self.workload!r}",
+            ]
+        )
+
+
+def _canonical(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, default=str)
+
+
+def _first_difference(name: str, expected: Any, actual: Any) -> tuple | None:
+    """Bounded (expected, actual) evidence, or None when they agree."""
+    if name == "deliveries":
+        return next(
+            (pair for pair in zip_longest(expected, actual) if pair[0] != pair[1]),
+            None,
+        )
+    if name == "metrics":
+        keys = [
+            key
+            for key in sorted(set(expected) | set(actual))
+            if _canonical(expected.get(key)) != _canonical(actual.get(key))
+        ][:MAX_METRIC_KEYS]
+        if not keys:
+            return None
+        return (
+            {key: expected.get(key) for key in keys},
+            {key: actual.get(key) for key in keys},
+        )
+    return None if expected == actual else (expected, actual)
+
+
+def compare(workload: Any) -> Divergence | None:
+    """Run *workload* on the object core and on the array core.
+
+    *workload* is anything whose ``run(core)`` returns a drained network.
+    Returns the first disagreement, checked in :data:`OBSERVABLES` order
+    with the object core as the reference, or None when they agree.
+    """
+    expected = observe(workload.run("object"))
+    actual = observe(workload.run("array"))
+    for name in OBSERVABLES:
+        evidence = _first_difference(name, expected[name], actual[name])
+        if evidence is not None:
+            return Divergence(name, "object", "array", *evidence, workload)
+    return None
+
+
+# -- differential oracle ------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -57,10 +300,6 @@ class LegResult:
     predicted_hops: int
     delivered_hops: int
 
-    @property
-    def ok_within(self) -> bool:  # pragma: no cover - trivial alias
-        return self.predicted_hops == self.delivered_hops
-
 
 @dataclass
 class OracleReport:
@@ -80,8 +319,9 @@ class OracleReport:
     conservation_checks: int = 0
     timing_checks: int = 0
     legs: list[LegResult] = field(default_factory=list)
-    #: Flit legs replayed on *both* cores and compared cycle-for-cycle
-    #: (0 when NumPy is unavailable and the array core is skipped).
+    #: Leg deliveries cross-checked across both cores: one per
+    #: destination of each replayed leg, all compared unless a
+    #: divergence is reported.
     array_legs: int = 0
     divergences: list[str] = field(default_factory=list)
 
@@ -175,95 +415,52 @@ def _protocol_legs(system, column: int, hit: bool, bank_position):
     return legs
 
 
-def _replay_legs_on_network(system, sampled, report, hop_slack: int) -> None:
-    """Re-enact each sampled transaction's legs on a checked flit network."""
+def _replay_legs_on_network(system, legs, report, hop_slack: int) -> None:
+    """Re-enact the sampled legs on a checked flit network."""
     topology = system.geometry.topology
     routing = system.geometry.routing
     network = Network(topology)
     for checker in default_network_checkers(topology):
         network.install_checker(checker)
-    for txn_index, (column, hit, bank_position) in sampled:
-        for leg_name, message, source, destinations in _protocol_legs(
-            system, column, hit, bank_position
-        ):
-            already = len(network.stats.deliveries)
+    for txn_index, leg_name, message, source, destinations in legs:
+        already = len(network.stats.deliveries)
+        network.inject(Packet(message, source, destinations))
+        run_with_checkers(network)
+        for delivery in network.stats.deliveries[already:]:
+            predicted = routing.hops(topology, source, delivery.destination) + 1
+            report.legs.append(
+                LegResult(
+                    transaction=txn_index,
+                    leg=leg_name,
+                    source=source,
+                    destination=delivery.destination,
+                    predicted_hops=predicted,
+                    delivered_hops=delivery.hops,
+                )
+            )
+            if abs(delivery.hops - predicted) > hop_slack:
+                report.divergences.append(
+                    f"txn {txn_index} {leg_name} {source}->"
+                    f"{delivery.destination}: flit level delivered "
+                    f"{delivery.hops} hops, transaction model assumes "
+                    f"{predicted}"
+                )
+
+
+@dataclass(frozen=True)
+class _LegReplay:
+    """The sampled legs on a design's fabric, one packet at a time."""
+
+    design: str
+    legs: tuple  # of (message, source, destinations)
+    topology: Topology = field(repr=False, compare=False)
+
+    def run(self, core: str) -> Any:
+        network = make_network(self.topology, core=core)
+        for message, source, destinations in self.legs:
             network.inject(Packet(message, source, destinations))
-            run_with_checkers(network)
-            for delivery in network.stats.deliveries[already:]:
-                predicted = (
-                    routing.hops(topology, source, delivery.destination) + 1
-                )
-                report.legs.append(
-                    LegResult(
-                        transaction=txn_index,
-                        leg=leg_name,
-                        source=source,
-                        destination=delivery.destination,
-                        predicted_hops=predicted,
-                        delivered_hops=delivery.hops,
-                    )
-                )
-                if abs(delivery.hops - predicted) > hop_slack:
-                    report.divergences.append(
-                        f"txn {txn_index} {leg_name} {source}->"
-                        f"{delivery.destination}: flit level delivered "
-                        f"{delivery.hops} hops, transaction model assumes "
-                        f"{predicted}"
-                    )
-
-
-def _crosscheck_array_core(system, sampled, report) -> None:
-    """Replay the sampled legs on both flit cores and diff cycle timings.
-
-    Every delivery's (destination, injection cycle, delivery cycle, hop
-    count) must match bit-for-bit between the object core and the
-    struct-of-arrays core; packet ids are process-global counters and are
-    deliberately not compared.
-    """
-    topology = system.geometry.topology
-    observed: dict[str, list[tuple]] = {}
-    for name, network in (
-        ("object", Network(topology)),
-        ("array", ArrayNetwork(topology)),
-    ):
-        rows: list[tuple] = []
-        for txn_index, (column, hit, bank_position) in sampled:
-            for leg_name, message, source, destinations in _protocol_legs(
-                system, column, hit, bank_position
-            ):
-                already = len(network.stats.deliveries)
-                network.inject(Packet(message, source, destinations))
-                network.run_until_drained()
-                for delivery in network.stats.deliveries[already:]:
-                    rows.append(
-                        (
-                            txn_index,
-                            leg_name,
-                            str(source),
-                            str(delivery.destination),
-                            delivery.injected_at,
-                            delivery.delivered_at,
-                            delivery.hops,
-                        )
-                    )
-        observed[name] = rows
-    if observed["object"] != observed["array"]:
-        mismatches = [
-            (obj, arr)
-            for obj, arr in zip(observed["object"], observed["array"])
-            if obj != arr
-        ]
-        detail = (
-            f"first mismatch {mismatches[0]}"
-            if mismatches
-            else f"row counts {len(observed['object'])} vs "
-            f"{len(observed['array'])}"
-        )
-        report.divergences.append(
-            f"array core diverged from object core on replayed flit legs "
-            f"({detail})"
-        )
-    report.array_legs = len(observed["object"])
+            network.run_until_drained()
+        return network
 
 
 def run_oracle(
@@ -274,14 +471,15 @@ def run_oracle(
     seed: int = 1,
     sample: int = 4,
     tolerances: Tolerances | None = None,
-    core: str = "object",
 ) -> OracleReport:
     """Differentially validate one cell; returns the full report.
 
     The engine path goes through :func:`run_cells` (so cached and pooled
     results are what gets validated -- exactly what figures consume), the
     replay path runs fresh under invariant checkers, and *sample* measured
-    transactions are re-enacted at flit level.
+    transactions are re-enacted at flit level: on a checked object network
+    against the geometry's hop counts, and through :func:`compare` across
+    both cores.
     """
     from repro.core.system import NetworkedCacheSystem
     from repro.experiments.common import ExperimentConfig
@@ -294,7 +492,7 @@ def run_oracle(
     from repro.workloads.profiles import profile_by_name
 
     tolerances = tolerances or Tolerances()
-    config = ExperimentConfig(measure=measure, seed=seed, core=core)
+    config = ExperimentConfig(measure=measure, seed=seed)
     spec = spec_for(design, scheme, benchmark, config)
     report = OracleReport(
         design=spec.design,
@@ -356,9 +554,22 @@ def run_oracle(
         )
 
     # Flit-level re-enactment of a deterministic transaction sample.
-    sampled = [
-        (i, recorder.rows[i]) for i in _sample_indices(len(recorder.rows), sample)
+    legs = [
+        (i, leg_name, message, source, destinations)
+        for i in _sample_indices(len(recorder.rows), sample)
+        for leg_name, message, source, destinations in _protocol_legs(
+            system, *recorder.rows[i]
+        )
     ]
-    _replay_legs_on_network(system, sampled, report, tolerances.hop_slack)
-    _crosscheck_array_core(system, sampled, report)
+    _replay_legs_on_network(system, legs, report, tolerances.hop_slack)
+    divergence = compare(
+        _LegReplay(
+            spec.design,
+            tuple(leg[2:] for leg in legs),
+            system.geometry.topology,
+        )
+    )
+    if divergence is not None:
+        report.divergences.append(divergence.render())
+    report.array_legs = sum(len(leg[4]) for leg in legs)
     return report

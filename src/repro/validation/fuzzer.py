@@ -1,6 +1,6 @@
 """Seeded fuzzer: random geometries, traffic, and traces under checkers.
 
-``fuzz(n, seed)`` samples cases from eight families:
+``fuzz(n, seed)`` samples cases from seven families:
 
 * **noc** -- a random mesh / simplified-mesh / halo geometry with random
   unicast and multicast packets at random injection cycles, driven to
@@ -21,16 +21,13 @@
   read, unseeded RNG, mutable default, bare except, ...) that
   :func:`repro.analysis.analyze_source` must flag with the expected
   rule -- the lint engine fuzz-tests itself;
-* **arraycore** -- a noc-family geometry and traffic (half the cases
-  sampled at saturated / near-saturated injection rates around the
-  knee) replayed on the object core and the array core
-  (:class:`repro.noc.arraycore.ArrayNetwork`), diffing normalized
-  deliveries, stats, and telemetry counters bit-for-bit;
-* **telemetry** -- a noc-family geometry and traffic replayed on both
-  cores with a random windowed-series sample size, requiring the full
-  published registry snapshots (series windows, per-link flit counts,
-  per-VC occupancy, credit stalls) to be byte-identical across cores
-  and order-independent under merge;
+* **arraycore** -- a :class:`~repro.validation.differential.FlitWorkload`
+  over a noc-family geometry (half the cases sampled at saturated /
+  near-saturated injection rates around the knee, each with a random
+  windowed-series size or none) run through
+  :func:`repro.validation.differential.compare`: the array core must
+  match the object core on every observable, from normalized deliveries
+  to the full published registry snapshot;
 * **stream** -- a random multi-tenant open-loop mix (random rates,
   Zipf skews, catalogs, and arrival processes) served through
   :class:`repro.stream.service.StreamService` on a random design and
@@ -50,6 +47,12 @@ import random
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ValidationError
+from repro.validation.differential import (
+    FlitWorkload,
+    PacketSpec,
+    build_topology,
+    compare,
+)
 from repro.validation.invariants import (
     BlockConservationChecker,
     default_network_checkers,
@@ -77,18 +80,11 @@ _ORACLE_SCHEMES = (
 )
 _ORACLE_BENCHMARKS = ("art", "twolf", "mcf")
 
+#: Windowed-series sizes of arraycore cases (0 = series off).
+_WINDOWS = (0, 2, 4, 8, 16, 32, 64, 128)
+
 
 # -- case shapes (reprs must round-trip: they become emitted repros) ---------
-
-
-@dataclass(frozen=True)
-class PacketSpec:
-    """One fuzz packet: message name, endpoints, and injection cycle."""
-
-    message: str
-    source: tuple
-    destinations: tuple
-    inject_cycle: int = 0
 
 
 @dataclass(frozen=True)
@@ -139,44 +135,6 @@ class AnalysisCase:
 
 
 @dataclass(frozen=True)
-class ArraycoreCase:
-    """A random geometry + traffic replayed on both flit cores.
-
-    The object core is the reference; the struct-of-arrays core must
-    produce bit-identical cycle counts, per-delivery timings/hops, and
-    telemetry counters. Packet ids are process-global counters, so the
-    digest keys deliveries by injection order instead.
-    """
-
-    kind: str  # "mesh" | "simplified" | "halo"
-    cols: int
-    rows: int
-    single_cycle: bool = True
-    packets: tuple = ()
-
-
-@dataclass(frozen=True)
-class TelemetryCase:
-    """A random geometry + traffic with windowed series on both cores.
-
-    Runs the same traffic through the object core and the array core
-    with a random ``--window`` size, publishes
-    each into a fresh registry, and requires the full snapshots --
-    windowed series, per-link counters, per-VC occupancy, credit
-    stalls -- to be byte-identical across cores and for the merge of
-    the per-core snapshots to be independent of merge order (the
-    telemetry triangle's associativity leg).
-    """
-
-    kind: str  # "mesh" | "simplified" | "halo"
-    cols: int
-    rows: int
-    window: int = 16
-    single_cycle: bool = True
-    packets: tuple = ()
-
-
-@dataclass(frozen=True)
 class StreamCase:
     """A random open-loop tenant mix served under admission control.
 
@@ -221,22 +179,6 @@ class FaultsCase:
 # -- generation ---------------------------------------------------------------
 
 
-def _build_topology(case: NocCase):
-    from repro.noc.topology import (
-        HaloTopology,
-        MeshTopology,
-        SimplifiedMeshTopology,
-    )
-
-    if case.kind == "mesh":
-        return MeshTopology(case.cols, case.rows)
-    if case.kind == "simplified":
-        return SimplifiedMeshTopology(case.cols, case.rows)
-    if case.kind == "halo":
-        return HaloTopology(case.cols, case.rows)
-    raise ValidationError(f"unknown noc case kind {case.kind!r}")
-
-
 def _xyx_legal(src: tuple, dst: tuple) -> bool:
     """True when src->dst traffic respects the Fig. 5(b) enumeration on a
     simplified mesh (same column, or an endpoint on the row-0 spine)."""
@@ -247,7 +189,7 @@ def _make_noc_case(rng: random.Random) -> NocCase:
     kind = rng.choice(("mesh", "simplified", "halo"))
     cols = rng.randint(2, 5)
     rows = rng.randint(2, 5)
-    topology = _build_topology(NocCase(kind, cols, rows))
+    topology = build_topology(kind, cols, rows)
     nodes = sorted(topology.nodes, key=str)
     row0 = [n for n in nodes if not isinstance(n[0], str) and n[1] == 0]
     packets = []
@@ -297,23 +239,24 @@ def _make_oracle_case(rng: random.Random) -> OracleCase:
     )
 
 
-def _make_arraycore_case(rng: random.Random) -> ArraycoreCase:
+def _make_arraycore_case(rng: random.Random) -> FlitWorkload:
     base = _make_noc_case(rng)
-    single_cycle = rng.random() < 0.7
+    sparse = FlitWorkload(
+        base.kind,
+        base.cols,
+        base.rows,
+        single_cycle=rng.random() < 0.7,
+        window=rng.choice(_WINDOWS),
+        packets=base.packets,
+    )
     if rng.random() < 0.5:
-        # Sparse protocol-paced traffic: the original family.
-        return ArraycoreCase(
-            kind=base.kind,
-            cols=base.cols,
-            rows=base.rows,
-            single_cycle=single_cycle,
-            packets=base.packets,
-        )
+        # Sparse protocol-paced traffic: the noc family's own packets.
+        return sparse
     # Saturated / near-saturated load point: a dense stream injected at
     # rates sampled around the saturation knee (one packet every 1-3
     # cycles), optionally hotspotted toward a single node so ejection
     # tree contention pushes a mesh past the knee even at rate 1.
-    topology = _build_topology(NocCase(base.kind, base.cols, base.rows))
+    topology = build_topology(base.kind, base.cols, base.rows)
     nodes = sorted(topology.nodes, key=str)
     row0 = [n for n in nodes if not isinstance(n[0], str) and n[1] == 0]
     spacing = rng.choice((1, 1, 2, 3))
@@ -344,25 +287,7 @@ def _make_arraycore_case(rng: random.Random) -> ArraycoreCase:
             destinations = (destination,)
             message = rng.choice(_UNICAST_MESSAGES)
         packets.append(PacketSpec(message, source, destinations, i * spacing))
-    return ArraycoreCase(
-        kind=base.kind,
-        cols=base.cols,
-        rows=base.rows,
-        single_cycle=single_cycle,
-        packets=tuple(packets),
-    )
-
-
-def _make_telemetry_case(rng: random.Random) -> TelemetryCase:
-    base = _make_noc_case(rng)
-    return TelemetryCase(
-        kind=base.kind,
-        cols=base.cols,
-        rows=base.rows,
-        window=rng.choice((2, 4, 8, 16, 32, 64, 128)),
-        single_cycle=rng.random() < 0.7,
-        packets=base.packets,
-    )
+    return replace(sparse, packets=tuple(packets))
 
 
 def _make_faults_case(rng: random.Random) -> FaultsCase:
@@ -516,16 +441,6 @@ _ANALYSIS_TEMPLATES = (
      "def {n}_publish(registry):\n"
      "    registry.counter('{n}.flow').inc({v})\n"
      "    registry.gauge('{n}.flow').set({v})\n"),
-    # A reordered step() phase sequence in the array-core anchor module.
-    ("contract-core-divergence", "repro.noc.arraycore",
-     "class {c}Core:\n"
-     "    def step(self):\n"
-     "        self._deliver_arrivals(0)\n"
-     "        self._inject_phase(0)\n"
-     "        self._switch_phase(0)\n"
-     "        self._replication_phase(0)\n\n"
-     "    def _inject_phase(self, cycle):\n"
-     "        pass\n"),
 )
 
 
@@ -547,18 +462,19 @@ _FAMILY_MAKERS = {
     "faults": _make_faults_case,
     "analysis": _make_analysis_case,
     "arraycore": _make_arraycore_case,
-    "telemetry": _make_telemetry_case,
     "stream": _make_stream_case,
 }
 
 DEFAULT_FAMILIES = (
-    "noc", "cache", "faults", "analysis", "arraycore", "noc", "telemetry",
-    "cache", "oracle", "arraycore", "telemetry", "stream",
+    "noc", "cache", "faults", "analysis", "arraycore", "noc", "arraycore",
+    "cache", "oracle", "arraycore", "arraycore", "stream",
 )
 
 
 def generate_case(family: str, rng: random.Random):
-    """One random case of *family* ('noc' | 'cache' | 'oracle' | 'faults')."""
+    """One random case of *family* (a :data:`DEFAULT_FAMILIES` name:
+    'noc' | 'cache' | 'oracle' | 'faults' | 'analysis' | 'arraycore' |
+    'stream')."""
     try:
         maker = _FAMILY_MAKERS[family]
     except KeyError:
@@ -575,7 +491,7 @@ def _run_noc_case(case: NocCase) -> None:
     from repro.noc.network import Network
     from repro.noc.packet import MessageType, Packet
 
-    topology = _build_topology(case)
+    topology = build_topology(case.kind, case.cols, case.rows)
     network = Network(topology)
     for checker in default_network_checkers(topology):
         network.install_checker(checker)
@@ -585,172 +501,6 @@ def _run_noc_case(case: NocCase) -> None:
         )
         network.schedule_injection(packet, at_cycle=spec.inject_cycle)
     run_with_checkers(network, max_cycles=20_000, stall_limit=300)
-
-
-def _core_digest(network) -> tuple:
-    """Core-independent fingerprint of a drained network's observables.
-
-    Packet/flit ids are process-global counters that differ between two
-    runs, so deliveries are keyed by (created_at, source, first-seen
-    order) instead of ``packet_id``.
-    """
-    order: dict = {}
-    rows = []
-    for delivery in network.stats.deliveries:
-        pid = delivery.packet.packet_id
-        if pid not in order:
-            order[pid] = (
-                delivery.packet.created_at,
-                str(delivery.packet.source),
-                len(order),
-            )
-        rows.append(
-            (
-                order[pid],
-                str(delivery.destination),
-                delivery.injected_at,
-                delivery.delivered_at,
-                delivery.hops,
-            )
-        )
-    rows.sort()
-    counters: dict[str, object] = {}
-
-    class _Metric:
-        def __init__(self, name: str, high_water: bool) -> None:
-            self.name = name
-            self.high_water = high_water
-
-        def inc(self, value) -> None:
-            counters[self.name] = counters.get(self.name, 0) + value
-
-        def update_max(self, value) -> None:
-            counters[self.name] = max(counters.get(self.name, 0), value)
-
-    class _SeriesSink:
-        def __init__(self, name: str) -> None:
-            self.name = name
-
-        def merge(self, snapshot) -> None:
-            # Windowed series content joins the digest verbatim, so two
-            # cores with matching counters but diverging time-resolved
-            # windows still fingerprint differently.
-            counters[f"series::{self.name}"] = repr(snapshot)
-
-    class _Registry:
-        def counter(self, name: str) -> _Metric:
-            return _Metric(name, False)
-
-        def gauge(self, name: str) -> _Metric:
-            return _Metric(name, True)
-
-        def series(self, name: str, window, agg, edges) -> _SeriesSink:
-            return _SeriesSink(name)
-
-    network.publish_metrics(_Registry())
-    stats = network.stats
-    return (
-        stats.cycles,
-        stats.packets_injected,
-        stats.flits_injected,
-        stats.packets_delivered,
-        tuple(rows),
-        tuple(sorted(counters.items())),
-    )
-
-
-def _run_arraycore_case(case: ArraycoreCase) -> None:
-    from repro.config import RouterConfig
-    from repro.noc.arraycore import ArrayNetwork
-    from repro.noc.network import Network
-    from repro.noc.packet import MessageType, Packet
-
-    def run(cls) -> tuple:
-        topology = _build_topology(NocCase(case.kind, case.cols, case.rows))
-        network = cls(
-            topology,
-            router_config=RouterConfig(single_cycle=bool(case.single_cycle)),
-        )
-        for spec in case.packets:
-            packet = Packet(
-                MessageType(spec.message), spec.source, tuple(spec.destinations)
-            )
-            network.schedule_injection(packet, at_cycle=spec.inject_cycle)
-        network.run_until_drained(max_cycles=20_000)
-        return _core_digest(network)
-
-    reference = run(Network)
-    digest = run(ArrayNetwork)
-    if digest == reference:
-        return
-    fields_ = (
-        "cycles", "packets_injected", "flits_injected",
-        "packets_delivered", "deliveries", "counters",
-    )
-    diffs = [
-        name
-        for name, obj, arr in zip(fields_, reference, digest)
-        if obj != arr
-    ]
-    raise ValidationError(
-        f"array diverged from object core on {', '.join(diffs)}: "
-        f"object={reference!r} array={digest!r}"
-    )
-
-
-def _run_telemetry_case(case: TelemetryCase) -> None:
-    import json
-
-    from repro.config import RouterConfig
-    from repro.noc.arraycore import ArrayNetwork
-    from repro.noc.network import Network
-    from repro.noc.packet import MessageType, Packet
-    from repro.telemetry.registry import MetricsRegistry
-
-    cores = [("object", Network), ("array", ArrayNetwork)]
-    snapshots = {}
-    for name, cls in cores:
-        topology = _build_topology(NocCase(case.kind, case.cols, case.rows))
-        network = cls(
-            topology,
-            router_config=RouterConfig(single_cycle=bool(case.single_cycle)),
-            window=case.window,
-        )
-        for spec in case.packets:
-            packet = Packet(
-                MessageType(spec.message), spec.source, tuple(spec.destinations)
-            )
-            network.schedule_injection(packet, at_cycle=spec.inject_cycle)
-        network.run_until_drained(max_cycles=20_000)
-        registry = MetricsRegistry()
-        network.publish_metrics(registry)
-        snapshots[name] = registry.snapshot()
-    if len(snapshots) == 2:
-        texts = {
-            name: json.dumps(snap, sort_keys=True)
-            for name, snap in snapshots.items()
-        }
-        if texts["object"] != texts["array"]:
-            diffs = sorted(
-                key
-                for key in set(snapshots["object"]) | set(snapshots["array"])
-                if snapshots["object"].get(key) != snapshots["array"].get(key)
-            )
-            raise ValidationError(
-                "windowed telemetry diverged between cores on: "
-                + ", ".join(diffs[:8])
-            )
-    forward, reverse = MetricsRegistry(), MetricsRegistry()
-    ordered = [snapshots[name] for name, _ in cores]
-    for snap in ordered:
-        forward.merge(snap)
-    for snap in reversed(ordered):
-        reverse.merge(snap)
-    if forward.snapshot() != reverse.snapshot():
-        raise ValidationError(
-            "telemetry merge is order-dependent: forward != reverse fold "
-            "of the per-core snapshots"
-        )
 
 
 def _run_stream_case(case: StreamCase) -> None:
@@ -858,7 +608,7 @@ def _run_faults_case(case: FaultsCase) -> None:
     from repro.noc.network import Network
     from repro.noc.packet import MessageType, Packet
 
-    topology = _build_topology(NocCase(case.kind, case.cols, case.rows))
+    topology = build_topology(case.kind, case.cols, case.rows)
     network = Network(topology)
     for checker in default_network_checkers(topology):
         network.install_checker(checker)
@@ -925,10 +675,10 @@ def run_case(case) -> None:
         _run_oracle_case(case)
     elif isinstance(case, FaultsCase):
         _run_faults_case(case)
-    elif isinstance(case, ArraycoreCase):
-        _run_arraycore_case(case)
-    elif isinstance(case, TelemetryCase):
-        _run_telemetry_case(case)
+    elif isinstance(case, FlitWorkload):
+        divergence = compare(case)
+        if divergence is not None:
+            raise ValidationError(divergence.render())
     elif isinstance(case, StreamCase):
         _run_stream_case(case)
     elif isinstance(case, AnalysisCase):
@@ -1002,7 +752,7 @@ def shrink_case(case):
             if _fails(candidate):
                 return candidate
         return case
-    if isinstance(case, (ArraycoreCase, TelemetryCase)):
+    if isinstance(case, FlitWorkload):
         packets = shrink_list(
             list(case.packets),
             lambda kept: _fails(replace(case, packets=tuple(kept))),
@@ -1047,8 +797,7 @@ _CASE_IMPORTS = {
     OracleCase: "OracleCase",
     FaultsCase: "FaultsCase, PacketSpec",
     AnalysisCase: "AnalysisCase",
-    ArraycoreCase: "ArraycoreCase, PacketSpec",
-    TelemetryCase: "TelemetryCase, PacketSpec",
+    FlitWorkload: "FlitWorkload, PacketSpec",
     StreamCase: "StreamCase",
 }
 

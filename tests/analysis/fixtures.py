@@ -764,35 +764,6 @@ FIXTURES = [
         "    registry.counter('noc.demo.flits_forwarder').inc(3)"
         "  # repro: allow[cat-key-typo] -- fixture justification\n",
     ),
-    # -- cross-core contract --------------------------------------------------
-    Fixture(
-        # Replication before injection: the array core has drifted from
-        # the canonical phase order the parity suite assumes.
-        "contract-core-divergence", "contract", "positive",
-        "repro.noc.arraycore",
-        "class ArrayNetwork:\n"
-        "    def step(self):\n"
-        "        cycle = self.cycle\n"
-        "        self._deliver_arrivals(cycle)\n"
-        "        self._replication_phase(cycle)\n"
-        "        self._inject_phase(cycle)\n"
-        "        self._switch_phase(cycle)\n\n"
-        "    def _inject_phase(self, cycle):\n"
-        "        pass\n",
-    ),
-    Fixture(
-        # Same module shape under a non-anchor name: the contract check
-        # only binds to the real core modules.
-        "contract-core-divergence", "contract", "negative",
-        "repro.noc.demo",
-        "class DemoNetwork:\n"
-        "    def step(self):\n"
-        "        cycle = self.cycle\n"
-        "        self._replication_phase(cycle)\n"
-        "        self._inject_phase(cycle)\n\n"
-        "    def _inject_phase(self, cycle):\n"
-        "        pass\n",
-    ),
 ]
 
 

@@ -133,9 +133,9 @@ class TestDriving:
         families = {rule.family for rule in rules}
         assert families == {
             "determinism", "process-safety", "telemetry", "exceptions",
-            "dataflow", "catalog", "contract",
+            "dataflow", "catalog",
         }
-        assert len(rules) == 25
+        assert len(rules) == 24
         assert rule_by_id("det-wallclock").family == "determinism"
         with pytest.raises(AnalysisError, match="unknown rule"):
             rule_by_id("no-such-rule")

@@ -82,7 +82,7 @@ def test_sarif_with_no_findings_still_lists_rules():
     document = json.loads(render_sarif([]))
     run = document["runs"][0]
     assert run["results"] == []
-    assert any(r["id"] == "contract-core-divergence"
+    assert any(r["id"] == "df-taint-state"
                for r in run["tool"]["driver"]["rules"])
 
 

@@ -1,12 +1,13 @@
 """Equivalence and unit tests for the SoA array core (repro.noc.arraycore).
 
 The array core's contract is *bit-equivalence* with the object-model
-reference ``Network``: identical cycle counts, delivery records, and
-telemetry counters for any legal workload. The sweeps here drive both
-cores over designs x traffic x seeds and assert digest equality; the
-unit tests pin the SoA plumbing (ring-buffer wraparound, pool growth,
-credit accounting, replication slot borrowing) and the flow-control
-guards of the arrival and switch phases directly.
+reference ``Network``: :func:`repro.validation.differential.compare`
+must find no divergence -- cycle counts, delivery records, and the full
+published telemetry snapshot -- for any legal workload. The sweeps here
+drive both cores over designs x traffic x seeds; the unit tests pin the
+SoA plumbing (ring-buffer wraparound, pool growth, credit accounting,
+replication slot borrowing) and the flow-control guards of the arrival
+and switch phases directly.
 """
 
 from __future__ import annotations
@@ -15,36 +16,16 @@ import random
 
 import pytest
 
-from repro.config import RouterConfig
 from repro.errors import SimulationError
-from repro.noc import (
-    HaloTopology,
-    MeshTopology,
-    MessageType,
-    Network,
-    Packet,
-    SimplifiedMeshTopology,
-)
+from repro.noc import HaloTopology, MeshTopology, MessageType, Network, Packet
 from repro.noc.arraycore import ArrayNetwork, FlitPool
 from repro.noc.network import make_network, normalize_core
-from repro.validation.fuzzer import _core_digest
-
-
-def _run_both(make_topology, packets, single_cycle=True, max_cycles=50_000):
-    """Run the same workload on both cores; return their digests."""
-    digests = {}
-    for name, cls in (("object", Network), ("array", ArrayNetwork)):
-        net = cls(
-            make_topology(),
-            router_config=RouterConfig(single_cycle=single_cycle),
-        )
-        for message, source, destinations, at_cycle in packets:
-            net.schedule_injection(
-                Packet(message, source, destinations), at_cycle=at_cycle
-            )
-        net.run_until_drained(max_cycles=max_cycles)
-        digests[name] = _core_digest(net)
-    return digests
+from repro.validation.differential import (
+    FlitWorkload,
+    PacketSpec,
+    compare,
+    observe,
+)
 
 
 def _west_input_vc(net):
@@ -69,11 +50,21 @@ def _unicast_stream(nodes, seed, count, spacing):
     stream = []
     for i in range(count):
         source, destination = rng.sample(nodes, 2)
-        message = rng.choice(
-            (MessageType.READ_REQUEST, MessageType.REPLACEMENT)
-        )
-        stream.append((message, source, (destination,), i * spacing))
+        message = rng.choice(("read_request", "replacement"))
+        stream.append(PacketSpec(message, source, (destination,), i * spacing))
     return stream
+
+
+def _halo_mixed(seed, unicasts, multicasts):
+    """Unicast background plus hub-to-spike multicasts on a 4x4 halo."""
+    nodes = sorted(HaloTopology(4, 4).nodes, key=str)
+    rng = random.Random(seed)
+    packets = _unicast_stream(nodes, seed, count=unicasts, spacing=4)
+    spikes = [n for n in nodes if n[0] == "spike"]
+    for i in range(multicasts):
+        destinations = tuple(rng.sample(spikes, 3))
+        packets.append(PacketSpec("miss_notify", ("hub",), destinations, i * 5))
+    return tuple(packets)
 
 
 class TestEquivalenceSweeps:
@@ -82,10 +73,8 @@ class TestEquivalenceSweeps:
     def test_mesh_unicast(self, seed, single_cycle):
         nodes = [(x, y) for x in range(5) for y in range(4)]
         packets = _unicast_stream(nodes, seed, count=30, spacing=2)
-        digests = _run_both(
-            lambda: MeshTopology(5, 4), packets, single_cycle=single_cycle
-        )
-        assert digests["object"] == digests["array"]
+        workload = FlitWorkload("mesh", 5, 4, single_cycle, packets=tuple(packets))
+        assert compare(workload) is None
 
     @pytest.mark.parametrize(
         "seed, count", [(1, 20), (2, 20), (3, 20), (23, 15)],
@@ -97,34 +86,21 @@ class TestEquivalenceSweeps:
         for i in range(count):
             x = rng.randrange(4)
             column = tuple((x, y) for y in range(4))
-            packets.append(
-                (MessageType.READ_REQUEST, (x, 0), column, i * 3)
-            )
-        digests = _run_both(lambda: SimplifiedMeshTopology(4, 4), packets)
-        assert digests["object"] == digests["array"]
+            packets.append(PacketSpec("read_request", (x, 0), column, i * 3))
+        workload = FlitWorkload("simplified", 4, 4, packets=tuple(packets))
+        assert compare(workload) is None
 
     @pytest.mark.parametrize("single_cycle", [True, False])
     def test_halo_mixed_traffic(self, single_cycle):
-        topology = HaloTopology(4, 4)
-        nodes = sorted(topology.nodes, key=str)
-        rng = random.Random(9)
-        packets = _unicast_stream(nodes, 9, count=15, spacing=4)
-        spikes = [n for n in nodes if n[0] == "spike"]
-        for i in range(8):
-            destinations = tuple(rng.sample(spikes, 3))
-            packets.append(
-                (MessageType.MISS_NOTIFY, ("hub",), destinations, i * 5)
-            )
-        digests = _run_both(
-            lambda: HaloTopology(4, 4), packets, single_cycle=single_cycle
-        )
-        assert digests["object"] == digests["array"]
+        packets = _halo_mixed(9, unicasts=15, multicasts=8)
+        workload = FlitWorkload("halo", 4, 4, single_cycle, packets=packets)
+        assert compare(workload) is None
 
     def test_protocol_paced_large_mesh(self):
         nodes = [(x, y) for x in range(8) for y in range(8)]
         packets = _unicast_stream(nodes, 5, count=25, spacing=40)
-        digests = _run_both(lambda: MeshTopology(8, 8), packets)
-        assert digests["object"] == digests["array"]
+        workload = FlitWorkload("mesh", 8, 8, packets=tuple(packets))
+        assert compare(workload) is None
 
 
 class TestProtocolAndLoadParity:
@@ -180,17 +156,6 @@ class TestCoreSelector:
         # The array core has one cycle loop; the old selector is gone.
         with pytest.raises(SimulationError, match="unknown flit core"):
             make_network(MeshTopology(2, 2), core="array-scalar")
-
-    def test_cellspec_records_core(self):
-        from repro.experiments.common import ExperimentConfig
-        from repro.experiments.runner import spec_for
-
-        spec = spec_for(
-            "A", "multicast+fast_lru", "art",
-            ExperimentConfig(measure=10, core="array"),
-        )
-        assert spec.core == "array"
-        assert "array" in str(spec.key())
 
 
 class TestSoAPlumbing:
@@ -287,82 +252,44 @@ class TestSoAPlumbing:
     def test_replication_borrows_and_counts(self):
         # One spine-to-column multicast must replicate once per column
         # router below the source; counters match the object core's.
-        results = {}
-        for cls in (Network, ArrayNetwork):
-            net = cls(SimplifiedMeshTopology(3, 4))
-            column = tuple((1, y) for y in range(4))
-            net.inject(
-                Packet(MessageType.READ_REQUEST, (1, 0), column)
-            )
-            net.run_until_drained(max_cycles=5_000)
-            results[cls.__name__] = (
-                net.total_replications(),
-                len(net.stats.deliveries),
-            )
-        assert results["Network"] == results["ArrayNetwork"]
-        assert results["ArrayNetwork"][0] >= 1
-        assert results["ArrayNetwork"][1] == 4
+        column = tuple((1, y) for y in range(4))
+        workload = FlitWorkload(
+            "simplified", 3, 4,
+            packets=(PacketSpec("read_request", (1, 0), column),),
+        )
+        assert compare(workload) is None
+        net = workload.run("array")
+        assert net.total_replications() >= 1
+        assert len(net.stats.deliveries) == 4
 
 
 class TestObservabilityEquivalence:
     """Windowed series and spatial congestion counters are part of the
-    bit-equivalence contract: publishing each core into a fresh registry
-    must produce byte-identical snapshots -- same per-link counters, same
-    per-VC high-waters, same series windows -- not merely matching
-    aggregate digests."""
-
-    def _snapshots(self, make_topology, packets, window, single_cycle=True):
-        from repro.telemetry import MetricsRegistry
-
-        snapshots = {}
-        for name, cls in (("object", Network), ("array", ArrayNetwork)):
-            net = cls(
-                make_topology(),
-                router_config=RouterConfig(single_cycle=single_cycle),
-                window=window,
-            )
-            for message, source, destinations, at_cycle in packets:
-                net.schedule_injection(
-                    Packet(message, source, destinations), at_cycle=at_cycle
-                )
-            net.run_until_drained(max_cycles=50_000)
-            registry = MetricsRegistry()
-            net.publish_metrics(registry)
-            snapshots[name] = registry.snapshot()
-        return snapshots
+    bit-equivalence contract: :func:`compare` diffs the full published
+    registry snapshots -- same per-link counters, same per-VC
+    high-waters, same series windows -- not merely aggregate counts."""
 
     @pytest.mark.parametrize("window", [8, 64])
     def test_mesh_windowed_snapshots_identical(self, window):
         nodes = [(x, y) for x in range(5) for y in range(4)]
         packets = _unicast_stream(nodes, 11, count=40, spacing=2)
-        snaps = self._snapshots(
-            lambda: MeshTopology(5, 4), packets, window=window
-        )
-        assert snaps["object"] == snaps["array"]
+        workload = FlitWorkload("mesh", 5, 4, window=window, packets=tuple(packets))
+        assert compare(workload) is None
+        metrics = observe(workload.run("object"))["metrics"]
         series = {
-            name: snap for name, snap in snaps["object"].items()
+            name: snap for name, snap in metrics.items()
             if snap["type"] == "series"
         }
         assert series
         assert all(snap["window"] == window for snap in series.values())
         assert any(snap["windows"] for snap in series.values())
-        assert any(
-            name.startswith("noc.link.flits.") for name in snaps["object"]
-        )
+        assert any(name.startswith("noc.link.flits.") for name in metrics)
 
     def test_halo_multicast_snapshots_identical(self):
-        topology = HaloTopology(4, 4)
-        nodes = sorted(topology.nodes, key=str)
-        rng = random.Random(13)
-        packets = _unicast_stream(nodes, 13, count=12, spacing=4)
-        spikes = [n for n in nodes if n[0] == "spike"]
-        for i in range(6):
-            destinations = tuple(rng.sample(spikes, 3))
-            packets.append(
-                (MessageType.MISS_NOTIFY, ("hub",), destinations, i * 5)
-            )
-        snaps = self._snapshots(
-            lambda: HaloTopology(4, 4), packets, window=16
+        workload = FlitWorkload(
+            "halo", 4, 4, window=16,
+            packets=_halo_mixed(13, unicasts=12, multicasts=6),
         )
-        assert snaps["object"] == snaps["array"]
-        assert "noc.hub.issue_queue_depth" in snaps["object"]
+        assert compare(workload) is None
+        metrics = observe(workload.run("object"))["metrics"]
+        assert "noc.hub.issue_queue_depth" in metrics

@@ -4,73 +4,38 @@ The paper's headline results (figures 9-11) sit at and beyond the
 saturation knee, where short equivalence sweeps barely tread. These
 tests drive the object core and the array core through long-horizon
 (>= 20k cycle) workloads at injection rates straddling the knee on
-mesh / simplified-mesh / halo fabrics, and assert *byte* equality of
-flit traces and windowed metric snapshots, not just digest equality.
+mesh / simplified-mesh / halo fabrics and require
+:func:`repro.validation.differential.compare` to find no divergence --
+deliveries, drain cycles, and windowed metric snapshots alike -- and
+flit traces to match byte for byte.
 
 Long runs are slow-marked; each fabric also gets a short tier-1 smoke
-variant with the same structure so every CI run exercises the harness.
+variant with the same structure so every CI run exercises the harness,
+and the three ``benchmarks/bench_arraycore.py`` cells run at small
+sizes.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
-import json
 import os
+import pathlib
 import random
 import tempfile
 
 import pytest
 
-from repro.noc import (
-    HaloTopology,
-    MeshTopology,
-    MessageType,
-    Network,
-    Packet,
-    SimplifiedMeshTopology,
-)
+from repro.noc import HaloTopology
 import repro.noc.packet as packet_mod
-from repro.noc.arraycore import ArrayNetwork
-from repro.telemetry import MetricsRegistry
+from repro.noc.network import CORES
+from repro.telemetry import trace as trace_mod
 from repro.telemetry.trace import JsonlTraceSink
-from repro.validation.fuzzer import _core_digest
-
-#: Simulation cores under comparison; the object core is the reference.
-CORE_CLASSES = {"object": Network, "array": ArrayNetwork}
+from repro.validation.differential import FlitWorkload, PacketSpec, compare
 
 
-def _inject_all(net, packets):
-    for message, source, destinations, at_cycle in packets:
-        net.schedule_injection(
-            Packet(message, source, destinations), at_cycle=at_cycle
-        )
-
-
-def _parity_run(make_topology, packets, window=256, max_cycles=400_000):
-    """Run every core; return {core: (digest, snapshot_bytes, cycles)}."""
-    results = {}
-    for core, cls in CORE_CLASSES.items():
-        net = cls(make_topology(), window=window)
-        _inject_all(net, packets)
-        cycles = net.run_until_drained(max_cycles=max_cycles)
-        registry = MetricsRegistry()
-        net.publish_metrics(registry)
-        snapshot = json.dumps(
-            registry.snapshot(), sort_keys=True, default=str
-        ).encode()
-        results[core] = (_core_digest(net), snapshot, cycles)
-    return results
-
-
-def _assert_parity(results):
-    reference = results["object"]
-    for core, got in results.items():
-        assert got[0] == reference[0], f"digest mismatch: {core}"
-        assert got[1] == reference[1], f"snapshot mismatch: {core}"
-        assert got[2] == reference[2], f"cycle count mismatch: {core}"
-
-
-def _trace_bytes(core, make_topology, packets, max_cycles=400_000):
+def _trace_bytes(core, workload):
     """Run one core with a JSONL flit trace; return the trace bytes.
 
     Packet ids feed the trace, so the process-global id counter is reset
@@ -81,23 +46,37 @@ def _trace_bytes(core, make_topology, packets, max_cycles=400_000):
     fd, path = tempfile.mkstemp(suffix=".jsonl")
     os.close(fd)
     try:
-        net = CORE_CLASSES[core](make_topology())
         sink = JsonlTraceSink(path)
-        net.set_trace_sink(sink)
-        _inject_all(net, packets)
-        net.run_until_drained(max_cycles=max_cycles)
-        sink.close()
+        previous = trace_mod.set_sink(sink)
+        try:
+            workload.run(core)
+        finally:
+            trace_mod.set_sink(previous)
+            sink.close()
         with open(path, "rb") as handle:
             return handle.read()
     finally:
         os.unlink(path)
 
 
+@functools.cache
+def _bench():
+    """``benchmarks/bench_arraycore.py``, loaded as a module."""
+    path = (
+        pathlib.Path(__file__).resolve().parents[2]
+        / "benchmarks" / "bench_arraycore.py"
+    )
+    spec = importlib.util.spec_from_file_location("bench_arraycore", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # -- workloads ----------------------------------------------------------
 
 
-def _mesh_stream(seed, count, spacing, hotspot=0.0):
-    """Uniform-random mesh traffic, optionally biased toward one corner.
+def _mesh_workload(seed, count, spacing, hotspot=0.0, window=0):
+    """Uniform-random 4x4 mesh traffic, optionally biased toward one corner.
 
     ``hotspot`` is the fraction of packets aimed at (0, 0): tree
     contention toward a single ejection port drives the fabric past its
@@ -112,14 +91,12 @@ def _mesh_stream(seed, count, spacing, hotspot=0.0):
             destination = (0, 0) if source != (0, 0) else (3, 3)
         else:
             destination = rng.choice([n for n in nodes if n != source])
-        message = rng.choice(
-            (MessageType.READ_REQUEST, MessageType.REPLACEMENT)
-        )
-        stream.append((message, source, (destination,), i * spacing))
-    return stream
+        message = rng.choice(("read_request", "replacement"))
+        stream.append(PacketSpec(message, source, (destination,), i * spacing))
+    return FlitWorkload("mesh", 4, 4, window=window, packets=tuple(stream))
 
 
-def _simplified_stream(seed, count, spacing):
+def _simplified_workload(seed, count, spacing, window):
     """Column multicasts mixed with spine unicasts on the simplified mesh."""
     rng = random.Random(seed)
     stream = []
@@ -128,20 +105,19 @@ def _simplified_stream(seed, count, spacing):
         if rng.random() < 0.7:
             column = tuple((x, y) for y in range(4))
             stream.append(
-                (MessageType.READ_REQUEST, (x, 0), column, i * spacing)
+                PacketSpec("read_request", (x, 0), column, i * spacing)
             )
         else:
             other = rng.choice([c for c in range(4) if c != x])
             stream.append(
-                (MessageType.REPLACEMENT, (x, 0), ((other, 0),), i * spacing)
+                PacketSpec("replacement", (x, 0), ((other, 0),), i * spacing)
             )
-    return stream
+    return FlitWorkload("simplified", 4, 4, window=window, packets=tuple(stream))
 
 
-def _halo_stream(seed, count, spacing):
+def _halo_workload(seed, count, spacing, window):
     """Hub-to-spike multicasts over unicast background on the halo."""
-    topology = HaloTopology(4, 4)
-    nodes = sorted(topology.nodes, key=str)
+    nodes = sorted(HaloTopology(4, 4).nodes, key=str)
     spikes = [n for n in nodes if n[0] == "spike"]
     rng = random.Random(seed)
     stream = []
@@ -149,15 +125,14 @@ def _halo_stream(seed, count, spacing):
         if rng.random() < 0.5:
             destinations = tuple(rng.sample(spikes, 3))
             stream.append(
-                (MessageType.MISS_NOTIFY, ("hub",), destinations, i * spacing)
+                PacketSpec("miss_notify", ("hub",), destinations, i * spacing)
             )
         else:
             source, destination = rng.sample(nodes, 2)
             stream.append(
-                (MessageType.READ_REQUEST, source, (destination,),
-                 i * spacing)
+                PacketSpec("read_request", source, (destination,), i * spacing)
             )
-    return stream
+    return FlitWorkload("halo", 4, 4, window=window, packets=tuple(stream))
 
 
 def _saturation_counters(net):
@@ -167,6 +142,14 @@ def _saturation_counters(net):
         sum(r.credit_stalls.values()) for r in net.routers.values()
     )
     return alloc, stalls
+
+
+def _assert_traces_identical(workload, min_lines):
+    traces = {core: _trace_bytes(core, workload) for core in CORES}
+    reference = traces["object"]
+    assert reference.count(b"\n") > min_lines
+    for core, got in traces.items():
+        assert got == reference, f"trace mismatch: {core}"
 
 
 # -- long-horizon parity (slow tier) ------------------------------------
@@ -185,10 +168,9 @@ class TestMeshSaturationParity:
         ],
     )
     def test_mesh_rate_parity(self, label, spacing, hotspot, count):
-        packets = _mesh_stream(77, count, spacing, hotspot)
-        results = _parity_run(lambda: MeshTopology(4, 4), packets)
-        _assert_parity(results)
-        assert results["object"][2] >= 20_000
+        workload = _mesh_workload(77, count, spacing, hotspot, window=256)
+        assert compare(workload) is None
+        assert workload.run("array").stats.cycles >= 20_000
 
     def test_above_knee_actually_saturates(self):
         # The harness must really straddle the knee: the hotspot load has
@@ -199,10 +181,8 @@ class TestMeshSaturationParity:
             ("above", 1, 0.35, 20_000),
             ("below", 3, 0.0, 6_667),
         ):
-            net = Network(MeshTopology(4, 4))
-            _inject_all(net, _mesh_stream(77, count, spacing, hotspot))
-            net.run_until_drained(max_cycles=400_000)
-            evidence[label] = _saturation_counters(net)
+            workload = _mesh_workload(77, count, spacing, hotspot)
+            evidence[label] = _saturation_counters(workload.run("object"))
         assert evidence["above"][0] > 100_000
         assert evidence["above"][1] > 10_000
         assert evidence["below"][0] == 0
@@ -213,16 +193,14 @@ class TestMulticastSaturationParity:
     """Long-horizon replication-heavy fabrics: simplified mesh and halo."""
 
     def test_simplified_mesh_parity(self):
-        packets = _simplified_stream(101, count=10_000, spacing=2)
-        results = _parity_run(lambda: SimplifiedMeshTopology(4, 4), packets)
-        _assert_parity(results)
-        assert results["object"][2] >= 20_000
+        workload = _simplified_workload(101, count=10_000, spacing=2, window=256)
+        assert compare(workload) is None
+        assert workload.run("array").stats.cycles >= 20_000
 
     def test_halo_parity(self):
-        packets = _halo_stream(55, count=10_000, spacing=2)
-        results = _parity_run(lambda: HaloTopology(4, 4), packets)
-        _assert_parity(results)
-        assert results["object"][2] >= 20_000
+        workload = _halo_workload(55, count=10_000, spacing=2, window=256)
+        assert compare(workload) is None
+        assert workload.run("array").stats.cycles >= 20_000
 
 
 @pytest.mark.slow
@@ -230,15 +208,9 @@ class TestSaturatedTraceEquality:
     """Flit traces from a saturated run must match byte for byte."""
 
     def test_mesh_hotspot_traces_identical(self):
-        packets = _mesh_stream(303, count=2_500, spacing=1, hotspot=0.35)
-        traces = {
-            core: _trace_bytes(core, lambda: MeshTopology(4, 4), packets)
-            for core in CORE_CLASSES
-        }
-        reference = traces["object"]
-        assert reference.count(b"\n") > 2_500
-        for core, got in traces.items():
-            assert got == reference, f"trace mismatch: {core}"
+        _assert_traces_identical(
+            _mesh_workload(303, count=2_500, spacing=1, hotspot=0.35), 2_500
+        )
 
 
 # -- tier-1 smoke (same harness, short horizon) -------------------------
@@ -248,29 +220,46 @@ class TestSaturationSmoke:
     """Short variants of the long sweeps that run on every tier-1 pass."""
 
     def test_mesh_hotspot_smoke(self):
-        packets = _mesh_stream(7, count=400, spacing=1, hotspot=0.35)
-        results = _parity_run(lambda: MeshTopology(4, 4), packets, window=64)
-        _assert_parity(results)
+        workload = _mesh_workload(7, count=400, spacing=1, hotspot=0.35, window=64)
+        assert compare(workload) is None
 
     def test_simplified_smoke(self):
-        packets = _simplified_stream(9, count=250, spacing=2)
-        results = _parity_run(
-            lambda: SimplifiedMeshTopology(4, 4), packets, window=64
-        )
-        _assert_parity(results)
+        workload = _simplified_workload(9, count=250, spacing=2, window=64)
+        assert compare(workload) is None
 
     def test_halo_smoke(self):
-        packets = _halo_stream(11, count=200, spacing=2)
-        results = _parity_run(lambda: HaloTopology(4, 4), packets, window=64)
-        _assert_parity(results)
+        workload = _halo_workload(11, count=200, spacing=2, window=64)
+        assert compare(workload) is None
 
     def test_trace_smoke(self):
-        packets = _mesh_stream(13, count=150, spacing=1, hotspot=0.35)
-        traces = {
-            core: _trace_bytes(core, lambda: MeshTopology(4, 4), packets)
-            for core in CORE_CLASSES
-        }
-        reference = traces["object"]
-        assert reference.count(b"\n") > 150
-        for core, got in traces.items():
-            assert got == reference, f"trace mismatch: {core}"
+        _assert_traces_identical(
+            _mesh_workload(13, count=150, spacing=1, hotspot=0.35), 150
+        )
+
+
+class TestBenchCells:
+    """``benchmarks/bench_arraycore.py``'s cells at small sizes."""
+
+    @pytest.mark.parametrize(
+        "name, packets",
+        [
+            ("protocol_paced", 20),
+            ("mesh16_saturated", 120),
+            ("simplified_multicast", 40),
+        ],
+    )
+    def test_bench_cell_agrees(self, name, packets):
+        assert compare(_bench().cell(name, packets)) is None
+
+    def test_bench_section_renders(self):
+        # The bench's own path: timed drains under compare (SystemExit on
+        # a divergence), profiled reruns on both cores, and the report.
+        bench = _bench()
+        section = bench.bench_array_core(8)
+        assert [cell["cell"] for cell in section["cells"]] == [
+            "protocol_paced", "mesh16_saturated", "simplified_multicast",
+        ]
+        assert [cell["deliveries"] for cell in section["cells"]] == [2, 8, 24]
+        for cell in section["cells"]:
+            assert set(cell["phases"]) == set(CORES)
+        assert "bit-identical across cores: True" in bench.render(section)

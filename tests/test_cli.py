@@ -19,6 +19,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_only_serve_selects_a_flit_core(self):
+        parser = build_parser()
+        assert parser.parse_args(["serve", "--core", "array"]).core == "array"
+        for argv in (["figure", "9"], ["validate"], ["faults"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args([*argv, "--core", "array"])
+
 
 class TestCommands:
     def test_run(self, capsys):

@@ -4,10 +4,19 @@ import dataclasses
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.experiments import runner
 from repro.experiments.common import ExperimentConfig
+from repro.noc.arraycore import ArrayNetwork
 from repro.validation import Tolerances, run_oracle
-from repro.validation.differential import _sample_indices
+from repro.validation.differential import (
+    DRAIN_CYCLES,
+    DRAIN_LATENCY,
+    DRAIN_PER_FLIT,
+    FlitWorkload,
+    PacketSpec,
+    _sample_indices,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -38,6 +47,30 @@ class TestSampleIndices:
         assert _sample_indices(240, 4) == _sample_indices(240, 4)
 
 
+class TestDrainGuard:
+    REQUEST = PacketSpec("read_request", (0, 0), ((1, 1),), 40)
+    FILL = PacketSpec("memory_fill", (1, 1), ((0, 0),), 7)
+    FANOUT = PacketSpec("read_request", (0, 0), ((0, 1), (1, 1)), 3)
+
+    def test_guard_follows_the_workload(self):
+        workload = FlitWorkload(
+            "mesh", 2, 2, packets=(self.REQUEST, self.FILL, self.FANOUT)
+        )
+        # Last injection at 40; flit deliveries 1 + 5 + 2.
+        assert workload.drain_cycles == 40 + DRAIN_LATENCY + DRAIN_PER_FLIT * 8
+        crowd = dataclasses.replace(workload, packets=(self.REQUEST,) * 50_000)
+        assert crowd.drain_cycles == DRAIN_CYCLES
+
+    def test_hung_run_fails_at_the_guard(self, monkeypatch):
+        # A switch phase that never moves a flit: the run must give up
+        # at the workload's guard, not at the DRAIN_CYCLES cap.
+        monkeypatch.setattr(ArrayNetwork, "_switch_phase", lambda *args: None)
+        workload = FlitWorkload("mesh", 2, 2, packets=(self.REQUEST,))
+        with pytest.raises(SimulationError) as excinfo:
+            workload.run("array")
+        assert f"within {workload.drain_cycles} cycles" in str(excinfo.value)
+
+
 class TestOracleAgreement:
     def test_multicast_cell_agrees(self):
         report = run_oracle(
@@ -53,6 +86,8 @@ class TestOracleAgreement:
         assert report.legs  # flit-level re-enactment actually ran
         for leg in report.legs:
             assert leg.delivered_hops == leg.predicted_hops
+        # Every re-enacted delivery was also compared across the cores.
+        assert report.array_legs == len(report.legs)
 
     def test_unicast_cell_agrees(self):
         report = run_oracle(
@@ -120,3 +155,22 @@ class TestOracleCatchesDivergence:
             tolerances=Tolerances(hit_count=1, contents_exact=True),
         )
         assert report.ok, report.render()
+
+    def test_detects_array_core_metric_drift(self, monkeypatch):
+        # The leg replay compares the cores' published snapshots too, so
+        # a counter only the array core miscounts is a divergence.
+        from repro.noc.arraycore import ArrayNetwork
+
+        original = ArrayNetwork.publish_metrics
+
+        def drifted(self, registry):
+            original(self, registry)
+            registry.counter("noc.network.cycles").inc(1)
+
+        monkeypatch.setattr(ArrayNetwork, "publish_metrics", drifted)
+        report = run_oracle(measure=90, sample=2)
+        assert not report.ok
+        assert any(
+            "array core diverged from the object core on metrics" in d
+            for d in report.divergences
+        ), report.render()

@@ -4,14 +4,18 @@ import random
 
 import pytest
 
+from repro.errors import ValidationError
+from repro.noc.arraycore import ArrayNetwork
 from repro.noc.router import Router
 from repro.validation import (
     AnalysisCase,
     CacheCase,
+    FlitWorkload,
     NocCase,
     OracleCase,
     PacketSpec,
     case_to_pytest,
+    compare,
     fuzz,
     generate_case,
     run_case,
@@ -42,6 +46,7 @@ class TestGeneration:
         assert isinstance(generate_case("cache", rng), CacheCase)
         assert isinstance(generate_case("oracle", rng), OracleCase)
         assert isinstance(generate_case("analysis", rng), AnalysisCase)
+        assert isinstance(generate_case("arraycore", rng), FlitWorkload)
 
     def test_unknown_family_rejected(self):
         from repro.errors import ValidationError
@@ -51,7 +56,7 @@ class TestGeneration:
 
     def test_case_reprs_round_trip(self):
         rng = random.Random(3)
-        for family in ("noc", "cache", "oracle", "analysis"):
+        for family in ("noc", "cache", "oracle", "analysis", "arraycore"):
             case = generate_case(family, rng)
             assert eval(repr(case)) == case  # repros are pasted verbatim
 
@@ -77,7 +82,6 @@ class TestCleanFuzzPasses:
         # If the analyzer stops reporting (simulated by running with an
         # empty rule set), the family must fail loudly, not pass vacuously.
         import repro.analysis
-        from repro.errors import ValidationError
         from repro.validation.fuzzer import _run_analysis_case
 
         case = generate_case("analysis", random.Random(11))
@@ -187,6 +191,59 @@ class TestInjectedBugIsCaught:
         failure = report.failures[0]
         rng = random.Random(f"{report.seed}/{failure.index}/{failure.family}")
         assert generate_case(failure.family, rng) == failure.case
+
+
+def _reversed_rank_init(original):
+    """An ``ArrayNetwork.__init__`` whose switch arbitration ranks every
+    router's inputs in reverse of the object core's ``str(port)`` order."""
+
+    def mutant(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self._in_sort_rank = [
+            [len(rank) - 1 - position for position in rank]
+            for rank in self._in_sort_rank
+        ]
+
+    return mutant
+
+
+class TestInjectedArrayBugIsCaught:
+    @pytest.fixture(autouse=True)
+    def _reversed_rank(self, monkeypatch):
+        monkeypatch.setattr(
+            ArrayNetwork, "__init__", _reversed_rank_init(ArrayNetwork.__init__)
+        )
+
+    def test_compare_names_the_first_differing_delivery(self):
+        # Two packets contend for router (1, 0)'s ejection port in the
+        # same cycle; the reversed rank grants the other one first.
+        workload = FlitWorkload("mesh", 3, 1, packets=(
+            PacketSpec("hit_data", (0, 0), ((1, 0),)),
+            PacketSpec("hit_data", (2, 0), ((1, 0),)),
+        ))
+        divergence = compare(workload)
+        assert divergence is not None
+        assert divergence.observable == "deliveries"
+        assert (divergence.reference, divergence.core) == ("object", "array")
+        assert divergence.expected != divergence.actual
+        assert divergence.workload == workload
+        assert "diverged from the object core on deliveries" in (
+            divergence.render()
+        )
+
+    def test_arraycore_family_catches_and_shrinks(self):
+        report = fuzz(8, seed=1, families=("arraycore",))
+        assert not report.ok, "fuzzer missed a mis-ranked array arbiter"
+        failure = report.failures[0]
+        assert failure.family == "arraycore"
+        assert isinstance(failure.shrunk, FlitWorkload)
+        # Arbitration needs two contending packets, and that is all.
+        assert len(failure.shrunk.packets) <= 2
+        assert "FlitWorkload" in failure.repro
+        namespace = {}
+        exec(compile(failure.repro, "<repro>", "exec"), namespace)
+        with pytest.raises(ValidationError, match="on deliveries"):
+            namespace["test_fuzz_repro"]()
 
 
 class TestCacheShrinking:
