@@ -15,7 +15,7 @@ faults    seeded fault-injection campaign (resilience curves)
 serve     open-loop streaming service with rolling SLO telemetry
 trace     generate a synthetic trace file
 validate  invariant checkers + differential oracle (+ --fuzz N)
-lint      determinism & process-safety static analysis (+ --types gate)
+lint      static analysis the tests cannot replace (+ --types gate)
 """
 
 from __future__ import annotations
@@ -125,12 +125,11 @@ def cmd_table(args: argparse.Namespace) -> str:
 
 
 def _check_schema(snapshot: dict) -> str:
-    """Diff a runtime metrics snapshot against the static key catalog.
+    """Diff a runtime metrics snapshot against the telemetry key catalog.
 
     Every runtime key must be covered by a cataloged pattern with a
-    matching kind; an uncovered key means the catalog (and therefore
-    the DESIGN.md schema tables) is missing an emit site -- regenerate
-    with ``repro lint --write-catalog`` and re-document.
+    matching kind; an uncovered key means ``repro.telemetry.catalog`` is
+    missing an emit site.
     """
     from repro.telemetry import catalog
 
@@ -153,13 +152,13 @@ def _check_schema(snapshot: dict) -> str:
     if lines:
         lines.append(
             f"schema check FAILED ({len(unknown)} unknown key(s), "
-            f"{len(drifted)} kind mismatch(es)); regenerate with "
-            "`repro lint --write-catalog`"
+            f"{len(drifted)} kind mismatch(es)); add or fix the key's "
+            "pattern in src/repro/telemetry/catalog.py"
         )
         raise SystemExit("\n".join(lines))
     return (
         f"schema check ok: {len(snapshot)} runtime keys covered by the "
-        "static catalog"
+        "telemetry catalog"
     )
 
 
@@ -431,41 +430,17 @@ def cmd_serve(args: argparse.Namespace) -> str:
 
 
 def cmd_lint(args: argparse.Namespace) -> str:
-    import json
-
-    from repro.analysis import analyze_paths, render_findings
-    from repro.analysis.__main__ import list_rules, write_catalog
-    from repro.analysis.baseline import BASELINE_NAME, check_baseline
-    from repro.analysis.sarif import render_sarif
+    from repro.analysis import all_rules, analyze_paths, render_findings
     from repro.analysis.typegate import check_typegate
 
     if args.list_rules:
-        return list_rules()
-    if args.write_catalog:
-        return f"wrote {write_catalog(args.paths)}"
-    findings = analyze_paths(args.paths)
-    baseline_path = args.baseline
-    if args.update_lint_baseline and baseline_path is None:
-        baseline_path = BASELINE_NAME
-    lines: list[str] = []
-    if baseline_path is not None:
-        baseline_report = check_baseline(
-            findings, baseline_path, update=args.update_lint_baseline
+        return "\n".join(
+            f"{rule.id:24s} [{rule.family}] {rule.summary}"
+            for rule in all_rules()
         )
-        visible = baseline_report.offenders
-        failed = not baseline_report.ok or bool(baseline_report.stale)
-        if args.format == "text":
-            lines.append(baseline_report.render())
-    else:
-        visible = findings
-        failed = bool(findings)
-        if args.format == "text":
-            lines.append(render_findings(findings))
-    if args.format == "json":
-        lines.append(json.dumps([f.payload() for f in visible],
-                                indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        lines.append(render_sarif(visible).rstrip("\n"))
+    findings = analyze_paths(args.paths)
+    lines = [render_findings(findings)]
+    failed = bool(findings)
     if args.types or args.update_baseline:
         report = check_typegate(update_baseline=args.update_baseline)
         lines.append(report.render())
@@ -614,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="explorer output: human tables/ASCII heatmap "
                              "or the structured JSON report")
     report.add_argument("--check-schema", action="store_true",
-                        help="diff the snapshot's keys against the static "
+                        help="diff the snapshot's keys against the "
                              "telemetry catalog (repro.telemetry.catalog) "
                              "instead of rendering; nonzero exit on "
                              "unknown keys or kind mismatches")
@@ -747,14 +722,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="determinism & process-safety static analysis",
+        help="wall-clock, mutable-default and exception-handler static "
+             "analysis",
         description=(
-            "Run the custom AST rule suite (determinism, process safety, "
-            "telemetry hygiene, exception discipline; see DESIGN.md §12) "
-            "over the tree. Findings are suppressed per line with "
-            "`# repro: allow[rule-id] -- justification`; the justification "
-            "is mandatory. With --types, also run the mypy --strict "
-            "typed-core gate against the ratcheted mypy-baseline.txt."
+            "Run the AST rules whose bugs no tier-1 test catches (wall "
+            "clock, mutable defaults, exception handlers; see DESIGN.md "
+            "§12) over the tree; any finding fails. With --types, also "
+            "run the mypy --strict typed-core gate against the ratcheted "
+            "mypy-baseline.txt."
         ),
     )
     lint.add_argument("paths", nargs="*", default=["src/repro"],
@@ -762,20 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: src/repro)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print every registered rule and exit")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text",
-                      help="finding output format (default: text); sarif "
-                           "is what GitHub code scanning ingests")
-    lint.add_argument("--baseline", metavar="FILE", default=None,
-                      help="judge findings against a shrink-only "
-                           "lint-baseline.txt ratchet instead of failing "
-                           "on any finding")
-    lint.add_argument("--update-lint-baseline", action="store_true",
-                      help="rewrite the lint baseline from this run's "
-                           "findings")
-    lint.add_argument("--write-catalog", action="store_true",
-                      help="regenerate src/repro/telemetry/catalog.py "
-                           "(the static telemetry-key catalog) and exit")
     lint.add_argument("--types", action="store_true",
                       help="also run the mypy --strict typed-core gate "
                            "(skipped with a notice when mypy is absent)")

@@ -141,9 +141,10 @@ class CacheGeometry:
         self._validate()
 
     def _validate(self) -> None:
+        known = set(self.topology.nodes)
         for col, nodes in enumerate(self.nodes):
             for position, node in enumerate(nodes):
-                if node not in self.topology.nodes:
+                if node not in known:
                     raise ConfigurationError(
                         f"bank ({col},{position}) maps to missing node {node}"
                     )

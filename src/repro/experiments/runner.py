@@ -155,9 +155,11 @@ def _trace_with_warmup(spec: CellSpec) -> tuple[Trace, int]:
         cached = generator.generate_with_warmup(
             measure=spec.measure, mix_factor=spec.warmup_mix_factor
         )
+        # A bounded per-process memo: each value is a pure function of its
+        # key, so evicting or refilling it never changes a result.
         if len(_worker_traces) >= _TRACE_CACHE_MAX:
-            _worker_traces.clear()  # repro: allow[proc-worker-global-write] -- bounded memo of pure-function-of-key traces; evicting never changes any value
-        _worker_traces[key] = cached  # repro: allow[proc-worker-global-write] -- memo write: the value is a pure function of the key, so per-process copies cannot diverge
+            _worker_traces.clear()
+        _worker_traces[key] = cached
     return cached
 
 
@@ -185,13 +187,15 @@ def _model_overrides(spec: CellSpec) -> Iterator[None]:
     }
     try:
         if spec.memory_base_latency is not None:
-            repro_config.MEMORY_BASE_LATENCY = spec.memory_base_latency  # repro: allow[proc-worker-global-write] -- spec-derived override, restored in the finally below; cells run strictly serially within a worker process
+            # Restored in the finally below; cells run strictly serially
+            # within a worker process.
+            repro_config.MEMORY_BASE_LATENCY = spec.memory_base_latency
         if spec.wire_delay_scale is not None:
             for capacity, entry in repro_config._BANK_TIMING.items():
                 entry["wire"] = original_wires[capacity] * spec.wire_delay_scale
         yield
     finally:
-        repro_config.MEMORY_BASE_LATENCY = original_memory  # repro: allow[proc-worker-global-write] -- restores the saved pristine value on every exit path
+        repro_config.MEMORY_BASE_LATENCY = original_memory
         for capacity, entry in repro_config._BANK_TIMING.items():
             entry["wire"] = original_wires[capacity]
 

@@ -227,9 +227,9 @@ class Router:
         self, exclude: object, also_exclude: list
     ) -> tuple[object, VirtualChannel] | None:
         """Free VC of a different PC; less-utilized PCs preferred."""
-        taken = {  # repro: allow[det-id-order] -- membership test only; the set is never iterated or sorted, so address order cannot leak
-            id(vc) for _, vc, _ in also_exclude
-        }
+        # Membership test only: the set is never iterated or sorted, so
+        # address order cannot leak.
+        taken = {id(vc) for _, vc, _ in also_exclude}
 
         def utilization(port: object) -> int:
             return sum(1 for vc in self.inputs[port] if not vc.is_free)

@@ -55,6 +55,8 @@ class Topology:
     def __init__(self, name: str = "topology") -> None:
         self.name = name
         self._nodes: set[NodeId] = set()
+        #: ``nodes`` in canonical order, built on first read after a change.
+        self._ordered: tuple[NodeId, ...] | None = None
         self._channels: dict[tuple[NodeId, NodeId], Channel] = {}
         self._out: dict[NodeId, list[NodeId]] = {}
         self._in: dict[NodeId, list[NodeId]] = {}
@@ -71,6 +73,7 @@ class Topology:
 
     def add_node(self, node: NodeId) -> None:
         self._nodes.add(node)
+        self._ordered = None
         self._out.setdefault(node, [])
         self._in.setdefault(node, [])
 
@@ -105,8 +108,17 @@ class Topology:
     # -- queries ----------------------------------------------------------
 
     @property
-    def nodes(self) -> frozenset:
-        return frozenset(self._nodes)
+    def nodes(self) -> tuple[NodeId, ...]:
+        """Every router, sorted by ``str``: one order in every process.
+
+        Both flit cores build their router tables in this order and the
+        switch phase commits one router at a time, so a hash-ordered set
+        here would make results depend on ``PYTHONHASHSEED`` (halo node
+        ids hold strings, whose hashes are salted per process).
+        """
+        if self._ordered is None:
+            self._ordered = tuple(sorted(self._nodes, key=str))
+        return self._ordered
 
     @property
     def num_nodes(self) -> int:

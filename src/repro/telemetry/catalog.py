@@ -1,19 +1,19 @@
-"""Static telemetry-key catalog (GENERATED -- do not edit by hand).
+"""The telemetry key schema: every metric and series key a run can emit.
 
-Every metric/series key pattern the tree can emit, extracted by
-``repro.analysis.catalog`` from the emitting packages. ``*`` is a
-wildcard for a dynamic fragment (node ids, tenant names, ports).
-Regenerate after adding or renaming a key::
-
-    repro lint --write-catalog
-
-The ``cat-stale`` lint rule fails when this file and the tree disagree;
-``repro report --check-schema`` diffs runtime snapshots against it.
+``*`` is a wildcard for a dynamic fragment (a node, link, port, tenant
+or VC identity). Edit this table by hand when an emit site is added,
+renamed or removed. ``tests/telemetry/test_catalog_runtime.py`` runs
+cells on every shipped path and checks both directions: each emitted
+key is covered with its kind, and each pattern matches an emitted key.
+``repro report --check-schema`` diffs a saved snapshot against it, and
+the registry itself raises ``TelemetryError`` when one key is used with
+two kinds.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 #: key pattern -> metric kinds registered under it.
 CATALOG: dict[str, tuple[str, ...]] = {
@@ -39,20 +39,11 @@ CATALOG: dict[str, tuple[str, ...]] = {
     "cache.series.network_cycles": ("series",),
     "cache.span.*": ("histogram",),
     "cache.txn.degraded_accesses": ("counter",),
-    "faults.abandoned_messages": ("counter",),
     "faults.exhausted_retries": ("counter",),
-    "faults.filtered_destinations": ("counter",),
     "faults.injected": ("counter",),
-    "faults.link_drops": ("counter",),
-    "faults.recovered_messages": ("counter",),
     "faults.recovery_latency": ("histogram",),
-    "faults.rejected_packets": ("counter",),
     "faults.rerouted_packets": ("counter",),
     "faults.retries": ("counter",),
-    "faults.timeouts": ("counter",),
-    "faults.transient_corruptions": ("counter",),
-    "faults.transient_drops": ("counter",),
-    "faults.unroutable_destinations": ("counter",),
     "noc.buffer.max_occupancy": ("gauge",),
     "noc.hub.issue_queue_depth": ("gauge",),
     "noc.inject_queue.max_depth.*": ("gauge",),
@@ -61,12 +52,10 @@ CATALOG: dict[str, tuple[str, ...]] = {
     "noc.link.grants.*->*": ("counter",),
     "noc.link.wait_cycles.*->*": ("counter",),
     "noc.network.cycles": ("counter",),
-    "noc.network.flits_dropped": ("counter",),
     "noc.network.flits_injected": ("counter",),
     "noc.network.max_latency": ("gauge",),
     "noc.network.packets_delivered": ("counter",),
     "noc.network.packets_injected": ("counter",),
-    "noc.network.packets_lost": ("counter",),
     "noc.reroute.detour_hops": ("counter",),
     "noc.router.buffer_bypass_hits": ("counter",),
     "noc.router.channel_busy_cycles": ("counter",),
@@ -91,8 +80,6 @@ CATALOG: dict[str, tuple[str, ...]] = {
     "noc.traversal.serialization_cycles": ("counter",),
     "noc.vc.credit_stall_cycles.*->*.vc*": ("counter",),
     "noc.vc.max_occupancy.*.*.vc*": ("gauge",),
-    "sim.kernel.event_queue_high_water": ("gauge",),
-    "sim.kernel.events_executed": ("counter",),
     "stream.admitted": ("counter",),
     "stream.completed": ("counter",),
     "stream.offered": ("counter",),
@@ -141,3 +128,13 @@ def covers(key: str) -> tuple[str, ...] | None:
 def unknown_keys(snapshot: dict[str, object]) -> list[str]:
     """Snapshot keys not covered by any catalog pattern, sorted."""
     return sorted(key for key in snapshot if covers(key) is None)
+
+
+def unused_patterns(keys: Iterable[str]) -> list[str]:
+    """Catalog patterns that match none of *keys*, sorted."""
+    keys = list(keys)
+    return sorted(
+        pattern
+        for pattern in CATALOG
+        if not any(_pattern_regex(pattern).match(key) for key in keys)
+    )

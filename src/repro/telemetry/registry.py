@@ -203,8 +203,9 @@ class Series:
     merged series. ``window``, ``agg``, and (for ``hist``) ``edges`` are
     part of the metric's identity, like histogram edges.
 
-    Windows must be keyed by sim-cycles, never wall-clock (the
-    ``tel-window-simtime`` lint rule enforces call sites).
+    Windows must be keyed by sim-cycles, never wall-clock: a host-clock
+    stamp breaks the determinism triangle's ``--jobs 2`` leg, which
+    recomputes every cell.
     """
 
     __slots__ = ("window", "agg", "edges", "windows")

@@ -32,7 +32,6 @@ from repro.validation.differential import (
     run_oracle,
 )
 from repro.validation.fuzzer import (
-    AnalysisCase,
     CacheCase,
     FuzzFailure,
     FuzzReport,
@@ -59,7 +58,6 @@ from repro.validation.invariants import (
 )
 
 __all__ = [
-    "AnalysisCase",
     "BlockConservationChecker",
     "CacheCase",
     "ChannelOrderChecker",

@@ -1,6 +1,6 @@
 """Seeded fuzzer: random geometries, traffic, and traces under checkers.
 
-``fuzz(n, seed)`` samples cases from seven families:
+``fuzz(n, seed)`` samples cases from six families:
 
 * **noc** -- a random mesh / simplified-mesh / halo geometry with random
   unicast and multicast packets at random injection cycles, driven to
@@ -17,10 +17,6 @@
   :func:`repro.faults.install_resilience`, checking that degraded
   routing plus timeout/retransmit drains the run with every tracked
   message delivered or explicitly abandoned;
-* **analysis** -- a randomized rule-violating source snippet (wall-clock
-  read, unseeded RNG, mutable default, bare except, ...) that
-  :func:`repro.analysis.analyze_source` must flag with the expected
-  rule -- the lint engine fuzz-tests itself;
 * **arraycore** -- a :class:`~repro.validation.differential.FlitWorkload`
   over a noc-family geometry (half the cases sampled at saturated /
   near-saturated injection rates around the knee, each with a random
@@ -116,22 +112,6 @@ class OracleCase:
     measure: int
     seed: int
     sample: int = 2
-
-
-@dataclass(frozen=True)
-class AnalysisCase:
-    """A generated source snippet that must trip one lint rule.
-
-    Fuzzes the static-analysis engine itself: the snippet contains a
-    known violation (wall-clock read, unseeded RNG, mutable default,
-    bare except, ...) with randomized identifiers and literals, and the
-    case fails if :func:`repro.analysis.analyze_source` does not report
-    the expected rule.
-    """
-
-    rule: str
-    module: str
-    source: str
 
 
 @dataclass(frozen=True)
@@ -347,134 +327,24 @@ def _make_stream_case(rng: random.Random) -> StreamCase:
     )
 
 
-#: Identifier pool for generated analysis snippets.
-_ANALYSIS_NAMES = ("probe", "sweep", "drain", "refill", "collect", "replay")
-
-#: (rule, module template, source template). Literal braces in source
-#: templates are doubled for str.format; ``{n}`` is a random identifier,
-#: ``{v}`` a random small integer.
-_ANALYSIS_TEMPLATES = (
-    ("det-wallclock", "repro.experiments.{n}",
-     "import time\n\n\ndef {n}_stamp():\n    return time.time()\n"),
-    ("det-wallclock", "repro.core.{n}",
-     "from datetime import datetime\n\nSTARTED = datetime.now()\n"),
-    ("tel-window-simtime", "repro.experiments.{n}",
-     "import time\n\n\ndef {n}_sample(series):\n"
-     "    series.record(int(time.monotonic()), {v})\n"),
-    ("tel-window-simtime", "repro.perf.{n}",
-     "from time import perf_counter\n\n\ndef {n}_push(registry):\n"
-     "    registry.series('{n}', {v}).record(perf_counter())\n"),
-    ("det-unseeded-random", "repro.workloads.{n}",
-     "import random\n\n\ndef {n}_pick(items):\n"
-     "    return random.choice(items[:{v}])\n"),
-    ("det-unseeded-random", "repro.experiments.{n}",
-     "import random\n\n_RNG = random.Random()\n"),
-    ("det-id-order", "repro.noc.{n}",
-     "def {n}_order(items):\n    return sorted(items, key=id)\n"),
-    ("det-id-order", "repro.cache.{n}",
-     "def {n}_seen(items):\n    return {{id(x) for x in items}}\n"),
-    ("det-set-iter", "repro.sim.{n}",
-     "def {n}_visit(handler):\n    for node in {{1, 2, {v}}}:\n"
-     "        handler(node)\n"),
-    ("det-set-iter", "repro.noc.{n}",
-     "def {n}_fan(links):\n    return [hop for hop in set(links)]\n"),
-    ("det-unseeded-random", "repro.noc.{n}",
-     "import numpy\n\n\ndef {n}_jitter(n):\n"
-     "    return numpy.random.standard_normal({v})\n"),
-    ("det-unordered-reduce", "repro.noc.{n}",
-     "def {n}_total(flits):\n"
-     "    return sum({{f.latency for f in flits[:{v}]}})\n"),
-    ("det-unordered-reduce", "repro.sim.{n}",
-     "import math\n\n\ndef {n}_energy(extra):\n"
-     "    return math.fsum({{0.5, 1.5, extra, {v}}})\n"),
-    ("proc-spec-pickle", "repro.experiments.{n}",
-     "from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\n"
-     "class {c}Spec:\n    tag: str\n    table: dict\n"),
-    ("proc-worker-global-write", "repro.experiments.{n}",
-     "from concurrent.futures import ProcessPoolExecutor\n\n_SEEN = {{}}\n"
-     "\n\ndef {n}_work(item):\n    _SEEN[item] = True\n    return item\n"
-     "\n\ndef {n}_run(items):\n    with ProcessPoolExecutor() as pool:\n"
-     "        futures = [pool.submit({n}_work, x) for x in items]\n"
-     "    return [f.result() for f in futures]\n"),
-    ("proc-mutable-default", "repro.experiments.{n}",
-     "def {n}_gather(x, acc=[]):\n    acc.append(x)\n    return acc\n"),
-    ("proc-mutable-default", "repro.workloads.{n}",
-     "def {n}_index(key, table={{}}):\n    return table.setdefault(key, {v})\n"),
-    ("tel-registry-only", "repro.noc.{n}",
-     "from repro.telemetry import Counter\n\n{n}_hits = Counter()\n"),
-    ("tel-sink-only", "repro.experiments.{n}",
-     "from repro.telemetry import JsonlTraceSink\n\n"
-     "sink = JsonlTraceSink('{n}.jsonl')\n"),
-    ("tel-wallclock-payload", "repro.telemetry.{n}",
-     "import time\n\n\ndef {n}_stamp():\n    return time.time()\n"),
-    ("tel-wallclock-payload", "repro.telemetry.{n}",
-     "import os\n\n\ndef {n}_tag():\n    return os.getpid()\n"),
-    ("exc-bare", "repro.experiments.{n}",
-     "def {n}_guard(thunk):\n    try:\n        return thunk()\n"
-     "    except:\n        return None\n"),
-    ("exc-silent", "repro.experiments.{n}",
-     "def {n}_try(thunk):\n    try:\n        thunk()\n"
-     "    except Exception:\n        pass\n"),
-    ("exc-broad-hotpath", "repro.sim.{n}",
-     "def {n}_step(event, log):\n    try:\n        event()\n"
-     "    except Exception as exc:\n        log(exc)\n"),
-    ("exc-taxonomy", "repro.cache.{n}",
-     "def {n}_check(x):\n    if x < 0:\n"
-     "        raise RuntimeError('negative: %d' % x)\n    return x\n"),
-    # Dataflow family: taint must survive an intermediate assignment ...
-    ("df-taint-telemetry", "repro.noc.{n}",
-     "import time\n\n\ndef {n}_publish(registry):\n"
-     "    stamp = time.time()\n"
-     "    registry.gauge('{n}.stamp').set(stamp)\n"),
-    # ... a hop through a local helper into sim-state ...
-    ("df-taint-state", "repro.sim.{n}",
-     "import time\n\n\ndef {n}_now():\n    return time.monotonic()\n\n\n"
-     "class {c}Clock:\n    def tick(self):\n        self.at = {n}_now()\n"),
-    # ... and an id() flowing into a cache-key spec field.
-    ("df-taint-spec", "repro.experiments.{n}",
-     "from repro.experiments.runner import CellSpec\n\n\n"
-     "def {n}_spec(design):\n"
-     "    return CellSpec(design=design, scheme='lru',\n"
-     "                    benchmark='art', seed=id(design))\n"),
-    # One key pattern registered under two metric kinds.
-    ("cat-key-collision", "repro.noc.{n}",
-     "def {n}_publish(registry):\n"
-     "    registry.counter('{n}.flow').inc({v})\n"
-     "    registry.gauge('{n}.flow').set({v})\n"),
-)
-
-
-def _make_analysis_case(rng: random.Random) -> AnalysisCase:
-    rule, module_template, source_template = rng.choice(_ANALYSIS_TEMPLATES)
-    name = rng.choice(_ANALYSIS_NAMES)
-    values = {"n": name, "v": rng.randint(2, 9), "c": name.capitalize()}
-    return AnalysisCase(
-        rule=rule,
-        module=module_template.format(**values),
-        source=source_template.format(**values),
-    )
-
-
 _FAMILY_MAKERS = {
     "noc": _make_noc_case,
     "cache": _make_cache_case,
     "oracle": _make_oracle_case,
     "faults": _make_faults_case,
-    "analysis": _make_analysis_case,
     "arraycore": _make_arraycore_case,
     "stream": _make_stream_case,
 }
 
 DEFAULT_FAMILIES = (
-    "noc", "cache", "faults", "analysis", "arraycore", "noc", "arraycore",
+    "noc", "cache", "faults", "arraycore", "noc", "arraycore",
     "cache", "oracle", "arraycore", "arraycore", "stream",
 )
 
 
 def generate_case(family: str, rng: random.Random):
     """One random case of *family* (a :data:`DEFAULT_FAMILIES` name:
-    'noc' | 'cache' | 'oracle' | 'faults' | 'analysis' | 'arraycore' |
-    'stream')."""
+    'noc' | 'cache' | 'oracle' | 'faults' | 'arraycore' | 'stream')."""
     try:
         maker = _FAMILY_MAKERS[family]
     except KeyError:
@@ -634,20 +504,6 @@ def _run_faults_case(case: FaultsCase) -> None:
         )
 
 
-def _run_analysis_case(case: AnalysisCase) -> None:
-    from repro.analysis import analyze_source
-
-    findings = analyze_source(
-        "<fuzz>", case.source, module=case.module
-    )
-    flagged = sorted({finding.rule for finding in findings})
-    if case.rule not in flagged:
-        raise ValidationError(
-            f"analysis rule {case.rule!r} missed a violating snippet "
-            f"(flagged: {flagged or 'nothing'}):\n{case.source}"
-        )
-
-
 def _run_oracle_case(case: OracleCase) -> None:
     from repro.validation.differential import run_oracle
 
@@ -681,8 +537,6 @@ def run_case(case) -> None:
             raise ValidationError(divergence.render())
     elif isinstance(case, StreamCase):
         _run_stream_case(case)
-    elif isinstance(case, AnalysisCase):
-        _run_analysis_case(case)
     else:
         raise ValidationError(f"not a fuzz case: {case!r}")
 
@@ -796,7 +650,6 @@ _CASE_IMPORTS = {
     CacheCase: "CacheCase",
     OracleCase: "OracleCase",
     FaultsCase: "FaultsCase, PacketSpec",
-    AnalysisCase: "AnalysisCase",
     FlitWorkload: "FlitWorkload, PacketSpec",
     StreamCase: "StreamCase",
 }

@@ -13,15 +13,13 @@ def test_discipline_fixture(fixture):
     assert_fixture_verdict(fixture)
 
 
-def test_family_has_all_three_kinds_per_rule():
+def test_family_has_both_kinds_per_rule():
     kinds_by_rule = {}
     for fixture in _FIXTURES:
         kinds_by_rule.setdefault(fixture.rule, set()).add(fixture.kind)
-    assert set(kinds_by_rule) == {
-        "exc-bare", "exc-silent", "exc-broad-hotpath", "exc-taxonomy",
-    }
+    assert set(kinds_by_rule) == {"exc-bare", "exc-silent", "exc-broad-hotpath"}
     for rule, kinds in kinds_by_rule.items():
-        assert kinds == {"positive", "negative", "suppressed"}, rule
+        assert kinds == {"positive", "negative"}, rule
 
 
 def test_bare_silent_swallow_trips_both_rules():
@@ -40,23 +38,3 @@ def test_bare_silent_swallow_trips_both_rules():
     ))
     assert {"exc-bare", "exc-silent"} <= rules
 
-
-def test_taxonomy_raise_in_tuple_catch_reraise_is_clean():
-    # Re-raising a caught exception (`raise` with no operand) is never a
-    # taxonomy violation, and tuple catches of narrow types are fine.
-    rules = flagged_rules(Fixture(
-        rule="exc-taxonomy",
-        family="exceptions",
-        kind="negative",
-        module="repro.sim.demo",
-        source=(
-            "def dispatch(event, count):\n"
-            "    try:\n"
-            "        event()\n"
-            "    except (ValueError, KeyError):\n"
-            "        count()\n"
-            "        raise\n"
-        ),
-    ))
-    assert "exc-taxonomy" not in rules
-    assert "exc-broad-hotpath" not in rules

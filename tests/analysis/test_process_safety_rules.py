@@ -2,8 +2,8 @@
 
 import pytest
 
-from tests.analysis.fixtures import Fixture, fixtures_for, labelled
-from tests.analysis.helpers import assert_fixture_verdict, flagged_rules
+from tests.analysis.fixtures import fixtures_for, labelled
+from tests.analysis.helpers import assert_fixture_verdict
 
 _FIXTURES, _IDS = labelled(fixtures_for("process-safety"))
 
@@ -13,51 +13,11 @@ def test_process_safety_fixture(fixture):
     assert_fixture_verdict(fixture)
 
 
-def test_family_has_all_three_kinds_per_rule():
+def test_family_has_both_kinds_per_rule():
     kinds_by_rule = {}
     for fixture in _FIXTURES:
         kinds_by_rule.setdefault(fixture.rule, set()).add(fixture.kind)
-    assert set(kinds_by_rule) == {
-        "proc-spec-pickle", "proc-worker-global-write",
-        "proc-mutable-default",
-    }
+    assert set(kinds_by_rule) == {"proc-mutable-default"}
     for rule, kinds in kinds_by_rule.items():
-        assert kinds == {"positive", "negative", "suppressed"}, rule
+        assert kinds == {"positive", "negative"}, rule
 
-
-def test_global_declaration_in_worker_is_flagged():
-    rules = flagged_rules(Fixture(
-        rule="proc-worker-global-write",
-        family="process-safety",
-        kind="positive",
-        module="repro.experiments.demo",
-        source=(
-            "from concurrent.futures import ProcessPoolExecutor\n\n"
-            "_MODE = 'idle'\n\n\n"
-            "def work(item):\n"
-            "    global _MODE\n"
-            "    _MODE = 'busy'\n"
-            "    return item\n\n\n"
-            "def run(items):\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        return [pool.submit(work, item) for item in items]\n"
-        ),
-    ))
-    assert "proc-worker-global-write" in rules
-
-
-def test_non_worker_module_state_writes_are_allowed():
-    # Without a pool entry point the rule stays out of the way: plenty of
-    # orchestration code maintains module-level caches legitimately.
-    rules = flagged_rules(Fixture(
-        rule="proc-worker-global-write",
-        family="process-safety",
-        kind="negative",
-        module="repro.experiments.demo",
-        source=(
-            "_CACHE = {}\n\n\n"
-            "def remember(key, value):\n"
-            "    _CACHE[key] = value\n"
-        ),
-    ))
-    assert "proc-worker-global-write" not in rules

@@ -17,12 +17,39 @@ from repro.experiments.common import ExperimentConfig
 from repro.experiments.runner import (
     CellSpec,
     execute_cell,
+    last_batch,
     reset_memo,
     run_cells,
     spec_for,
 )
 
 ENGINE_CONFIG = ExperimentConfig(measure=300)
+
+
+def _triangle(specs: list, cache: ResultCache) -> tuple[dict, dict, dict]:
+    """Merged telemetry of *specs* run serially, at ``jobs=2`` and replayed.
+
+    The serial leg fills *cache*; the parallel leg bypasses it, so every
+    cell really runs in a worker; the replay leg is served from *cache*.
+    """
+    from repro.telemetry import global_registry, reset_global_metrics
+
+    def merged(jobs: int, store: ResultCache | None) -> dict:
+        reset_memo()
+        reset_global_metrics()
+        run_cells(specs, jobs=jobs, cache=store)
+        snapshot = global_registry().snapshot()
+        reset_global_metrics()
+        return snapshot
+
+    serial = merged(1, cache)
+    parallel = merged(2, None)
+    assert last_batch().computed == len(set(specs))
+    hits = cache.stats.hits
+    replayed = merged(1, cache)
+    assert cache.stats.hits - hits == len(set(specs))
+    assert last_batch().computed == 0
+    return serial, parallel, replayed
 
 
 def _result_fields(result: RunResult) -> tuple:
@@ -126,23 +153,8 @@ class TestTelemetryIntegration:
         """The full determinism triangle: a serial run, a ``--jobs 2`` run,
         and a warm-cache replay of the same sweep must merge to the same
         telemetry, not just the same results."""
-        from repro.telemetry import global_registry, reset_global_metrics
-
         cache = ResultCache(directory=tmp_path)
-
-        def merged(jobs: int) -> dict:
-            reset_global_metrics()
-            run_cells(_sweep_specs(), jobs=jobs, cache=cache)
-            snapshot = global_registry().snapshot()
-            reset_global_metrics()
-            return snapshot
-
-        serial = merged(jobs=1)
-        reset_memo()
-        parallel = merged(jobs=2)
-        reset_memo()
-        replayed = merged(jobs=1)  # every cell served from the warm cache
-        assert cache.stats.hits >= len(_sweep_specs())
+        serial, parallel, replayed = _triangle(_sweep_specs(), cache)
         assert serial
         assert serial == parallel == replayed
 
@@ -153,8 +165,6 @@ class TestTelemetryIntegration:
         replay -- window maps merge per-index, order-independently."""
         import json
 
-        from repro.telemetry import global_registry, reset_global_metrics
-
         config = dataclasses.replace(ENGINE_CONFIG, window=50)
         specs = [
             spec_for(design, "multicast+fast_lru", benchmark, config)
@@ -162,20 +172,7 @@ class TestTelemetryIntegration:
             for benchmark in ("art", "twolf")
         ]
         cache = ResultCache(directory=tmp_path)
-
-        def merged(jobs: int) -> dict:
-            reset_global_metrics()
-            run_cells(specs, jobs=jobs, cache=cache)
-            snapshot = global_registry().snapshot()
-            reset_global_metrics()
-            return snapshot
-
-        serial = merged(jobs=1)
-        reset_memo()
-        parallel = merged(jobs=2)
-        reset_memo()
-        replayed = merged(jobs=1)  # every cell served from the warm cache
-        assert cache.stats.hits >= len(specs)
+        serial, parallel, replayed = _triangle(specs, cache)
         series = {
             name: snap for name, snap in serial.items()
             if snap["type"] == "series"

@@ -9,6 +9,12 @@ switch-allocation phase without delivering ejected flits, and require
 identical grant vectors, identical post-state (pointers, credits, VC
 bookkeeping), and identical counters. This pins the stringified-port
 tie-break order independently of any workload generator.
+
+The replication cases plant a multicast head among arbitrary per-PC VC
+occupancy and upstream credits, run one replication phase, and pin
+where each replica lands: the same VC on both cores, in the PC the
+(utilization, inject-last, ``str(port)``) key picks from the planted
+state.
 """
 
 from __future__ import annotations
@@ -134,6 +140,12 @@ def _plant_object(spec):
             flit = packet.flits()[0]
             flit.eligible_at = 0 if eligible else 1
             vc.push(flit)
+        elif planted[0] == "multicast":
+            packet = Packet(
+                MessageType.MISS_NOTIFY, NODES[r],
+                tuple(NODES[d] for d in planted[1]),
+            )
+            vc.push(packet.flits()[0])
         else:
             _, out, out_vc, eligible, tail = planted
             packet = Packet(MessageType.WRITEBACK, NODES[r], (NODES[r],))
@@ -174,6 +186,15 @@ def _plant_array(spec):
             flit = net.pool.alloc(
                 row, True, True, 0, (dest,), 0, 0, 0 if eligible else 1
             )
+            net._push(r, gvc, flit)
+        elif planted[0] == "multicast":
+            packet = Packet(
+                MessageType.MISS_NOTIFY, NODES[r],
+                tuple(NODES[d] for d in planted[1]),
+            )
+            row = len(net._packets)
+            net._packets.append(packet)
+            flit = net.pool.alloc(row, True, True, 0, planted[1], 0, 0, 0)
             net._push(r, gvc, flit)
         else:
             _, out, out_vc, eligible, tail = planted
@@ -394,3 +415,109 @@ class TestTieBreakPinned:
         assert winners[0][3] == expected
         assert state["totals"]["conflicts"] == 1
         assert _run_array(spec) == (grants, state)
+
+
+# -- replication ----------------------------------------------------------
+
+CENTER = NODES.index((1, 1))
+# The centre's four neighbours and the centre itself: each destination
+# needs its own output (a neighbour's port, or EJECT), so k planted
+# destinations ask for k - 1 replicas.
+SPLIT_DESTS = tuple(
+    NODES.index(node) for node in ((0, 1), (2, 1), (1, 0), (1, 2), (1, 1))
+)
+
+
+@st.composite
+def replication_state(draw):
+    """A multicast head at the centre router among arbitrary reservations."""
+    ports = len(IN_PORTS[CENTER])
+    head = (CENTER, draw(st.integers(0, ports - 1)), draw(st.integers(0, VCS - 1)))
+    dests = tuple(draw(st.lists(
+        st.sampled_from(SPLIT_DESTS), min_size=2, max_size=4, unique=True
+    )))
+    reserved = draw(st.lists(
+        st.tuples(st.integers(0, ports - 1), st.integers(0, VCS - 1)),
+        unique=True, max_size=ports * VCS,
+    ))
+    spec = _expand(
+        {head: ("multicast", dests)},
+        [(CENTER,) + slot for slot in reserved if (CENTER,) + slot != head],
+        draw(st.integers(0, 2**16)),
+    )
+    return spec, head, len(dests) - 1
+
+
+def _replicas_object(spec):
+    """Every buffered flit at the centre, post-state and blocked cycles
+    after one object-core replication phase."""
+    net, tags = _plant_object(spec)
+    net._replication_phase(0)
+    router = net.routers[NODES[CENTER]]
+    slots = sorted(
+        (str(port), vc.index, tuple(str(d) for d in flit.destinations))
+        for port, unit in router.inputs.items()
+        for vc in unit
+        for flit in vc.fifo
+    )
+    return slots, _object_state(net, tags), router.stats.replication_blocked_cycles
+
+
+def _replicas_array(spec):
+    net, tags = _plant_array(spec)
+    net._replication_phase(0, sorted(net._active))
+    slots = []
+    for p, port in enumerate(IN_PORTS[CENTER]):
+        for vc in range(VCS):
+            gvc = (net._unit_base[CENTER] + p) * VCS + vc
+            for k in range(net._vc_len[gvc]):
+                flit = net._slots[gvc * DEPTH + (net._vc_head[gvc] + k) % DEPTH]
+                dests = tuple(str(NODES[d]) for d in net.pool.destinations[flit])
+                slots.append((str(port), vc, dests))
+    return sorted(slots), _array_state(net, tags), net.replication_blocked_cycles
+
+
+def _steal_order(spec, head):
+    """Free (PC, VC) slots in the order the replication key visits them."""
+    _, mc_port, mc_vc = head
+    busy = {(p, vc) for r, p, vc in spec["reserved"]} | {(mc_port, mc_vc)}
+
+    def has_credit(p, vc):
+        port = IN_PORTS[CENTER][p]
+        if port == INJECT:
+            return True
+        upstream = NODES.index(port)
+        return spec["credits"][(upstream, NODES[CENTER], vc)] > 0
+
+    def key(p):
+        port = IN_PORTS[CENTER][p]
+        utilization = sum((p, vc) in busy for vc in range(VCS))
+        return (utilization, port == INJECT, str(port))
+
+    order = sorted((p for p in range(len(IN_PORTS[CENTER])) if p != mc_port), key=key)
+    return [
+        (str(IN_PORTS[CENTER][p]), vc)
+        for p in order
+        for vc in range(VCS)
+        if (p, vc) not in busy and has_credit(p, vc)
+    ]
+
+
+class TestReplicationPinned:
+    """Where a replica steals its VC: (utilization, inject-last, str(port)),
+    pinned against the planted state -- not merely 'both cores agree'."""
+
+    @given(case=replication_state())
+    @settings(max_examples=60, deadline=None)
+    def test_replica_vcs_follow_the_steal_key(self, case):
+        spec, head, replicas = case
+        slots, state, blocked = _replicas_object(spec)
+        assert _replicas_array(spec) == (slots, state, blocked)
+        free = _steal_order(spec, head)
+        head_slot = (str(IN_PORTS[CENTER][head[1]]), head[2])
+        stolen = [slot[:2] for slot in slots if slot[:2] != head_slot]
+        if len(free) < replicas:
+            assert (stolen, blocked) == ([], 1)
+        else:
+            assert sorted(stolen) == sorted(free[:replicas])
+            assert blocked == 0

@@ -8,7 +8,6 @@ from repro.errors import ValidationError
 from repro.noc.arraycore import ArrayNetwork
 from repro.noc.router import Router
 from repro.validation import (
-    AnalysisCase,
     CacheCase,
     FlitWorkload,
     NocCase,
@@ -45,7 +44,6 @@ class TestGeneration:
         assert isinstance(generate_case("noc", rng), NocCase)
         assert isinstance(generate_case("cache", rng), CacheCase)
         assert isinstance(generate_case("oracle", rng), OracleCase)
-        assert isinstance(generate_case("analysis", rng), AnalysisCase)
         assert isinstance(generate_case("arraycore", rng), FlitWorkload)
 
     def test_unknown_family_rejected(self):
@@ -56,7 +54,7 @@ class TestGeneration:
 
     def test_case_reprs_round_trip(self):
         rng = random.Random(3)
-        for family in ("noc", "cache", "oracle", "analysis", "arraycore"):
+        for family in ("noc", "cache", "oracle", "arraycore"):
             case = generate_case(family, rng)
             assert eval(repr(case)) == case  # repros are pasted verbatim
 
@@ -71,26 +69,6 @@ class TestCleanFuzzPasses:
     def test_single_family_campaigns(self):
         assert fuzz(4, seed=2, families=("noc",)).ok
         assert fuzz(4, seed=2, families=("cache",)).ok
-
-    def test_analysis_family_campaign_is_green(self):
-        # Every generated snippet must be caught by its expected rule:
-        # the fuzz campaign doubles as a recall test of the lint engine.
-        report = fuzz(20, seed=3, families=("analysis",))
-        assert report.ok, report.render()
-
-    def test_analysis_case_detects_a_lobotomized_engine(self, monkeypatch):
-        # If the analyzer stops reporting (simulated by running with an
-        # empty rule set), the family must fail loudly, not pass vacuously.
-        import repro.analysis
-        from repro.validation.fuzzer import _run_analysis_case
-
-        case = generate_case("analysis", random.Random(11))
-        monkeypatch.setattr(
-            repro.analysis, "analyze_source",
-            lambda path, source, module=None, rules=None: [],
-        )
-        with pytest.raises(ValidationError, match="missed a violating"):
-            _run_analysis_case(case)
 
     @pytest.mark.slow
     def test_acceptance_campaign_100_cases(self):
