@@ -5,12 +5,17 @@ telemetry catalog test and the cross-core differential catch most
 determinism and safety bugs at runtime. This package keeps the AST
 rules whose bugs pass all of those (DESIGN.md §12):
 
-* :mod:`repro.analysis.rules` -- wall-clock reads, mutable default
+* :mod:`repro.analysis.rules` -- wall-clock reads, reductions over
+  sets and unstable numpy sorts in the simulation core, mutable default
   arguments, and bare, silent or broad exception handlers;
 * :mod:`repro.analysis.typegate` -- the ``mypy --strict`` typed-core
-  gate against the ratcheted ``mypy-baseline.txt``.
+  gate against the ratcheted ``mypy-baseline.txt``;
+* :mod:`repro.analysis.baseline` -- the shrink-only
+  ``lint-baseline.txt`` ratchet behind ``repro lint --baseline``.
 
-Run it as ``repro lint``; it fails on any finding.
+Run it as ``repro lint``; it fails on any finding. Findings are
+suppressed per line with ``# repro: allow[rule-id] -- justification``;
+the justification is mandatory, an empty one is itself a finding.
 """
 
 from repro.analysis.core import (
@@ -18,10 +23,12 @@ from repro.analysis.core import (
     Finding,
     ModuleInfo,
     Rule,
+    Suppressions,
     all_rules,
     analyze_paths,
     analyze_source,
     module_name_for,
+    parse_suppressions,
     render_findings,
     rule_by_id,
 )
@@ -34,10 +41,12 @@ __all__ = [
     "Finding",
     "ModuleInfo",
     "Rule",
+    "Suppressions",
     "all_rules",
     "analyze_paths",
     "analyze_source",
     "module_name_for",
+    "parse_suppressions",
     "render_findings",
     "rule_by_id",
 ]

@@ -1,16 +1,30 @@
-"""Analyzer framework: findings, rules, and the file walk.
+"""Analyzer framework: findings, rules, suppressions, and the file walk.
 
 A :class:`Rule` inspects one parsed module (:class:`ModuleInfo`) and
 yields :class:`Finding` objects. Rules register themselves into a global
 registry at import time via :func:`register`; :func:`analyze_paths` walks
-a file tree, parses each module once and runs every rule over it. There
-is no suppression syntax: a finding is fixed, not exempted.
+a file tree, parses each module once, runs every rule over it, and
+filters findings through the suppression comments.
+
+Suppression syntax (checked, not free-form)::
+
+    risky_line()  # repro: allow[rule-id] -- why this is a vetted false positive
+
+applies to its own line; ``allow-file[rule-id]`` anywhere in the file
+applies to the whole file. The justification after ``--`` is mandatory:
+a suppression without one is reported as a ``bad-suppression`` finding,
+so every exemption in the tree carries its own review trail. Unknown
+rule ids in a directive are likewise findings -- a typo must not
+silently disable nothing.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import pathlib
+import re
+import tokenize
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -115,7 +129,7 @@ def _import_table(tree: ast.Module, module: str | None) -> dict[str, str]:
 class Rule:
     """Base class: one named check over one module."""
 
-    #: Stable kebab-case identifier used in output.
+    #: Stable kebab-case identifier used in output and suppressions.
     id: str = ""
     #: Rule family (``determinism`` | ``process-safety`` | ``exceptions``),
     #: the DESIGN.md §12 grouping.
@@ -166,6 +180,87 @@ def rule_by_id(rule_id: str) -> Rule:
         ) from None
 
 
+# -- suppressions -------------------------------------------------------------
+
+#: Matches ``repro: allow[ids]`` / ``repro: allow-file[ids]`` directives.
+_DIRECTIVE = re.compile(
+    r"#\s*repro:\s*(?P<kind>allow(?:-file)?)\s*"
+    r"\[(?P<rules>[^\]]*)\]\s*(?:--\s*(?P<why>.*))?"
+)
+_ANY_DIRECTIVE = re.compile(r"#\s*repro\s*:")
+
+
+@dataclass
+class Suppressions:
+    """Parsed ``repro: allow`` directives for one file."""
+
+    #: line number -> rule ids allowed on that line.
+    by_line: dict[int, set[str]] = field(default_factory=dict)
+    #: rule ids allowed anywhere in the file.
+    file_wide: set[str] = field(default_factory=set)
+    #: malformed-directive findings (missing justification, unknown rule).
+    problems: list[Finding] = field(default_factory=list)
+
+    def allows(self, finding: Finding) -> bool:
+        if finding.rule in self.file_wide:
+            return True
+        return finding.rule in self.by_line.get(finding.line, set())
+
+
+def parse_suppressions(path: str, source: str) -> Suppressions:
+    """Extract and validate every suppression directive in *source*."""
+    out = Suppressions()
+
+    def problem(line: int, message: str) -> None:
+        out.problems.append(
+            Finding(path=path, line=line, col=1,
+                    rule="bad-suppression", message=message)
+        )
+
+    try:
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    except (tokenize.TokenError, SyntaxError, IndentationError):
+        return out
+    for token in tokens:
+        if token.type != tokenize.COMMENT:
+            continue
+        comment = token.string
+        if not _ANY_DIRECTIVE.search(comment):
+            continue
+        line = token.start[0]
+        match = _DIRECTIVE.search(comment)
+        if match is None:
+            problem(line, f"unparseable repro directive: {comment.strip()!r}")
+            continue
+        rule_ids = [
+            part.strip() for part in match.group("rules").split(",") if part.strip()
+        ]
+        why = (match.group("why") or "").strip()
+        if not rule_ids:
+            problem(line, "suppression names no rule ids")
+            continue
+        if not why:
+            problem(
+                line,
+                f"suppression of {','.join(rule_ids)} has no justification "
+                "(write `# repro: allow[rule] -- reason`)",
+            )
+            continue
+        unknown = [rule_id for rule_id in rule_ids if rule_id not in _RULES]
+        if unknown:
+            problem(
+                line,
+                f"suppression names unknown rule(s) {', '.join(unknown)}; "
+                f"known: {', '.join(sorted(_RULES))}",
+            )
+            continue
+        if match.group("kind") == "allow-file":
+            out.file_wide.update(rule_ids)
+        else:
+            out.by_line.setdefault(line, set()).update(rule_ids)
+    return out
+
+
 # -- driving ------------------------------------------------------------------
 
 
@@ -187,8 +282,9 @@ def analyze_source(
 ) -> list[Finding]:
     """Run every rule over one module's source text.
 
-    A syntax error yields a single ``parse-error`` finding rather than
-    raising.
+    Suppressed findings are dropped; malformed suppressions are reported
+    as ``bad-suppression`` findings. A syntax error yields a single
+    ``parse-error`` finding rather than raising.
     """
     try:
         tree = ast.parse(source)
@@ -198,9 +294,14 @@ def analyze_source(
                     rule="parse-error", message=f"syntax error: {exc.msg}")
         ]
     info = ModuleInfo(path=path, module=module, tree=tree)
-    return sorted(
-        finding for rule in all_rules() for finding in rule.check(info)
-    )
+    suppressions = parse_suppressions(path, source)
+    findings = list(suppressions.problems)
+    for rule in all_rules():
+        findings.extend(
+            finding for finding in rule.check(info)
+            if not suppressions.allows(finding)
+        )
+    return sorted(findings)
 
 
 def iter_python_files(paths: Iterable[str | pathlib.Path]) -> Iterator[pathlib.Path]:

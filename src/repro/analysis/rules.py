@@ -1,10 +1,12 @@
 """The lint rules: bug classes no tier-1 test catches (DESIGN.md §12).
 
-A rule stays only if a bug planted where it looks passes tier-1, or if
-it has found a real bug in this tree. Every other bug class has a
+A rule was deleted when a bug planted where it looks failed tier-1,
+unless it had found a real bug in this tree; those bug classes have a
 runtime check that fails instead: the hash-seed guard, the determinism
 triangle, the goldens, the telemetry catalog test and the cross-core
-differential.
+differential. The rules here are the ones whose plants pass tier-1, the
+two with recorded true positives, and the two whose target does not
+exist in the tree yet (hash-order reductions, unstable numpy sorts).
 """
 
 from __future__ import annotations
@@ -78,6 +80,115 @@ class WallClockRule(Rule):
                     f"{origin}() inside the simulation core; the only clock "
                     "here is the simulated cycle",
                 )
+
+
+def _is_set_expression(node: ast.AST, info: ModuleInfo) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return (
+            node.func.id in ("set", "frozenset")
+            and node.func.id not in info.imports
+        )
+    return False
+
+
+@register
+class UnorderedReduceRule(Rule):
+    id = "det-unordered-reduce"
+    family = "determinism"
+    summary = (
+        "no reductions over set expressions in the simulation core: "
+        "sum()/math.fsum() accumulate in hash order, so float results "
+        "(and any order-sensitive fold) vary with the hash seed"
+    )
+
+    _REDUCERS = ("sum",)
+    _QUAL_REDUCERS = frozenset({"math.fsum", "numpy.sum", "numpy.prod"})
+
+    def check(self, info: ModuleInfo) -> Iterator[Finding]:
+        if not in_scope(info.module, SIM_SCOPE):
+            return
+        for node in ast.walk(info.tree):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func = node.func
+            named_reducer = (
+                isinstance(func, ast.Name)
+                and func.id in self._REDUCERS
+                and func.id not in info.imports
+            )
+            qual_reducer = info.qualname(func) in self._QUAL_REDUCERS
+            if not named_reducer and not qual_reducer:
+                continue
+            if _is_set_expression(node.args[0], info):
+                yield self.finding(
+                    info, node,
+                    "reducing a set expression accumulates in hash order; "
+                    "reduce a sorted sequence (or a list/tuple built in a "
+                    "deterministic order) instead",
+                )
+
+
+#: numpy sort entry points whose default algorithm (introsort) is
+#: unstable: equal keys land in an algorithm-dependent order. A
+#: bit-identical simulation core may only sort with an explicit
+#: ``kind="stable"`` (or ``"mergesort"``, its alias) so every tie-break
+#: is part of the spec, not of the sort implementation.
+_NP_SORTS = frozenset({
+    "numpy.sort",
+    "numpy.argsort",
+    "numpy.ma.sort",
+    "numpy.ma.argsort",
+})
+
+
+@register
+class NumpyUnstableSortRule(Rule):
+    id = "det-np-unstable-sort"
+    family = "determinism"
+    summary = (
+        "no unstable numpy sorts in the simulation core: np.sort / "
+        "np.argsort (and the .argsort() method) default to introsort, "
+        'whose tie order is implementation-defined -- pass kind="stable"'
+    )
+
+    _STABLE_KINDS = ("stable", "mergesort")
+
+    def check(self, info: ModuleInfo) -> Iterator[Finding]:
+        if not in_scope(info.module, SIM_SCOPE):
+            return
+        for node in ast.walk(info.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            origin = info.qualname(node.func)
+            named = origin in _NP_SORTS
+            # The .argsort() method form: the receiver's type is not
+            # resolvable statically, but the name is numpy-specific
+            # (list.sort is stable and has no argsort).
+            method = (
+                origin is None
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "argsort"
+            )
+            if (named or method) and not self._stable_kind(node):
+                yield self.finding(
+                    info, node,
+                    "numpy's default sort kind is unstable, so equal keys "
+                    "land in implementation-defined order; pass "
+                    'kind="stable" (and make every tie-break explicit in '
+                    "the key) or sort in plain Python",
+                )
+
+    def _stable_kind(self, node: ast.Call) -> bool:
+        for keyword in node.keywords:
+            if keyword.arg == "kind":
+                value = keyword.value
+                return (
+                    isinstance(value, ast.Constant)
+                    and value.value in self._STABLE_KINDS
+                )
+        return False
 
 
 # -- process safety -----------------------------------------------------------

@@ -431,6 +431,7 @@ def cmd_serve(args: argparse.Namespace) -> str:
 
 def cmd_lint(args: argparse.Namespace) -> str:
     from repro.analysis import all_rules, analyze_paths, render_findings
+    from repro.analysis.baseline import BASELINE_NAME, check_baseline
     from repro.analysis.typegate import check_typegate
 
     if args.list_rules:
@@ -439,8 +440,18 @@ def cmd_lint(args: argparse.Namespace) -> str:
             for rule in all_rules()
         )
     findings = analyze_paths(args.paths)
-    lines = [render_findings(findings)]
-    failed = bool(findings)
+    baseline_path = args.baseline
+    if args.update_lint_baseline and baseline_path is None:
+        baseline_path = BASELINE_NAME
+    if baseline_path is not None:
+        baseline_report = check_baseline(
+            findings, baseline_path, update=args.update_lint_baseline
+        )
+        lines = [baseline_report.render()]
+        failed = not baseline_report.ok or bool(baseline_report.stale)
+    else:
+        lines = [render_findings(findings)]
+        failed = bool(findings)
     if args.types or args.update_baseline:
         report = check_typegate(update_baseline=args.update_baseline)
         lines.append(report.render())
@@ -722,13 +733,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="wall-clock, mutable-default and exception-handler static "
+        help="determinism, mutable-default and exception-handler static "
              "analysis",
         description=(
             "Run the AST rules whose bugs no tier-1 test catches (wall "
-            "clock, mutable defaults, exception handlers; see DESIGN.md "
-            "§12) over the tree; any finding fails. With --types, also "
-            "run the mypy --strict typed-core gate against the ratcheted "
+            "clock, hash-order reductions, unstable numpy sorts, mutable "
+            "defaults, exception handlers; see DESIGN.md §12) over the "
+            "tree; any finding fails. Findings are suppressed per line "
+            "with `# repro: allow[rule-id] -- justification`; the "
+            "justification is mandatory. With --types, also run the mypy "
+            "--strict typed-core gate against the ratcheted "
             "mypy-baseline.txt."
         ),
     )
@@ -737,6 +751,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: src/repro)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print every registered rule and exit")
+    lint.add_argument("--baseline", metavar="FILE", default=None,
+                      help="judge findings against a shrink-only "
+                           "lint-baseline.txt ratchet instead of failing "
+                           "on any finding")
+    lint.add_argument("--update-lint-baseline", action="store_true",
+                      help="rewrite the lint baseline from this run's "
+                           "findings")
     lint.add_argument("--types", action="store_true",
                       help="also run the mypy --strict typed-core gate "
                            "(skipped with a notice when mypy is absent)")

@@ -4,7 +4,10 @@ Each fixture is one small source module plus the verdict the analyzer
 must reach on it:
 
 * ``positive`` -- the snippet violates the rule and must be flagged;
-* ``negative`` -- the snippet is idiomatic/clean and must not be.
+* ``negative`` -- the snippet is idiomatic/clean and must not be;
+* ``suppressed`` -- the snippet violates the rule but carries a
+  justified ``# repro: allow[rule]`` directive, so the analyzer must
+  stay silent (and must not report ``bad-suppression`` either).
 
 The violating code lives only inside string literals, so the analyzer's
 CI sweep over ``tests/`` never sees it as real source.
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 class Fixture:
     rule: str
     family: str
-    kind: str  # "positive" | "negative"
+    kind: str  # "positive" | "negative" | "suppressed"
     module: str | None
     source: str
 
@@ -43,6 +46,78 @@ FIXTURES = [
         "det-wallclock", "determinism", "positive", "repro.sim.demo",
         "import time\n\nstarted = time.perf_counter()\n",
     ),
+    Fixture(
+        "det-wallclock", "determinism", "suppressed", "repro.experiments.demo",
+        "import time\n\n"
+        "STARTED = time.time()"
+        "  # repro: allow[det-wallclock] -- fixture: vetted false positive\n",
+    ),
+    Fixture(
+        "det-unordered-reduce", "determinism", "positive", "repro.noc.demo",
+        "def total(latencies):\n"
+        "    return sum({flit.latency for flit in latencies})\n",
+    ),
+    Fixture(
+        "det-unordered-reduce", "determinism", "positive", "repro.sim.demo",
+        "import math\n\n\ndef energy(loads, extra):\n"
+        "    return math.fsum({0.5, 1.5, extra})\n",
+    ),
+    Fixture(
+        # Reducing a deterministic sequence is the idiomatic fix.
+        "det-unordered-reduce", "determinism", "negative", "repro.noc.demo",
+        "def total(latencies):\n"
+        "    return sum(sorted({flit.latency for flit in latencies}))\n",
+    ),
+    Fixture(
+        # Outside the simulation core the rule does not apply.
+        "det-unordered-reduce", "determinism", "negative",
+        "repro.experiments.demo",
+        "def total(values):\n"
+        "    return sum({v for v in values})\n",
+    ),
+    Fixture(
+        "det-unordered-reduce", "determinism", "suppressed",
+        "repro.noc.demo",
+        "def total(counts):\n"
+        "    return sum({c for c in counts})"
+        "  # repro: allow[det-unordered-reduce] -- fixture: ints commute\n",
+    ),
+    Fixture(
+        "det-np-unstable-sort", "determinism", "positive", "repro.noc.demo",
+        "import numpy as np\n\n\ndef rank(keys):\n"
+        "    return np.argsort(keys)\n",
+    ),
+    Fixture(
+        # The method form is numpy-specific (lists have no argsort).
+        "det-np-unstable-sort", "determinism", "positive", "repro.sim.demo",
+        "def order(scores):\n    return scores.argsort()\n",
+    ),
+    Fixture(
+        "det-np-unstable-sort", "determinism", "negative", "repro.noc.demo",
+        "import numpy as np\n\n\ndef rank(keys):\n"
+        "    return np.argsort(keys, kind=\"stable\")\n",
+    ),
+    Fixture(
+        # Outside the simulation core the rule does not apply.
+        "det-np-unstable-sort", "determinism", "negative",
+        "repro.experiments.demo",
+        "import numpy as np\n\n\ndef rank(keys):\n"
+        "    return np.argsort(keys)\n",
+    ),
+    Fixture(
+        "det-np-unstable-sort", "determinism", "suppressed",
+        "repro.noc.demo",
+        "import numpy as np\n\n\ndef rank(keys):\n"
+        "    return np.argsort(keys)"
+        "  # repro: allow[det-np-unstable-sort] -- fixture: keys unique\n",
+    ),
+    Fixture(
+        # numpy reductions over set expressions accumulate in hash order
+        # just like builtin sum.
+        "det-unordered-reduce", "determinism", "positive", "repro.noc.demo",
+        "import numpy as np\n\n\ndef total(latencies):\n"
+        "    return np.sum({lat for lat in latencies})\n",
+    ),
     # -- process-safety --------------------------------------------------
     Fixture(
         "proc-mutable-default", "process-safety", "positive",
@@ -62,6 +137,14 @@ FIXTURES = [
         "repro.experiments.demo",
         "def gather(item, acc=None):\n"
         "    acc = [] if acc is None else acc\n"
+        "    acc.append(item)\n"
+        "    return acc\n",
+    ),
+    Fixture(
+        "proc-mutable-default", "process-safety", "suppressed",
+        "repro.experiments.demo",
+        "def gather(item, acc=[]):"
+        "  # repro: allow[proc-mutable-default] -- fixture justification\n"
         "    acc.append(item)\n"
         "    return acc\n",
     ),
@@ -90,6 +173,15 @@ FIXTURES = [
         "        return thunk()\n"
         "    except ValueError:\n"
         "        return None\n",
+    ),
+    Fixture(
+        "exc-bare", "exceptions", "suppressed", "repro.experiments.demo",
+        "def guard(thunk):\n"
+        "    try:\n"
+        "        return thunk()\n"
+        "    except:"
+        "  # repro: allow[exc-bare] -- fixture justification\n"
+        "        raise\n",
     ),
     Fixture(
         "exc-silent", "exceptions", "positive", "repro.experiments.demo",
@@ -128,6 +220,15 @@ FIXTURES = [
         "        log(exc)\n",
     ),
     Fixture(
+        "exc-silent", "exceptions", "suppressed", "repro.experiments.demo",
+        "def attempt(thunk):\n"
+        "    try:\n"
+        "        thunk()\n"
+        "    except Exception:"
+        "  # repro: allow[exc-silent] -- fixture justification\n"
+        "        pass\n",
+    ),
+    Fixture(
         "exc-broad-hotpath", "exceptions", "positive", "repro.sim.demo",
         "def step(event, log):\n"
         "    try:\n"
@@ -151,6 +252,15 @@ FIXTURES = [
         "    try:\n"
         "        event()\n"
         "    except Exception as exc:\n"
+        "        log(exc)\n",
+    ),
+    Fixture(
+        "exc-broad-hotpath", "exceptions", "suppressed", "repro.sim.demo",
+        "def step(event, log):\n"
+        "    try:\n"
+        "        event()\n"
+        "    except Exception as exc:"
+        "  # repro: allow[exc-broad-hotpath] -- fixture justification\n"
         "        log(exc)\n",
     ),
 ]

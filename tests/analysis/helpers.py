@@ -22,5 +22,14 @@ def assert_fixture_verdict(fixture: Fixture) -> None:
         assert fixture.rule not in rules, (
             f"{fixture.rule} false positive in:\n{fixture.source}"
         )
+    elif fixture.kind == "suppressed":
+        # A justified directive silences the rule without tripping the
+        # bad-suppression check.
+        assert fixture.rule not in rules, (
+            f"suppression of {fixture.rule} ignored in:\n{fixture.source}"
+        )
+        assert "bad-suppression" not in rules, (
+            f"well-formed directive reported malformed in:\n{fixture.source}"
+        )
     else:
         raise AssertionError(f"unknown fixture kind {fixture.kind!r}")

@@ -1,6 +1,7 @@
 """Fixture-backed tests for the determinism rule family.
 
-Positive fixtures must be flagged, negatives must not.
+Positive fixtures must be flagged, negatives must not, and suppressed
+fixtures carry a justified directive the analyzer must honor silently.
 """
 
 import pytest
@@ -16,13 +17,15 @@ def test_determinism_fixture(fixture):
     assert_fixture_verdict(fixture)
 
 
-def test_family_has_both_kinds_per_rule():
+def test_family_has_all_three_kinds_per_rule():
     kinds_by_rule = {}
     for fixture in _FIXTURES:
         kinds_by_rule.setdefault(fixture.rule, set()).add(fixture.kind)
-    assert set(kinds_by_rule) == {"det-wallclock"}
+    assert set(kinds_by_rule) == {
+        "det-wallclock", "det-unordered-reduce", "det-np-unstable-sort",
+    }
     for rule, kinds in kinds_by_rule.items():
-        assert kinds == {"positive", "negative"}, rule
+        assert kinds == {"positive", "negative", "suppressed"}, rule
 
 
 def test_import_aliasing_is_resolved():

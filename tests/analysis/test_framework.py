@@ -1,7 +1,8 @@
-"""Tests for the analysis framework itself: driving and the CLI.
+"""Tests for the analysis framework itself: suppressions, driving, CLI.
 
-The load-bearing assertions: the repo's own source is clean under every
-rule, and ``repro lint`` exits nonzero exactly when findings exist.
+The load-bearing assertions: a suppression without a justification is
+itself a finding, the repo's own source is clean under every rule, and
+``repro lint`` exits nonzero exactly when findings exist.
 """
 
 import os
@@ -16,11 +17,76 @@ from repro.analysis import (
     analyze_paths,
     analyze_source,
     module_name_for,
+    parse_suppressions,
     render_findings,
     rule_by_id,
 )
 
 _VIOLATION = "import time\n\nSTARTED = time.time()\n"
+
+
+class TestSuppressionSyntax:
+    def test_justified_suppression_silences_the_rule(self):
+        source = (
+            "import time\n\n"
+            "STARTED = time.time()"
+            "  # repro: allow[det-wallclock] -- vetted: fixture\n"
+        )
+        assert analyze_source("<t>", source, module="repro.experiments.x") == []
+
+    def test_suppression_without_justification_is_a_finding(self):
+        source = (
+            "import time\n\n"
+            "STARTED = time.time()  # repro: allow[det-wallclock]\n"
+        )
+        findings = analyze_source("<t>", source, module="repro.experiments.x")
+        rules = {finding.rule for finding in findings}
+        # The malformed directive is reported AND the original violation
+        # still surfaces: an unjustified allow suppresses nothing.
+        assert "bad-suppression" in rules
+        assert "det-wallclock" in rules
+
+    def test_suppression_of_unknown_rule_is_a_finding(self):
+        source = "x = 1  # repro: allow[not-a-rule] -- because\n"
+        findings = analyze_source("<t>", source, module="repro.experiments.x")
+        assert [finding.rule for finding in findings] == ["bad-suppression"]
+        assert "not-a-rule" in findings[0].message
+
+    def test_unparseable_directive_is_a_finding(self):
+        source = "x = 1  # repro: allow det-wallclock -- because\n"
+        findings = analyze_source("<t>", source, module="repro.experiments.x")
+        assert [finding.rule for finding in findings] == ["bad-suppression"]
+
+    def test_empty_rule_list_is_a_finding(self):
+        source = "x = 1  # repro: allow[] -- because\n"
+        findings = analyze_source("<t>", source, module="repro.experiments.x")
+        assert [finding.rule for finding in findings] == ["bad-suppression"]
+
+    def test_file_wide_suppression_covers_every_occurrence(self):
+        source = (
+            "# repro: allow-file[det-wallclock] -- fixture: whole file vetted\n"
+            "import time\n\n"
+            "A = time.time()\n"
+            "B = time.time()\n"
+        )
+        assert analyze_source("<t>", source, module="repro.experiments.x") == []
+
+    def test_line_suppression_covers_only_its_line(self):
+        source = (
+            "import time\n\n"
+            "A = time.time()  # repro: allow[det-wallclock] -- fixture\n"
+            "B = time.time()\n"
+        )
+        findings = analyze_source("<t>", source, module="repro.experiments.x")
+        assert [finding.line for finding in findings] == [4]
+
+    def test_one_directive_may_name_several_rules(self):
+        suppressions = parse_suppressions(
+            "<t>",
+            "x = 1  # repro: allow[det-wallclock, exc-bare] -- fixture\n",
+        )
+        assert suppressions.problems == []
+        assert suppressions.by_line[1] == {"det-wallclock", "exc-bare"}
 
 
 class TestDriving:
@@ -64,7 +130,8 @@ class TestDriving:
     def test_rule_registry_is_complete_and_queryable(self):
         rules = all_rules()
         assert {rule.id for rule in rules} == {
-            "det-wallclock", "proc-mutable-default",
+            "det-wallclock", "det-unordered-reduce", "det-np-unstable-sort",
+            "proc-mutable-default",
             "exc-bare", "exc-silent", "exc-broad-hotpath",
         }
         assert rule_by_id("det-wallclock").family == "determinism"

@@ -13,11 +13,11 @@ def test_process_safety_fixture(fixture):
     assert_fixture_verdict(fixture)
 
 
-def test_family_has_both_kinds_per_rule():
+def test_family_has_all_three_kinds_per_rule():
     kinds_by_rule = {}
     for fixture in _FIXTURES:
         kinds_by_rule.setdefault(fixture.rule, set()).add(fixture.kind)
     assert set(kinds_by_rule) == {"proc-mutable-default"}
     for rule, kinds in kinds_by_rule.items():
-        assert kinds == {"positive", "negative"}, rule
+        assert kinds == {"positive", "negative", "suppressed"}, rule
 
