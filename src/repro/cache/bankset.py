@@ -16,7 +16,9 @@ reorderings, implemented here:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 @dataclass
@@ -51,16 +53,45 @@ class AccessOutcome:
         return self.victim is not None and self.victim.dirty
 
 
+class _Layout(NamedTuple):
+    """Reordering tables of one ``bank_of_way`` layout."""
+
+    #: Per way: the boundary moves of ``move_to_front(way)``.
+    front_moves: tuple[int, ...]
+    #: Ways whose block crosses a bank boundary when it shifts one way down.
+    boundaries: tuple[int, ...]
+    #: Per bank but the MRU bank: the way a Promotion hit in it moves to,
+    #: the least-recent way of the next-closer bank.
+    promote_to: dict[int, int]
+
+
+@functools.lru_cache(maxsize=64)
+def _layout_tables(bank_of_way: tuple[int, ...]) -> _Layout:
+    boundaries = tuple(
+        way for way in range(len(bank_of_way) - 1)
+        if bank_of_way[way] != bank_of_way[way + 1]
+    )
+    front_moves = tuple(
+        (bank_of_way[way] != bank_of_way[0])
+        + sum(1 for boundary in boundaries if boundary < way)
+        for way in range(len(bank_of_way))
+    )
+    # Ways ascend, so each bank's entry ends at its least-recent way.
+    promote_to = {bank + 1: way for way, bank in enumerate(bank_of_way)}
+    return _Layout(front_moves, boundaries, promote_to)
+
+
 class BankSetState:
     """Mutable stack of ways of one bank set."""
 
-    __slots__ = ("ways", "bank_of_way")
+    __slots__ = ("ways", "bank_of_way", "_layout")
 
     def __init__(self, bank_of_way: list[int]) -> None:
         if not bank_of_way:
             raise ValueError("bank_of_way must not be empty")
         self.bank_of_way = bank_of_way
         self.ways: list[BlockState | None] = [None] * len(bank_of_way)
+        self._layout = _layout_tables(tuple(bank_of_way))
 
     @property
     def associativity(self) -> int:
@@ -90,6 +121,13 @@ class BankSetState:
     def bank_of(self, way: int) -> int:
         return self.bank_of_way[way]
 
+    def promotion_target(self, way: int) -> int:
+        """The way a Promotion hit at *way* moves its block to."""
+        bank = self.bank_of_way[way]
+        if bank == self.bank_of_way[0]:
+            return 0
+        return self._layout.promote_to[bank]
+
     # -- primitive reorderings -------------------------------------------
 
     def move_to_front(self, way: int) -> int:
@@ -100,18 +138,13 @@ class BankSetState:
         different banks is a network block transfer; in-bank reshuffles are
         free pointer updates.
         """
-        block = self.ways[way]
+        ways = self.ways
+        block = ways[way]
         if block is None:
             raise ValueError(f"way {way} is empty")
-        boundary_moves = 0
-        if self.bank_of_way[way] != self.bank_of_way[0]:
-            boundary_moves += 1  # the hit block itself crosses banks
-        for i in range(way - 1, -1, -1):
-            if self.bank_of_way[i] != self.bank_of_way[i + 1]:
-                boundary_moves += 1
-            self.ways[i + 1] = self.ways[i]
-        self.ways[0] = block
-        return boundary_moves
+        del ways[way]
+        ways.insert(0, block)
+        return self._layout.front_moves[way]
 
     def promote(self, way: int) -> int:
         """Promotion hit reordering; returns inter-bank moves implied.
@@ -120,19 +153,18 @@ class BankSetState:
         way (free). Otherwise the hit block swaps with the least-recent way
         of the next-closer bank (two block transfers over one link).
         """
-        block = self.ways[way]
+        ways = self.ways
+        block = ways[way]
         if block is None:
             raise ValueError(f"way {way} is empty")
         bank = self.bank_of_way[way]
         if bank == self.bank_of_way[0]:
             # Local promotion inside the MRU bank: reorder ways 0..way.
-            for i in range(way - 1, -1, -1):
-                self.ways[i + 1] = self.ways[i]
-            self.ways[0] = block
+            del ways[way]
+            ways.insert(0, block)
             return 0
-        # Least-recent way of the next-closer bank.
-        target = max(i for i, b in enumerate(self.bank_of_way) if b == bank - 1)
-        self.ways[way], self.ways[target] = self.ways[target], self.ways[way]
+        target = self._layout.promote_to[bank]
+        ways[way], ways[target] = ways[target], block
         return 2
 
     def fill_front(self, tag: int, dirty: bool = False) -> tuple[BlockState | None, int]:
@@ -140,14 +172,18 @@ class BankSetState:
 
         Returns ``(victim, boundary_moves)``. Used by LRU, Fast-LRU, and
         Promotion alike (Promotion's recursive replacement, footnote 4).
+        Every occupied way shifts, so each boundary under an occupied way
+        is one move: all of them when the set is full (a block is always
+        truthy).
         """
-        victim = self.ways[-1]
-        boundary_moves = 0
-        for i in range(len(self.ways) - 2, -1, -1):
-            if self.ways[i] is not None and self.bank_of_way[i] != self.bank_of_way[i + 1]:
-                boundary_moves += 1
-            self.ways[i + 1] = self.ways[i]
-        self.ways[0] = BlockState(tag=tag, dirty=dirty)
+        ways = self.ways
+        boundaries = self._layout.boundaries
+        if all(ways):
+            boundary_moves = len(boundaries)
+        else:
+            boundary_moves = sum(1 for way in boundaries if ways[way] is not None)
+        victim = ways.pop()
+        ways.insert(0, BlockState(tag=tag, dirty=dirty))
         return victim, boundary_moves
 
     def fill_replace_front(self, tag: int, dirty: bool = False) -> BlockState | None:

@@ -114,16 +114,8 @@ class PromotionPolicy(ReplacementPolicy):
         if is_write:
             # The hit block now sits either at way 0 (MRU-bank local
             # promotion) or at the least-recent way of the next-closer bank.
-            state.mark_dirty(self._current_way(state, way, bank))
+            state.mark_dirty(state.promotion_target(way))
         return AccessOutcome(hit=True, way=way, bank=bank, moved_boundaries=moves)
-
-    @staticmethod
-    def _current_way(state: BankSetState, original_way: int, bank: int) -> int:
-        if bank == state.bank_of_way[0]:
-            return 0
-        return max(
-            i for i, b in enumerate(state.bank_of_way) if b == bank - 1
-        )
 
 
 _POLICIES = {

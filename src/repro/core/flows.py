@@ -230,7 +230,7 @@ class TransactionEngine:
         queue0 = geometry.traversal_queue_cycles
         hop0 = geometry.traversal_hop_cycles
         ser0 = geometry.serialization_cycles
-        fault_stats = None if early_miss else getattr(geometry, "fault_stats", None)
+        fault_stats = getattr(geometry, "fault_stats", None)
         if fault_stats is not None:
             degraded_before = fault_stats.rerouted_traversals + fault_stats.retries
         t0 = geometry.enter_column(column, start)
@@ -300,44 +300,25 @@ class TransactionEngine:
 
         # Sequential tag-match walk down the column (Fig. 2). With Fast-LRU
         # the evicted block rides as the wormhole body behind the request
-        # head, so each next tag match is gated by the head flit only while
-        # the bank stays busy for the tag+replacement time.
+        # head, so each next tag match is gated by the head flit only, while
+        # every bank but the hit bank stays busy for the tag+replacement
+        # time.
         flits = DATA if fast else CONTROL
-        gap = DATA - 1 if fast else 0  # how far the body trails the head
-        rows = geometry.bank_rows[column]
-        links = geometry.links[column]
-        send = geometry.reserve_segment
+        replace_until = (last if outcome.hit else last + 1) if fast else 0
         arrival = geometry.core_to_bank(column, 0, t0, CONTROL, core=self._core)
-        travel = hop_cycles = bank_cycles = 0
-        position = 0
-        while True:
-            resource, tag, tag_replace = (
-                rows[position] if position < len(rows)
-                else geometry.bank_row(column, position)
-            )
-            latency = tag_replace if fast and position != hit_pos else tag
-            done = resource.acquire(arrival, latency) + latency
-            bank_cycles += latency
-            if position == last:
-                break
-            link = (
-                links[position] if position < len(links)
-                else geometry.bank_link(column, position)
-            )
-            tail = send(link, done, flits)
-            travel += tail - done
-            hop_cycles += link.cost
-            arrival = tail - gap
-            position += 1
-        geometry.charge_traversals(travel, hop_cycles, position, flits)
-        self._spine_bank_cycles += bank_cycles
-        tail_gap = gap if position else 0
+        resource, tag, tag_replace = geometry.bank_row(column, 0)
+        latency = tag_replace if replace_until else tag
+        done = resource.acquire(arrival, latency) + latency
+        done, bank_cycles = geometry.walk(column, last, done, flits, replace_until)
+        self._spine_bank_cycles += latency + bank_cycles
+        tail_gap = flits - 1 if last else 0  # how far the body trails the head
 
         if hit_pos is not None:
             timing = self._finish_hit(column, hit_pos, done, is_write)
             if fast and hit_pos > 0:
                 # The hit bank still absorbs the incoming evicted block
                 # (its frame was freed by the departing hit block).
+                resource, _, tag_replace = geometry.bank_rows[column][hit_pos]
                 absorb = resource.acquire(done + tail_gap, tag_replace) + tag_replace
                 self._spine_bank_cycles += tag_replace
                 timing.settled = max(timing.settled, absorb)
@@ -363,18 +344,13 @@ class TransactionEngine:
         hit_pos = outcome.bank if outcome.hit else None
         fast = self.scheme.is_fast
 
-        arrivals = geometry.multicast_column(column, t0, core=self._core)
         # All banks tag-match concurrently (off the spine); the MRU bank of
         # a Fast-LRU flow additionally reads out its victim right after
         # miss detection.
-        geometry.bank_row(column, banks - 1)
+        arrivals, done = geometry.multicast_column(
+            column, t0, core=self._core, evict=fast and hit_pos != 0
+        )
         rows = geometry.bank_rows[column]
-        done: list[int] = []
-        evicts = fast and hit_pos != 0  # bank 0 only
-        for (resource, tag, tag_replace), arrival in zip(rows, arrivals):
-            latency = tag_replace if evicts else tag
-            done.append(resource.acquire(arrival, latency) + latency)
-            evicts = False
         if self._sink.enabled:
             self._sink.complete(
                 "multicast", "cache.txn", t0, max(done) - t0,
@@ -609,30 +585,9 @@ class TransactionEngine:
         self._chain_depths.record(last)
         if last <= 0:
             return start
-        geometry = self.geometry
-        rows = geometry.bank_rows[column]
-        links = geometry.links[column]
-        send = geometry.reserve_segment
-        current = start
-        travel = hop_cycles = bank_cycles = 0
-        for position in range(1, last + 1):
-            link = (
-                links[position - 1] if position <= len(links)
-                else geometry.bank_link(column, position - 1)
-            )
-            tail = send(link, current, DATA)
-            travel += tail - current
-            hop_cycles += link.cost
-            ready = tail - (DATA - 1)
-            if done is not None and ready < done[position]:
-                ready = done[position]
-            resource, _, latency = (
-                rows[position] if position < len(rows)
-                else geometry.bank_row(column, position)
-            )
-            current = resource.acquire(ready, latency) + latency
-            bank_cycles += latency
-        geometry.charge_traversals(travel, hop_cycles, last, DATA)
+        current, bank_cycles = self.geometry.walk(
+            column, last, start, DATA, last + 1, done
+        )
         self._spine_bank_cycles += bank_cycles
         # The last block's tail must fully land before the set settles.
         current += DATA - 1

@@ -7,7 +7,10 @@ is a FCFS :class:`~repro.sim.resource.Resource`; halo spike queues are
 gives each spike a small issue queue). Traversals reserve each channel on
 the path for the packet's flit count, so concurrent transactions contend
 exactly where the paper says they do: the row the core sits on, the bank
-columns, and the memory channel.
+columns, and the memory channel. Every grant loop of the transaction
+model lives here: :meth:`CacheGeometry.reserve_segment` for one routed
+segment, and the column walks :meth:`CacheGeometry.multicast_column` and
+:meth:`CacheGeometry.walk` (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -58,16 +61,17 @@ class Segment:
 class ColumnChain:
     """A column's multicast replication chain from one entry node.
 
-    *entry* is the route from the entry node into bank 0 (None when the
-    entry node is bank 0's router); ``links[p]`` is the route from bank
-    *p* to bank *p* + 1. The Fast-LRU eviction chain walks the same links.
+    ``inbound[p]`` is the segment the request crosses to reach bank *p*:
+    *entry*, the route from the entry node into bank 0 (None when the
+    entry node is bank 0's router), then ``links[p - 1]``, the route from
+    bank *p* - 1 to bank *p*. The Fast-LRU eviction chain walks the same
+    links.
     """
 
-    __slots__ = ("entry", "links", "hop_cycles", "sends")
+    __slots__ = ("inbound", "hop_cycles", "sends")
 
     def __init__(self, entry: Segment | None, links: tuple[Segment, ...]) -> None:
-        self.entry = entry
-        self.links = links
+        self.inbound = (entry, *links)
         #: Uncontended hop cycles and packet-moving segments of the chain.
         self.hop_cycles = sum(link.cost for link in links)
         self.sends = len(links)
@@ -138,6 +142,13 @@ class CacheGeometry:
         self.traversal_queue_cycles = 0
         self.traversal_hop_cycles = 0
         self.serialization_cycles = 0
+        #: A subclass that overrides :meth:`reserve_segment` (the degraded
+        #: geometry's reroute count and retry loop) gets every link of a
+        #: column walk reserved through it, one call per segment; the base
+        #: class grants the links' hops inline.
+        self._per_segment = (
+            type(self).reserve_segment is not CacheGeometry.reserve_segment
+        )
         self._validate()
 
     def _validate(self) -> None:
@@ -345,10 +356,11 @@ class CacheGeometry:
         """Reserve one segment's channels for a *flits*-flit packet whose
         head leaves at *time*; returns the tail's arrival.
 
-        This is the only place channels are reserved. Each hop is granted
-        exactly as ``Resource.acquire(head, flits)`` would grant it: the
-        fresh-list and idle-tail cases inline (every channel shares this
-        geometry's floor clock), the rest through ``acquire``. When
+        Each hop is granted exactly as ``Resource.acquire(head, flits)``
+        would grant it: the fresh-list and idle-tail cases inline (every
+        channel shares this geometry's floor clock), the rest through
+        ``acquire``. The column walks (:meth:`multicast_column`,
+        :meth:`walk`) inline the same grant for their links. When
         *waypoints* is given it receives the head's arrival at every
         intermediate node, in hop order (``segment.waypoint_index``). The
         caller charges the traversal counters for it as one traversal from
@@ -438,33 +450,174 @@ class CacheGeometry:
             node: heads[index] for node, index in segment.waypoint_index.items()
         }
 
+    # -- column walks ---------------------------------------------------------
+    #
+    # Both walks grant each bank, and each hop of a link, exactly as
+    # ``Resource.acquire`` would: the fresh-list and idle-tail cases inline,
+    # the rest through ``acquire``. The inline cases assume a positive
+    # duration, which every flit count and Table-1 bank latency is. On a
+    # geometry that overrides reserve_segment, the links go through it
+    # instead, one call each.
+
     def multicast_column(
-        self, column: int, time: int, core: NodeId | None = None
-    ) -> list[int]:
-        """Deliver one multicast request flit to every bank of a column.
+        self,
+        column: int,
+        time: int,
+        core: NodeId | None = None,
+        evict: bool = False,
+    ) -> tuple[list[int], list[int]]:
+        """Deliver one multicast request flit to every bank of a column and
+        grant each bank's tag match.
 
         Models the Section-3.1 chain replication: the flit travels from the
         core toward the column, and at every bank router a replica ejects
-        while the original continues to the next bank. Returns the request
-        arrival time at each bank position.
+        while the original continues to the next bank. Each bank
+        tag-matches as soon as its replica arrives (Fig. 3); with *evict*,
+        bank 0 also reads out its victim (tag+replace latency). Returns
+        ``(arrivals, done)``: the request's arrival at each bank position
+        and each bank's tag-match completion.
         """
         chain = self.column_chain(column, core)
-        send = self.reserve_segment
+        self.bank_row(column, len(chain.inbound) - 1)
+        rows = self.bank_rows[column]
+        flits = MULTICAST_FLITS
+        serialization = flits - 1
+        floor = self.floor_clock.time
+        per_segment = self._per_segment
         head = time
-        if chain.entry is not None:
-            head = send(chain.entry, head, MULTICAST_FLITS)
-        arrivals = [head]
-        for link in chain.links:
-            head = send(link, head, MULTICAST_FLITS)
+        arrivals: list[int] = []
+        done: list[int] = []
+        for (bank, tag, tag_replace), link in zip(rows, chain.inbound):
+            if link is None:
+                pass  # the core sits at bank 0's router
+            elif per_segment:
+                head = self.reserve_segment(link, head, flits)
+            else:
+                for channel, cost, _ in link.hops:
+                    ends = channel._ends
+                    if head >= 0 and (not ends or ends[-1] <= floor):
+                        channel._starts, channel._ends = [head], [head + flits]
+                        channel.busy_cycles += flits
+                        channel.grants += 1
+                    elif ends and ends[-1] <= head:
+                        if ends[0] <= floor:
+                            channel._prune()
+                        channel._starts.append(head)
+                        ends.append(head + flits)
+                        channel.busy_cycles += flits
+                        channel.grants += 1
+                    else:
+                        head = channel.acquire(head, flits)
+                    head += cost
+                head += serialization
             arrivals.append(head)
+            latency = tag_replace if evict else tag
+            evict = False
+            ends = bank._ends
+            if head >= 0 and (not ends or ends[-1] <= floor):
+                bank._starts, bank._ends = [head], [head + latency]
+                bank.busy_cycles += latency
+                bank.grants += 1
+                done.append(head + latency)
+            elif ends and ends[-1] <= head:
+                if ends[0] <= floor:
+                    bank._prune()
+                bank._starts.append(head)
+                ends.append(head + latency)
+                bank.busy_cycles += latency
+                bank.grants += 1
+                done.append(head + latency)
+            else:
+                done.append(bank.acquire(head, latency) + latency)
         # Each segment leaves when the previous one arrives, so the chain
         # travels from *time* to the final arrival; a grant never starts
         # before its request, so all its queueing is the replicas'
         # blocking.
         self.multicast_blocked_cycles += self.charge_traversals(
-            head - time, chain.hop_cycles, chain.sends, MULTICAST_FLITS
+            head - time, chain.hop_cycles, chain.sends, flits
         )
-        return arrivals
+        return arrivals, done
+
+    def walk(
+        self,
+        column: int,
+        last: int,
+        time: int,
+        flits: int,
+        replace_until: int,
+        gates: list[int] | None = None,
+    ) -> tuple[int, int]:
+        """Walk a *flits*-flit packet down *column* from bank 0, which it
+        leaves at *time*, to bank *last*.
+
+        Each step leaves bank p, crosses link p -> p+1 and grants bank p+1
+        when the head arrives, or at ``gates[p + 1]`` when that is later.
+        A bank before position *replace_until* is busy for its
+        tag+replace latency, one from there on for its tag latency; the
+        next step leaves when the grant completes. Charges the walk as
+        *last* traversals and returns ``(completion at bank last, bank
+        cycles granted)``. Serves the unicast tag-match walk and every
+        replacement chain.
+        """
+        self.bank_row(column, last)
+        if last:
+            self.bank_link(column, last - 1)
+        rows = self.bank_rows[column]
+        links = self.links[column]
+        floor = self.floor_clock.time
+        per_segment = self._per_segment
+        serialization = flits - 1
+        current = time
+        travel = hop_cycles = bank_cycles = 0
+        for position in range(1, last + 1):
+            link = links[position - 1]
+            if per_segment:
+                head = self.reserve_segment(link, current, flits) - serialization
+            else:
+                head = current
+                for channel, cost, _ in link.hops:
+                    ends = channel._ends
+                    if head >= 0 and (not ends or ends[-1] <= floor):
+                        channel._starts, channel._ends = [head], [head + flits]
+                        channel.busy_cycles += flits
+                        channel.grants += 1
+                    elif ends and ends[-1] <= head:
+                        if ends[0] <= floor:
+                            channel._prune()
+                        channel._starts.append(head)
+                        ends.append(head + flits)
+                        channel.busy_cycles += flits
+                        channel.grants += 1
+                    else:
+                        head = channel.acquire(head, flits)
+                    head += cost
+            travel += head - current
+            hop_cycles += link.cost
+            if gates is not None and head < gates[position]:
+                head = gates[position]
+            bank, tag, tag_replace = rows[position]
+            latency = tag_replace if position < replace_until else tag
+            bank_cycles += latency
+            ends = bank._ends
+            if head >= 0 and (not ends or ends[-1] <= floor):
+                bank._starts, bank._ends = [head], [head + latency]
+                bank.busy_cycles += latency
+                bank.grants += 1
+                current = head + latency
+            elif ends and ends[-1] <= head:
+                if ends[0] <= floor:
+                    bank._prune()
+                bank._starts.append(head)
+                ends.append(head + latency)
+                bank.busy_cycles += latency
+                bank.grants += 1
+                current = head + latency
+            else:
+                current = bank.acquire(head, latency) + latency
+        self.charge_traversals(
+            travel + last * serialization, hop_cycles, last, flits
+        )
+        return current, bank_cycles
 
     # -- common endpoints -----------------------------------------------------
 

@@ -356,11 +356,12 @@ class DegradedCacheGeometry(CacheGeometry):
 
     Construction truncates columns to their live prefixes, swaps in
     degraded routing, and (by default) proof-checks every endpoint pair it
-    can ever route. ``reserve_segment``, through which every traversal and
-    fused column walk reserves its channels, then counts rerouted
-    traversals and runs the seeded transient retry loop on every segment;
-    with a null plan both additions are inert and the geometry times
-    identically to the base class.
+    can ever route. ``reserve_segment`` then counts rerouted traversals
+    and runs the seeded transient retry loop on every segment. Because it
+    is overridden, the column walks reserve every link through it too, one
+    call per segment, instead of granting the hops inline; with a null
+    plan both additions are inert and the geometry times identically to
+    the base class.
     """
 
     def __init__(

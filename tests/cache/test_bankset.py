@@ -174,3 +174,141 @@ class TestStats:
         assert stats.hit_rate == pytest.approx(2 / 3)
         assert stats.mru_hit_fraction() == pytest.approx(0.5)
         assert stats.writebacks == 1
+
+
+class _LoopBankSet:
+    """The reorderings as they were written before the list-operation
+    versions: one way shifted at a time, boundaries counted as they go."""
+
+    def __init__(self, bank_of_way, ways):
+        self.bank_of_way = bank_of_way
+        self.ways = ways
+
+    def move_to_front(self, way):
+        block = self.ways[way]
+        if block is None:
+            raise ValueError(f"way {way} is empty")
+        boundary_moves = 0
+        if self.bank_of_way[way] != self.bank_of_way[0]:
+            boundary_moves += 1
+        for i in range(way - 1, -1, -1):
+            if self.bank_of_way[i] != self.bank_of_way[i + 1]:
+                boundary_moves += 1
+            self.ways[i + 1] = self.ways[i]
+        self.ways[0] = block
+        return boundary_moves
+
+    def promote(self, way):
+        block = self.ways[way]
+        if block is None:
+            raise ValueError(f"way {way} is empty")
+        bank = self.bank_of_way[way]
+        if bank == self.bank_of_way[0]:
+            for i in range(way - 1, -1, -1):
+                self.ways[i + 1] = self.ways[i]
+            self.ways[0] = block
+            return 0
+        target = max(i for i, b in enumerate(self.bank_of_way) if b == bank - 1)
+        self.ways[way], self.ways[target] = self.ways[target], self.ways[way]
+        return 2
+
+    def fill_front(self, tag, dirty=False):
+        victim = self.ways[-1]
+        boundary_moves = 0
+        for i in range(len(self.ways) - 2, -1, -1):
+            if self.ways[i] is not None and self.bank_of_way[i] != self.bank_of_way[i + 1]:
+                boundary_moves += 1
+            self.ways[i + 1] = self.ways[i]
+        self.ways[0] = BlockState(tag=tag, dirty=dirty)
+        return victim, boundary_moves
+
+    def fill_replace_front(self, tag, dirty=False):
+        victim = self.ways[0]
+        self.ways[0] = BlockState(tag=tag, dirty=dirty)
+        return victim
+
+    def fill_demote_one(self, tag, dirty=False):
+        if len(self.ways) == 1:
+            return self.fill_replace_front(tag, dirty), 0
+        victim = self.ways[1]
+        moves = 1 if self.bank_of_way[0] != self.bank_of_way[1] else 0
+        self.ways[1] = self.ways[0]
+        self.ways[0] = BlockState(tag=tag, dirty=dirty)
+        return victim, moves
+
+
+@st.composite
+def _planted_sets(draw):
+    """A bank_of_way layout of 1-16 ways over 1-5 banks (ascending, every
+    bank holding at least one way) and a planted occupancy, empty ways
+    anywhere included."""
+    ways = draw(st.integers(1, 16))
+    banks = draw(st.integers(1, min(5, ways)))
+    cuts = draw(
+        st.sets(st.integers(1, ways - 1), min_size=banks - 1, max_size=banks - 1)
+        if banks > 1 else st.just(set())
+    )
+    layout = [sum(1 for cut in cuts if cut <= way) for way in range(ways)]
+    planted = draw(st.lists(
+        st.none() | st.tuples(st.integers(0, 9), st.booleans()),
+        min_size=ways, max_size=ways,
+    ))
+    return layout, planted
+
+
+_OPS = ("move_to_front", "promote", "fill_front", "fill_demote_one",
+        "fill_replace_front")
+
+
+def _blocks(planted):
+    return [None if p is None else BlockState(*p) for p in planted]
+
+
+def _shape(result):
+    """Returned moves and victims, with victims by value."""
+    if isinstance(result, tuple):
+        return tuple(_shape(part) for part in result)
+    if isinstance(result, BlockState):
+        return (result.tag, result.dirty)
+    return result
+
+
+class TestReorderingsMatchLoopReference:
+    @given(
+        planted=_planted_sets(),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(_OPS), st.integers(0, 15),
+                st.integers(0, 9), st.booleans(),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_step_matches(self, planted, steps):
+        layout, occupancy = planted
+        state = BankSetState(list(layout))
+        state.ways = _blocks(occupancy)
+        reference = _LoopBankSet(list(layout), _blocks(occupancy))
+        for op, way, tag, dirty in steps:
+            way %= len(layout)
+            if op in ("move_to_front", "promote"):
+                if reference.ways[way] is None:
+                    with pytest.raises(ValueError):
+                        getattr(state, op)(way)
+                    with pytest.raises(ValueError):
+                        getattr(reference, op)(way)
+                    continue
+                block = state.ways[way]
+                assert getattr(state, op)(way) == getattr(reference, op)(way)
+                if op == "promote":
+                    # The way the policy marks dirty on a write hit.
+                    assert state.ways[state.promotion_target(way)] is block
+            else:
+                assert _shape(getattr(state, op)(tag, dirty)) == _shape(
+                    getattr(reference, op)(tag, dirty)
+                )
+            assert state.signature() == tuple(
+                None if block is None else (block.tag, block.dirty)
+                for block in reference.ways
+            )

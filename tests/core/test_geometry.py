@@ -76,17 +76,17 @@ class TestTraverse:
 
 class TestMulticastColumn:
     def test_arrivals_monotone(self, mesh_geometry):
-        arrivals = mesh_geometry.multicast_column(4, 0)
+        arrivals, _ = mesh_geometry.multicast_column(4, 0)
         assert len(arrivals) == 16
         assert all(a < b for a, b in zip(arrivals, arrivals[1:]))
 
     def test_first_arrival_includes_row_traversal(self, mesh_geometry):
-        arrivals = mesh_geometry.multicast_column(4, 0)
+        arrivals, _ = mesh_geometry.multicast_column(4, 0)
         # core (8,0) -> (4,0): 4 horizontal hops at 2 cycles each.
         assert arrivals[0] == 8
 
     def test_halo_spike_arrival_one_hop(self, halo_geometry):
-        arrivals = halo_geometry.multicast_column(7, 0)
+        arrivals, _ = halo_geometry.multicast_column(7, 0)
         assert arrivals[0] == 2  # hub -> MRU bank: one hop
 
 

@@ -1,10 +1,12 @@
 """Campaign sweeps plus zero-fault bit-identity against the golden slice."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.core.flows import FIGURE8_SCHEMES
 from repro.errors import ConfigurationError
 from repro.faults import CampaignConfig, run_campaign
 
@@ -57,25 +59,37 @@ class TestZeroFaultBitIdentity:
         assert result.ipc == golden["ipc"]
         assert json.loads(json.dumps(result.metrics)) == golden["metrics"]
 
-    def test_null_sampled_plan_is_bit_identical(self):
+    @pytest.mark.parametrize(
+        "design, scheme, early_miss",
+        [
+            (design, scheme, False)
+            for design in ("A", "F")
+            for scheme in FIGURE8_SCHEMES
+        ]
+        + [("A", "unicast+lru", True)],
+    )
+    def test_null_sampled_plan_is_bit_identical(self, design, scheme, early_miss):
         # A vanishing rate still routes the build through the degraded
-        # geometry; with an empty sampled plan it must not move a single
-        # cycle or digest bit relative to the pristine golden run.
+        # geometry, whose reserve_segment override sends every link of
+        # every column walk through the per-segment path. With an empty
+        # sampled plan it must not move a single cycle, digest bit or
+        # metric relative to the pristine build's inline walks.
         from repro.experiments.runner import CellSpec
 
-        spec = CellSpec(
-            design="A", scheme=SCHEME, benchmark="art",
-            measure=150, seed=1, link_fault_rate=1e-12, fault_seed=7,
+        plain = CellSpec(
+            design=design, scheme=scheme, benchmark="art", measure=150,
+            seed=1, fault_seed=7, early_miss_detection=early_miss,
         )
-        assert spec.has_faults
-        result = _run_single(spec)
-        golden = _golden_cell("A")
-        assert result.contents_digest == golden["contents_digest"]
-        assert result.cycles == golden["cycles"]
-        assert result.ipc == golden["ipc"]
+        null = replace(plain, link_fault_rate=1e-12)
+        assert null.has_faults and not plain.has_faults
+        expected, result = _run_single(plain), _run_single(null)
+        assert result.contents_digest == expected.contents_digest
+        assert result.cycles == expected.cycles
+        assert result.ipc == expected.ipc
+        expected_metrics = json.loads(json.dumps(expected.metrics))
         live_metrics = json.loads(json.dumps(result.metrics))
-        shared = {k: v for k, v in live_metrics.items() if k in golden["metrics"]}
-        assert shared == golden["metrics"]
+        shared = {k: v for k, v in live_metrics.items() if k in expected_metrics}
+        assert shared == expected_metrics
         # The resilience instrumentation is present but reports inertness.
         assert live_metrics["faults.injected"]["value"] == 0
         assert live_metrics["faults.retries"]["value"] == 0

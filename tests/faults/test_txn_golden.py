@@ -26,6 +26,7 @@ GOLDEN_PATH = (
 DESIGNS = ("A", "C", "F")
 SCHEMES = (
     "multicast+fast_lru",
+    "multicast+promotion",
     "unicast+fast_lru",
     "unicast+lru",
     "unicast+promotion",
@@ -70,6 +71,56 @@ def _run(design: str, scheme: str) -> dict:
     [result] = run_cells([_spec(design, scheme)], jobs=1, cache=None)
     reset_memo()
     return _observe(result)
+
+
+class _DegradedAccessCounter:
+    """Transaction validator counting the accesses whose flow moved the
+    geometry's reroute or retry counters."""
+
+    def __init__(self, geometry) -> None:
+        self.geometry = geometry
+        self.stats = None
+        self.seen = 0
+        self.degraded = 0
+
+    def on_transaction(self, column, outcome, timing) -> None:
+        stats = self.geometry.fault_stats
+        if stats is not self.stats:  # the warm-up reset starts new stats
+            self.stats, self.seen = stats, 0
+        total = stats.rerouted_traversals + stats.retries
+        if total > self.seen:
+            self.degraded += 1
+        self.seen = total
+
+
+def test_early_miss_accesses_count_as_degraded(monkeypatch):
+    # An early miss skips the column search, but its memory legs, fill
+    # and demotion chain are rerouted and retried like any other flow's.
+    from dataclasses import replace
+
+    from repro.experiments import runner
+
+    systems = []
+    build = runner._build_system
+
+    def build_counted(spec):
+        system = build(spec)
+        system.engine.validators.append(_DegradedAccessCounter(system.geometry))
+        systems.append(system)
+        return system
+
+    monkeypatch.setattr(runner, "_build_system", build_counted)
+    spec = replace(_spec("A", "unicast+lru"), early_miss_detection=True)
+    runner.reset_memo()
+    [result] = runner.run_cells([spec], jobs=1, cache=None)
+    runner.reset_memo()
+    [system] = systems
+    assert system.partial_tags.early_misses > 0
+    [counter] = system.engine.validators
+    assert counter.degraded > 0
+    assert result.metrics["cache.txn.degraded_accesses"]["value"] == (
+        counter.degraded
+    )
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

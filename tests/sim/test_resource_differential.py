@@ -4,20 +4,23 @@
 it pruned every reservation behind the floor on every acquire and placed
 each request by binary search. The current resource prunes lazily and
 grants idle-tail requests in O(1); ``CacheGeometry.reserve_segment``
-inlines that fast path over a routed segment. All three must grant the
-same intervals and keep the same counters for any request sequence,
-including negative times, zero durations and requests below the floor.
+inlines that fast path over a routed segment, and the column walks
+(``multicast_column``, ``walk``) inline it for every link hop and bank.
+All of them must grant the same intervals and keep the same counters as
+per-hop ``acquire`` calls for any request sequence, including negative
+times, zero durations and requests below the floor.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.designs import design_a
-from repro.core.geometry import Segment
+from repro.core.geometry import CacheGeometry, ColumnChain, Segment
 from repro.errors import SimulationError
 from repro.sim import FloorClock, Resource
 
@@ -158,3 +161,161 @@ def test_reserve_segment_matches_per_hop_reference(steps, costs):
         for channel, reference in zip(channels, references):
             assert _counters(channel) == _counters(reference)
             assert _live(channel, clock.time) == _live(reference, clock.time)
+
+
+class _PerSegmentGeometry(CacheGeometry):
+    """Overrides ``reserve_segment`` without changing it, so the column
+    walks reserve every link through it, one call per segment."""
+
+    def reserve_segment(self, segment, time, flits, waypoints=None):
+        return super().reserve_segment(segment, time, flits, waypoints)
+
+
+def _geometry(per_segment: bool) -> CacheGeometry:
+    geometry = design_a.build()
+    if per_segment:
+        geometry = _PerSegmentGeometry(geometry.topology, geometry.columns)
+    assert geometry._per_segment is per_segment
+    return geometry
+
+
+#: A planted column: per bank (tag, tag+replace) latencies, and per link
+#: p -> p+1 its hops as (channel index, cost). The entry into bank 0 is
+#: one more hop list, or None when the core sits at bank 0's router.
+_columns = st.integers(2, 6).flatmap(
+    lambda banks: st.tuples(
+        st.lists(
+            st.tuples(st.integers(1, 6), st.integers(1, 9)),
+            min_size=banks, max_size=banks,
+        ),
+        st.none() | st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            min_size=1, max_size=3,
+        ),
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                min_size=1, max_size=3,
+            ),
+            min_size=banks - 1, max_size=banks - 1,
+        ),
+    )
+)
+
+#: One step: advance the floor, plant a grant on a channel (0-3) or bank
+#: (4-9), deliver a multicast request, or walk down to a bank.
+_walk_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("advance"), st.integers(0, 40)),
+        st.tuples(
+            st.just("plant"), st.integers(0, 9), st.integers(-10, 250),
+            st.integers(0, 25),
+        ),
+        st.tuples(st.just("multicast"), st.integers(-10, 250), st.booleans()),
+        st.tuples(
+            st.just("walk"), st.integers(-10, 250), st.integers(0, 5),
+            st.sampled_from((1, 5)), st.integers(0, 6),
+            st.none() | st.lists(st.integers(-10, 300), min_size=6, max_size=6),
+        ),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@pytest.mark.parametrize("per_segment", [False, True])
+@given(column=_columns, steps=_walk_steps)
+@settings(max_examples=150, deadline=None)
+def test_column_walks_match_per_hop_reference(per_segment, column, steps):
+    latencies, entry_hops, link_hops = column
+    banks = len(latencies)
+    geometry = _geometry(per_segment)
+    reference_clock, clock = FloorClock(), geometry.floor_clock
+    channels = [Resource(floor_clock=clock) for _ in range(4)]
+    bank_resources = [Resource(floor_clock=clock) for _ in range(banks)]
+    references = [_EagerResource(reference_clock) for _ in range(4 + banks)]
+
+    def segment(hops):
+        return Segment(
+            "src", "dst",
+            tuple((channels[index], cost, index) for index, cost in hops),
+        )
+
+    # Plant the column as column 0's tables; every row and link is
+    # resolved, so the walks create nothing.
+    links = [segment(hops) for hops in link_hops]
+    geometry.bank_rows[0] = [
+        (resource, tag, tag_replace)
+        for resource, (tag, tag_replace) in zip(bank_resources, latencies)
+    ]
+    geometry.links[0] = links
+    geometry._chains[(0, geometry.core_node)] = ColumnChain(
+        None if entry_hops is None else segment(entry_hops), tuple(links)
+    )
+
+    def cross(hops, head, flits):
+        for index, cost in hops:
+            head = references[index].acquire(head, flits) + cost
+        return head
+
+    def bank(position, head, latency):
+        return references[4 + position].acquire(head, latency) + latency
+
+    for step in steps:
+        queue0 = geometry.traversal_queue_cycles
+        if step[0] == "advance":
+            reference_clock.advance(reference_clock.time + step[1])
+            clock.advance(clock.time + step[1])
+            continue
+        if step[0] == "plant":
+            _, index, time, duration = step
+            resource = (channels + bank_resources)[index % (4 + banks)]
+            reference = references[index % (4 + banks)]
+            assert resource.acquire(time, duration) == reference.acquire(
+                time, duration
+            )
+        elif step[0] == "multicast":
+            _, time, evict = step
+            head = time if entry_hops is None else cross(entry_hops, time, 1)
+            arrivals, done = [head], [
+                bank(0, head, latencies[0][1 if evict else 0])
+            ]
+            for position, hops in enumerate(link_hops, start=1):
+                head = cross(hops, head, 1)
+                arrivals.append(head)
+                done.append(bank(position, head, latencies[position][0]))
+            blocked0 = geometry.multicast_blocked_cycles
+            assert geometry.multicast_column(0, time, evict=evict) == (
+                arrivals, done,
+            )
+            costs = sum(
+                cost for hops in [entry_hops or [], *link_hops]
+                for _, cost in hops
+            )
+            queued = head - time - costs
+            assert geometry.multicast_blocked_cycles - blocked0 == queued
+            assert geometry.traversal_queue_cycles - queue0 == queued
+        else:
+            _, time, last, flits, replace_until, gates = step
+            last %= banks
+            current, bank_cycles, travel, costs = time, 0, 0, 0
+            for position in range(1, last + 1):
+                hops = link_hops[position - 1]
+                head = cross(hops, current, flits)
+                travel += head + (flits - 1) - current
+                costs += sum(cost for _, cost in hops)
+                if gates is not None and head < gates[position]:
+                    head = gates[position]
+                tag, tag_replace = latencies[position]
+                latency = tag_replace if position < replace_until else tag
+                current = bank(position, head, latency)
+                bank_cycles += latency
+            assert geometry.walk(
+                0, last, time, flits, replace_until, gates
+            ) == (current, bank_cycles)
+            assert geometry.traversal_queue_cycles - queue0 == (
+                travel - costs - last * (flits - 1)
+            )
+        for resource, reference in zip(channels + bank_resources, references):
+            assert _counters(resource) == _counters(reference)
+            assert _live(resource, clock.time) == _live(reference, clock.time)

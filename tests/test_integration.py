@@ -48,7 +48,7 @@ class TestFidelityCrossValidation:
     def test_multicast_column_matches_flit_level(self):
         geometry = design_a.build()
         column = 8  # the core's own column: no row hops in either model
-        arrivals = geometry.multicast_column(column, 0)
+        arrivals, _ = geometry.multicast_column(column, 0)
 
         network = Network(MeshTopology(16, 16))
         destinations = tuple((column, y) for y in range(16))
