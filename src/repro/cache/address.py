@@ -10,6 +10,9 @@ column; the ways of the set are spread over the column's banks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.config import AddressLayout
 from repro.errors import ConfigurationError
@@ -60,6 +63,29 @@ class AddressMapper:
             index=(raw >> self._index_shift) & self._index_mask,
             column=(raw >> self._column_shift) & self._column_mask,
             offset=raw & self._offset_mask,
+        )
+
+    def decode_columns(
+        self, raw: Sequence[int]
+    ) -> tuple[list[int], list[int], list[int]]:
+        """``(columns, indexes, tags)`` of every address in *raw*.
+
+        The whole-trace form of :meth:`decode`: one range check and three
+        masked shifts over the column, returned as lists of Python ints.
+        """
+        try:
+            values = np.array(raw, dtype=np.int64)
+        except OverflowError:
+            values = None
+        if values is None or (
+            len(values) and (values.min() < 0 or values.max() >= 1 << 32)
+        ):
+            bad = next(a for a in raw if not 0 <= a < 1 << 32)
+            raise ConfigurationError(f"address {bad:#x} is not a 32-bit value")
+        return (
+            ((values >> self._column_shift) & self._column_mask).tolist(),
+            ((values >> self._index_shift) & self._index_mask).tolist(),
+            ((values >> self._tag_shift) & self._tag_mask).tolist(),
         )
 
     def encode(self, tag: int, index: int, column: int, offset: int = 0) -> int:

@@ -7,7 +7,7 @@ which small traces never touch). All sets in a column share the same
 
 from __future__ import annotations
 
-from repro.cache.address import Address, AddressMapper
+from repro.cache.address import AddressMapper
 from repro.cache.bank import BankDescriptor, bank_of_way
 from repro.cache.bankset import AccessOutcome, BankSetState, BankSetStats
 from repro.cache.replacement import ReplacementPolicy
@@ -37,8 +37,8 @@ class CacheArray:
         self._sets: dict[tuple[int, int], BankSetState] = {}
         self.stats = BankSetStats()
         #: Optional content validator (see repro.validation.invariants):
-        #: when set, ``validator.on_access`` sees each access's before/after
-        #: set state and its outcome. None in normal runs.
+        #: when set, ``validator.on_access`` sees each access's set key,
+        #: tag, before/after set state and outcome. None in normal runs.
         self.validator = None
 
     def associativity(self, column: int) -> int:
@@ -53,20 +53,22 @@ class CacheArray:
             self._sets[key] = state
         return state
 
-    def access(self, address: Address, is_write: bool = False) -> AccessOutcome:
-        """Apply one access to the contents and record statistics."""
-        state = self.set_state(address.column, address.index)
+    def access(
+        self, column: int, index: int, tag: int, is_write: bool = False
+    ) -> AccessOutcome:
+        """Apply one access to set (*column*, *index*) and record statistics."""
+        key = (column, index)
+        state = self._sets.get(key)
+        if state is None:
+            state = self._sets[key] = BankSetState(self._bank_of_way[column])
         if self.validator is None:
-            outcome = self.policy.access(state, address.tag, is_write)
+            outcome = self.policy.access(state, tag, is_write)
         else:
             before = state.resident_tags()
-            outcome = self.policy.access(state, address.tag, is_write)
-            self.validator.on_access(address, before, state, outcome)
+            outcome = self.policy.access(state, tag, is_write)
+            self.validator.on_access(key, tag, before, state, outcome)
         self.stats.record(outcome)
         return outcome
-
-    def access_raw(self, raw_address: int, is_write: bool = False) -> AccessOutcome:
-        return self.access(self.mapper.decode(raw_address), is_write)
 
     @property
     def touched_sets(self) -> int:

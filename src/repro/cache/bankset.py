@@ -54,7 +54,7 @@ class AccessOutcome:
 
 
 class _Layout(NamedTuple):
-    """Reordering tables of one ``bank_of_way`` layout."""
+    """Reordering tables and hit outcomes of one ``bank_of_way`` layout."""
 
     #: Per way: the boundary moves of ``move_to_front(way)``.
     front_moves: tuple[int, ...]
@@ -63,6 +63,12 @@ class _Layout(NamedTuple):
     #: Per bank but the MRU bank: the way a Promotion hit in it moves to,
     #: the least-recent way of the next-closer bank.
     promote_to: dict[int, int]
+    #: Per way: the outcome of an LRU/Fast-LRU hit there. Outcomes are
+    #: frozen, so every hit at that way shares one instance.
+    lru_hits: tuple[AccessOutcome, ...]
+    #: Per way: the outcome of a Promotion hit there (two block moves
+    #: unless the hit stays in the MRU bank).
+    promotion_hits: tuple[AccessOutcome, ...]
 
 
 @functools.lru_cache(maxsize=64)
@@ -78,20 +84,32 @@ def _layout_tables(bank_of_way: tuple[int, ...]) -> _Layout:
     )
     # Ways ascend, so each bank's entry ends at its least-recent way.
     promote_to = {bank + 1: way for way, bank in enumerate(bank_of_way)}
-    return _Layout(front_moves, boundaries, promote_to)
+    lru_hits = tuple(
+        AccessOutcome(hit=True, way=way, bank=bank, moved_boundaries=moves)
+        for way, (bank, moves) in enumerate(zip(bank_of_way, front_moves))
+    )
+    promotion_hits = tuple(
+        AccessOutcome(
+            hit=True, way=way, bank=bank,
+            moved_boundaries=0 if bank == bank_of_way[0] else 2,
+        )
+        for way, bank in enumerate(bank_of_way)
+    )
+    return _Layout(front_moves, boundaries, promote_to, lru_hits, promotion_hits)
 
 
 class BankSetState:
     """Mutable stack of ways of one bank set."""
 
-    __slots__ = ("ways", "bank_of_way", "_layout")
+    __slots__ = ("ways", "bank_of_way", "layout")
 
     def __init__(self, bank_of_way: list[int]) -> None:
         if not bank_of_way:
             raise ValueError("bank_of_way must not be empty")
         self.bank_of_way = bank_of_way
         self.ways: list[BlockState | None] = [None] * len(bank_of_way)
-        self._layout = _layout_tables(tuple(bank_of_way))
+        #: The layout's reordering tables and shared hit outcomes.
+        self.layout = _layout_tables(tuple(bank_of_way))
 
     @property
     def associativity(self) -> int:
@@ -118,15 +136,12 @@ class BankSetState:
             for block in self.ways
         )
 
-    def bank_of(self, way: int) -> int:
-        return self.bank_of_way[way]
-
     def promotion_target(self, way: int) -> int:
         """The way a Promotion hit at *way* moves its block to."""
         bank = self.bank_of_way[way]
         if bank == self.bank_of_way[0]:
             return 0
-        return self._layout.promote_to[bank]
+        return self.layout.promote_to[bank]
 
     # -- primitive reorderings -------------------------------------------
 
@@ -144,7 +159,7 @@ class BankSetState:
             raise ValueError(f"way {way} is empty")
         del ways[way]
         ways.insert(0, block)
-        return self._layout.front_moves[way]
+        return self.layout.front_moves[way]
 
     def promote(self, way: int) -> int:
         """Promotion hit reordering; returns inter-bank moves implied.
@@ -163,7 +178,7 @@ class BankSetState:
             del ways[way]
             ways.insert(0, block)
             return 0
-        target = self._layout.promote_to[bank]
+        target = self.layout.promote_to[bank]
         ways[way], ways[target] = ways[target], block
         return 2
 
@@ -177,7 +192,7 @@ class BankSetState:
         truthy).
         """
         ways = self.ways
-        boundaries = self._layout.boundaries
+        boundaries = self.layout.boundaries
         if all(ways):
             boundary_moves = len(boundaries)
         else:

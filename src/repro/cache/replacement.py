@@ -54,11 +54,10 @@ class LRUPolicy(ReplacementPolicy):
     name = "lru"
 
     def _hit(self, state: BankSetState, way: int, is_write: bool) -> AccessOutcome:
-        bank = state.bank_of(way)
-        moves = state.move_to_front(way)
+        state.move_to_front(way)
         if is_write:
             state.mark_dirty(0)
-        return AccessOutcome(hit=True, way=way, bank=bank, moved_boundaries=moves)
+        return state.layout.lru_hits[way]
 
 
 class FastLRUPolicy(LRUPolicy):
@@ -109,13 +108,12 @@ class PromotionPolicy(ReplacementPolicy):
         return super()._miss(state, tag, is_write)
 
     def _hit(self, state: BankSetState, way: int, is_write: bool) -> AccessOutcome:
-        bank = state.bank_of(way)
-        moves = state.promote(way)
+        state.promote(way)
         if is_write:
             # The hit block now sits either at way 0 (MRU-bank local
             # promotion) or at the least-recent way of the next-closer bank.
             state.mark_dirty(state.promotion_target(way))
-        return AccessOutcome(hit=True, way=way, bank=bank, moved_boundaries=moves)
+        return state.layout.promotion_hits[way]
 
 
 _POLICIES = {

@@ -15,7 +15,6 @@ bank distance distribution is uniform).
 
 from __future__ import annotations
 
-from repro.cache.address import Address
 from repro.cache.bankset import AccessOutcome, BankSetState
 from repro.errors import ConfigurationError
 
@@ -34,27 +33,28 @@ class StaticNUCAArray:
         self.hits = 0
         self.misses = 0
 
-    def home_bank(self, address: Address) -> int:
-        """The fixed bank position the whole set lives in."""
-        return (address.index + address.column) % self.banks_per_column
+    def home_bank(self, column: int, index: int) -> int:
+        """The fixed bank position the whole set (*column*, *index*) lives in."""
+        return (index + column) % self.banks_per_column
 
-    def set_state(self, address: Address) -> BankSetState:
-        key = (address.column, address.index)
+    def set_state(self, column: int, index: int) -> BankSetState:
+        key = (column, index)
         state = self._sets.get(key)
         if state is None:
-            bank = self.home_bank(address)
+            bank = self.home_bank(column, index)
             # All ways live in the same physical bank.
             state = BankSetState([bank] * self.associativity)
             self._sets[key] = state
         return state
 
-    def access(self, address: Address, is_write: bool = False) -> AccessOutcome:
-        """LRU access within the set's home bank."""
-        bank = self.home_bank(address)
-        state = self.set_state(address)
-        way = state.find(address.tag)
+    def access(
+        self, column: int, index: int, tag: int, is_write: bool = False
+    ) -> AccessOutcome:
+        """LRU access within the home bank of set (*column*, *index*)."""
+        state = self.set_state(column, index)
+        way = state.find(tag)
         if way is None:
-            victim, moves = state.fill_front(address.tag, dirty=is_write)
+            victim, moves = state.fill_front(tag, dirty=is_write)
             self.misses += 1
             return AccessOutcome(hit=False, moved_boundaries=moves,
                                  victim=victim)
@@ -62,7 +62,8 @@ class StaticNUCAArray:
         if is_write:
             state.mark_dirty(0)
         self.hits += 1
-        return AccessOutcome(hit=True, way=way, bank=bank)
+        # Every way sits in the home bank, so no hit moves a block.
+        return state.layout.lru_hits[way]
 
     @property
     def hit_rate(self) -> float:

@@ -89,11 +89,19 @@ class _CoreState:
     warmup: int
     issue: IssueModel
     latency: LatencyAccumulator
+    #: The trace's addresses, decoded once: (columns, indexes, tags).
+    decoded: tuple[list[int], list[int], list[int]]
     position: int = 0
     next_issue: int | None = None
 
     def done(self) -> bool:
         return self.position >= len(self.trace)
+
+    def row(self) -> tuple[int, int, int, bool]:
+        """``(column, index, tag, is_write)`` of the access at ``position``."""
+        columns, indexes, tags = self.decoded
+        i = self.position
+        return columns[i], indexes[i], tags[i], self.trace.writes[i]
 
 
 class CMPCacheSystem:
@@ -135,6 +143,7 @@ class CMPCacheSystem:
                 warmup=warmup,
                 issue=IssueModel(perfect_ipc=profile.perfect_l2_ipc),
                 latency=LatencyAccumulator(),
+                decoded=system.mapper.decode_columns(trace.addresses),
             )
             for i, (profile, trace, warmup) in enumerate(workloads)
         ]
@@ -145,9 +154,7 @@ class CMPCacheSystem:
             warming = False
             for core in cores:
                 if core.position < core.warmup:
-                    access = core.trace[core.position]
-                    decoded = system.mapper.decode(access.address)
-                    system.array.access(decoded, access.is_write)
+                    system.array.access(*core.row())
                     core.position += 1
                     warming = True
         system.array.stats = BankSetStats()
@@ -158,24 +165,23 @@ class CMPCacheSystem:
         # Phase 2: merged measured run in global issue order.
         for core in cores:
             if not core.done():
-                access = core.trace[core.position]
-                core.next_issue = core.issue.issue_time(access.gap_instructions)
+                gap = core.trace.gaps[core.position]
+                core.next_issue = core.issue.issue_time(gap)
         while True:
             ready = [c for c in cores if not c.done()]
             if not ready:
                 break
             core = min(ready, key=lambda c: c.next_issue)
-            access = core.trace[core.position]
-            decoded = system.mapper.decode(access.address)
-            outcome = system.array.access(decoded, access.is_write)
+            column, index, tag, is_write = core.row()
+            outcome = system.array.access(column, index, tag, is_write)
             timing = system.engine.execute(
-                decoded.column,
+                column,
                 outcome,
                 core.next_issue,
-                access.is_write,
+                is_write,
                 core_node=core.node,
             )
-            core.issue.complete(timing.data_at_core, is_write=access.is_write)
+            core.issue.complete(timing.data_at_core, is_write=is_write)
             core.latency.record(
                 latency=timing.transaction_latency,
                 hit=timing.hit,
@@ -186,8 +192,8 @@ class CMPCacheSystem:
             )
             core.position += 1
             if not core.done():
-                nxt = core.trace[core.position]
-                core.next_issue = core.issue.issue_time(nxt.gap_instructions)
+                gap = core.trace.gaps[core.position]
+                core.next_issue = core.issue.issue_time(gap)
 
         result = CMPResult(
             design=self.spec.key,

@@ -111,9 +111,11 @@ class StaticNUCASystem:
         latency = LatencyAccumulator()
         stats = BankSetStats()
 
-        for i, access in enumerate(trace):
-            decoded = self.mapper.decode(access.address)
-            outcome = self.array.access(decoded, access.is_write)
+        columns, indexes, tags = self.mapper.decode_columns(trace.addresses)
+        for i, (column, index, tag, is_write, gap) in enumerate(
+            zip(columns, indexes, tags, trace.writes, trace.gaps)
+        ):
+            outcome = self.array.access(column, index, tag, is_write)
             if i < warmup:
                 if i == warmup - 1:
                     self.memory.reset()
@@ -122,17 +124,16 @@ class StaticNUCASystem:
                     self.array.misses = 0
                 continue
             stats.record(outcome)
-            issue_time = issue.issue_time(access.gap_instructions)
-            bank = self.array.home_bank(decoded)
+            issue_time = issue.issue_time(gap)
             timing = self._access_timing(
-                decoded.column,
-                bank,
+                column,
+                self.array.home_bank(column, index),
                 hit=outcome.hit,
                 writeback=outcome.writeback_required,
                 issue_time=issue_time,
-                is_write=access.is_write,
+                is_write=is_write,
             )
-            issue.complete(timing.data_at_core, is_write=access.is_write)
+            issue.complete(timing.data_at_core, is_write=is_write)
             latency.record(
                 latency=timing.transaction_latency,
                 hit=timing.hit,

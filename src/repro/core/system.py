@@ -155,9 +155,9 @@ class NetworkedCacheSystem:
 
     def access(self, address: int, at: int = 0, is_write: bool = False):
         """Run one access; returns its :class:`AccessTiming`."""
-        decoded = self.mapper.decode(address)
-        outcome = self.array.access(decoded, is_write)
-        return self.engine.execute(decoded.column, outcome, at, is_write)
+        (column,), (index,), (tag,) = self.mapper.decode_columns((address,))
+        outcome = self.array.access(column, index, tag, is_write)
+        return self.engine.execute(column, outcome, at, is_write)
 
     # -- trace runs ------------------------------------------------------------
 
@@ -182,41 +182,52 @@ class NetworkedCacheSystem:
             raise ConfigurationError("run() needs a profile or perfect_ipc")
         if warmup is None:
             warmup = len(trace) // 3
+        if warmup < 0:
+            raise ConfigurationError("warmup must be non-negative")
         if warmup >= len(trace):
             raise ConfigurationError("warmup must leave accesses to measure")
 
         issue = IssueModel(perfect_ipc=perfect_ipc, hide_cycles=hide_cycles)
         latency = LatencyAccumulator()
+        columns, indexes, tags = self.mapper.decode_columns(trace.addresses)
+        writes = trace.writes
+        access = self.array.access
 
-        for i, access in enumerate(trace):
-            decoded = self.mapper.decode(access.address)
+        for column, index, tag, is_write in zip(
+            columns[:warmup], indexes[:warmup], tags[:warmup], writes[:warmup]
+        ):
+            access(column, index, tag, is_write)
+        if warmup:
+            # Measurement starts fresh after warm-up.
+            self.array.stats = BankSetStats()
+            self.memory.reset()
+            self.geometry.reset_contention()
+            self.engine.reset()
+            self.engine.metrics.reset()
+
+        partial_tags = self.partial_tags
+        series = self._series
+        for column, index, tag, is_write, gap in zip(
+            columns[warmup:], indexes[warmup:], tags[warmup:],
+            writes[warmup:], trace.gaps[warmup:],
+        ):
             early_miss = False
-            if self.partial_tags is not None and i >= warmup:
-                state = self.array.set_state(decoded.column, decoded.index)
-                hit_way = state.find(decoded.tag)
-                early_miss = self.partial_tags.is_guaranteed_miss(
-                    state, decoded.tag, actual_hit=hit_way is not None
+            if partial_tags is not None:
+                state = self.array.set_state(column, index)
+                early_miss = partial_tags.is_guaranteed_miss(
+                    state, tag, actual_hit=state.find(tag) is not None
                 )
-            outcome = self.array.access(decoded, access.is_write)
-            if i < warmup:
-                if i == warmup - 1:
-                    # Measurement starts fresh after warm-up.
-                    self.array.stats = BankSetStats()
-                    self.memory.reset()
-                    self.geometry.reset_contention()
-                    self.engine.reset()
-                    self.engine.metrics.reset()
-                continue
-            issue_time = issue.issue_time(access.gap_instructions)
+            outcome = access(column, index, tag, is_write)
+            issue_time = issue.issue_time(gap)
             if early_miss:
                 timing = self.engine.execute_early_miss(
-                    decoded.column, outcome, issue_time, access.is_write
+                    column, outcome, issue_time, is_write
                 )
             else:
                 timing = self.engine.execute(
-                    decoded.column, outcome, issue_time, access.is_write
+                    column, outcome, issue_time, is_write
                 )
-            issue.complete(timing.data_at_core, is_write=access.is_write)
+            issue.complete(timing.data_at_core, is_write=is_write)
             latency.record(
                 latency=timing.transaction_latency,
                 hit=timing.hit,
@@ -225,7 +236,6 @@ class NetworkedCacheSystem:
                 memory=timing.memory_cycles,
                 bank_position=timing.bank_position,
             )
-            series = self._series
             if series is not None:
                 series["accesses"].record(issue_time)
                 if timing.hit:

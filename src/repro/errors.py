@@ -26,7 +26,14 @@ class ProtocolError(ReproError):
 
 
 class TraceError(ReproError):
-    """A workload trace is malformed or could not be generated."""
+    """A workload trace is malformed or could not be generated.
+
+    ``row`` is the index of the offending access, when there is one.
+    """
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class TelemetryError(ReproError):

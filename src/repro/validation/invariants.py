@@ -322,8 +322,8 @@ class BlockConservationChecker:
         self._shadow: dict[object, list[int]] = {}
         self.checked = 0
 
-    def on_access(self, address, before, state, outcome) -> None:
-        self.check(address.tag, before, state, outcome, key=address.set_key)
+    def on_access(self, key, tag, before, state, outcome) -> None:
+        self.check(tag, before, state, outcome, key=key)
 
     def check(self, tag, before, state, outcome, key=None) -> None:
         after = Counter(state.resident_tags())

@@ -31,7 +31,7 @@ import numpy as np
 from repro.cache.address import AddressMapper
 from repro.errors import TraceError
 from repro.workloads.profiles import BenchmarkProfile
-from repro.workloads.trace import Trace, TraceAccess
+from repro.workloads.trace import Trace
 
 #: Default number of sampled index values (of the 1024 the address allows).
 #: 8 indexes x 16 columns x 16 ways = 2048 effective blocks, dense enough
@@ -71,19 +71,27 @@ class TraceGenerator:
         #: Streaming blocks start above any plausible footprint.
         self._stream_base = 1 << (self._space_bits - 1)
 
-    def _scatter(self, block: int) -> int:
-        """Bijectively scatter a block id over the sampled block space."""
-        return (block * _SCATTER) & self._space_mask
+    def _addresses(self, blocks: np.ndarray) -> list[int]:
+        """32-bit addresses of *blocks*, scattered over the sampled space.
 
-    def _address(self, block: int) -> int:
-        """Compose a 32-bit address from a (scattered) block id."""
+        The scattered id splits, from the low bits up, into column,
+        sampled index and tag. Every address field is at least one bit
+        wide, so the scatter domain has at most 31 bits and the int64
+        product stays below 2**63.
+        """
         layout = self.mapper.layout
+        index_bits = self.index_space.bit_length() - 1
+        block = (blocks * _SCATTER) & self._space_mask
         column = block & (layout.num_columns - 1)
-        block >>= layout.column_bits
-        index = block & (self.index_space - 1)
-        block >>= self.index_space.bit_length() - 1
-        tag = block & ((1 << layout.tag_bits) - 1)
-        return self.mapper.encode(tag=tag, index=index, column=column)
+        index = (block >> layout.column_bits) & (self.index_space - 1)
+        tag = block >> (layout.column_bits + index_bits)
+        column_shift = layout.offset_bits
+        index_shift = column_shift + layout.column_bits
+        tag_shift = index_shift + layout.index_bits
+        address = (
+            (tag << tag_shift) | (index << index_shift) | (column << column_shift)
+        )
+        return address.tolist()
 
     def generate_with_warmup(
         self, measure: int, mix_factor: float = 0.5
@@ -100,30 +108,31 @@ class TraceGenerator:
             raise TraceError("measure must be positive")
         resident = self.profile.footprint_blocks + self.profile.band_blocks
         mix = int(resident * mix_factor)
-        body = self.generate(mix + measure)
+        addresses, writes, gaps = self._columns(mix + measure)
         rng = np.random.default_rng(
             (self.seed + 1, zlib.crc32(self.profile.name.encode("utf-8")))
         )
         order = rng.permutation(resident)
-        gaps = rng.geometric(
+        cover_gaps = rng.geometric(
             p=min(1.0, self.profile.l2_access_per_instr), size=resident
         )
-        cover = [
-            TraceAccess(
-                address=self._address(self._scatter(int(order[i]))),
-                is_write=False,
-                gap_instructions=int(gaps[i]),
-            )
-            for i in range(resident)
-        ]
         trace = Trace(
-            cover + list(body),
+            self._addresses(order) + addresses,
+            [False] * resident + writes,
+            cover_gaps.tolist() + gaps,
             name=f"{self.profile.name}-w{resident + mix}+{measure}@{self.seed}",
         )
         return trace, resident + mix
 
     def generate(self, length: int) -> Trace:
         """Produce a trace of *length* accesses."""
+        return Trace(
+            *self._columns(length),
+            name=f"{self.profile.name}-{length}@{self.seed}",
+        )
+
+    def _columns(self, length: int) -> tuple[list[int], list[bool], list[int]]:
+        """(addresses, writes, gaps) of a *length*-access trace."""
         if length < 1:
             raise TraceError("trace length must be positive")
         profile = self.profile
@@ -168,16 +177,7 @@ class TraceGenerator:
         gaps = rng.geometric(
             p=min(1.0, profile.l2_access_per_instr), size=length
         )
-
-        accesses = [
-            TraceAccess(
-                address=self._address(self._scatter(int(blocks[i]))),
-                is_write=bool(is_write[i]),
-                gap_instructions=int(gaps[i]),
-            )
-            for i in range(length)
-        ]
-        return Trace(accesses, name=f"{profile.name}-{length}@{self.seed}")
+        return self._addresses(blocks), is_write.tolist(), gaps.tolist()
 
 
 def generate_trace(

@@ -16,7 +16,7 @@ import io
 import pathlib
 
 from repro.errors import TraceError
-from repro.workloads.trace import Trace, TraceAccess
+from repro.workloads.trace import Trace
 
 _MAGIC = "# repro-trace v1"
 
@@ -37,9 +37,10 @@ def dumps_trace(trace: Trace) -> str:
 
 def _write(trace: Trace, handle) -> None:
     handle.write(f"{_MAGIC} name={trace.name}\n")
-    for access in trace:
-        kind = "w" if access.is_write else "r"
-        handle.write(f"{access.address:08x} {kind} {access.gap_instructions}\n")
+    handle.writelines(
+        f"{address:08x} {'w' if write else 'r'} {gap}\n"
+        for address, write, gap in zip(trace.addresses, trace.writes, trace.gaps)
+    )
 
 
 def load_trace(path: str | pathlib.Path) -> Trace:
@@ -61,7 +62,11 @@ def _read(handle, default_name: str) -> Trace:
     name = default_name
     if "name=" in header:
         name = header.split("name=", 1)[1].strip() or default_name
-    accesses = []
+    addresses: list[int] = []
+    writes: list[bool] = []
+    gaps: list[int] = []
+    # File line of each row, for the errors the column checks raise.
+    line_numbers: list[int] = []
     for line_number, line in enumerate(handle, start=2):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -70,19 +75,19 @@ def _read(handle, default_name: str) -> Trace:
         if len(parts) != 3 or parts[1] not in ("r", "w"):
             raise TraceError(f"malformed trace line {line_number}: {line!r}")
         try:
-            address = int(parts[0], 16)
-            gap = int(parts[2])
+            addresses.append(int(parts[0], 16))
+            gaps.append(int(parts[2]))
         except ValueError as error:
             raise TraceError(
                 f"malformed trace line {line_number}: {line!r}"
             ) from error
-        accesses.append(
-            TraceAccess(
-                address=address,
-                is_write=(parts[1] == "w"),
-                gap_instructions=gap,
-            )
-        )
-    if not accesses:
+        writes.append(parts[1] == "w")
+        line_numbers.append(line_number)
+    if not addresses:
         raise TraceError("trace file contains no accesses")
-    return Trace(accesses, name=name)
+    try:
+        return Trace(addresses, writes, gaps, name=name)
+    except TraceError as error:
+        raise TraceError(
+            f"trace line {line_numbers[error.row]}: {error}", row=error.row
+        ) from error

@@ -39,6 +39,24 @@ class TestDecode:
         assert mapper.block_number(raw) == raw >> 6
 
 
+class TestDecodeColumns:
+    @given(raws=st.lists(st.integers(0, (1 << 32) - 1), max_size=50))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_scalar_decode(self, raws):
+        mapper = AddressMapper()
+        columns, indexes, tags = mapper.decode_columns(raws)
+        decoded = [mapper.decode(raw) for raw in raws]
+        assert columns == [d.column for d in decoded]
+        assert indexes == [d.index for d in decoded]
+        assert tags == [d.tag for d in decoded]
+        assert all(type(v) is int for v in columns + indexes + tags)
+
+    @pytest.mark.parametrize("bad", [1 << 32, -1, 1 << 70, -(1 << 70)])
+    def test_out_of_range_raw_rejected(self, mapper, bad):
+        with pytest.raises(ConfigurationError, match="not a 32-bit"):
+            mapper.decode_columns([0x40, bad])
+
+
 class TestEncode:
     @pytest.mark.parametrize(
         "kwargs",

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cache.address import AddressMapper
 from repro.cache.array import CacheArray
 from repro.cache.bank import bank_descriptors_for_column
 from repro.cache.replacement import LRUPolicy
@@ -20,36 +19,32 @@ class TestCacheArray:
     def test_sets_materialize_lazily(self):
         array = _array()
         assert array.touched_sets == 0
-        array.access_raw(0)
+        array.access(0, 0, 0)
         assert array.touched_sets == 1
 
-    def test_same_set_key_reuses_state(self, mapper):
+    def test_same_set_key_reuses_state(self):
         array = _array()
-        a = mapper.encode(tag=1, index=5, column=3)
-        b = mapper.encode(tag=2, index=5, column=3)
-        array.access_raw(a)
-        array.access_raw(b)
+        array.access(3, 5, 1)
+        array.access(3, 5, 2)
         assert array.touched_sets == 1
         assert array.set_state(3, 5).find(1) is not None
 
-    def test_hit_after_fill(self, mapper):
+    def test_hit_after_fill(self):
         array = _array()
-        raw = mapper.encode(tag=9, index=1, column=1)
-        assert not array.access_raw(raw).hit
-        assert array.access_raw(raw).hit
+        assert not array.access(1, 1, 9).hit
+        assert array.access(1, 1, 9).hit
 
-    def test_stats_recorded(self, mapper):
+    def test_stats_recorded(self):
         array = _array()
-        raw = mapper.encode(tag=9, index=1, column=1)
-        array.access_raw(raw)
-        array.access_raw(raw)
+        array.access(1, 1, 9)
+        array.access(1, 1, 9)
         assert array.stats.accesses == 2
         assert array.stats.hits == 1
 
-    def test_occupancy(self, mapper):
+    def test_occupancy(self):
         array = _array()
         for tag in range(5):
-            array.access_raw(mapper.encode(tag=tag, index=0, column=0))
+            array.access(0, 0, tag)
         assert array.occupancy() == 5
 
     def test_column_count_must_match_layout(self):

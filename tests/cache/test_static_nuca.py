@@ -10,19 +10,25 @@ MAPPER = AddressMapper()
 
 
 def _addr(tag, index=3, column=2):
-    return MAPPER.decode(MAPPER.encode(tag=tag, index=index, column=column))
+    """``(column, index, tag)`` of an encoded-then-decoded address."""
+    address = MAPPER.decode(MAPPER.encode(tag=tag, index=index, column=column))
+    return address.column, address.index, address.tag
+
+
+def _home(array, tag, index=3, column=2):
+    column, index, _ = _addr(tag, index, column)
+    return array.home_bank(column, index)
 
 
 class TestStaticNUCAArray:
     def test_home_bank_is_stable(self):
         array = StaticNUCAArray()
-        a = _addr(5)
-        assert array.home_bank(a) == array.home_bank(_addr(99))  # same set
+        assert _home(array, 5) == _home(array, 99)  # same set
 
     def test_home_banks_cover_all_rows(self):
         array = StaticNUCAArray()
         banks = {
-            array.home_bank(_addr(0, index=i, column=c))
+            _home(array, 0, index=i, column=c)
             for i in range(16)
             for c in range(16)
         }
@@ -30,29 +36,29 @@ class TestStaticNUCAArray:
 
     def test_hit_after_fill(self):
         array = StaticNUCAArray()
-        assert not array.access(_addr(7)).hit
-        outcome = array.access(_addr(7))
+        assert not array.access(*_addr(7)).hit
+        outcome = array.access(*_addr(7))
         assert outcome.hit
-        assert outcome.bank == array.home_bank(_addr(7))
+        assert outcome.bank == _home(array, 7)
 
     def test_no_migration_ever(self):
         array = StaticNUCAArray()
         for _ in range(5):
-            outcome = array.access(_addr(7))
-        assert outcome.bank == array.home_bank(_addr(7))
+            outcome = array.access(*_addr(7))
+        assert outcome.bank == _home(array, 7)
 
     def test_lru_within_home_bank(self):
         array = StaticNUCAArray(associativity=2)
-        array.access(_addr(1))
-        array.access(_addr(2))
-        array.access(_addr(1))      # touch 1: now MRU
-        outcome = array.access(_addr(3))  # evicts 2
+        array.access(*_addr(1))
+        array.access(*_addr(2))
+        array.access(*_addr(1))      # touch 1: now MRU
+        outcome = array.access(*_addr(3))  # evicts 2
         assert outcome.victim.tag == 2
 
     def test_hit_rate(self):
         array = StaticNUCAArray()
-        array.access(_addr(1))
-        array.access(_addr(1))
+        array.access(*_addr(1))
+        array.access(*_addr(1))
         assert array.hit_rate == 0.5
 
     def test_invalid_dimensions(self):

@@ -63,6 +63,11 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             system.run(trace, profile, warmup=len(trace))
 
+    def test_negative_warmup_rejected(self, small_trace):
+        profile, trace, _ = small_trace
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            NetworkedCacheSystem().run(trace, profile, warmup=-1)
+
     def test_breakdown_fractions_sum_to_one(self, small_trace):
         profile, trace, warmup = small_trace
         system = NetworkedCacheSystem(design="A", scheme="unicast+lru")

@@ -250,7 +250,7 @@ class TestBlockConservation:
         checker = BlockConservationChecker(shadow_lru=True)
         array.validator = checker
         for tag in range(6):
-            array.access(mapper.decode(mapper.encode(tag, 0, 0)))
+            array.access(0, 0, tag)
         assert checker.checked == 6
 
 

@@ -119,3 +119,46 @@ class TestErrors:
     def test_zero_length(self, art):
         with pytest.raises(TraceError):
             TraceGenerator(art, seed=1).generate(0)
+
+
+def _loop_address(generator, block):
+    """One block's address the loop way: scatter, split the fields, encode."""
+    layout = generator.mapper.layout
+    index_bits = generator.index_space.bit_length() - 1
+    space_bits = layout.tag_bits + index_bits + layout.column_bits
+    block = (block * 0x9E3779B1) & ((1 << space_bits) - 1)
+    column = block & (layout.num_columns - 1)
+    block >>= layout.column_bits
+    index = block & (generator.index_space - 1)
+    tag = block >> index_bits
+    return generator.mapper.encode(tag=tag, index=index, column=column)
+
+
+class TestArrayAddresses:
+    """The array scatter and composition against the per-block loop."""
+
+    @given(
+        fields=st.sampled_from([(12, 10, 4, 6), (14, 8, 4, 6), (8, 12, 5, 7),
+                                (16, 9, 6, 1)]),
+        index_log=st.integers(0, 9),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_loop_reference(self, fields, index_log, data):
+        import numpy as np
+
+        from repro.config import AddressLayout
+
+        layout = AddressLayout(*fields)
+        index_space = 1 << min(index_log, layout.index_bits)
+        generator = TraceGenerator(
+            profile_by_name("art"), index_space=index_space,
+            mapper=AddressMapper(layout),
+        )
+        space = 1 << (layout.tag_bits + index_space.bit_length() - 1
+                      + layout.column_bits)
+        blocks = data.draw(st.lists(st.integers(0, space - 1), min_size=1,
+                                    max_size=40))
+        addresses = generator._addresses(np.array(blocks, dtype=np.int64))
+        assert addresses == [_loop_address(generator, b) for b in blocks]
+        assert all(type(a) is int for a in addresses)

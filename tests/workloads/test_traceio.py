@@ -3,18 +3,12 @@
 import pytest
 
 from repro.errors import TraceError
-from repro.workloads import Trace, TraceAccess, generate_trace, profile_by_name
+from repro.workloads import Trace, TraceGenerator, generate_trace, profile_by_name
 from repro.workloads.traceio import dumps_trace, load_trace, loads_trace, save_trace
 
 
 def _trace():
-    return Trace(
-        [
-            TraceAccess(0x12340040, False, 7),
-            TraceAccess(0x00000080, True, 1),
-        ],
-        name="mini",
-    )
+    return Trace([0x12340040, 0x00000080], [False, True], [7, 1], name="mini")
 
 
 class TestRoundTrip:
@@ -34,6 +28,19 @@ class TestRoundTrip:
         restored = load_trace(path)
         assert len(restored) == 300
         assert [a.address for a in restored] == [a.address for a in original]
+
+    def test_warmup_trace_round_trips_column_for_column(self, tmp_path):
+        original, _ = TraceGenerator(
+            profile_by_name("mcf"), seed=4
+        ).generate_with_warmup(measure=200)
+        path = tmp_path / "mcf.trace"
+        save_trace(original, path)
+        restored = load_trace(path)
+        assert restored.name == original.name
+        assert restored.addresses == original.addresses
+        assert restored.writes == original.writes
+        assert restored.gaps == original.gaps
+        assert dumps_trace(restored) == dumps_trace(original)
 
     def test_generated_trace_survives_simulation(self, tmp_path):
         from repro import NetworkedCacheSystem
@@ -64,6 +71,16 @@ class TestFormat:
     def test_bad_numbers_rejected(self):
         with pytest.raises(TraceError, match="malformed"):
             loads_trace("# repro-trace v1 name=x\nzzz r 3\n")
+
+    def test_address_out_of_range_names_the_file_line(self):
+        text = "# repro-trace v1 name=x\n# comment\n00000040 r 3\n\n100000000 w 1\n"
+        with pytest.raises(TraceError, match=r"trace line 5: .*address 4294967296"):
+            loads_trace(text)
+
+    def test_negative_gap_names_the_file_line(self):
+        text = "# repro-trace v1 name=x\n00000040 r 3\n00000080 r -2\n"
+        with pytest.raises(TraceError, match=r"trace line 3: .*gap -2"):
+            loads_trace(text)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(TraceError, match="no accesses"):
