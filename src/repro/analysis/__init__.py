@@ -9,13 +9,9 @@ rules whose bugs pass all of those (DESIGN.md §12):
   sets and unstable numpy sorts in the simulation core, mutable default
   arguments, and bare, silent or broad exception handlers;
 * :mod:`repro.analysis.typegate` -- the ``mypy --strict`` typed-core
-  gate against the ratcheted ``mypy-baseline.txt``;
-* :mod:`repro.analysis.baseline` -- the shrink-only
-  ``lint-baseline.txt`` ratchet behind ``repro lint --baseline``.
+  gate against the ratcheted ``mypy-baseline.txt``.
 
-Run it as ``repro lint``; it fails on any finding. Findings are
-suppressed per line with ``# repro: allow[rule-id] -- justification``;
-the justification is mandatory, an empty one is itself a finding.
+Run it as ``repro lint``; it fails on any finding.
 """
 
 from repro.analysis.core import (
@@ -23,12 +19,10 @@ from repro.analysis.core import (
     Finding,
     ModuleInfo,
     Rule,
-    Suppressions,
     all_rules,
     analyze_paths,
     analyze_source,
     module_name_for,
-    parse_suppressions,
     render_findings,
     rule_by_id,
 )
@@ -41,12 +35,10 @@ __all__ = [
     "Finding",
     "ModuleInfo",
     "Rule",
-    "Suppressions",
     "all_rules",
     "analyze_paths",
     "analyze_source",
     "module_name_for",
-    "parse_suppressions",
     "render_findings",
     "rule_by_id",
 ]

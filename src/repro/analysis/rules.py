@@ -328,7 +328,7 @@ class BroadHotPathCatchRule(Rule):
                     yield self.finding(
                         info, node,
                         f"`except {name.id}` in the simulation core also "
-                        "catches kernel bugs (SimulationError) it should "
+                        "catches simulator bugs (SimulationError) it should "
                         "never recover from; catch the specific "
                         "repro.errors types instead",
                     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import BankTiming, supported_bank_capacities
+from repro.config import BankTiming
 from repro.errors import ConfigurationError
 
 KB = 1024
@@ -58,7 +58,3 @@ class BankAreaModel:
         """Table-1 bank access latency in cycles."""
         timing = BankTiming.for_capacity(capacity_bytes)
         return timing.tag_replace_latency if replace else timing.tag_latency
-
-    @staticmethod
-    def supported_capacities() -> tuple[int, ...]:
-        return supported_bank_capacities()

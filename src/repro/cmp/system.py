@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.cache.bankset import BankSetStats
 from repro.core.designs import DesignSpec, design_spec
 from repro.core.flows import Scheme, make_scheme
-from repro.core.system import NetworkedCacheSystem
+from repro.core.system import NetworkedCacheSystem, resolve_warmup
 from repro.errors import ConfigurationError
 from repro.noc.topology import NodeId
 from repro.perf.ipc import IssueModel
@@ -140,7 +140,7 @@ class CMPCacheSystem:
                 node=self.attach_points[i],
                 profile=profile,
                 trace=trace,
-                warmup=warmup,
+                warmup=resolve_warmup(warmup, len(trace)),
                 issue=IssueModel(perfect_ipc=profile.perfect_l2_ipc),
                 latency=LatencyAccumulator(),
                 decoded=system.mapper.decode_columns(trace.addresses),

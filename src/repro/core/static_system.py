@@ -16,7 +16,7 @@ from repro.cache.static_nuca import StaticNUCAArray
 from repro.cache.address import AddressMapper
 from repro.core.designs import DesignSpec, design_spec
 from repro.core.flows import CONTROL, DATA, AccessTiming
-from repro.core.system import RunResult
+from repro.core.system import RunResult, resolve_warmup
 from repro.errors import ConfigurationError
 from repro.perf.ipc import IssueModel
 from repro.perf.metrics import LatencyAccumulator
@@ -102,10 +102,7 @@ class StaticNUCASystem:
             perfect_ipc = profile.perfect_l2_ipc
         if perfect_ipc is None:
             raise ConfigurationError("run() needs a profile or perfect_ipc")
-        if warmup is None:
-            warmup = len(trace) // 3
-        if warmup >= len(trace):
-            raise ConfigurationError("warmup must leave accesses to measure")
+        warmup = resolve_warmup(warmup, len(trace))
 
         issue = IssueModel(perfect_ipc=perfect_ipc, hide_cycles=hide_cycles)
         latency = LatencyAccumulator()

@@ -60,6 +60,22 @@ def make_system_series(
     }
 
 
+def resolve_warmup(warmup: int | None, length: int) -> int:
+    """The warm-up of a run over a *length*-access trace.
+
+    ``None`` means a third of the trace. A negative warm-up, or one that
+    leaves no access to measure, raises :class:`ConfigurationError`.
+    Every replay loop (D-NUCA, S-NUCA and each CMP core) calls this.
+    """
+    if warmup is None:
+        warmup = length // 3
+    if warmup < 0:
+        raise ConfigurationError("warmup must be non-negative")
+    if warmup >= length:
+        raise ConfigurationError("warmup must leave accesses to measure")
+    return warmup
+
+
 @dataclass
 class RunResult:
     """Everything a benchmark harness needs from one trace run."""
@@ -180,12 +196,7 @@ class NetworkedCacheSystem:
             perfect_ipc = profile.perfect_l2_ipc
         if perfect_ipc is None:
             raise ConfigurationError("run() needs a profile or perfect_ipc")
-        if warmup is None:
-            warmup = len(trace) // 3
-        if warmup < 0:
-            raise ConfigurationError("warmup must be non-negative")
-        if warmup >= len(trace):
-            raise ConfigurationError("warmup must leave accesses to measure")
+        warmup = resolve_warmup(warmup, len(trace))
 
         issue = IssueModel(perfect_ipc=perfect_ipc, hide_cycles=hide_cycles)
         latency = LatencyAccumulator()

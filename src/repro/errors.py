@@ -18,7 +18,7 @@ class RoutingError(ReproError):
 
 
 class SimulationError(ReproError):
-    """The simulation kernel was driven into an illegal state."""
+    """A simulator was driven into an illegal state."""
 
 
 class ProtocolError(ReproError):

@@ -370,10 +370,6 @@ class ArrayNetwork:
 
     # -- client API ---------------------------------------------------------
 
-    def set_trace_sink(self, sink: Any) -> None:
-        """Swap the flit-event trace sink (None = the null sink)."""
-        self._sink = sink if sink is not None else _trace.NULL_SINK
-
     def on_delivery(self, callback: Callable[[Delivery], None]) -> None:
         """Register ``callback(delivery)`` fired on each packet delivery."""
         self._delivered_callbacks.append(callback)
@@ -541,10 +537,6 @@ class ArrayNetwork:
         times.extend(source() for source in self._wakeup_sources)
         live = [t for t in times if t is not None]
         return min(live) if live else None
-
-    def dropped_flits(self) -> int:
-        """Always zero: fault injection cannot run on the array core."""
-        return self.stats.flits_dropped
 
     def outstanding_deliveries(self) -> list[tuple[int, NodeId, int]]:
         """Undelivered ``(packet_id, destination, flits_remaining)`` rows."""

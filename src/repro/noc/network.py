@@ -198,10 +198,6 @@ class Network:
         self.window = int(window)
         self._series = make_noc_series(self.window) if self.window > 0 else None
 
-    def set_trace_sink(self, sink) -> None:
-        """Swap the flit-event trace sink (None = the null sink)."""
-        self._sink = sink if sink is not None else _trace.NULL_SINK
-
     # -- client API ---------------------------------------------------------
 
     def on_delivery(self, callback) -> None:
@@ -431,10 +427,6 @@ class Network:
         times.extend(source() for source in self._wakeup_sources)
         live = [t for t in times if t is not None]
         return min(live) if live else None
-
-    def dropped_flits(self) -> int:
-        """Flits destroyed by fault injection so far."""
-        return self.stats.flits_dropped
 
     def outstanding_deliveries(self) -> list[tuple[int, NodeId, int]]:
         """Undelivered ``(packet_id, destination, flits_remaining)`` rows."""

@@ -373,9 +373,9 @@ class HaloTopology(Topology):
         self.spike_length = spike_length
         self.position_bank_capacities = position_bank_capacities
         if position_bank_capacities is None:
-            self._position_delays = [wire_delay_scale] * spike_length
+            position_delays = [wire_delay_scale] * spike_length
         else:
-            self._position_delays = [
+            position_delays = [
                 wire_delay_scale * BankTiming.for_capacity(capacity).wire_delay
                 for capacity in position_bank_capacities
             ]
@@ -387,21 +387,17 @@ class HaloTopology(Topology):
             self.add_bidirectional(
                 HUB,
                 spike_node(s, 0),
-                wire_delay=self._position_delays[0],
+                wire_delay=position_delays[0],
                 orientation="hub",
             )
             for i in range(spike_length - 1):
                 self.add_bidirectional(
                     spike_node(s, i),
                     spike_node(s, i + 1),
-                    wire_delay=self._position_delays[i + 1],
+                    wire_delay=position_delays[i + 1],
                     orientation="spike",
                 )
 
         self.core_attach = HUB
         self.memory_attach = HUB
         self.memory_pin_delay = memory_pin_delay
-
-    def position_delay(self, position: int) -> int:
-        """Wire delay of the hop that enters spike *position*'s tile."""
-        return self._position_delays[position]

@@ -38,11 +38,6 @@ class EnergyReport:
         return self.dynamic_pj + self.leakage_pj
 
     @property
-    def network_pj(self) -> float:
-        """The interconnect's dynamic share (router + link)."""
-        return self.router_pj + self.link_pj
-
-    @property
     def pj_per_access(self) -> float:
         return self.total_pj / self.accesses if self.accesses else 0.0
 

@@ -1,130 +1,14 @@
-"""Event queue and simulator loop.
+"""Keyed deadline queue: the fault-recovery layer's retry timers.
 
-The kernel is deliberately minimal and fully deterministic: events that are
-scheduled for the same time fire in the order they were scheduled (FIFO
-within a timestamp), which keeps runs reproducible regardless of callback
-content.
+Fully deterministic: keys armed for the same deadline pop in the order
+they were armed (FIFO within a timestamp), which keeps runs reproducible
+regardless of key content.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
-
-from repro.errors import SimulationError
-
-if TYPE_CHECKING:
-    from repro.telemetry import MetricsRegistry
-
-
-@dataclass(order=True, slots=True)
-class Event:
-    """A scheduled callback.
-
-    Ordered by ``(time, sequence)`` so same-time events preserve scheduling
-    order. ``cancelled`` events stay in the heap but are skipped when popped.
-    """
-
-    time: int
-    sequence: int
-    callback: Callable[[], Any] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: Owning queue, so a cancel can keep its live-event count exact.
-    owner: "EventQueue | None" = field(default=None, compare=False, repr=False)
-
-    def cancel(self) -> None:
-        """Prevent this event from firing. Idempotent."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self.owner is not None:
-                self.owner._note_cancel()
-
-
-#: Sweep cancelled events out of the heap once they outnumber live ones
-#: (and the heap is at least this big), bounding memory on cancel-heavy runs.
-_COMPACT_MIN_HEAP = 64
-
-
-class EventQueue:
-    """A time-ordered queue of :class:`Event` objects."""
-
-    def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._counter = itertools.count()
-        self._cancelled = 0
-        #: Time of the most recently popped event; scheduling before it
-        #: would break causality (the past already executed).
-        self._last_pop_time: int | None = None
-        #: Most live events ever queued at once (exported as a gauge).
-        self.high_water = 0
-
-    def __len__(self) -> int:
-        """Number of live (non-cancelled) events, in O(1)."""
-        return len(self._heap) - self._cancelled
-
-    @property
-    def last_pop_time(self) -> int | None:
-        """Time of the most recently dispatched event (the causality
-        floor: nothing may be scheduled earlier than this)."""
-        return self._last_pop_time
-
-    def push(self, time: int, callback: Callable[[], Any]) -> Event:
-        """Schedule *callback* at absolute *time* and return its event.
-
-        Scheduling earlier than the last popped event's time raises
-        :class:`SimulationError`: that moment has already executed, so the
-        new event could never fire in causal order.
-        """
-        last = self._last_pop_time
-        if last is not None and time < last:
-            raise SimulationError(
-                f"cannot schedule at time {time}: the queue already "
-                f"dispatched an event at time {last}"
-            )
-        event = Event(
-            time=time, sequence=next(self._counter), callback=callback, owner=self
-        )
-        heapq.heappush(self._heap, event)
-        live = len(self._heap) - self._cancelled
-        if live > self.high_water:
-            self.high_water = live
-        return event
-
-    def pop(self) -> Event | None:
-        """Remove and return the earliest live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)
-            if not event.cancelled:
-                event.owner = None  # late cancels must not skew the count
-                self._last_pop_time = event.time
-                return event
-            self._cancelled -= 1
-        return None
-
-    def peek_time(self) -> int | None:
-        """Time of the earliest live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        return heap[0].time if heap else None
-
-    def _note_cancel(self) -> None:
-        self._cancelled += 1
-        heap = self._heap
-        if len(heap) >= _COMPACT_MIN_HEAP and self._cancelled * 2 > len(heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled events; heap order is (time, sequence), which
-        filtering preserves, so a re-heapify keeps FIFO-within-timestamp."""
-        live = [event for event in self._heap if not event.cancelled]
-        heapq.heapify(live)
-        self._heap = live
-        self._cancelled = 0
 
 
 class DeadlineQueue:
@@ -132,8 +16,8 @@ class DeadlineQueue:
 
     Re-arming a key replaces its previous deadline; stale heap entries are
     skipped on :meth:`peek`/:meth:`pop_due`. Same-deadline keys pop in
-    arm order (FIFO within a timestamp), matching the kernel's determinism
-    contract. Used by the resilience layer for per-message retry timers.
+    arm order (FIFO within a timestamp). Used by the resilience layer for
+    per-message retry timers.
     """
 
     def __init__(self) -> None:
@@ -153,9 +37,6 @@ class DeadlineQueue:
     def disarm(self, key: object) -> None:
         """Remove *key*'s deadline. Idempotent."""
         self._deadline.pop(key, None)
-
-    def deadline_of(self, key: object) -> int | None:
-        return self._deadline.get(key)
 
     def _prune(self) -> None:
         heap = self._heap
@@ -181,96 +62,3 @@ class DeadlineQueue:
             _, _, key = heapq.heappop(self._heap)
             del self._deadline[key]
             due.append(key)
-
-
-class Simulator:
-    """Discrete-event simulator with integer (cycle) time."""
-
-    def __init__(self) -> None:
-        self._queue = EventQueue()
-        self.now = 0
-        self._running = False
-        self.events_executed = 0
-        #: Optional zero-argument hook called after every executed event.
-        #: The validation watchdog uses it to detect livelock: the queue's
-        #: causality guard forbids time going backward, so a simulation
-        #: that keeps executing events without ``now`` advancing is stuck.
-        self.watchdog: Callable[[], Any] | None = None
-
-    def schedule(self, delay: int, callback: Callable[[], Any]) -> Event:
-        """Schedule *callback* to run *delay* cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._queue.push(self.now + delay, callback)
-
-    def schedule_at(self, time: int, callback: Callable[[], Any]) -> Event:
-        """Schedule *callback* at absolute cycle *time* (>= now)."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time}, current time is {self.now}"
-            )
-        return self._queue.push(time, callback)
-
-    @property
-    def pending_events(self) -> int:
-        """Number of live events still queued."""
-        return len(self._queue)
-
-    @property
-    def queue_high_water(self) -> int:
-        """Most live events ever queued at once."""
-        return self._queue.high_water
-
-    @property
-    def last_event_time(self) -> int | None:
-        """The queue's causality floor (last dispatched event's time)."""
-        return self._queue.last_pop_time
-
-    def publish_metrics(self, registry: MetricsRegistry) -> None:
-        """Export kernel counters into a telemetry registry."""
-        registry.gauge("sim.kernel.event_queue_high_water").update_max(
-            self._queue.high_water
-        )
-        registry.counter("sim.kernel.events_executed").set(self.events_executed)
-
-    def step(self) -> bool:
-        """Run the earliest event; return ``False`` if the queue was empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self.now:
-            raise SimulationError("event queue returned an event from the past")
-        self.now = event.time
-        self.events_executed += 1
-        event.callback()
-        if self.watchdog is not None:
-            self.watchdog()
-        return True
-
-    def run(self, until: int | None = None, max_events: int | None = None) -> int:
-        """Drain the event queue.
-
-        Stops when the queue empties, when the next event would fire after
-        *until*, or after *max_events* events. Returns the number of events
-        executed. ``until`` is inclusive.
-        """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run)")
-        self._running = True
-        executed = 0
-        try:
-            while True:
-                if max_events is not None and executed >= max_events:
-                    break
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                self.step()
-                executed += 1
-        finally:
-            self._running = False
-        if until is not None and self.now < until:
-            self.now = until
-        return executed

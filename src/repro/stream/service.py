@@ -37,7 +37,7 @@ from repro.cache.bank import bank_descriptors_for_column
 from repro.config import memory_access_latency
 from repro.core.designs import design_spec
 from repro.errors import ConfigurationError, SimulationError
-from repro.noc.network import Delivery, make_network
+from repro.noc.network import Delivery, NetworkStats, make_network
 from repro.noc.packet import MessageType, Packet
 from repro.noc.topology import HUB, NodeId, spike_node
 from repro.stream.arrivals import Request
@@ -353,6 +353,12 @@ class StreamService:
             self._tick(self.network.cycle, arrivals=False)
 
     # -- reporting ----------------------------------------------------------
+
+    @property
+    def stats(self) -> NetworkStats:
+        """The fabric's traffic statistics, so the service reads like a
+        network to :func:`repro.validation.differential.observe`."""
+        return self.network.stats
 
     def publish_metrics(self, registry: MetricsRegistry) -> None:
         """Publish stream counters + windowed SLO series, then the NoC's."""

@@ -2,7 +2,7 @@
 histograms.
 
 Every layer of the simulator (``noc.router``, ``noc.network``,
-``cache.bankset``, ``sim.kernel``, ...) publishes into a
+``cache.bankset``, ``stream.series``, ...) publishes into a
 :class:`MetricsRegistry` under dot-separated hierarchical names. The
 registry is deliberately boring so that it can be deterministic:
 

@@ -6,14 +6,15 @@ Three layers of defense against silently-wrong simulation:
   network / cache / transaction engine that raise
   :class:`~repro.errors.ValidationError` at the cycle an invariant breaks
   (flit and credit conservation, XYX channel ordering, multicast delivery
-  completeness, block conservation, timing causality, stall watchdogs);
+  completeness, block conservation, timing causality, stall watchdog);
 * :mod:`repro.validation.differential` -- :func:`compare`, the one
-  cross-core check: a flit workload run on the object core and the array
-  core must agree on every observable; and the oracle, the same seeded
-  trace through the experiment engine and through a checked in-process
-  replay, diffed on hit/miss outcomes and final bank contents, plus a
-  flit-level re-enactment of sampled transactions checked against the
-  transaction-level model's hop assumptions;
+  cross-core check: a flit workload or a stream cell run on the object
+  core and the array core must agree on every observable; and the
+  oracle, the same seeded trace through the experiment engine and
+  through a checked in-process replay, diffed on hit/miss outcomes and
+  final bank contents, plus a flit-level re-enactment of sampled
+  transactions checked against the transaction-level model's hop
+  assumptions;
 * :mod:`repro.validation.fuzzer` -- ``repro validate --fuzz N`` samples
   random geometries, bank-set shapes, traffic, and traces, runs them
   under the checkers, and shrinks any failure to a minimal
@@ -26,6 +27,7 @@ from repro.validation.differential import (
     LegResult,
     OracleReport,
     PacketSpec,
+    StreamWorkload,
     Tolerances,
     compare,
     observe,
@@ -51,7 +53,6 @@ from repro.validation.invariants import (
     FlitConservationChecker,
     MulticastDeliveryChecker,
     NetworkChecker,
-    SimulatorWatchdog,
     TransactionTimingChecker,
     default_network_checkers,
     run_with_checkers,
@@ -74,7 +75,7 @@ __all__ = [
     "OracleCase",
     "OracleReport",
     "PacketSpec",
-    "SimulatorWatchdog",
+    "StreamWorkload",
     "Tolerances",
     "TransactionTimingChecker",
     "case_to_pytest",

@@ -9,8 +9,8 @@ Cross-core differential
     full published :class:`~repro.telemetry.registry.MetricsRegistry`
     snapshot.
     :class:`FlitWorkload` is the shrinkable workload shape (a topology
-    plus :class:`PacketSpec` traffic) the tests, the fuzzer and the
-    benches feed it.
+    plus :class:`PacketSpec` traffic) the tests and the fuzzer feed it;
+    :class:`StreamWorkload` is the same for an open-loop stream cell.
 
 Differential oracle
     :func:`run_oracle` evaluates one seeded trace twice:
@@ -164,6 +164,47 @@ class FlitWorkload:
         return network
 
 
+@dataclass(frozen=True)
+class StreamWorkload:
+    """An open-loop stream cell, runnable on any flit core.
+
+    Plain data whose ``repr`` round-trips (with
+    :class:`~repro.stream.arrivals.TenantSpec` in scope), so a failing
+    cell shrinks over its tenants and pastes into a pytest repro.
+    :meth:`run` returns the drained
+    :class:`~repro.stream.service.StreamService`: its ``stats`` are its
+    network's and its ``publish_metrics`` adds the stream counters and
+    SLO series to the network's, so :func:`observe` reads it unchanged.
+    """
+
+    design: str
+    tenants: tuple
+    cycles: int = 600
+    seed: int = 0
+    policy: str = "drop-tail"
+    queue_limit: int = 32
+    max_outstanding: int = 8
+    window: int = 64
+
+    def run(self, core: str) -> Any:
+        """Serve the cell's arrivals on *core*, drained."""
+        from repro.stream.arrivals import generate_arrivals
+        from repro.stream.service import StreamService
+
+        service = StreamService(
+            self.design,
+            core=core,
+            window=self.window,
+            policy=self.policy,
+            queue_limit=self.queue_limit,
+            max_outstanding=self.max_outstanding,
+        )
+        service.run(
+            generate_arrivals(self.tenants, self.cycles, self.seed), self.cycles
+        )
+        return service
+
+
 def observe(network: Any) -> dict[str, Any]:
     """Everything two cores must agree on after draining one workload.
 
@@ -261,7 +302,8 @@ def _first_difference(name: str, expected: Any, actual: Any) -> tuple | None:
 def compare(workload: Any) -> Divergence | None:
     """Run *workload* on the object core and on the array core.
 
-    *workload* is anything whose ``run(core)`` returns a drained network.
+    *workload* is anything whose ``run(core)`` returns a drained network
+    (or a drained stream service, which reads like one).
     Returns the first disagreement, checked in :data:`OBSERVABLES` order
     with the object core as the reference, or None when they agree.
     """

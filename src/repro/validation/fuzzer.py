@@ -24,13 +24,16 @@
   :func:`repro.validation.differential.compare`: the array core must
   match the object core on every observable, from normalized deliveries
   to the full published registry snapshot;
-* **stream** -- a random multi-tenant open-loop mix (random rates,
-  Zipf skews, catalogs, and arrival processes) served through
+* **stream** -- a :class:`~repro.validation.differential.StreamWorkload`:
+  a random multi-tenant open-loop mix (random rates, Zipf skews,
+  catalogs, and arrival processes) served through
   :class:`repro.stream.service.StreamService` on a random design and
-  admission policy, checking admission conservation
-  (offered == admitted + rejected == completed + rejected after
-  drain), object-core determinism under re-run, cross-core snapshot
-  byte-equality, and merge order-independence of the SLO telemetry.
+  admission policy, run through
+  :func:`repro.validation.differential.compare` across the two cores,
+  then checked for admission conservation (offered == admitted +
+  rejected == completed + rejected after drain), object-core
+  determinism under re-run, and merge order-independence of the SLO
+  telemetry.
 
 Every case is a plain dataclass whose ``repr`` round-trips, so a failing
 case shrinks (greedy delta-debugging over its packets / accesses /
@@ -43,11 +46,14 @@ import random
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ValidationError
+from repro.stream.arrivals import ARRIVAL_PROCESSES, TenantSpec
 from repro.validation.differential import (
     FlitWorkload,
     PacketSpec,
+    StreamWorkload,
     build_topology,
     compare,
+    observe,
 )
 from repro.validation.invariants import (
     BlockConservationChecker,
@@ -112,27 +118,6 @@ class OracleCase:
     measure: int
     seed: int
     sample: int = 2
-
-
-@dataclass(frozen=True)
-class StreamCase:
-    """A random open-loop tenant mix served under admission control.
-
-    ``mix`` holds one ``(name, rate_per_kcycle, zipf_alpha,
-    catalog_blocks, process)`` tuple per tenant -- primitives only, so
-    the repr round-trips into an emitted pytest repro. The case runs on
-    both simulation cores and fails on any conservation break,
-    determinism break, or cross-core telemetry divergence.
-    """
-
-    design: str  # a Table-3 design key (mesh / simplified / halo)
-    mix: tuple = ()
-    cycles: int = 600
-    policy: str = "drop-tail"
-    queue_limit: int = 8
-    max_outstanding: int = 4
-    window: int = 32
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -301,23 +286,22 @@ _STREAM_TENANTS = ("alfa", "bravo", "chad")
 _STREAM_DESIGNS = ("A", "C", "F")
 
 
-def _make_stream_case(rng: random.Random) -> StreamCase:
-    from repro.stream.arrivals import ARRIVAL_PROCESSES
+def _make_stream_case(rng: random.Random) -> StreamWorkload:
     from repro.stream.service import ADMISSION_POLICIES
 
-    mix = tuple(
-        (
+    tenants = tuple(
+        TenantSpec(
             _STREAM_TENANTS[i],
-            float(rng.randint(10, 60)),
-            rng.choice((0.6, 0.8, 0.9, 1.1)),
-            rng.choice((64, 128, 256, 512)),
-            rng.choice(ARRIVAL_PROCESSES),
+            rate_per_kcycle=float(rng.randint(10, 60)),
+            zipf_alpha=rng.choice((0.6, 0.8, 0.9, 1.1)),
+            catalog_blocks=rng.choice((64, 128, 256, 512)),
+            process=rng.choice(ARRIVAL_PROCESSES),
         )
         for i in range(rng.randint(1, len(_STREAM_TENANTS)))
     )
-    return StreamCase(
+    return StreamWorkload(
         design=rng.choice(_STREAM_DESIGNS),
-        mix=mix,
+        tenants=tenants,
         cycles=rng.choice((400, 600, 800, 1200)),
         policy=rng.choice(ADMISSION_POLICIES),
         queue_limit=rng.randint(4, 16),
@@ -373,81 +357,42 @@ def _run_noc_case(case: NocCase) -> None:
     run_with_checkers(network, max_cycles=20_000, stall_limit=300)
 
 
-def _run_stream_case(case: StreamCase) -> None:
-    import json
-
-    from repro.stream.arrivals import TenantSpec, generate_arrivals
-    from repro.stream.service import StreamService
+def _run_stream_case(case: StreamWorkload) -> None:
     from repro.telemetry.registry import MetricsRegistry
 
-    tenants = tuple(
-        TenantSpec(
-            name,
-            rate_per_kcycle=rate,
-            process=process,
-            zipf_alpha=alpha,
-            catalog_blocks=catalog,
-        )
-        for name, rate, alpha, catalog, process in case.mix
-    )
-    requests = generate_arrivals(tenants, case.cycles, case.seed)
-
-    def run(core: str) -> dict:
-        service = StreamService(
-            case.design,
-            core=core,
-            window=case.window,
-            policy=case.policy,
-            queue_limit=case.queue_limit,
-            max_outstanding=case.max_outstanding,
-        )
-        service.run(requests, case.cycles)
+    divergence = compare(case)
+    if divergence is not None:
+        raise ValidationError(divergence.render())
+    observed = []
+    for _ in range(2):
+        service = case.run("object")
         rejected = sum(service.rejected.values())
         if service.offered != service.admitted + rejected:
             raise ValidationError(
-                f"admission conservation broke on {core} core: "
-                f"offered {service.offered} != admitted {service.admitted} "
-                f"+ rejected {rejected}"
+                f"admission conservation broke: offered {service.offered} "
+                f"!= admitted {service.admitted} + rejected {rejected}"
             )
         if service.admitted != service.completed:
             raise ValidationError(
-                f"drain left work behind on {core} core: admitted "
-                f"{service.admitted} != completed {service.completed}"
+                f"drain left work behind: admitted {service.admitted} "
+                f"!= completed {service.completed}"
             )
-        registry = MetricsRegistry()
-        service.publish_metrics(registry)
-        return registry.snapshot()
-
-    snapshots = {core: run(core) for core in ("object", "array")}
-    texts = {
-        core: json.dumps(snap, sort_keys=True)
-        for core, snap in snapshots.items()
-    }
-    if texts["object"] != texts["array"]:
-        diffs = sorted(
-            key
-            for key in set(snapshots["object"]) | set(snapshots["array"])
-            if snapshots["object"].get(key) != snapshots["array"].get(key)
-        )
-        raise ValidationError(
-            "stream telemetry diverged between cores on: "
-            + ", ".join(diffs[:8])
-        )
-    if json.dumps(run("object"), sort_keys=True) != texts["object"]:
+        observed.append(observe(service))
+    if observed[0] != observed[1]:
         raise ValidationError(
             "stream service is nondeterministic: object-core re-run "
-            "produced a different snapshot"
+            "produced different observables"
         )
     forward, reverse = MetricsRegistry(), MetricsRegistry()
-    ordered = [snapshots["object"], snapshots["array"]]
-    for snap in ordered:
+    snapshots = [run["metrics"] for run in observed]
+    for snap in snapshots:
         forward.merge(snap)
-    for snap in reversed(ordered):
+    for snap in reversed(snapshots):
         reverse.merge(snap)
     if forward.snapshot() != reverse.snapshot():
         raise ValidationError(
             "stream telemetry merge is order-dependent: forward != "
-            "reverse fold of the per-core snapshots"
+            "reverse fold of the per-run snapshots"
         )
 
 
@@ -535,7 +480,7 @@ def run_case(case) -> None:
         divergence = compare(case)
         if divergence is not None:
             raise ValidationError(divergence.render())
-    elif isinstance(case, StreamCase):
+    elif isinstance(case, StreamWorkload):
         _run_stream_case(case)
     else:
         raise ValidationError(f"not a fuzz case: {case!r}")
@@ -612,12 +557,12 @@ def shrink_case(case):
             lambda kept: _fails(replace(case, packets=tuple(kept))),
         )
         return replace(case, packets=tuple(packets))
-    if isinstance(case, StreamCase):
-        mix = shrink_list(
-            list(case.mix),
-            lambda kept: _fails(replace(case, mix=tuple(kept))),
+    if isinstance(case, StreamWorkload):
+        tenants = shrink_list(
+            list(case.tenants),
+            lambda kept: _fails(replace(case, tenants=tuple(kept))),
         )
-        case = replace(case, mix=tuple(mix))
+        case = replace(case, tenants=tuple(tenants))
         for cycles in (100, 200, 400, 800):
             if cycles >= case.cycles:
                 break
@@ -651,7 +596,7 @@ _CASE_IMPORTS = {
     OracleCase: "OracleCase",
     FaultsCase: "FaultsCase, PacketSpec",
     FlitWorkload: "FlitWorkload, PacketSpec",
-    StreamCase: "StreamCase",
+    StreamWorkload: "StreamWorkload, TenantSpec",
 }
 
 

@@ -26,10 +26,8 @@ Checked invariants:
   for LRU/Fast-LRU;
 * **transaction timing sanity** -- per-access timings are causally
   ordered and consistent with the content outcome;
-* **deadlock/livelock watchdogs** -- a checked network run aborts when no
-  flit makes progress for a stall window, and a kernel watchdog keys off
-  the causality guard (time can never go backward, so a simulator
-  executing events without ``now`` advancing is livelocked).
+* **deadlock/livelock watchdog** -- a checked network run aborts when no
+  flit makes progress for a stall window.
 """
 
 from __future__ import annotations
@@ -419,43 +417,6 @@ class TransactionTimingChecker:
                 + f" (timing={timing})"
             )
         self.checked += 1
-
-
-class SimulatorWatchdog:
-    """Kernel livelock watchdog keyed off the causality guard.
-
-    The event queue's guard proves time never moves backward; therefore a
-    simulator that executes events while ``now`` stays pinned is making no
-    causal progress. Attaching the watchdog sets ``simulator.watchdog``;
-    it trips after *max_events_per_cycle* consecutive events at one time.
-    """
-
-    name = "simulator-watchdog"
-
-    def __init__(self, simulator, max_events_per_cycle: int = 100_000) -> None:
-        self.simulator = simulator
-        self.max_events_per_cycle = max_events_per_cycle
-        self._anchor_time: int | None = None
-        self._events_at_anchor = 0
-        self._hook = self._after_event
-        simulator.watchdog = self._hook
-
-    def _after_event(self) -> None:
-        now = self.simulator.now
-        if now != self._anchor_time:
-            self._anchor_time = now
-            self._events_at_anchor = 0
-        self._events_at_anchor += 1
-        if self._events_at_anchor > self.max_events_per_cycle:
-            raise ValidationError(
-                f"livelock: {self._events_at_anchor} events executed at "
-                f"time {now} without the clock advancing (causality floor "
-                f"{self.simulator.last_event_time})"
-            )
-
-    def detach(self) -> None:
-        if self.simulator.watchdog is self._hook:
-            self.simulator.watchdog = None
 
 
 _ = INJECT  # re-exported port names are part of checker call sites

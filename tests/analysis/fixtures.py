@@ -4,10 +4,7 @@ Each fixture is one small source module plus the verdict the analyzer
 must reach on it:
 
 * ``positive`` -- the snippet violates the rule and must be flagged;
-* ``negative`` -- the snippet is idiomatic/clean and must not be;
-* ``suppressed`` -- the snippet violates the rule but carries a
-  justified ``# repro: allow[rule]`` directive, so the analyzer must
-  stay silent (and must not report ``bad-suppression`` either).
+* ``negative`` -- the snippet is idiomatic/clean and must not be.
 
 The violating code lives only inside string literals, so the analyzer's
 CI sweep over ``tests/`` never sees it as real source.
@@ -20,7 +17,7 @@ from dataclasses import dataclass
 class Fixture:
     rule: str
     family: str
-    kind: str  # "positive" | "negative" | "suppressed"
+    kind: str  # "positive" | "negative"
     module: str | None
     source: str
 
@@ -47,12 +44,6 @@ FIXTURES = [
         "import time\n\nstarted = time.perf_counter()\n",
     ),
     Fixture(
-        "det-wallclock", "determinism", "suppressed", "repro.experiments.demo",
-        "import time\n\n"
-        "STARTED = time.time()"
-        "  # repro: allow[det-wallclock] -- fixture: vetted false positive\n",
-    ),
-    Fixture(
         "det-unordered-reduce", "determinism", "positive", "repro.noc.demo",
         "def total(latencies):\n"
         "    return sum({flit.latency for flit in latencies})\n",
@@ -76,13 +67,6 @@ FIXTURES = [
         "    return sum({v for v in values})\n",
     ),
     Fixture(
-        "det-unordered-reduce", "determinism", "suppressed",
-        "repro.noc.demo",
-        "def total(counts):\n"
-        "    return sum({c for c in counts})"
-        "  # repro: allow[det-unordered-reduce] -- fixture: ints commute\n",
-    ),
-    Fixture(
         "det-np-unstable-sort", "determinism", "positive", "repro.noc.demo",
         "import numpy as np\n\n\ndef rank(keys):\n"
         "    return np.argsort(keys)\n",
@@ -103,13 +87,6 @@ FIXTURES = [
         "repro.experiments.demo",
         "import numpy as np\n\n\ndef rank(keys):\n"
         "    return np.argsort(keys)\n",
-    ),
-    Fixture(
-        "det-np-unstable-sort", "determinism", "suppressed",
-        "repro.noc.demo",
-        "import numpy as np\n\n\ndef rank(keys):\n"
-        "    return np.argsort(keys)"
-        "  # repro: allow[det-np-unstable-sort] -- fixture: keys unique\n",
     ),
     Fixture(
         # numpy reductions over set expressions accumulate in hash order
@@ -140,14 +117,6 @@ FIXTURES = [
         "    acc.append(item)\n"
         "    return acc\n",
     ),
-    Fixture(
-        "proc-mutable-default", "process-safety", "suppressed",
-        "repro.experiments.demo",
-        "def gather(item, acc=[]):"
-        "  # repro: allow[proc-mutable-default] -- fixture justification\n"
-        "    acc.append(item)\n"
-        "    return acc\n",
-    ),
     # -- exceptions ------------------------------------------------------
     Fixture(
         "exc-bare", "exceptions", "positive", "repro.experiments.demo",
@@ -173,15 +142,6 @@ FIXTURES = [
         "        return thunk()\n"
         "    except ValueError:\n"
         "        return None\n",
-    ),
-    Fixture(
-        "exc-bare", "exceptions", "suppressed", "repro.experiments.demo",
-        "def guard(thunk):\n"
-        "    try:\n"
-        "        return thunk()\n"
-        "    except:"
-        "  # repro: allow[exc-bare] -- fixture justification\n"
-        "        raise\n",
     ),
     Fixture(
         "exc-silent", "exceptions", "positive", "repro.experiments.demo",
@@ -220,15 +180,6 @@ FIXTURES = [
         "        log(exc)\n",
     ),
     Fixture(
-        "exc-silent", "exceptions", "suppressed", "repro.experiments.demo",
-        "def attempt(thunk):\n"
-        "    try:\n"
-        "        thunk()\n"
-        "    except Exception:"
-        "  # repro: allow[exc-silent] -- fixture justification\n"
-        "        pass\n",
-    ),
-    Fixture(
         "exc-broad-hotpath", "exceptions", "positive", "repro.sim.demo",
         "def step(event, log):\n"
         "    try:\n"
@@ -252,15 +203,6 @@ FIXTURES = [
         "    try:\n"
         "        event()\n"
         "    except Exception as exc:\n"
-        "        log(exc)\n",
-    ),
-    Fixture(
-        "exc-broad-hotpath", "exceptions", "suppressed", "repro.sim.demo",
-        "def step(event, log):\n"
-        "    try:\n"
-        "        event()\n"
-        "    except Exception as exc:"
-        "  # repro: allow[exc-broad-hotpath] -- fixture justification\n"
         "        log(exc)\n",
     ),
 ]

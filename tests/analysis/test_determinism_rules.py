@@ -1,7 +1,6 @@
 """Fixture-backed tests for the determinism rule family.
 
-Positive fixtures must be flagged, negatives must not, and suppressed
-fixtures carry a justified directive the analyzer must honor silently.
+Positive fixtures must be flagged, negatives must not.
 """
 
 import pytest
@@ -25,7 +24,7 @@ def test_family_has_all_three_kinds_per_rule():
         "det-wallclock", "det-unordered-reduce", "det-np-unstable-sort",
     }
     for rule, kinds in kinds_by_rule.items():
-        assert kinds == {"positive", "negative", "suppressed"}, rule
+        assert kinds == {"positive", "negative"}, rule
 
 
 def test_import_aliasing_is_resolved():

@@ -19,7 +19,7 @@ def test_family_has_all_three_kinds_per_rule():
         kinds_by_rule.setdefault(fixture.rule, set()).add(fixture.kind)
     assert set(kinds_by_rule) == {"exc-bare", "exc-silent", "exc-broad-hotpath"}
     for rule, kinds in kinds_by_rule.items():
-        assert kinds == {"positive", "negative", "suppressed"}, rule
+        assert kinds == {"positive", "negative"}, rule
 
 
 def test_bare_silent_swallow_trips_both_rules():

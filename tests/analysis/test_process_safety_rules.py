@@ -19,5 +19,5 @@ def test_family_has_all_three_kinds_per_rule():
         kinds_by_rule.setdefault(fixture.rule, set()).add(fixture.kind)
     assert set(kinds_by_rule) == {"proc-mutable-default"}
     for rule, kinds in kinds_by_rule.items():
-        assert kinds == {"positive", "negative", "suppressed"}, rule
+        assert kinds == {"positive", "negative"}, rule
 

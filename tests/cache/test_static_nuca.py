@@ -92,3 +92,17 @@ class TestStaticNUCASystem:
         a = StaticNUCASystem(design="A").run(trace, profile, warmup=warmup)
         b = StaticNUCASystem(design="A").run(trace, profile, warmup=warmup)
         assert a.ipc == b.ipc and a.average_latency == b.average_latency
+
+    @pytest.mark.parametrize(
+        "warmup, match", [(-5, "non-negative"), (300, "leave accesses")]
+    )
+    def test_bad_warmup_rejected(self, warmup, match):
+        # The same check as the D-NUCA loop: a negative warm-up must not
+        # silently measure the whole trace.
+        from repro.core.static_system import StaticNUCASystem
+        from repro.workloads import TraceGenerator, profile_by_name
+
+        profile = profile_by_name("art")
+        trace = TraceGenerator(profile, seed=1).generate(300)
+        with pytest.raises(ConfigurationError, match=match):
+            StaticNUCASystem(design="A").run(trace, profile, warmup=warmup)

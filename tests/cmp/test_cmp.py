@@ -50,6 +50,18 @@ class TestCMPRun:
         with pytest.raises(ConfigurationError):
             system.run([_workload("twolf", 1)])
 
+    @pytest.mark.parametrize(
+        "warmup, match", [(-5, "non-negative"), (300, "leave accesses")]
+    )
+    def test_bad_warmup_rejected(self, warmup, match):
+        # A core warmed over its whole trace would report 0 accesses at
+        # the perfect-L2 IPC; a negative warm-up would measure everything.
+        profile = profile_by_name("art")
+        trace = TraceGenerator(profile, seed=1).generate(300)
+        system = CMPCacheSystem(design="A", num_cores=2)
+        with pytest.raises(ConfigurationError, match=match):
+            system.run([_workload("twolf", 1), (profile, trace, warmup)])
+
     def test_per_core_results_isolated(self):
         system = CMPCacheSystem(design="F", num_cores=2)
         result = system.run([_workload("art", 1), _workload("mcf", 2)])

@@ -11,17 +11,13 @@ flit traces to match byte for byte.
 
 Long runs are slow-marked; each fabric also gets a short tier-1 smoke
 variant with the same structure so every CI run exercises the harness,
-and the three ``benchmarks/bench_arraycore.py`` cells run at small
-sizes.
+and the three reference cells (:func:`cell`) run at small sizes.
 """
 
 from __future__ import annotations
 
-import functools
-import importlib.util
 import itertools
 import os
-import pathlib
 import random
 import tempfile
 
@@ -59,20 +55,48 @@ def _trace_bytes(core, workload):
         os.unlink(path)
 
 
-@functools.cache
-def _bench():
-    """``benchmarks/bench_arraycore.py``, loaded as a module."""
-    path = (
-        pathlib.Path(__file__).resolve().parents[2]
-        / "benchmarks" / "bench_arraycore.py"
-    )
-    spec = importlib.util.spec_from_file_location("bench_arraycore", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # -- workloads ----------------------------------------------------------
+
+
+#: Mesh cells: one random unicast every this many cycles on a 16x16 mesh.
+_MESH_SPACING = {"protocol_paced": 130, "mesh16_saturated": 2}
+
+
+def cell(name, packets):
+    """The reference cell *name* carrying *packets* packets.
+
+    ``mesh16_saturated`` injects a random unicast every 2 cycles, which
+    saturates the mesh (the SoA core's worst case: every cycle busy).
+    ``protocol_paced`` spaces the same stream 130 cycles apart, the
+    cache-transaction pacing of
+    :class:`repro.noc.protocol.FlitLevelCacheProtocol`, where long idle
+    gaps between request/response legs dominate and the array core's
+    idle fast-forward pays off. ``simplified_multicast`` sends
+    spine-to-column multicasts on an 8x6 simplified mesh (Fig. 5(b)
+    traffic): every packet starts on the row-0 spine, so it respects the
+    legal-traffic enumeration while exercising the hybrid replication
+    path on every column router.
+    """
+    if name == "simplified_multicast":
+        cols, rows = 8, 6
+        return FlitWorkload("simplified", cols, rows, packets=tuple(
+            PacketSpec(
+                "read_request",
+                (i % cols, 0),
+                tuple((i % cols, y) for y in range(rows)),
+                i * 4,
+            )
+            for i in range(packets)
+        ))
+    rng = random.Random(20070212)
+    nodes = [(x, y) for x in range(16) for y in range(16)]
+    stream = []
+    for i in range(packets):
+        source, destination = rng.sample(nodes, 2)
+        stream.append(PacketSpec(
+            "read_request", source, (destination,), i * _MESH_SPACING[name]
+        ))
+    return FlitWorkload("mesh", 16, 16, packets=tuple(stream))
 
 
 def _mesh_workload(seed, count, spacing, hotspot=0.0, window=0):
@@ -238,7 +262,7 @@ class TestSaturationSmoke:
 
 
 class TestBenchCells:
-    """``benchmarks/bench_arraycore.py``'s cells at small sizes."""
+    """The three reference cells at small sizes."""
 
     @pytest.mark.parametrize(
         "name, packets",
@@ -249,17 +273,4 @@ class TestBenchCells:
         ],
     )
     def test_bench_cell_agrees(self, name, packets):
-        assert compare(_bench().cell(name, packets)) is None
-
-    def test_bench_section_renders(self):
-        # The bench's own path: timed drains under compare (SystemExit on
-        # a divergence), profiled reruns on both cores, and the report.
-        bench = _bench()
-        section = bench.bench_array_core(8)
-        assert [cell["cell"] for cell in section["cells"]] == [
-            "protocol_paced", "mesh16_saturated", "simplified_multicast",
-        ]
-        assert [cell["deliveries"] for cell in section["cells"]] == [2, 8, 24]
-        for cell in section["cells"]:
-            assert set(cell["phases"]) == set(CORES)
-        assert "bit-identical across cores: True" in bench.render(section)
+        assert compare(cell(name, packets)) is None

@@ -13,6 +13,7 @@ from repro.stream.service import (
     make_stream_series,
 )
 from repro.telemetry.registry import LATENCY_SLO_EDGES, MetricsRegistry
+from repro.validation.differential import StreamWorkload, compare
 
 CYCLES = 1200
 
@@ -105,9 +106,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("design", ("C", "F"))
     def test_cores_publish_identical_snapshots(self, design):
-        obj = _snapshot(_run(design, mix="duo-bursty", core="object"))
-        arr = _snapshot(_run(design, mix="duo-bursty", core="array"))
-        assert obj == arr
+        workload = StreamWorkload(
+            design, tenant_mix("duo-bursty"), cycles=CYCLES
+        )
+        divergence = compare(workload)
+        assert divergence is None, divergence.render()
 
 
 class TestReporting:

@@ -2,9 +2,7 @@
 
 These are coarse regression tripwires, not precision benchmarks: each
 timing is a best-of-N to shed scheduler noise, and the thresholds are
-deliberately generous (the precise disabled-overhead number is measured by
-``benchmarks/bench_runtime.py`` and recorded in BENCH_runtime.json). What
-they catch is a category error -- an instrumentation site that builds
+deliberately generous. What they catch is a category error -- an instrumentation site that builds
 event payloads before checking ``sink.enabled``, or a hot-path metric that
 turns O(1) bookkeeping into something visibly slower.
 """
@@ -124,10 +122,8 @@ class TestWindowedSeriesOffPath:
     def test_windowed_run_overhead_is_bounded(self):
         """window=N stays cheap: a few dict ops per measured access.
 
-        Mirrors ``bench_windowed`` in benchmarks/bench_runtime.py (the
-        precise ratio lands in BENCH_runtime.json as
-        ``windowed_telemetry``); the 1.5x tripwire only catches a
-        category error like per-access snapshotting.
+        The 1.5x tripwire only catches a category error like
+        per-access snapshotting.
         """
         from repro.core.system import NetworkedCacheSystem
         from repro.workloads import TraceGenerator, profile_by_name

@@ -321,3 +321,23 @@ class TestFaultsCommand:
               "--designs", "A", "--seed", "9", "--fault-seed", "3",
               "--no-cache"])
         assert "fault seed 3" in capsys.readouterr().out
+
+
+class TestTypedErrors:
+    """A ``repro.errors`` exception leaves the CLI as one usage-error line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--cycles", "0", "--no-cache"], "cycles must be positive"),
+            (["run", "--measure", "0", "--no-cache"], "measure must be positive"),
+            (["cmp", "--cores", "0", "--no-cache"], "num_cores must be >= 1"),
+            (["lint", "notes.txt"], "not a python file or directory: notes.txt"),
+        ],
+        ids=["serve", "run", "cmp", "lint"],
+    )
+    def test_one_line_and_status_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro: error: {message}\n"

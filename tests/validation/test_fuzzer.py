@@ -7,12 +7,14 @@ import pytest
 from repro.errors import ValidationError
 from repro.noc.arraycore import ArrayNetwork
 from repro.noc.router import Router
+from repro.stream.arrivals import TenantSpec, tenant_mix
 from repro.validation import (
     CacheCase,
     FlitWorkload,
     NocCase,
     OracleCase,
     PacketSpec,
+    StreamWorkload,
     case_to_pytest,
     compare,
     fuzz,
@@ -45,6 +47,7 @@ class TestGeneration:
         assert isinstance(generate_case("cache", rng), CacheCase)
         assert isinstance(generate_case("oracle", rng), OracleCase)
         assert isinstance(generate_case("arraycore", rng), FlitWorkload)
+        assert isinstance(generate_case("stream", rng), StreamWorkload)
 
     def test_unknown_family_rejected(self):
         from repro.errors import ValidationError
@@ -54,7 +57,7 @@ class TestGeneration:
 
     def test_case_reprs_round_trip(self):
         rng = random.Random(3)
-        for family in ("noc", "cache", "oracle", "arraycore"):
+        for family in ("noc", "cache", "oracle", "arraycore", "stream"):
             case = generate_case(family, rng)
             assert eval(repr(case)) == case  # repros are pasted verbatim
 
@@ -94,14 +97,20 @@ class TestShrinkList:
 
 class TestReproEmission:
     def test_emitted_module_compiles_and_runs(self):
-        case = NocCase(
-            kind="mesh", cols=3, rows=3,
-            packets=(PacketSpec("read_request", (0, 0), ((2, 2),)),),
+        cases = (
+            NocCase(
+                kind="mesh", cols=3, rows=3,
+                packets=(PacketSpec("read_request", (0, 0), ((2, 2),)),),
+            ),
+            StreamWorkload(
+                "C", (TenantSpec("alfa", rate_per_kcycle=40.0),), cycles=400
+            ),
         )
-        source = case_to_pytest(case, error="example failure")
-        namespace = {}
-        exec(compile(source, "<repro>", "exec"), namespace)
-        namespace["test_fuzz_repro"]()  # the clean case just passes
+        for case in cases:
+            source = case_to_pytest(case, error="example failure")
+            namespace = {}
+            exec(compile(source, "<repro>", "exec"), namespace)
+            namespace["test_fuzz_repro"]()  # the clean case just passes
 
     def test_repro_mentions_error_and_case(self):
         case = CacheCase(policy="lru", bank_of_way=(0, 1), accesses=((1, False),))
@@ -208,6 +217,13 @@ class TestInjectedArrayBugIsCaught:
         assert "diverged from the object core on deliveries" in (
             divergence.render()
         )
+
+    def test_stream_family_runs_compare(self):
+        # The reversed arbiter reorders contended deliveries; the stream
+        # family reports it through compare.
+        case = StreamWorkload("C", tenant_mix("duo-bursty", 3.0), cycles=600)
+        with pytest.raises(ValidationError, match="diverged from the object"):
+            run_case(case)
 
     def test_arraycore_family_catches_and_shrinks(self):
         report = fuzz(8, seed=1, families=("arraycore",))
