@@ -52,30 +52,15 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> str:
+    from repro.experiments.runner import run_cells, spec_for
     from repro.workloads import profile_by_name
 
     profile = profile_by_name(args.benchmark)
-    system = None
-    if args.early_miss:
-        # Early-miss statistics live on the system object, which the
-        # engine's cached RunResults do not carry -- simulate directly.
-        from repro.core.system import NetworkedCacheSystem
-        from repro.workloads import TraceGenerator
-
-        trace, warmup = TraceGenerator(
-            profile, seed=args.seed
-        ).generate_with_warmup(measure=args.measure)
-        system = NetworkedCacheSystem(
-            design=args.design, scheme=args.scheme, early_miss_detection=True
-        )
-        result = system.run(trace, profile, warmup=warmup)
-        from repro.telemetry import merge_run
-
-        merge_run(result)
-    else:
-        from repro.experiments.common import run_system
-
-        result = run_system(args.design, args.scheme, args.benchmark, _config(args))
+    spec = spec_for(
+        args.design, args.scheme, args.benchmark, _config(args),
+        early_miss_detection=args.early_miss,
+    )
+    result = run_cells([spec])[0]
     shares = result.breakdown_fractions()
     lines = [
         f"design {result.design}, scheme {result.scheme}, "
@@ -91,11 +76,11 @@ def cmd_run(args: argparse.Namespace) -> str:
         f"IPC {result.ipc:.3f} ({result.ipc / profile.perfect_l2_ipc:.0%} of "
         f"perfect {profile.perfect_l2_ipc})",
     ]
-    if system is not None and system.partial_tags is not None:
-        lines.append(
-            f"early misses {system.partial_tags.early_misses} "
-            f"({system.partial_tags.early_miss_rate:.0%} of lookups)"
-        )
+    if args.early_miss:
+        # One partial-tag lookup per measured access.
+        early = result.metrics["cache.partial_tags.early_misses"]["value"]
+        rate = early / result.accesses if result.accesses else 0.0
+        lines.append(f"early misses {early} ({rate:.0%} of lookups)")
     return "\n".join(lines)
 
 
@@ -175,19 +160,9 @@ def cmd_report(args: argparse.Namespace) -> str:
         if args.check_schema:
             return _check_schema(snapshot)
         report = metrics_report.explore(snapshot)
-        lines = []
-        if args.png:
-            if metrics_report.write_png(report, args.png):
-                lines.append(f"heatmap PNG written to {args.png}")
-            else:
-                lines.append(
-                    f"matplotlib not installed; skipped PNG {args.png}"
-                )
         if args.format == "json":
-            lines.append(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            lines.append(metrics_report.render_text(report))
-        return "\n".join(lines)
+            return json.dumps(report, indent=2, sort_keys=True)
+        return metrics_report.render_text(report)
 
     from repro.experiments import full_report
 
@@ -312,11 +287,7 @@ def cmd_faults(args: argparse.Namespace) -> str:
 
 def _render_serve_cell(spec, result) -> str:
     """Summary + rolling per-window SLO table of one streaming cell."""
-    from repro.telemetry.registry import (
-        LATENCY_SLO_EDGES,
-        MetricsRegistry,
-        quantiles_from_counts,
-    )
+    from repro.telemetry.registry import LATENCY_SLO_EDGES, MetricsRegistry
 
     summary = result.summary
     lines = [
@@ -496,6 +467,17 @@ def cmd_energy(args: argparse.Namespace) -> str:
     )
 
 
+def _count(text: str) -> int:
+    """argparse type of a count option: an integer that is not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -528,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="jsonl",
                        help="trace encoding: jsonl lines or a Chrome "
                             "trace_event file loadable in Perfetto")
-        p.add_argument("--window", type=int, default=0, metavar="N",
+        p.add_argument("--window", type=_count, default=0, metavar="N",
                        help="sample windowed metric series every N "
                             "sim-cycles (0 = off); series appear in "
                             "--metrics-out and feed `repro report`")
@@ -594,10 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "telemetry catalog (repro.telemetry.catalog) "
                              "instead of rendering; nonzero exit on "
                              "unknown keys or kind mismatches")
-    report.add_argument("--png", default=None, metavar="PATH",
-                        help="also draw the heatmap + series with "
-                             "matplotlib when it is installed (skipped "
-                             "with a notice otherwise)")
     report.add_argument("--out", default="results.txt")
     common(report)
     report.set_defaults(handler=cmd_report)
@@ -700,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
             "are shrunk to minimal ready-to-paste pytest repros."
         ),
     )
-    validate.add_argument("--fuzz", type=int, default=0, metavar="N",
+    validate.add_argument("--fuzz", type=_count, default=0, metavar="N",
                           help="run N fuzz cases instead of the oracle suite")
     validate.add_argument("--benchmark", choices=BENCHMARK_NAMES,
                           default="art")

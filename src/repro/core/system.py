@@ -21,7 +21,7 @@ from repro.cache.address import AddressMapper
 from repro.cache.array import CacheArray
 from repro.cache.bankset import BankSetStats
 from repro.cache.memory import MemoryModel
-from repro.cache.partial_tags import PartialTagConfig, PartialTagStore
+from repro.cache.partial_tags import PartialTagStore
 from repro.core.designs import DesignSpec, design_spec
 from repro.core.flows import Scheme, TransactionEngine, make_scheme
 from repro.core.geometry import CacheGeometry
@@ -135,7 +135,6 @@ class NetworkedCacheSystem:
         router_config=None,
         spike_queue_entries: int = 2,
         early_miss_detection: bool = False,
-        partial_tag_bits: int = 6,
         window: int = 0,
     ) -> None:
         self.spec = design_spec(design) if isinstance(design, str) else design
@@ -163,9 +162,7 @@ class NetworkedCacheSystem:
         #: Optional partial-tag early miss detection (D-NUCA smart search).
         self.partial_tags: PartialTagStore | None = None
         if early_miss_detection:
-            self.partial_tags = PartialTagStore(
-                PartialTagConfig(bits=partial_tag_bits)
-            )
+            self.partial_tags = PartialTagStore()
 
     # -- single-access convenience ------------------------------------------
 

@@ -20,11 +20,6 @@ Module                    Paper artifact
 ========================  ===========================================
 """
 
-from repro.experiments.common import (
-    ExperimentConfig,
-    run_system,
-    run_systems,
-    trace_for,
-)
+from repro.experiments.common import ExperimentConfig, run_systems, trace_for
 
-__all__ = ["ExperimentConfig", "run_system", "run_systems", "trace_for"]
+__all__ = ["ExperimentConfig", "run_systems", "trace_for"]

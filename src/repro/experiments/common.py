@@ -51,33 +51,16 @@ def trace_for(benchmark: str, config: ExperimentConfig) -> tuple[Trace, int]:
     )
 
 
-def run_system(
-    design: str,
-    scheme: str,
-    benchmark: str,
-    config: ExperimentConfig,
-) -> RunResult:
-    """Run one (design, scheme, benchmark) cell through the engine.
-
-    Runs are deterministic given their arguments; the engine memoizes them
-    per process (the figure drivers share many cells) and, when the CLI
-    enables it, in the persistent on-disk result cache.
-    """
-    from repro.experiments import runner
-
-    return runner.run_cells([runner.spec_for(design, scheme, benchmark, config)])[0]
-
-
 def run_systems(
     cells: list[tuple[str, str, str]],
     config: ExperimentConfig,
 ) -> dict[tuple[str, str, str], RunResult]:
     """Evaluate a batch of (design, scheme, benchmark) cells at once.
 
-    The preferred driver entry point: handing the whole cell list to the
-    engine lets it fan independent cells over worker processes
-    (``--jobs``) and consult the persistent result cache, while a lone
-    :func:`run_system` loop is inherently serial.
+    Runs are deterministic given their arguments. Handing the whole cell
+    list to the engine lets it fan independent cells over worker
+    processes (``--jobs``), memoize them per process (the figure drivers
+    share many cells) and consult the persistent result cache.
     """
     from repro.experiments import runner
 

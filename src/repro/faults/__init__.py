@@ -1,8 +1,9 @@
-"""Fault injection and resilience (DESIGN.md §11).
+"""Fault modeling and resilience at the transaction level (DESIGN.md §11).
 
-Fault models install on a live :class:`~repro.noc.network.Network` the way
-invariant checkers do; degraded routing keeps surviving traffic XYX-legal;
-recovery retries lost messages end-to-end; campaigns sweep fault rate
+Seeded fault plans (link cuts, dead banks, transient message loss) are
+timed by a degraded cache geometry: degraded routing keeps surviving
+traffic XYX-legal, columns shrink to their live prefixes, and lost
+traversals retry with bounded backoff; campaigns sweep fault rate
 against scheme and topology through the standard experiment runner.
 """
 
@@ -14,28 +15,21 @@ from repro.faults.campaign import (
 )
 from repro.faults.models import (
     BankFault,
-    FaultInjector,
     FaultPlan,
-    FaultStats,
     LinkFault,
     TransientFaults,
-    VCFault,
     protected_nodes,
 )
 from repro.faults.recovery import (
     DegradedCacheGeometry,
-    RecoveryManager,
-    RecoveryStats,
     RetryPolicy,
     TransactionFaultStats,
-    install_resilience,
     truncate_columns,
 )
 from repro.faults.reroute import (
     DegradedRouting,
     alive_nodes,
     coreachable_nodes,
-    fallback_destination,
     reachable_nodes,
     verify_degraded,
 )
@@ -47,20 +41,13 @@ __all__ = [
     "CampaignResult",
     "DegradedCacheGeometry",
     "DegradedRouting",
-    "FaultInjector",
     "FaultPlan",
-    "FaultStats",
     "LinkFault",
-    "RecoveryManager",
-    "RecoveryStats",
     "RetryPolicy",
     "TransactionFaultStats",
     "TransientFaults",
-    "VCFault",
     "alive_nodes",
     "coreachable_nodes",
-    "fallback_destination",
-    "install_resilience",
     "protected_nodes",
     "reachable_nodes",
     "run_campaign",

@@ -1,35 +1,29 @@
-"""Seeded, deterministic fault models installable on a live network.
+"""Seeded, deterministic fault plans for the transaction-level model.
 
-The fault taxonomy (DESIGN.md §11) covers four classes:
+The fault taxonomy (DESIGN.md §11) covers three classes:
 
 * **permanent link failure** (:class:`LinkFault`) -- a directed channel
-  dies at a cycle; flits on the wire are destroyed, later traversals drop;
-* **router input-VC failure** (:class:`VCFault`) -- one virtual channel of
-  one input port stops accepting flits (an input-port failure is the set
-  of all its VCs);
+  is dead for the whole run; degraded routing detours around it;
 * **transient faults** (:class:`TransientFaults`) -- each link traversal
-  independently drops or corrupts the flit with a seeded probability
-  (a corrupted flit is detected and discarded, i.e. handled as a drop);
+  independently loses its message with a seeded probability, and the
+  sender retries;
 * **dead banks** (:class:`BankFault`) -- a bank node neither sources nor
-  sinks packets; destinations pointing at it are filtered at injection.
+  sinks packets; its column keeps only the banks in front of it.
 
 A :class:`FaultPlan` bundles faults; :meth:`FaultPlan.sample` draws one
 deterministically from a seed while protecting the nodes the cache cannot
 lose (core/memory attach points and the row-0 / position-0 banks), so a
 sampled plan degrades capacity and latency but never strands an access.
-
-The :class:`FaultInjector` executes a plan on a network, installed via
-:meth:`repro.noc.network.Network.install_fault_controller` -- the same
-pattern as ``repro.validation.invariants`` checkers.
+:class:`repro.faults.recovery.DegradedCacheGeometry` times a cache over
+the surviving fabric of a plan.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.noc.router import INJECT
 from repro.noc.topology import (
     HUB,
     HaloTopology,
@@ -45,43 +39,26 @@ class LinkFault:
 
     src: NodeId
     dst: NodeId
-    at_cycle: int = 0
-
-
-@dataclass(frozen=True)
-class VCFault:
-    """Permanent failure of input VC *vc* of port *in_port* at *node*."""
-
-    node: NodeId
-    in_port: object
-    vc: int
-    at_cycle: int = 0
 
 
 @dataclass(frozen=True)
 class BankFault:
-    """A dead bank node: filtered from destinations, masked from contents."""
+    """A dead bank node: its column keeps only the banks in front of it."""
 
     node: NodeId
 
 
 @dataclass(frozen=True)
 class TransientFaults:
-    """Per-traversal soft-error rates (seeded at the injector)."""
+    """Per-traversal message-loss rate (seeded at the degraded geometry)."""
 
     drop_rate: float = 0.0
-    corrupt_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        for rate in (self.drop_rate, self.corrupt_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigurationError(
-                    f"transient fault rate {rate} outside [0, 1]"
-                )
-
-    @property
-    def total_rate(self) -> float:
-        return self.drop_rate + self.corrupt_rate
+        if not 0.0 <= self.drop_rate <= 1.0:
+            raise ConfigurationError(
+                f"transient fault rate {self.drop_rate} outside [0, 1]"
+            )
 
 
 def protected_nodes(topology: Topology) -> frozenset:
@@ -116,7 +93,6 @@ class FaultPlan:
     """A declared, reproducible set of faults for one run."""
 
     links: tuple = ()
-    vcs: tuple = ()
     banks: tuple = ()
     transients: TransientFaults | None = None
 
@@ -125,13 +101,12 @@ class FaultPlan:
         """True when the plan injects nothing at all."""
         return (
             not self.links
-            and not self.vcs
             and not self.banks
-            and (self.transients is None or self.transients.total_rate == 0.0)
+            and (self.transients is None or self.transients.drop_rate == 0.0)
         )
 
     def dead_channels(self) -> frozenset:
-        """Directed channels that (eventually) die under this plan."""
+        """Directed channels dead under this plan."""
         return frozenset((f.src, f.dst) for f in self.links)
 
     def dead_banks(self) -> frozenset:
@@ -141,13 +116,11 @@ class FaultPlan:
         parts = []
         if self.links:
             parts.append(f"{len(self.links)} link fault(s)")
-        if self.vcs:
-            parts.append(f"{len(self.vcs)} VC fault(s)")
         if self.banks:
             parts.append(f"{len(self.banks)} dead bank(s)")
-        if self.transients is not None and self.transients.total_rate > 0:
+        if self.transients is not None and self.transients.drop_rate > 0:
             parts.append(
-                f"transient rate {self.transients.total_rate:g}/traversal"
+                f"transient rate {self.transients.drop_rate:g}/traversal"
             )
         return ", ".join(parts) if parts else "no faults"
 
@@ -156,20 +129,16 @@ class FaultPlan:
         topology: Topology,
         *,
         link_rate: float = 0.0,
-        vc_rate: float = 0.0,
         bank_rate: float = 0.0,
         transient_rate: float = 0.0,
         seed: int = 0,
-        at_cycle: int = 0,
-        num_vcs: int = 4,
     ) -> "FaultPlan":
-        """Draw a deterministic plan: each candidate link/VC/bank fails
+        """Draw a deterministic plan: each candidate link/bank fails
         independently with its rate, under the protection constraints.
 
         Both directions of a physical link fail together (a severed wire
-        bundle). VC faults spare index 0 of every port so each physical
-        channel keeps at least one working VC. Bank faults spare the
-        protected nodes and never kill every bank of the topology.
+        bundle). Bank faults spare the protected nodes and never kill
+        every bank of the topology.
         """
         rng = random.Random(f"faults/{seed}")
         protected = protected_nodes(topology)
@@ -186,18 +155,8 @@ class FaultPlan:
                 # column keeps its entry point and memory stays reachable.
                 continue
             if rng.random() < link_rate:
-                links.append(LinkFault(channel.src, channel.dst, at_cycle))
-                links.append(LinkFault(channel.dst, channel.src, at_cycle))
-
-        vcs = []
-        if vc_rate > 0.0:
-            for node in sorted(topology.nodes, key=str):
-                if node in protected:
-                    continue
-                for in_port in sorted(topology.predecessors(node), key=str):
-                    for vc in range(1, num_vcs):
-                        if rng.random() < vc_rate:
-                            vcs.append(VCFault(node, in_port, vc, at_cycle))
+                links.append(LinkFault(channel.src, channel.dst))
+                links.append(LinkFault(channel.dst, channel.src))
 
         banks = []
         if bank_rate > 0.0:
@@ -214,159 +173,6 @@ class FaultPlan:
         )
         return FaultPlan(
             links=tuple(links),
-            vcs=tuple(vcs),
             banks=tuple(banks),
             transients=transients,
         )
-
-
-@dataclass
-class FaultStats:
-    """Counters kept by a :class:`FaultInjector`."""
-
-    #: Faults activated (each link direction / VC / bank counts once).
-    faults_injected: int = 0
-    #: Flits dropped because their next channel was dead.
-    link_drops: int = 0
-    #: Flits dropped by a transient soft error.
-    transient_drops: int = 0
-    #: Flits corrupted (detected and discarded) by a transient soft error.
-    transient_corruptions: int = 0
-    #: Destinations filtered from injected packets (dead banks).
-    filtered_destinations: int = 0
-    #: Destinations filtered because no legal degraded route reaches them.
-    unroutable_destinations: int = 0
-    #: Packets rejected whole at injection (every destination dead).
-    rejected_packets: int = 0
-
-    def publish_metrics(self, registry) -> None:
-        registry.counter("faults.injected").inc(self.faults_injected)
-        registry.counter("faults.link_drops").inc(self.link_drops)
-        registry.counter("faults.transient_drops").inc(self.transient_drops)
-        registry.counter("faults.transient_corruptions").inc(
-            self.transient_corruptions
-        )
-        registry.counter("faults.filtered_destinations").inc(
-            self.filtered_destinations
-        )
-        registry.counter("faults.unroutable_destinations").inc(
-            self.unroutable_destinations
-        )
-        registry.counter("faults.rejected_packets").inc(self.rejected_packets)
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-class FaultInjector:
-    """Executes a :class:`FaultPlan` on a live :class:`Network`.
-
-    Install with ``network.install_fault_controller(injector)``. The
-    network calls :meth:`on_cycle_start` each cycle (activating scheduled
-    faults), :meth:`admit` per injection (dead-bank filtering), and
-    :meth:`filter_forward` per link traversal (dead-channel and transient
-    drops). All randomness is confined to one seeded stream, so a given
-    ``(plan, seed)`` is bit-reproducible.
-    """
-
-    def __init__(self, plan: FaultPlan, seed: int = 0) -> None:
-        self.plan = plan
-        self.seed = seed
-        self.stats = FaultStats()
-        self._rng = random.Random(f"faults/transient/{seed}")
-        self.network = None
-        self._dead_channels: set = set()
-        self._dead_banks = set(plan.dead_banks())
-        #: Optional ``routable(src, dst) -> bool`` filter (degraded routing).
-        self._route_filter = None
-        self.stats.faults_injected += len(self._dead_banks)
-        #: Faults not yet active, keyed by activation cycle.
-        self._pending: dict[int, list] = {}
-        for fault in list(plan.links) + list(plan.vcs):
-            self._pending.setdefault(fault.at_cycle, []).append(fault)
-        transients = plan.transients
-        self._drop_rate = transients.drop_rate if transients else 0.0
-        self._corrupt_rate = transients.corrupt_rate if transients else 0.0
-
-    # -- controller interface (called by the Network) ----------------------
-
-    def attach(self, network) -> None:
-        self.network = network
-
-    def next_event(self) -> int | None:
-        """Earliest still-pending fault activation (a wakeup source)."""
-        return min(self._pending) if self._pending else None
-
-    def on_cycle_start(self, network, cycle: int) -> None:
-        if not self._pending:
-            return
-        for at_cycle in sorted(c for c in self._pending if c <= cycle):
-            for fault in self._pending.pop(at_cycle):
-                self._activate(network, fault)
-
-    def _activate(self, network, fault) -> None:
-        self.stats.faults_injected += 1
-        if isinstance(fault, LinkFault):
-            self._dead_channels.add((fault.src, fault.dst))
-            network.sever_channel(fault.src, fault.dst, "link_failure")
-        elif isinstance(fault, VCFault):
-            network.fail_vc(fault.node, fault.in_port, fault.vc, "vc_failure")
-        else:  # pragma: no cover - plans only schedule link/VC faults
-            raise ConfigurationError(f"cannot activate fault {fault!r}")
-
-    def set_route_filter(self, routable) -> None:
-        """Install a ``routable(src, dst) -> bool`` predicate; destinations
-        with no legal degraded route are filtered at injection (the sender
-        fails fast instead of launching a flit the fabric must strand)."""
-        self._route_filter = routable
-
-    def admit(self, network, packet, node) -> bool:
-        """Filter dead-bank/unroutable destinations; reject dead packets."""
-        if not self._dead_banks and self._route_filter is None:
-            return True
-        alive = []
-        for d in packet.destinations:
-            if d in self._dead_banks:
-                self.stats.filtered_destinations += 1
-            elif self._route_filter is not None and not self._route_filter(
-                node, d
-            ):
-                self.stats.unroutable_destinations += 1
-            else:
-                alive.append(d)
-        if len(alive) == len(packet.destinations):
-            return True
-        if not alive:
-            self.stats.rejected_packets += 1
-            return False
-        packet.destinations = tuple(alive)
-        return True
-
-    def filter_forward(self, network, node, forward, cycle) -> str | None:
-        """Return a drop reason for this traversal, or ``None`` to pass."""
-        if (node, forward.out_port) in self._dead_channels:
-            self.stats.link_drops += 1
-            return "link_failure"
-        if self._drop_rate or self._corrupt_rate:
-            draw = self._rng.random()
-            if draw < self._drop_rate:
-                self.stats.transient_drops += 1
-                return "transient_drop"
-            if draw < self._drop_rate + self._corrupt_rate:
-                self.stats.transient_corruptions += 1
-                return "transient_corruption"
-        return None
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def dead_channels(self) -> frozenset:
-        """Channels dead *right now* (activated so far)."""
-        return frozenset(self._dead_channels)
-
-    @property
-    def dead_banks(self) -> frozenset:
-        return frozenset(self._dead_banks)
-
-
-_ = INJECT  # port names are part of the VCFault vocabulary

@@ -39,13 +39,7 @@ from repro.noc.routing import (
     is_deadlock_free,
     xyx_path_channel_numbers,
 )
-from repro.noc.topology import (
-    HUB,
-    HaloTopology,
-    MeshTopology,
-    NodeId,
-    Topology,
-)
+from repro.noc.topology import MeshTopology, NodeId, Topology
 
 
 def reachable_nodes(
@@ -97,40 +91,6 @@ def alive_nodes(
     return reachable_nodes(topology, dead_channels, root) & coreachable_nodes(
         topology, dead_channels, root
     )
-
-
-def fallback_destination(
-    topology: Topology, alive: frozenset, node: NodeId
-) -> NodeId | None:
-    """Nearest live substitute for a dead/unreachable endpoint.
-
-    Meshes fall back up the column toward the core row (the "next row" of
-    the issue); halos fall back toward the hub along the spike, then to the
-    same position on neighboring spikes. Returns ``None`` when nothing
-    suitable survives.
-    """
-    if node in alive:
-        return node
-    candidates: list[NodeId] = []
-    if isinstance(topology, HaloTopology) and node != HUB:
-        _, spike, pos = node
-        candidates.extend(
-            ("spike", spike, p) for p in range(pos - 1, -1, -1)
-        )
-        for offset in range(1, topology.num_spikes):
-            neighbor = (spike + offset) % topology.num_spikes
-            candidates.append(("spike", neighbor, min(pos, topology.spike_length - 1)))
-        candidates.append(HUB)
-    elif isinstance(topology, MeshTopology):
-        x, y = node
-        candidates.extend((x, row) for row in range(y - 1, -1, -1))
-        for offset in range(1, topology.cols):
-            for col in ((x + offset) % topology.cols, (x - offset) % topology.cols):
-                candidates.append((col, y))
-    for candidate in candidates:
-        if candidate in alive:
-            return candidate
-    return None
 
 
 class DegradedRouting(RouteComputer):
@@ -356,5 +316,3 @@ def verify_degraded(
         "xyx_checked": xyx_checked,
     }
 
-
-_ = HUB  # halo vocabulary used by fallback_destination

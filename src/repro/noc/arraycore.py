@@ -32,8 +32,8 @@ The equivalence contract is enforced by ``tests/noc/test_arraycore.py``,
 ``tests/noc/test_arraycore_saturation.py``, the differential oracle, and
 the ``arraycore`` fuzzer family.
 
-Checkers and fault controllers hook per-object state and are
-intentionally unsupported here; install them on the object core.
+Invariant checkers hook per-object state and are intentionally
+unsupported here; install them on the object core.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.config import RouterConfig
 from repro.errors import ProtocolError, SimulationError
 from repro.noc.network import Delivery, NetworkStats
 from repro.noc.packet import Packet
-from repro.noc.router import EJECT, INJECT
+from repro.noc.router import INJECT
 from repro.noc.routing import RouteComputer, routing_for
 from repro.noc.topology import NodeId, Topology
 from repro.telemetry import trace as _trace
@@ -224,8 +224,6 @@ class ArrayNetwork:
         self._pending_ejects: dict[tuple[int, int], int] = {}
         self._eject_meta: dict[tuple[int, int], Packet] = {}
         self._delivered_callbacks: list[Callable[[Delivery], None]] = []
-        self._lost_callbacks: list[Callable[[Packet, tuple, str], None]] = []
-        self._wakeup_sources: list[Callable[[], int | None]] = []
         #: Routers currently buffering at least one flit.
         self._active: set[int] = set()
         self._sink = _trace.current_sink()
@@ -386,27 +384,6 @@ class ArrayNetwork:
     def checkers(self) -> tuple:
         return ()
 
-    def install_fault_controller(self, controller: Any) -> None:
-        """Fault controllers mutate per-object VC state; unsupported here."""
-        raise SimulationError(
-            "fault injection is not supported on the array core; "
-            "use core='object' for fault campaigns"
-        )
-
-    @property
-    def fault_controller(self) -> None:
-        return None
-
-    def on_packet_lost(self, callback: Callable[[Packet, tuple, str], None]) -> None:
-        """Accepted for API parity; the array core never loses packets
-        (no fault controller can be installed)."""
-        self._lost_callbacks.append(callback)
-
-    def register_wakeup_source(self, source: Callable[[], int | None]) -> None:
-        """Register a zero-arg callable returning the next cycle at which
-        new work appears (or ``None``); see :meth:`next_wakeup`."""
-        self._wakeup_sources.append(source)
-
     def schedule_injection(
         self, packet: Packet, at_cycle: int, node: NodeId | None = None
     ) -> None:
@@ -531,13 +508,6 @@ class ArrayNetwork:
         """Earliest cycle a scheduled future injection fires (None = none)."""
         return min(self._timed_injections) if self._timed_injections else None
 
-    def next_wakeup(self) -> int | None:
-        """Earliest cycle at which new work appears in an idle network."""
-        times = [self.next_timed_injection()]
-        times.extend(source() for source in self._wakeup_sources)
-        live = [t for t in times if t is not None]
-        return min(live) if live else None
-
     def outstanding_deliveries(self) -> list[tuple[int, NodeId, int]]:
         """Undelivered ``(packet_id, destination, flits_remaining)`` rows."""
         return sorted(
@@ -639,14 +609,6 @@ class ArrayNetwork:
         registry.gauge("noc.network.max_latency").update_max(
             self.stats.max_latency
         )
-        if self.stats.flits_dropped:
-            registry.counter("noc.network.flits_dropped").inc(
-                self.stats.flits_dropped
-            )
-        if self.stats.packets_lost:
-            registry.counter("noc.network.packets_lost").inc(
-                self.stats.packets_lost
-            )
         prefix = "noc.router"
         registry.counter(f"{prefix}.flits_forwarded").inc(self.flits_forwarded)
         registry.counter(f"{prefix}.flits_ejected").inc(self.flits_ejected)

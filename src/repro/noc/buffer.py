@@ -33,14 +33,11 @@ class VirtualChannel:
     out_vc: int | None = None
     #: Most flits ever buffered at once (occupancy high-water mark).
     max_occupancy: int = 0
-    #: A failed VC accepts no new packets and buffers no new flits
-    #: (set by :mod:`repro.faults` when a VC fault activates).
-    failed: bool = False
 
     @property
     def is_free(self) -> bool:
-        """A VC is free for a new packet when idle, drained, and healthy."""
-        return self.active_packet is None and not self.fifo and not self.failed
+        """A VC is free for a new packet when idle and drained."""
+        return self.active_packet is None and not self.fifo
 
     @property
     def occupancy(self) -> int:
@@ -48,7 +45,7 @@ class VirtualChannel:
 
     @property
     def has_space(self) -> bool:
-        return not self.failed and len(self.fifo) < self.depth
+        return len(self.fifo) < self.depth
 
     def head(self) -> Flit | None:
         return self.fifo[0] if self.fifo else None

@@ -48,10 +48,6 @@ class NetworkStats:
     cycles: int = 0
     packets_injected: int = 0
     flits_injected: int = 0
-    #: In-fabric flits destroyed by fault injection (drops and purges).
-    flits_dropped: int = 0
-    #: Loss events: a (packet, destination-set) that will never deliver.
-    packets_lost: int = 0
     deliveries: list[Delivery] = field(default_factory=list)
 
     @property
@@ -101,10 +97,9 @@ def make_network(
 
     ``core="object"`` (the default) returns the reference
     :class:`Network`; ``core="array"`` returns the struct-of-arrays
-    :class:`repro.noc.arraycore.ArrayNetwork`, which is bit-identical on
-    healthy workloads but supports neither checkers nor fault
-    controllers. ``window`` > 0 enables windowed metric series sampled
-    every that many sim-cycles.
+    :class:`repro.noc.arraycore.ArrayNetwork`, which is bit-identical but
+    takes no invariant checkers. ``window`` > 0 enables windowed metric
+    series sampled every that many sim-cycles.
     """
     if normalize_core(core) == "array":
         from repro.noc.arraycore import ArrayNetwork
@@ -178,14 +173,6 @@ class Network:
         #: Installed validation checkers (see repro.validation.invariants);
         #: empty in normal runs so the hook sites cost one truthiness test.
         self._checkers: list = []
-        #: Installed fault controller (see repro.faults.models); None in
-        #: healthy runs so every hook site costs one identity test.
-        self._fault = None
-        #: ``callback(packet, destinations, reason)`` fired on packet loss.
-        self._lost_callbacks: list = []
-        #: Zero-arg callables returning the next cycle at which an idle
-        #: network has scheduled work (retry deadlines, fault activations).
-        self._wakeup_sources: list = []
         #: Trace sink captured at construction; the NullSink fast path
         #: reduces every per-flit event site to one attribute check.
         self._sink = _trace.current_sink()
@@ -221,35 +208,6 @@ class Network:
     def checkers(self) -> tuple:
         return tuple(self._checkers)
 
-    def install_fault_controller(self, controller) -> None:
-        """Attach a fault controller (see :mod:`repro.faults.models`).
-
-        The controller's ``on_cycle_start`` hook fires at the top of every
-        :meth:`step`, ``admit`` filters each :meth:`inject`, and
-        ``filter_forward`` may drop any flit crossing a link. Only one
-        controller may be installed per network.
-        """
-        if self._fault is not None:
-            raise SimulationError("a fault controller is already installed")
-        self._fault = controller
-        controller.attach(self)
-        if hasattr(controller, "next_event"):
-            self.register_wakeup_source(controller.next_event)
-
-    @property
-    def fault_controller(self):
-        return self._fault
-
-    def on_packet_lost(self, callback) -> None:
-        """Register ``callback(packet, destinations, reason)`` fired when a
-        fault destroys a packet's chance of delivering to *destinations*."""
-        self._lost_callbacks.append(callback)
-
-    def register_wakeup_source(self, source) -> None:
-        """Register a zero-arg callable returning the next cycle at which
-        new work appears (or ``None``); see :meth:`next_wakeup`."""
-        self._wakeup_sources.append(source)
-
     def schedule_injection(
         self, packet: Packet, at_cycle: int, node: NodeId | None = None
     ) -> None:
@@ -266,12 +224,6 @@ class Network:
         node = packet.source if node is None else node
         if node not in self.routers:
             raise SimulationError(f"injection node {node} not in topology")
-        if self._fault is not None and not self._fault.admit(self, packet, node):
-            # Never entered the fabric: no flits, credits, or pending
-            # ejects to unwind -- just tell the loss listeners.
-            for callback in self._lost_callbacks:
-                callback(packet, packet.destinations, "rejected_at_injection")
-            return
         packet.created_at = self.cycle
         queue = self._inject_queues[node]
         queue.append(packet)
@@ -294,8 +246,6 @@ class Network:
     def step(self) -> None:
         """Advance the network one clock cycle."""
         cycle = self.cycle
-        if self._fault is not None:
-            self._fault.on_cycle_start(self, cycle)
         for packet, node in self._timed_injections.pop(cycle, ()):
             self.inject(packet, node)
         self._deliver_arrivals(cycle)
@@ -380,7 +330,6 @@ class Network:
                 )
                 lines.append(
                     f"    router {node} in_port {port} vc {vc.index}: {state}"
-                    + (" [failed]" if vc.failed else "")
                 )
         queued = {
             node: [p.packet_id for p in queue]
@@ -418,15 +367,6 @@ class Network:
     def next_timed_injection(self) -> int | None:
         """Earliest cycle a scheduled future injection fires (None = none)."""
         return min(self._timed_injections) if self._timed_injections else None
-
-    def next_wakeup(self) -> int | None:
-        """Earliest cycle at which new work appears in an idle network:
-        timed injections plus any registered wakeup source (fault
-        activations, retry deadlines)."""
-        times = [self.next_timed_injection()]
-        times.extend(source() for source in self._wakeup_sources)
-        live = [t for t in times if t is not None]
-        return min(live) if live else None
 
     def outstanding_deliveries(self) -> list[tuple[int, NodeId, int]]:
         """Undelivered ``(packet_id, destination, flits_remaining)`` rows."""
@@ -513,11 +453,6 @@ class Network:
                 self._series["noc.series.flits_ejected"].record(cycle)
             self._eject(node, flit, cycle)
             return
-        if self._fault is not None:
-            reason = self._fault.filter_forward(self, node, forward, cycle)
-            if reason is not None:
-                self._drop_forward(node, forward, reason)
-                return
         link = (node, forward.out_port)
         self._link_flits[link] = self._link_flits.get(link, 0) + 1
         if self._series is not None:
@@ -527,205 +462,6 @@ class Network:
         self._arrivals[arrival].append(
             (forward.out_port, node, forward.out_vc, flit)
         )
-
-    # -- fault handling -----------------------------------------------------
-
-    def _drop_forward(self, node: NodeId, forward, reason: str) -> None:
-        """Destroy an in-hand flit that just won switch traversal.
-
-        The switch already consumed a downstream credit and (for a head)
-        reserved the downstream VC; both are undone so the credit identity
-        stays exact. A multi-flit wormhole loses its remaining flits too.
-        """
-        flit = forward.flit
-        self.routers[node].return_credit(forward.out_port, forward.out_vc)
-        if flit.kind.is_head:
-            downstream_vc = (
-                self.routers[forward.out_port].inputs[node][forward.out_vc]
-            )
-            if downstream_vc.active_packet == flit.packet.packet_id and (
-                not downstream_vc.fifo
-            ):
-                downstream_vc.active_packet = None
-                downstream_vc.out_port = None
-                downstream_vc.out_vc = None
-        self.stats.flits_dropped += 1
-        if self._sink.enabled:
-            self._sink.instant(
-                "drop", "noc.flit", self.cycle, tid=node,
-                args={"packet": flit.packet.packet_id, "reason": reason},
-            )
-        if flit.packet.num_flits == 1:
-            # Single-flit packet (possibly one replica of a multicast):
-            # only this flit's destination branch is lost.
-            self._cancel_deliveries(flit.packet, flit.destinations, reason)
-        else:
-            # Multi-flit wormholes are unicast; the packet is unrecoverable.
-            self.purge_packet(flit.packet, reason)
-
-    def sever_channel(self, src: NodeId, dst: NodeId, reason: str) -> None:
-        """A link fault just activated on ``src -> dst``: destroy the flits
-        currently crossing that wire. Future attempts to use the channel
-        are dropped at forward time by the fault controller."""
-        doomed = [
-            entry
-            for batch in self._arrivals.values()
-            for entry in batch
-            if entry[0] == dst and entry[1] == src
-        ]
-        self._destroy_wire_flits(doomed, reason)
-
-    def fail_vc(self, node: NodeId, in_port, vc_index: int, reason: str) -> None:
-        """A VC fault just activated: mark the VC failed and destroy any
-        packet resident in, reserved on, or in flight toward it."""
-        vc = self.routers[node].inputs[in_port][vc_index]
-        vc.failed = True
-        head = vc.head()
-        if head is not None:
-            if head.packet.num_flits > 1:
-                self.purge_packet(head.packet, reason)
-            else:
-                count = len(vc.fifo)
-                vc.fifo.clear()
-                self.stats.flits_dropped += count
-                if in_port != INJECT:
-                    upstream = self.routers[node].upstream.get(in_port)
-                    if upstream is not None:
-                        for _ in range(count):
-                            upstream.return_credit(node, vc.index)
-                self._cancel_deliveries(head.packet, head.destinations, reason)
-        doomed = [
-            entry
-            for batch in self._arrivals.values()
-            for entry in batch
-            if entry[0] == node and entry[1] == in_port and entry[2] == vc_index
-        ]
-        self._destroy_wire_flits(doomed, reason)
-        if vc.active_packet is not None:
-            # Reservation by a wormhole whose remaining flits are upstream
-            # or in hand; purge the whole packet so nothing chases the VC.
-            packet = self._packet_by_id(vc.active_packet)
-            if packet is not None:
-                self.purge_packet(packet, reason)
-            vc.active_packet = None
-            vc.out_port = None
-            vc.out_vc = None
-
-    def _destroy_wire_flits(self, doomed: list, reason: str) -> None:
-        for entry in doomed:
-            dst, sender, vc_index, flit = entry
-            if flit.packet.num_flits > 1:
-                self.purge_packet(flit.packet, reason)  # removes entry too
-                continue
-            if not self._remove_arrival(entry):
-                continue
-            self.routers[sender].return_credit(dst, vc_index)
-            self.stats.flits_dropped += 1
-            down_vc = self.routers[dst].inputs[sender][vc_index]
-            if down_vc.active_packet == flit.packet.packet_id and (
-                not down_vc.fifo
-            ):
-                down_vc.active_packet = None
-                down_vc.out_port = None
-                down_vc.out_vc = None
-            self._cancel_deliveries(flit.packet, flit.destinations, reason)
-
-    def _remove_arrival(self, entry) -> bool:
-        for arrival, batch in list(self._arrivals.items()):
-            if entry in batch:
-                batch.remove(entry)
-                if not batch:
-                    del self._arrivals[arrival]
-                return True
-        return False
-
-    def _packet_by_id(self, pid: int) -> Packet | None:
-        for (p, _dst), packet in self._eject_meta.items():
-            if p == pid:
-                return packet
-        return None
-
-    def purge_packet(self, packet: Packet, reason: str) -> None:
-        """Atomically remove every trace of *packet* from the fabric.
-
-        Flits are deleted from inject queues, wires, and VC buffers with a
-        synthesized credit return per buffered/in-flight flit (mirroring the
-        pop that will now never happen), VC reservations held by the packet
-        are released, and its remaining delivery expectations are cancelled
-        with an ``on_packet_lost`` notification.
-        """
-        pid = packet.packet_id
-        for queue in self._inject_queues.values():
-            if any(p.packet_id == pid for p in queue):
-                remaining = [p for p in queue if p.packet_id != pid]
-                queue.clear()
-                queue.extend(remaining)
-        for key in [k for k in self._inject_progress if k[1] == pid]:
-            del self._inject_progress[key]
-        for at_cycle in list(self._timed_injections):
-            batch = self._timed_injections[at_cycle]
-            kept = [(p, n) for p, n in batch if p.packet_id != pid]
-            if len(kept) != len(batch):
-                if kept:
-                    self._timed_injections[at_cycle] = kept
-                else:
-                    del self._timed_injections[at_cycle]
-        for arrival in list(self._arrivals):
-            batch = self._arrivals[arrival]
-            kept = []
-            for entry in batch:
-                dst, sender, vc_index, flit = entry
-                if flit.packet.packet_id == pid:
-                    self.routers[sender].return_credit(dst, vc_index)
-                    self.stats.flits_dropped += 1
-                else:
-                    kept.append(entry)
-            if kept:
-                self._arrivals[arrival] = kept
-            else:
-                del self._arrivals[arrival]
-        for router in self.routers.values():
-            for port, unit in router.inputs.items():
-                for vc in unit:
-                    if vc.fifo and vc.fifo[0].packet.packet_id == pid:
-                        count = len(vc.fifo)
-                        vc.fifo.clear()
-                        self.stats.flits_dropped += count
-                        if port != INJECT:
-                            upstream = router.upstream.get(port)
-                            if upstream is not None:
-                                for _ in range(count):
-                                    upstream.return_credit(
-                                        router.node, vc.index
-                                    )
-                    if vc.active_packet == pid:
-                        vc.active_packet = None
-                        vc.out_port = None
-                        vc.out_vc = None
-        lost = tuple(
-            dst for (p, dst) in self._pending_ejects if p == pid
-        )
-        self._cancel_deliveries(packet, lost, reason)
-
-    def _cancel_deliveries(
-        self, packet: Packet, destinations, reason: str
-    ) -> None:
-        """Cancel pending delivery expectations and notify listeners."""
-        lost = []
-        for destination in destinations:
-            key = (packet.packet_id, destination)
-            if key in self._pending_ejects:
-                del self._pending_ejects[key]
-                self._eject_meta.pop(key, None)
-                lost.append(destination)
-        if not lost:
-            return
-        self.stats.packets_lost += 1
-        lost = tuple(lost)
-        for checker in self._checkers:
-            checker.on_packet_lost(self, packet, lost)
-        for callback in self._lost_callbacks:
-            callback(packet, lost, reason)
 
     def _eject(self, node: NodeId, flit: Flit, cycle: int) -> None:
         flit.ejected_at = cycle + 1  # crossing the ejection channel
@@ -788,14 +524,6 @@ class Network:
         registry.gauge("noc.network.max_latency").update_max(
             self.stats.max_latency
         )
-        if self.stats.flits_dropped:
-            registry.counter("noc.network.flits_dropped").inc(
-                self.stats.flits_dropped
-            )
-        if self.stats.packets_lost:
-            registry.counter("noc.network.packets_lost").inc(
-                self.stats.packets_lost
-            )
         for node in sorted(self.routers, key=str):
             self.routers[node].publish_metrics(registry)
         for link in sorted(self._link_flits, key=str):

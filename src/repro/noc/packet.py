@@ -66,10 +66,8 @@ class Packet:
     message: MessageType
     source: object
     destinations: tuple
-    address: int = 0
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
     created_at: int = 0
-    payload: object = None
 
     def __post_init__(self) -> None:
         if not self.destinations:

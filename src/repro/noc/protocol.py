@@ -86,29 +86,6 @@ class FlitLevelCacheProtocol:
 
     # -- public API -----------------------------------------------------------
 
-    def attach_resilience(self, plan, *, seed: int = 0, policy=None,
-                          verify: bool = True):
-        """Install a fault plan plus end-to-end recovery on this protocol.
-
-        Retransmitted packets adopt the lost packet's protocol role, so a
-        lost Fast-LRU eviction-chain leg (a ``REPLACEMENT`` hop) is
-        re-issued and the chain completes instead of silently dropping the
-        evicted block -- block conservation stays green under faults.
-        Returns ``(injector, recovery)``.
-        """
-        from repro.faults.recovery import install_resilience
-
-        injector, recovery = install_resilience(
-            self.network, plan, seed=seed, policy=policy, verify=verify
-        )
-        recovery.on_retransmit(self._adopt_role)
-        return injector, recovery
-
-    def _adopt_role(self, lost: Packet, clone: Packet) -> None:
-        role = self._packet_roles.get(lost.packet_id)
-        if role is not None:
-            self._packet_roles[clone.packet_id] = role
-
     def run_hit(self, column: int, depth: int) -> ProtocolTrace:
         """One Multicast Fast-LRU hit at bank *depth* of *column*."""
         if not 0 <= depth < self.rows:

@@ -13,9 +13,7 @@ into three views:
   (injection queueing / serialization / hop traversal / bank / memory).
 
 Everything here is a pure function of the snapshot dict, so the same
-file renders identically anywhere. ``write_png`` is the one optional
-extra: it draws the heatmap and series with matplotlib when (and only
-when) the host happens to have it -- there is no hard dependency.
+file renders identically anywhere.
 """
 
 from __future__ import annotations
@@ -313,49 +311,3 @@ def render_text(report: dict[str, Any]) -> str:
         lines += body
         lines.append("")
     return "\n".join(lines[:-1])
-
-
-# -- optional matplotlib export ----------------------------------------------
-
-
-def write_png(report: dict[str, Any], path: str | pathlib.Path) -> bool:
-    """Draw the heatmap + series to *path*; False if matplotlib is absent."""
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return False
-    heatmap = report["heatmap"]
-    series = report["series"]
-    figure, axes = plt.subplots(
-        1 + bool(series), 1, figsize=(8, 5 + 3 * bool(series))
-    )
-    axes = axes if isinstance(axes, (list, tuple)) or hasattr(axes, "__len__") \
-        else [axes]
-    grid = (heatmap or {}).get("grid")
-    if grid is not None:
-        image = axes[0].imshow(grid["values"], cmap="inferno")
-        axes[0].set_title(f"node load ({heatmap['metric']})")
-        figure.colorbar(image, ax=axes[0])
-    else:
-        axes[0].set_axis_off()
-        axes[0].set_title("no mesh grid in snapshot")
-    if series:
-        for name, entry in series.items():
-            windows = entry["windows"]
-            xs = [row["start"] for row in windows]
-            ys = [
-                row["p95"] if entry["agg"] == "hist" else row["value"]
-                for row in windows
-            ]
-            label = name + (" p95" if entry["agg"] == "hist" else "")
-            axes[1].plot(xs, ys, marker=".", label=label)
-        axes[1].set_xlabel("sim cycle")
-        axes[1].legend(fontsize=7)
-        axes[1].set_title("windowed series")
-    figure.tight_layout()
-    figure.savefig(str(path), dpi=120)
-    plt.close(figure)
-    return True

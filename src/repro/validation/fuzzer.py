@@ -12,11 +12,11 @@
   block-conservation and shadow-LRU checkers;
 * **oracle** -- a random Table-3 design / scheme / benchmark cell at a
   small measure length through :func:`repro.validation.run_oracle`;
-* **faults** -- a noc-family geometry and traffic with a seeded fault
-  plan (link cuts, VC failures, transient flit loss) installed through
-  :func:`repro.faults.install_resilience`, checking that degraded
-  routing plus timeout/retransmit drains the run with every tracked
-  message delivered or explicitly abandoned;
+* **faults** -- a noc-family geometry and traffic over a seeded set of
+  link cuts, routed by :class:`repro.faults.DegradedRouting`: the routes
+  must pass :func:`repro.faults.verify_degraded`, and every destination
+  they still reach must drain under the full network checker set without
+  a flit ever crossing a dead channel;
 * **arraycore** -- a :class:`~repro.validation.differential.FlitWorkload`
   over a noc-family geometry (half the cases sampled at saturated /
   near-saturated injection rates around the knee, each with a random
@@ -122,22 +122,18 @@ class OracleCase:
 
 @dataclass(frozen=True)
 class FaultsCase:
-    """A random geometry + sampled fault plan + traffic under recovery.
+    """A random geometry + sampled link cuts + traffic on degraded routes.
 
-    Exercises the whole resilience stack: sampled link/transient faults,
-    degraded routing, injection filtering, timeout/retransmit -- all under
-    the full network checker set. The run must drain with every tracked
-    message either delivered or explicitly abandoned.
+    The degraded routes must pass the proof check; the run injects only
+    toward destinations they still reach and must drain under the full
+    network checker set with no flit on a dead channel.
     """
 
     kind: str  # "mesh" | "simplified" | "halo"
     cols: int
     rows: int
     link_rate: float = 0.0
-    vc_rate: float = 0.0
-    transient_rate: float = 0.0
     fault_seed: int = 0
-    at_cycle: int = 0
     packets: tuple = ()
 
 
@@ -257,22 +253,12 @@ def _make_arraycore_case(rng: random.Random) -> FlitWorkload:
 
 def _make_faults_case(rng: random.Random) -> FaultsCase:
     base = _make_noc_case(rng)
-    # Rates stay modest: per-flit-traversal transients compound over
-    # hops x flits, and the point is recovery coverage, not exhaustion.
-    link_rate = rng.choice((0.0, 0.08, 0.15, 0.25))
-    vc_rate = rng.choice((0.0, 0.0, 0.1))
-    transient_rate = rng.choice((0.0, 0.02, 0.05))
-    if link_rate == vc_rate == transient_rate == 0.0:
-        link_rate = 0.15
     return FaultsCase(
         kind=base.kind,
         cols=base.cols,
         rows=base.rows,
-        link_rate=link_rate,
-        vc_rate=vc_rate,
-        transient_rate=transient_rate,
+        link_rate=rng.choice((0.08, 0.15, 0.25)),
         fault_seed=rng.randint(0, 99),
-        at_cycle=rng.choice((0, 0, rng.randint(1, 12))),
         packets=base.packets,
     )
 
@@ -341,20 +327,25 @@ def generate_case(family: str, rng: random.Random):
 # -- execution ----------------------------------------------------------------
 
 
-def _run_noc_case(case: NocCase) -> None:
+def _run_checked(topology, packets, routing=None):
+    """Drain *packets* on an object-core network under every checker."""
     from repro.noc.network import Network
     from repro.noc.packet import MessageType, Packet
 
-    topology = build_topology(case.kind, case.cols, case.rows)
-    network = Network(topology)
+    network = Network(topology, routing=routing)
     for checker in default_network_checkers(topology):
         network.install_checker(checker)
-    for spec in case.packets:
+    for spec in packets:
         packet = Packet(
             MessageType(spec.message), spec.source, tuple(spec.destinations)
         )
         network.schedule_injection(packet, at_cycle=spec.inject_cycle)
     run_with_checkers(network, max_cycles=20_000, stall_limit=300)
+    return network
+
+
+def _run_noc_case(case: NocCase) -> None:
+    _run_checked(build_topology(case.kind, case.cols, case.rows), case.packets)
 
 
 def _run_stream_case(case: StreamWorkload) -> None:
@@ -419,33 +410,28 @@ def _run_cache_case(case: CacheCase) -> None:
 
 
 def _run_faults_case(case: FaultsCase) -> None:
-    from repro.faults import FaultPlan, install_resilience
-    from repro.noc.network import Network
-    from repro.noc.packet import MessageType, Packet
+    from repro.faults import DegradedRouting, FaultPlan, verify_degraded
+    from repro.noc.routing import routing_for
 
     topology = build_topology(case.kind, case.cols, case.rows)
-    network = Network(topology)
-    for checker in default_network_checkers(topology):
-        network.install_checker(checker)
-    plan = FaultPlan.sample(
-        topology,
-        link_rate=case.link_rate,
-        vc_rate=case.vc_rate,
-        transient_rate=case.transient_rate,
-        seed=case.fault_seed,
-        at_cycle=case.at_cycle,
-    )
-    _, recovery = install_resilience(network, plan, seed=case.fault_seed)
+    dead = FaultPlan.sample(
+        topology, link_rate=case.link_rate, seed=case.fault_seed
+    ).dead_channels()
+    routing = DegradedRouting(topology, routing_for(topology), dead)
+    verify_degraded(topology, routing)
+    # Inject only toward destinations a degraded route still reaches.
+    packets = []
     for spec in case.packets:
-        packet = Packet(
-            MessageType(spec.message), spec.source, tuple(spec.destinations)
+        reachable = tuple(
+            d for d in spec.destinations if routing.can_route(spec.source, d)
         )
-        network.schedule_injection(packet, at_cycle=spec.inject_cycle)
-    run_with_checkers(network, max_cycles=60_000, stall_limit=1000)
-    if recovery.outstanding_messages():
+        if reachable:
+            packets.append(replace(spec, destinations=reachable))
+    network = _run_checked(topology, packets, routing)
+    crossed = sorted(str(link) for link in network._link_flits if link in dead)
+    if crossed:
         raise ValidationError(
-            f"{recovery.outstanding_messages()} tracked message(s) neither "
-            "delivered nor abandoned after drain"
+            f"flits crossed {len(crossed)} dead channel(s): {crossed[:4]}"
         )
 
 
@@ -551,7 +537,7 @@ def shrink_case(case):
             if _fails(candidate):
                 return candidate
         return case
-    if isinstance(case, FlitWorkload):
+    if isinstance(case, (FlitWorkload, FaultsCase)):
         packets = shrink_list(
             list(case.packets),
             lambda kept: _fails(replace(case, packets=tuple(kept))),
@@ -569,20 +555,6 @@ def shrink_case(case):
             candidate = replace(case, cycles=cycles)
             if _fails(candidate):
                 return candidate
-        return case
-    if isinstance(case, FaultsCase):
-        packets = shrink_list(
-            list(case.packets),
-            lambda kept: _fails(replace(case, packets=tuple(kept))),
-        )
-        case = replace(case, packets=tuple(packets))
-        # Try switching whole fault classes off while the case still fails.
-        for knob in ("transient_rate", "vc_rate", "link_rate"):
-            if getattr(case, knob) == 0.0:
-                continue
-            candidate = replace(case, **{knob: 0.0})
-            if _fails(candidate):
-                case = candidate
         return case
     return case
 

@@ -62,9 +62,6 @@ class NetworkChecker:
     def after_cycle(self, network, cycle) -> None:
         pass
 
-    def on_packet_lost(self, network, packet, destinations) -> None:
-        """Fault injection destroyed *packet*'s deliveries to *destinations*."""
-
     def final_check(self, network) -> None:
         pass
 
@@ -82,13 +79,11 @@ class FlitConservationChecker(NetworkChecker):
         ejected = sum(r.stats.flits_ejected for r in routers)
         buffered = network.total_buffered_flits()
         in_flight = network.in_flight_flits()
-        dropped = network.stats.flits_dropped
-        if created != ejected + buffered + in_flight + dropped:
+        if created != ejected + buffered + in_flight:
             raise ValidationError(
                 f"flit conservation broken at cycle {cycle}: "
                 f"{created} created != {ejected} ejected + "
-                f"{buffered} buffered + {in_flight} in flight + "
-                f"{dropped} dropped"
+                f"{buffered} buffered + {in_flight} in flight"
             )
 
     def final_check(self, network) -> None:
@@ -188,20 +183,10 @@ class MulticastDeliveryChecker(NetworkChecker):
     def __init__(self) -> None:
         self._expected: set[tuple[int, object]] = set()
         self._delivered: Counter = Counter()
-        #: (packet, destination) pairs destroyed by declared fault
-        #: injection; these are exempt from the completeness check.
-        self._lost: set[tuple[int, object]] = set()
 
     def on_inject(self, network, packet) -> None:
         for destination in packet.destinations:
             self._expected.add((packet.packet_id, destination))
-
-    def on_packet_lost(self, network, packet, destinations) -> None:
-        for destination in destinations:
-            key = (packet.packet_id, destination)
-            if key in self._expected and not self._delivered[key]:
-                self._expected.discard(key)
-                self._lost.add(key)
 
     def on_delivery(self, delivery) -> None:
         key = (delivery.packet.packet_id, delivery.destination)
@@ -273,15 +258,14 @@ def run_with_checkers(
             sum(r.stats.flits_ejected for r in routers),
             sum(r.stats.flits_forwarded for r in routers),
             sum(r.stats.replications for r in routers),
-            network.stats.flits_dropped,
         )
         if signature != last_signature:
             last_signature = signature
             stall_anchor = network.cycle
             continue
-        # Timed injections, scheduled fault activations, and armed retry
-        # deadlines all count as legitimately waiting, not a stall.
-        upcoming = network.next_wakeup()
+        # A pending timed injection counts as legitimately waiting, not
+        # a stall.
+        upcoming = network.next_timed_injection()
         if upcoming is not None and upcoming >= network.cycle:
             stall_anchor = network.cycle  # legitimately waiting
             continue

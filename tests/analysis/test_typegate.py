@@ -75,7 +75,7 @@ class TestBaselineHygiene:
         assert any("unique" in problem for problem in problems)
 
     def test_typed_core_entries_rejected(self):
-        problems = baseline_problems(["repro.sim.kernel"])
+        problems = baseline_problems(["repro.sim.resource"])
         assert any("typed-core" in problem for problem in problems)
 
     def test_foreign_modules_rejected(self):
@@ -97,13 +97,13 @@ class TestBaselineHygiene:
 
     def test_load_baseline_raises_on_damage(self, tmp_path):
         path = tmp_path / BASELINE_NAME
-        path.write_text("repro.sim.kernel\n", encoding="utf-8")
+        path.write_text("repro.sim.resource\n", encoding="utf-8")
         with pytest.raises(AnalysisError, match="typed-core"):
             load_baseline(path)
 
     def test_in_typed_core_prefixes(self):
         assert in_typed_core("repro.sim")
-        assert in_typed_core("repro.sim.kernel")
+        assert in_typed_core("repro.sim.resource")
         assert in_typed_core("repro.experiments.runner")
         assert not in_typed_core("repro.experiments.cache")
         assert not in_typed_core("repro.simulator")  # prefix, not substring

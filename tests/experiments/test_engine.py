@@ -152,10 +152,19 @@ class TestTelemetryIntegration:
     def test_serial_parallel_and_warm_replay_merge_identically(self, tmp_path):
         """The full determinism triangle: a serial run, a ``--jobs 2`` run,
         and a warm-cache replay of the same sweep must merge to the same
-        telemetry, not just the same results."""
+        telemetry, not just the same results. One cell runs on a degraded
+        geometry (link, bank and transient faults)."""
+        faulted = spec_for(
+            "A", "multicast+fast_lru", "art", ENGINE_CONFIG,
+            link_fault_rate=0.1, bank_fault_rate=0.1,
+            transient_fault_rate=0.01, fault_seed=7,
+        )
         cache = ResultCache(directory=tmp_path)
-        serial, parallel, replayed = _triangle(_sweep_specs(), cache)
-        assert serial
+        serial, parallel, replayed = _triangle(
+            _sweep_specs() + [faulted], cache
+        )
+        assert serial["faults.retries"]["value"] > 0
+        assert serial["faults.rerouted_packets"]["value"] > 0
         assert serial == parallel == replayed
 
     def test_windowed_series_survive_the_triangle(self, tmp_path):

@@ -1,23 +1,15 @@
-"""Fault model tests: sampling determinism, protection, injection filtering."""
+"""Fault model tests: sampling determinism, protection, rate bounds."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults import (
-    BankFault,
-    FaultInjector,
-    FaultPlan,
-    TransientFaults,
-    protected_nodes,
-)
-from repro.noc.packet import MessageType, Packet
+from repro.faults import FaultPlan, TransientFaults, protected_nodes
 from repro.noc.topology import (
     HUB,
     HaloTopology,
     MeshTopology,
     SimplifiedMeshTopology,
 )
-from repro.telemetry.registry import MetricsRegistry
 
 
 class TestProtectedNodes:
@@ -50,7 +42,7 @@ class TestFaultPlanSample:
     def test_same_seed_same_plan(self):
         topology = MeshTopology(4, 4)
         kwargs = dict(
-            link_rate=0.4, vc_rate=0.2, bank_rate=0.3,
+            link_rate=0.4, bank_rate=0.3,
             transient_rate=0.05, seed=3,
         )
         assert FaultPlan.sample(topology, **kwargs) == FaultPlan.sample(
@@ -85,63 +77,8 @@ class TestFaultPlanSample:
         assert plan.is_null
         assert plan.describe() == "no faults"
 
-    def test_at_cycle_propagates(self):
-        plan = FaultPlan.sample(
-            MeshTopology(4, 4), link_rate=1.0, seed=0, at_cycle=17
-        )
-        assert plan.links
-        assert all(fault.at_cycle == 17 for fault in plan.links)
-
-    def test_vc_faults_spare_vc0(self):
-        plan = FaultPlan.sample(MeshTopology(4, 4), vc_rate=1.0, seed=0)
-        assert plan.vcs
-        assert all(fault.vc != 0 for fault in plan.vcs)
-
 
 class TestTransientFaults:
     def test_rate_bounds_enforced(self):
         with pytest.raises(ConfigurationError):
             TransientFaults(drop_rate=1.5)
-
-    def test_total_rate(self):
-        assert TransientFaults(0.01, 0.02).total_rate == pytest.approx(0.03)
-
-
-def _packet(destinations, source=(0, 0)):
-    return Packet(MessageType.READ_REQUEST, source, tuple(destinations))
-
-
-class TestInjectorAdmit:
-    def test_dead_bank_destination_filtered(self):
-        injector = FaultInjector(FaultPlan(banks=(BankFault((1, 1)),)))
-        packet = _packet([(1, 1), (2, 1)])
-        assert injector.admit(None, packet, (0, 0))
-        assert packet.destinations == ((2, 1),)
-        assert injector.stats.filtered_destinations == 1
-
-    def test_fully_dead_packet_rejected(self):
-        injector = FaultInjector(FaultPlan(banks=(BankFault((1, 1)),)))
-        assert not injector.admit(None, _packet([(1, 1)]), (0, 0))
-        assert injector.stats.rejected_packets == 1
-
-    def test_unroutable_destination_filtered(self):
-        injector = FaultInjector(FaultPlan())
-        injector.set_route_filter(lambda src, dst: dst != (2, 2))
-        packet = _packet([(2, 2), (1, 0)])
-        assert injector.admit(None, packet, (0, 0))
-        assert packet.destinations == ((1, 0),)
-        assert injector.stats.unroutable_destinations == 1
-
-    def test_no_faults_pass_through(self):
-        injector = FaultInjector(FaultPlan())
-        packet = _packet([(1, 1), (2, 2)])
-        assert injector.admit(None, packet, (0, 0))
-        assert packet.destinations == ((1, 1), (2, 2))
-
-    def test_stats_publish_to_registry(self):
-        injector = FaultInjector(FaultPlan(banks=(BankFault((1, 1)),)))
-        registry = MetricsRegistry()
-        injector.stats.publish_metrics(registry)
-        snapshot = registry.snapshot()
-        assert snapshot["faults.injected"]["value"] == 1
-        assert snapshot["faults.rejected_packets"]["value"] == 0

@@ -1,9 +1,8 @@
-"""Protocol-layer resilience: typed trace guards and chain repair."""
+"""Protocol-layer resilience: typed trace guards."""
 
 import pytest
 
 from repro.errors import ProtocolError
-from repro.faults import FaultPlan, TransientFaults
 from repro.noc.protocol import FlitLevelCacheProtocol, ProtocolTrace
 
 
@@ -33,24 +32,3 @@ class TestTraceGuards:
         with pytest.raises(ProtocolError):
             trace.memory_requested
 
-
-class TestChainRepairUnderFaults:
-    def test_hit_completes_under_transient_loss(self):
-        protocol = FlitLevelCacheProtocol(cols=4, rows=4)
-        plan = FaultPlan(transients=TransientFaults(drop_rate=0.02))
-        injector, recovery = protocol.attach_resilience(plan, seed=3)
-        trace = protocol.run_hit(column=1, depth=3)
-        assert trace.data_latency > 0
-        assert trace.chain_done >= trace.issued
-        assert recovery.outstanding_messages() == 0
-
-    def test_pristine_and_faulty_traces_agree_on_shape(self):
-        pristine = FlitLevelCacheProtocol(cols=4, rows=4).run_hit(1, 3)
-        faulty_protocol = FlitLevelCacheProtocol(cols=4, rows=4)
-        faulty_protocol.attach_resilience(
-            FaultPlan(transients=TransientFaults(drop_rate=0.02)), seed=3
-        )
-        faulty = faulty_protocol.run_hit(1, 3)
-        # Recovery may add latency but never removes protocol events.
-        assert set(faulty.request_arrivals) == set(pristine.request_arrivals)
-        assert faulty.data_latency >= pristine.data_latency

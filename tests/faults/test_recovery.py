@@ -1,4 +1,4 @@
-"""End-to-end recovery: reroute delivery, retransmit, truncation, timers."""
+"""Degraded operation: retry policy, reroute delivery, column truncation."""
 
 import pytest
 
@@ -6,28 +6,20 @@ from repro.cache.bank import bank_descriptors_for_column
 from repro.errors import ConfigurationError
 from repro.faults import (
     BankFault,
+    DegradedRouting,
     FaultPlan,
     LinkFault,
     RetryPolicy,
-    TransientFaults,
-    install_resilience,
     truncate_columns,
 )
 from repro.noc.network import Network
 from repro.noc.packet import MessageType, Packet
+from repro.noc.routing import routing_for
 from repro.noc.topology import MeshTopology
-from repro.sim.kernel import DeadlineQueue
 from repro.validation.invariants import (
     default_network_checkers,
     run_with_checkers,
 )
-
-
-def _checked_network(topology):
-    network = Network(topology)
-    for checker in default_network_checkers(topology):
-        network.install_checker(checker)
-    return network
 
 
 class TestRetryPolicy:
@@ -46,8 +38,13 @@ class TestLinkCutReroute:
         plan = FaultPlan(
             links=(LinkFault((1, 2), (2, 2)), LinkFault((2, 2), (1, 2)))
         )
-        network = _checked_network(topology)
-        _, recovery = install_resilience(network, plan, seed=0)
+        dead = plan.dead_channels()
+        network = Network(
+            topology,
+            routing=DegradedRouting(topology, routing_for(topology), dead),
+        )
+        for checker in default_network_checkers(topology):
+            network.install_checker(checker)
         traffic = [((0, 2), (3, 2)), ((1, 2), (2, 2)), ((3, 2), (0, 2))]
         for i, (src, dst) in enumerate(traffic):
             network.schedule_injection(
@@ -56,43 +53,7 @@ class TestLinkCutReroute:
         run_with_checkers(network, max_cycles=20_000)
         assert network.stats.packets_delivered == len(traffic)
         assert network.routing.detour_hops > 0
-        assert recovery.outstanding_messages() == 0
-
-
-class TestTransientRecovery:
-    def test_drops_recovered_by_retransmit(self):
-        topology = MeshTopology(3, 3)
-        plan = FaultPlan(transients=TransientFaults(drop_rate=0.3))
-        network = _checked_network(topology)
-        injector, recovery = install_resilience(network, plan, seed=2)
-        for i in range(6):
-            network.schedule_injection(
-                Packet(MessageType.READ_REQUEST, (0, 0), ((2, 2),)),
-                at_cycle=4 * i,
-            )
-        run_with_checkers(network, max_cycles=60_000, stall_limit=1000)
-        assert injector.stats.transient_drops > 0
-        assert recovery.stats.retries > 0
-        assert recovery.stats.recovered_messages > 0
-        assert recovery.stats.recovery_latencies
-        assert recovery.outstanding_messages() == 0
-
-    def test_retry_budget_exhaustion_abandons(self):
-        topology = MeshTopology(2, 2)
-        plan = FaultPlan(transients=TransientFaults(drop_rate=0.95))
-        network = _checked_network(topology)
-        policy = RetryPolicy(
-            timeout=32, backoff_base=1, backoff_cap=4, max_retries=2
-        )
-        _, recovery = install_resilience(
-            network, plan, seed=1, policy=policy
-        )
-        network.schedule_injection(
-            Packet(MessageType.READ_REQUEST, (0, 0), ((1, 1),)), at_cycle=0
-        )
-        run_with_checkers(network, max_cycles=20_000, stall_limit=1000)
-        assert recovery.stats.abandoned_messages == 1
-        assert recovery.outstanding_messages() == 0
+        assert not dead & set(network._link_flits)
 
 
 class TestTruncateColumns:
@@ -123,32 +84,6 @@ class TestTruncateColumns:
         plan = FaultPlan(banks=(BankFault((0, 0)),))
         with pytest.raises(ConfigurationError):
             truncate_columns(topology, self._columns(3, 3), plan)
-
-
-class TestDeadlineQueue:
-    def test_fifo_within_timestamp(self):
-        queue = DeadlineQueue()
-        queue.arm("a", 5)
-        queue.arm("b", 5)
-        queue.arm("c", 3)
-        assert queue.peek() == 3
-        assert queue.pop_due(5) == ["c", "a", "b"]
-        assert len(queue) == 0
-
-    def test_rearm_replaces_deadline(self):
-        queue = DeadlineQueue()
-        queue.arm("a", 5)
-        queue.arm("a", 9)
-        assert queue.peek() == 9
-        assert queue.pop_due(5) == []
-        assert queue.pop_due(9) == ["a"]
-
-    def test_disarm_idempotent(self):
-        queue = DeadlineQueue()
-        queue.arm("a", 1)
-        queue.disarm("a")
-        queue.disarm("a")
-        assert queue.peek() is None
 
 
 class TestDrainDiagnostic:

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.faults import (
-    DegradedRouting,
-    alive_nodes,
-    fallback_destination,
-    verify_degraded,
-)
+from repro.faults import DegradedRouting, alive_nodes, verify_degraded
 from repro.noc.routing import routing_for
 from repro.noc.topology import MeshTopology, SimplifiedMeshTopology
 
@@ -108,9 +103,3 @@ class TestAliveAndFallback:
         assert (1, 2) not in alive
         assert (1, 3) not in alive
         assert (1, 1) in alive
-
-    def test_fallback_climbs_the_column(self):
-        topology = SimplifiedMeshTopology(4, 4)
-        dead = frozenset({((1, 1), (1, 2)), ((1, 2), (1, 1))})
-        alive = alive_nodes(topology, dead)
-        assert fallback_destination(topology, alive, (1, 2)) == (1, 1)

@@ -244,10 +244,7 @@ class TestSoAPlumbing:
         net = ArrayNetwork(MeshTopology(2, 2))
         with pytest.raises(SimulationError):
             net.install_checker(object())
-        with pytest.raises(SimulationError):
-            net.install_fault_controller(object())
         assert net.checkers == ()
-        assert net.fault_controller is None
 
     def test_replication_borrows_and_counts(self):
         # One spine-to-column multicast must replicate once per column

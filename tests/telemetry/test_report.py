@@ -143,14 +143,3 @@ class TestRendering:
         text = report.render_text(report.explore(metrics))
         assert "windows elided" in text
         assert "@       0" in text and "@     396" in text
-
-    def test_write_png_matches_matplotlib_availability(self, tmp_path):
-        try:
-            import matplotlib  # noqa: F401
-            have_mpl = True
-        except ImportError:
-            have_mpl = False
-        target = tmp_path / "out.png"
-        wrote = report.write_png(report.explore(_mesh_snapshot()), target)
-        assert wrote is have_mpl
-        assert target.exists() is have_mpl

@@ -5,8 +5,10 @@ import random
 import pytest
 
 from repro.errors import ValidationError
+from repro.faults import DegradedRouting
 from repro.noc.arraycore import ArrayNetwork
 from repro.noc.router import Router
+from repro.noc.topology import MeshTopology
 from repro.stream.arrivals import TenantSpec, tenant_mix
 from repro.validation import (
     CacheCase,
@@ -23,6 +25,7 @@ from repro.validation import (
     shrink_case,
     shrink_list,
 )
+from repro.validation.fuzzer import FaultsCase
 
 
 @pytest.fixture(autouse=True)
@@ -48,6 +51,7 @@ class TestGeneration:
         assert isinstance(generate_case("oracle", rng), OracleCase)
         assert isinstance(generate_case("arraycore", rng), FlitWorkload)
         assert isinstance(generate_case("stream", rng), StreamWorkload)
+        assert isinstance(generate_case("faults", rng), FaultsCase)
 
     def test_unknown_family_rejected(self):
         from repro.errors import ValidationError
@@ -57,7 +61,7 @@ class TestGeneration:
 
     def test_case_reprs_round_trip(self):
         rng = random.Random(3)
-        for family in ("noc", "cache", "oracle", "arraycore", "stream"):
+        for family in ("noc", "cache", "oracle", "arraycore", "stream", "faults"):
             case = generate_case(family, rng)
             assert eval(repr(case)) == case  # repros are pasted verbatim
 
@@ -238,6 +242,61 @@ class TestInjectedArrayBugIsCaught:
         exec(compile(failure.repro, "<repro>", "exec"), namespace)
         with pytest.raises(ValidationError, match="on deliveries"):
             namespace["test_fuzz_repro"]()
+
+
+def _u_path_through_dead_pivot_row(self, current, destination):
+    """``DegradedRouting._find_u_path`` with a planted bug: a pivot-row
+    channel only has to exist, not be alive."""
+    if not isinstance(self.topology, MeshTopology):
+        return None
+    sx, sy = current
+    dx, dy = destination
+    step = 1 if dx > sx else -1
+    for r in range(min(sy, dy), -1, -1):
+        path = [current]
+        ok = True
+        for y in range(sy, r, -1):
+            ok = ok and self._channel_alive((sx, y), (sx, y - 1))
+            path.append((sx, y - 1))
+        x = sx
+        while ok and x != dx:
+            ok = self.topology.has_channel((x, r), (x + step, r))  # the plant
+            path.append((x + step, r))
+            x += step
+        for y in range(r, dy):
+            ok = ok and self._channel_alive((dx, y), (dx, y + 1))
+            path.append((dx, y + 1))
+        if ok and path[-1] == destination:
+            return path
+    return None
+
+
+class TestInjectedRerouteBugIsCaught:
+    @pytest.mark.parametrize(
+        "proof_check", [True, False], ids=["verified", "flit-run-only"]
+    )
+    def test_faults_family_catches_a_dead_channel_crossing(
+        self, monkeypatch, proof_check
+    ):
+        import repro.faults
+
+        monkeypatch.setattr(
+            DegradedRouting, "_find_u_path", _u_path_through_dead_pivot_row
+        )
+        if not proof_check:
+            # The checked flit run alone must see the crossing too.
+            monkeypatch.setattr(
+                repro.faults, "verify_degraded", lambda *args, **kw: {}
+            )
+        report = fuzz(12, seed=3, families=("faults",))
+        assert not report.ok, "fuzzer missed a U-route over a dead channel"
+        failure = report.failures[0]
+        assert failure.family == "faults"
+        assert "dead channel" in failure.error
+        assert isinstance(failure.shrunk, FaultsCase)
+        assert len(failure.shrunk.packets) < len(failure.case.packets)
+        with pytest.raises(ValidationError, match="dead channel"):
+            run_case(failure.shrunk)
 
 
 class TestCacheShrinking:
