@@ -3,7 +3,7 @@
 Commands
 --------
 run       simulate one (design, scheme, benchmark) cell and report
-figure    regenerate Figure 7, 8, or 9
+figure    regenerate Figure 7, 8, 9 or 10
 table     regenerate Table 1, 2, 3, or 4
 headline  the abstract-level combined claims
 layout    the Fig.-10 halo floorplan
@@ -16,6 +16,15 @@ serve     open-loop streaming service with rolling SLO telemetry
 trace     generate a synthetic trace file
 validate  invariant checkers + differential oracle (+ --fuzz N)
 lint      static analysis the tests cannot replace (+ --types gate)
+
+Every simulating command (run, figure, headline, energy, report, cmp,
+snuca, faults, serve, validate) runs its cells through the experiment
+engine (``repro.experiments.runner.run_cells``), so the engine options
+``--jobs``, ``--no-cache``, ``--cache-dir``, ``--metrics-out``,
+``--trace``, ``--trace-format`` and ``--window`` mean the same thing on
+each of them (validate takes no ``--window``). ``table`` and ``trace``
+take only the workload pair ``--measure``/``--seed``; ``layout`` and
+``lint`` take neither.
 """
 
 from __future__ import annotations
@@ -182,27 +191,20 @@ def cmd_cmp(args: argparse.Namespace) -> str:
         core_counts=tuple(args.cores),
         measure=args.measure,
         seed=args.seed,
+        window=args.window,
     )
     return cmp_scaling.render(points)
 
 
 def cmd_snuca(args: argparse.Namespace) -> str:
-    from repro.core.static_system import StaticNUCASystem
-    from repro.core.system import NetworkedCacheSystem
-    from repro.workloads import TraceGenerator, profile_by_name
+    from repro.core.flows import STATIC_NUCA
+    from repro.experiments.runner import run_cells, spec_for
 
-    profile = profile_by_name(args.benchmark)
-    trace, warmup = TraceGenerator(profile, seed=args.seed).generate_with_warmup(
-        measure=args.measure
-    )
-    snuca = StaticNUCASystem(design=args.design).run(trace, profile, warmup=warmup)
-    dnuca = NetworkedCacheSystem(
-        design=args.design, scheme="multicast+fast_lru"
-    ).run(trace, profile, warmup=warmup)
-    from repro.telemetry import merge_run
-
-    merge_run(snuca)
-    merge_run(dnuca)
+    config = _config(args)
+    snuca, dnuca = run_cells([
+        spec_for(args.design, scheme, args.benchmark, config)
+        for scheme in (STATIC_NUCA, "multicast+fast_lru")
+    ])
     return "\n".join(
         [
             f"benchmark {args.benchmark}, design {args.design}",
@@ -281,6 +283,7 @@ def cmd_faults(args: argparse.Namespace) -> str:
         measure=args.accesses,
         seed=args.seed,
         fault_seed=args.fault_seed if args.fault_seed is not None else args.seed,
+        window=args.window,
     )
     return fault_sweep.render(fault_sweep.run(config))
 
@@ -432,23 +435,11 @@ def cmd_layout(args: argparse.Namespace) -> str:
 
 
 def cmd_energy(args: argparse.Namespace) -> str:
-    from repro.core.system import NetworkedCacheSystem
-    from repro.power import EnergyMeter, GatingPolicy, simulate_gating
-    from repro.workloads import TraceGenerator, profile_by_name
+    from repro.experiments.runner import EnergySpec, run_cells, spec_for
 
-    profile = profile_by_name(args.benchmark)
-    trace, warmup = TraceGenerator(profile, seed=args.seed).generate_with_warmup(
-        measure=args.measure
-    )
-    system = NetworkedCacheSystem(design=args.design, scheme=args.scheme)
-    result = system.run(trace, profile, warmup=warmup)
-    from repro.telemetry import merge_run
-
-    merge_run(result)
-    report = EnergyMeter().measure(system, result)
-    gating = simulate_gating(
-        system, result, GatingPolicy(idle_threshold=args.gate_threshold)
-    )
+    cell = spec_for(args.design, args.scheme, args.benchmark, _config(args))
+    result = run_cells([EnergySpec(cell, args.gate_threshold)])[0]
+    report, gating = result.energy, result.gating
     fractions = report.fractions()
     return "\n".join(
         [
@@ -488,10 +479,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--measure", type=int, default=3000,
-                       help="measured accesses per cell (default 3000)")
+    def workload(p: argparse.ArgumentParser, measure: bool = True) -> None:
+        """The workload pair: trace length and seed."""
+        if measure:
+            p.add_argument("--measure", type=int, default=3000,
+                           help="measured accesses per cell (default 3000)")
         p.add_argument("--seed", type=int, default=1)
+
+    def engine(p: argparse.ArgumentParser, window: bool = True) -> None:
+        """The experiment-engine and telemetry options of a command that
+        simulates through run_cells."""
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for independent cells "
                             "(0 = all cores; default 1 = serial)")
@@ -510,10 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
                        default="jsonl",
                        help="trace encoding: jsonl lines or a Chrome "
                             "trace_event file loadable in Perfetto")
-        p.add_argument("--window", type=_count, default=0, metavar="N",
-                       help="sample windowed metric series every N "
-                            "sim-cycles (0 = off); series appear in "
-                            "--metrics-out and feed `repro report`")
+        if window:
+            p.add_argument("--window", type=_count, default=0, metavar="N",
+                           help="sample windowed metric series every N "
+                                "sim-cycles (0 = off); series appear in "
+                                "--metrics-out and feed `repro report`")
 
     run = sub.add_parser("run", help="simulate one configuration")
     run.add_argument("--design", choices=DESIGN_NAMES, default="A")
@@ -522,25 +520,27 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--benchmark", choices=BENCHMARK_NAMES, default="twolf")
     run.add_argument("--early-miss", action="store_true",
                      help="enable partial-tag early miss detection")
-    common(run)
+    workload(run)
+    engine(run)
     run.set_defaults(handler=cmd_run)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
     figure.add_argument("number", type=int, choices=(7, 8, 9, 10))
-    common(figure)
+    workload(figure)
+    engine(figure)
     figure.set_defaults(handler=cmd_figure)
 
     table = sub.add_parser("table", help="regenerate a paper table")
     table.add_argument("number", type=int, choices=(1, 2, 3, 4))
-    common(table)
+    workload(table)
     table.set_defaults(handler=cmd_table)
 
     head = sub.add_parser("headline", help="abstract-level combined claims")
-    common(head)
+    workload(head)
+    engine(head)
     head.set_defaults(handler=cmd_headline)
 
     layout = sub.add_parser("layout", help="Fig.-10 halo floorplan")
-    common(layout)
     layout.set_defaults(handler=cmd_layout)
 
     energy = sub.add_parser("energy", help="energy + gating report")
@@ -549,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="multicast+fast_lru")
     energy.add_argument("--benchmark", choices=BENCHMARK_NAMES, default="twolf")
     energy.add_argument("--gate-threshold", type=int, default=2000)
-    common(energy)
+    workload(energy)
+    engine(energy)
     energy.set_defaults(handler=cmd_energy)
 
     report = sub.add_parser(
@@ -577,20 +578,23 @@ def build_parser() -> argparse.ArgumentParser:
                              "instead of rendering; nonzero exit on "
                              "unknown keys or kind mismatches")
     report.add_argument("--out", default="results.txt")
-    common(report)
+    workload(report)
+    engine(report)
     report.set_defaults(handler=cmd_report)
 
     cmp_cmd = sub.add_parser("cmp", help="multi-core shared-L2 scaling")
     cmp_cmd.add_argument("--designs", nargs="+", choices=DESIGN_NAMES,
                          default=["A", "F"])
     cmp_cmd.add_argument("--cores", nargs="+", type=int, default=[1, 2, 4])
-    common(cmp_cmd)
+    workload(cmp_cmd)
+    engine(cmp_cmd)
     cmp_cmd.set_defaults(handler=cmd_cmp)
 
     snuca = sub.add_parser("snuca", help="S-NUCA vs D-NUCA comparison")
     snuca.add_argument("--design", choices=DESIGN_NAMES, default="A")
     snuca.add_argument("--benchmark", choices=BENCHMARK_NAMES, default="art")
-    common(snuca)
+    workload(snuca)
+    engine(snuca)
     snuca.set_defaults(handler=cmd_snuca)
 
     faults = sub.add_parser(
@@ -615,7 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--benchmark", choices=BENCHMARK_NAMES, default="art")
     faults.add_argument("--fault-seed", type=int, default=None,
                         help="fault-plan sampling seed (default: --seed)")
-    common(faults)
+    workload(faults, measure=False)
+    engine(faults)
     faults.set_defaults(handler=cmd_faults)
 
     serve = sub.add_parser(
@@ -664,7 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flit-simulation core: the reference object "
                             "model or the struct-of-arrays core "
                             "(bit-identical, much faster)")
-    common(serve)
+    workload(serve, measure=False)
+    engine(serve)
     serve.set_defaults(handler=cmd_serve)
 
     validate = sub.add_parser(
@@ -690,13 +696,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "the flit cores' cycle phases (arrivals / "
                                "inject / replication / switch) under the "
                                "standard load and print the breakdown")
-    common(validate)
+    workload(validate)
+    engine(validate, window=False)
     validate.set_defaults(handler=cmd_validate)
 
     trace = sub.add_parser("trace", help="generate a synthetic trace file")
     trace.add_argument("--benchmark", choices=BENCHMARK_NAMES, default="twolf")
     trace.add_argument("--output", required=True)
-    common(trace)
+    workload(trace)
     trace.set_defaults(handler=cmd_trace)
 
     lint = sub.add_parser(
@@ -741,7 +748,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if not hasattr(args, "jobs"):
-        # Tooling subcommands (lint) take no engine/telemetry options.
+        # Commands that simulate nothing (layout, table, trace, lint)
+        # take no engine/telemetry options.
         print(args.handler(args))
         return 0
     from repro import telemetry

@@ -10,11 +10,17 @@ analysis the paper proposes as future work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.cache.bankset import BankSetStats
 from repro.core.designs import DesignSpec, design_spec
 from repro.core.flows import Scheme, make_scheme
-from repro.core.system import NetworkedCacheSystem, resolve_warmup
+from repro.core.system import (
+    NetworkedCacheSystem,
+    collect_metrics,
+    record_access,
+    resolve_warmup,
+)
 from repro.errors import ConfigurationError
 from repro.noc.topology import NodeId
 from repro.perf.ipc import IssueModel
@@ -61,6 +67,16 @@ class CMPResult:
     scheme: str
     num_cores: int
     cores: list[CoreResult] = field(default_factory=list)
+    #: Telemetry snapshot of the shared L2 over the measured run, merged
+    #: into the global registry by run_cells; outside equality, as on
+    #: RunResult.
+    metrics: dict[str, Any] | None = field(
+        default=None, repr=False, compare=False
+    )
+    provenance: dict[str, Any] | None = field(
+        default=None, repr=False, compare=False
+    )
+    wall_s: float | None = field(default=None, repr=False, compare=False)
 
     @property
     def aggregate_ipc(self) -> float:
@@ -112,13 +128,17 @@ class CMPCacheSystem:
         design: str | DesignSpec = "A",
         scheme: str | Scheme = "multicast+fast_lru",
         num_cores: int = 2,
+        window: int = 0,
     ) -> None:
         self.spec = design_spec(design) if isinstance(design, str) else design
         self.scheme = make_scheme(scheme) if isinstance(scheme, str) else scheme
         self.num_cores = num_cores
         self.attach_points = core_attach_points(self.spec, num_cores)
-        # Reuse the single-core system for geometry/contents/engine.
-        self._system = NetworkedCacheSystem(design=self.spec, scheme=self.scheme)
+        # Reuse the single-core system for geometry/contents/engine and
+        # its windowed series (every core's accesses share them).
+        self._system = NetworkedCacheSystem(
+            design=self.spec, scheme=self.scheme, window=window
+        )
 
     def run(
         self,
@@ -161,8 +181,10 @@ class CMPCacheSystem:
         system.memory.reset()
         system.geometry.reset_contention()
         system.engine.reset()
+        system.engine.metrics.reset()
 
         # Phase 2: merged measured run in global issue order.
+        series = system._series
         for core in cores:
             if not core.done():
                 gap = core.trace.gaps[core.position]
@@ -190,6 +212,8 @@ class CMPCacheSystem:
                 memory=timing.memory_cycles,
                 bank_position=timing.bank_position,
             )
+            if series is not None:
+                record_access(series, core.next_issue, timing)
             core.position += 1
             if not core.done():
                 gap = core.trace.gaps[core.position]
@@ -199,6 +223,12 @@ class CMPCacheSystem:
             design=self.spec.key,
             scheme=self.scheme.name,
             num_cores=self.num_cores,
+            metrics=collect_metrics(
+                system.engine.metrics,
+                system.geometry,
+                system.array.stats,
+                system.memory,
+            ),
         )
         for core in cores:
             _, ipc = core.issue.finish()

@@ -176,7 +176,6 @@ class TransactionEngine:
         outcome: AccessOutcome,
         issue_time: int,
         is_write: bool = False,
-        set_index: int | None = None,
         core_node=None,
     ) -> AccessTiming:
         """Run the full protocol flow for one (already content-resolved)
@@ -630,6 +629,10 @@ def make_scheme(name: str) -> Scheme:
         )
     return Scheme(multicast=(cast == "multicast"), policy=policy_by_name(policy_name))
 
+
+#: Scheme name of the S-NUCA baseline: every set pinned to one home bank,
+#: no search and no migration (``repro.core.static_system``).
+STATIC_NUCA = "static-nuca"
 
 #: The five scheme combinations of Figure 8, in the paper's legend order.
 FIGURE8_SCHEMES = (

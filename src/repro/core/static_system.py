@@ -4,8 +4,9 @@ Every access goes straight to its home bank (no search, no migration):
 
     core --request--> home bank --data/miss--> core / memory
 
-Uses the same geometry, contention resources, memory model, and issue
-model as the D-NUCA systems so the comparison isolates the *policy*.
+Uses the same geometry, contention resources, memory model, issue model
+and telemetry (metric snapshot and windowed series) as the D-NUCA
+systems, so the comparison isolates the *policy*.
 """
 
 from __future__ import annotations
@@ -15,11 +16,18 @@ from repro.cache.memory import MemoryModel
 from repro.cache.static_nuca import StaticNUCAArray
 from repro.cache.address import AddressMapper
 from repro.core.designs import DesignSpec, design_spec
-from repro.core.flows import CONTROL, DATA, AccessTiming
-from repro.core.system import RunResult, resolve_warmup
+from repro.core.flows import CONTROL, DATA, STATIC_NUCA, AccessTiming
+from repro.core.system import (
+    RunResult,
+    collect_metrics,
+    make_system_series,
+    record_access,
+    resolve_warmup,
+)
 from repro.errors import ConfigurationError
 from repro.perf.ipc import IssueModel
 from repro.perf.metrics import LatencyAccumulator
+from repro.telemetry.registry import MetricsRegistry
 from repro.workloads.profiles import BenchmarkProfile
 from repro.workloads.trace import Trace
 
@@ -27,12 +35,11 @@ from repro.workloads.trace import Trace
 class StaticNUCASystem:
     """S-NUCA over the same fabric as the D-NUCA designs."""
 
-    scheme_name = "static-nuca"
-
     def __init__(
         self,
         design: str | DesignSpec = "A",
         mapper: AddressMapper | None = None,
+        window: int = 0,
     ) -> None:
         self.spec = design_spec(design) if isinstance(design, str) else design
         self.geometry = self.spec.build()
@@ -43,6 +50,11 @@ class StaticNUCASystem:
         )
         self.memory = MemoryModel()
         self.memory.channel.floor_clock = self.geometry.floor_clock
+        self.metrics = MetricsRegistry()
+        #: Windowed series every *window* issue-cycles (0 = off).
+        self._series = (
+            make_system_series(self.metrics, window) if window > 0 else None
+        )
 
     def _bank_acquire(self, column: int, position: int, time: int,
                       replace: bool) -> tuple[int, int]:
@@ -108,6 +120,7 @@ class StaticNUCASystem:
         latency = LatencyAccumulator()
         stats = BankSetStats()
 
+        series = self._series
         columns, indexes, tags = self.mapper.decode_columns(trace.addresses)
         for i, (column, index, tag, is_write, gap) in enumerate(
             zip(columns, indexes, tags, trace.writes, trace.gaps)
@@ -139,11 +152,13 @@ class StaticNUCASystem:
                 memory=timing.memory_cycles,
                 bank_position=timing.bank_position,
             )
+            if series is not None:
+                record_access(series, issue_time, timing)
 
         cycles, ipc = issue.finish()
         return RunResult(
             design=self.spec.key,
-            scheme=self.scheme_name,
+            scheme=STATIC_NUCA,
             benchmark=trace.name,
             accesses=latency.total_count,
             instructions=issue.instructions,
@@ -153,4 +168,7 @@ class StaticNUCASystem:
             content=stats,
             memory_reads=self.memory.reads,
             memory_writebacks=self.memory.writebacks,
+            metrics=collect_metrics(
+                self.metrics, self.geometry, stats, self.memory
+            ),
         )

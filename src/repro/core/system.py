@@ -23,7 +23,7 @@ from repro.cache.bankset import BankSetStats
 from repro.cache.memory import MemoryModel
 from repro.cache.partial_tags import PartialTagStore
 from repro.core.designs import DesignSpec, design_spec
-from repro.core.flows import Scheme, TransactionEngine, make_scheme
+from repro.core.flows import AccessTiming, Scheme, TransactionEngine, make_scheme
 from repro.core.geometry import CacheGeometry
 from repro.errors import ConfigurationError
 from repro.perf.ipc import IssueModel
@@ -58,6 +58,39 @@ def make_system_series(
             "cache.series.latency", window, "hist", LATENCY_SLO_EDGES
         ),
     }
+
+
+def record_access(
+    series: dict[str, Series], issue_time: int, timing: AccessTiming
+) -> None:
+    """Record one measured access into the :func:`make_system_series`."""
+    series["accesses"].record(issue_time)
+    if timing.hit:
+        series["hits"].record(issue_time)
+    series["bank_cycles"].record(issue_time, timing.bank_cycles)
+    series["network_cycles"].record(issue_time, timing.network_cycles)
+    series["memory_cycles"].record(issue_time, timing.memory_cycles)
+    series["latency"].record(issue_time, timing.transaction_latency)
+
+
+def collect_metrics(
+    registry: MetricsRegistry,
+    geometry: CacheGeometry,
+    stats: BankSetStats,
+    memory: MemoryModel,
+) -> dict:
+    """Snapshot a replay loop's metric sources into *registry*.
+
+    The snapshot is a plain sorted-key dict: deterministic, picklable,
+    and mergeable into any other registry (serial and parallel batch
+    runs fold these per-cell snapshots identically). The D-NUCA, S-NUCA
+    and CMP loops all publish through here.
+    """
+    geometry.publish_metrics(registry)
+    stats.publish_metrics(registry)
+    registry.counter("cache.memory.reads").set(memory.reads)
+    registry.counter("cache.memory.writebacks").set(memory.writebacks)
+    return registry.snapshot()
 
 
 def resolve_warmup(warmup: int | None, length: int) -> int:
@@ -149,20 +182,29 @@ class NetworkedCacheSystem:
         )
         self.memory = MemoryModel()
         self.memory.channel.floor_clock = self.geometry.floor_clock
-        self.engine = TransactionEngine(self.geometry, self.memory, self.scheme)
         #: Windowed metric series sampled every *window* issue-cycles
-        #: (0 = off). The Series objects live in the engine registry and
-        #: survive its warm-up reset, like the engine's histograms.
+        #: (0 = off).
         self.window = int(window)
+        self.rebuild_engine()
+        #: Optional partial-tag early miss detection (D-NUCA smart search).
+        self.partial_tags: PartialTagStore | None = None
+        if early_miss_detection:
+            self.partial_tags = PartialTagStore()
+
+    def rebuild_engine(self) -> None:
+        """Build the transaction engine over the current geometry.
+
+        Called again after a geometry swap (the fault and spiral-spike
+        rebuilds), so the windowed series live in the registry the run
+        snapshots. They survive its warm-up reset, like the engine's
+        histograms.
+        """
+        self.engine = TransactionEngine(self.geometry, self.memory, self.scheme)
         self._series = (
             make_system_series(self.engine.metrics, self.window)
             if self.window > 0
             else None
         )
-        #: Optional partial-tag early miss detection (D-NUCA smart search).
-        self.partial_tags: PartialTagStore | None = None
-        if early_miss_detection:
-            self.partial_tags = PartialTagStore()
 
     # -- single-access convenience ------------------------------------------
 
@@ -245,19 +287,7 @@ class NetworkedCacheSystem:
                 bank_position=timing.bank_position,
             )
             if series is not None:
-                series["accesses"].record(issue_time)
-                if timing.hit:
-                    series["hits"].record(issue_time)
-                series["bank_cycles"].record(issue_time, timing.bank_cycles)
-                series["network_cycles"].record(
-                    issue_time, timing.network_cycles
-                )
-                series["memory_cycles"].record(
-                    issue_time, timing.memory_cycles
-                )
-                series["latency"].record(
-                    issue_time, timing.transaction_latency
-                )
+                record_access(series, issue_time, timing)
 
         cycles, ipc = issue.finish()
         return RunResult(
@@ -277,19 +307,12 @@ class NetworkedCacheSystem:
         )
 
     def _collect_metrics(self) -> dict:
-        """Snapshot every metric source into the engine's registry.
-
-        The snapshot is a plain sorted-key dict: deterministic, picklable,
-        and mergeable into any other registry (serial and parallel batch
-        runs fold these per-cell snapshots identically).
-        """
+        """Snapshot every metric source into the engine's registry."""
         registry = self.engine.metrics
-        self.geometry.publish_metrics(registry)
-        self.array.stats.publish_metrics(registry)
-        registry.counter("cache.memory.reads").set(self.memory.reads)
-        registry.counter("cache.memory.writebacks").set(self.memory.writebacks)
         if self.partial_tags is not None:
             registry.counter("cache.partial_tags.early_misses").set(
                 self.partial_tags.early_misses
             )
-        return registry.snapshot()
+        return collect_metrics(
+            registry, self.geometry, self.array.stats, self.memory
+        )

@@ -2,17 +2,15 @@
 
 Multiprogrammed workloads share the networked L2: throughput (sum of
 per-core IPC) and average latency as the core count grows, mesh vs halo.
+Each (design, core count) point is one
+:class:`~repro.experiments.runner.CMPSpec` cell of the experiment engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cmp import CMPCacheSystem
-from repro.workloads import TraceGenerator, profile_by_name
-
-#: Multiprogrammed mix, one benchmark per core (paper Table-2 members).
-DEFAULT_MIX = ("twolf", "vpr", "art", "galgel")
+from repro.experiments.runner import CMPSpec, run_cells
 
 
 @dataclass(frozen=True)
@@ -24,39 +22,28 @@ class ScalingPoint:
     fairness: float
 
 
-def _workload(name: str, seed: int, measure: int):
-    profile = profile_by_name(name)
-    trace, warmup = TraceGenerator(profile, seed=seed).generate_with_warmup(
-        measure=measure
-    )
-    return (profile, trace, warmup)
-
-
 def run(
     designs: tuple = ("A", "F"),
     core_counts: tuple = (1, 2, 4),
     measure: int = 1500,
     seed: int = 10,
+    window: int = 0,
 ) -> list[ScalingPoint]:
-    points = []
-    for design in designs:
-        for num_cores in core_counts:
-            mix = DEFAULT_MIX[:num_cores]
-            workloads = [
-                _workload(name, seed + i, measure) for i, name in enumerate(mix)
-            ]
-            system = CMPCacheSystem(design=design, num_cores=num_cores)
-            result = system.run(workloads)
-            points.append(
-                ScalingPoint(
-                    design=design,
-                    num_cores=num_cores,
-                    aggregate_ipc=result.aggregate_ipc,
-                    average_latency=result.average_latency,
-                    fairness=result.fairness,
-                )
-            )
-    return points
+    specs = [
+        CMPSpec(design, num_cores, measure, seed, window=window)
+        for design in designs
+        for num_cores in core_counts
+    ]
+    return [
+        ScalingPoint(
+            design=spec.design,
+            num_cores=spec.num_cores,
+            aggregate_ipc=result.aggregate_ipc,
+            average_latency=result.average_latency,
+            fairness=result.fairness,
+        )
+        for spec, result in zip(specs, run_cells(specs))
+    ]
 
 
 def render(points: list[ScalingPoint]) -> str:

@@ -1,4 +1,4 @@
-"""Shared experiment infrastructure: configs, trace caching, runners."""
+"""Shared experiment infrastructure: configs, batch runs, summaries."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from repro.core.system import RunResult
 from repro.workloads.profiles import BENCHMARKS
-from repro.workloads.trace import Trace
 
 #: Table-2 benchmark names in the paper's order.
 BENCHMARK_NAMES = tuple(profile.name for profile in BENCHMARKS)
@@ -39,16 +38,6 @@ class ExperimentConfig:
             warmup_mix_factor=self.warmup_mix_factor,
             window=self.window,
         )
-
-
-def trace_for(benchmark: str, config: ExperimentConfig) -> tuple[Trace, int]:
-    """Deterministic (trace, warmup) for a benchmark, cached per config."""
-    from repro.experiments import runner
-
-    return runner._trace_with_warmup(
-        runner.spec_for(benchmark=benchmark, design="A",
-                        scheme="multicast+fast_lru", config=config)
-    )
 
 
 def run_systems(

@@ -16,10 +16,19 @@ module owns that evaluation:
   the remaining cells fall back to serial execution in-process -- a sweep
   degrades, it does not crash.
 
-Determinism: a cell owns a fresh :class:`NetworkedCacheSystem` and a trace
-generated from its own seed, so its result is a pure function of its spec.
-Parallel, serial, and cached evaluations of the same spec are
-bit-identical, which the engine tests assert.
+Every spec family runs itself: a spec is a frozen picklable dataclass
+with ``design``/``scheme``/``benchmark``/``seed`` reporting coordinates,
+a stable ``key()`` for the persistent cache and an ``execute()`` method
+that computes its result from scratch. :class:`CellSpec` covers the
+D-NUCA and S-NUCA replay loops, :class:`EnergySpec` meters a cell's live
+system, :class:`CMPSpec` runs several cores on one shared L2, and the
+streaming family lives in ``repro.stream.engine``. A worker finds
+``execute()`` by unpickling the spec, which imports its module.
+
+Determinism: a cell owns a fresh system and a trace generated from its
+own seed, so its result is a pure function of its spec. Parallel,
+serial, and cached evaluations of the same spec are bit-identical, which
+the engine tests assert.
 """
 
 from __future__ import annotations
@@ -30,15 +39,20 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterator, Sequence
 
 from repro import telemetry
+from repro.core.flows import STATIC_NUCA
 from repro.core.system import NetworkedCacheSystem, RunResult
 from repro.errors import ConfigurationError
 from repro.experiments.cache import ResultCache
 
 if TYPE_CHECKING:
+    from repro.cmp import CMPResult
+    from repro.core.static_system import StaticNUCASystem
     from repro.experiments.common import ExperimentConfig
+    from repro.power import EnergyReport, GatingReport
+    from repro.workloads.profiles import BenchmarkProfile
     from repro.workloads.trace import Trace
 
 #: Default worker-trace cache bound (traces are the expensive shared input).
@@ -51,7 +65,9 @@ class CellSpec:
 
     The first three fields are the paper's (design, scheme, benchmark)
     coordinates; the rest pin down the trace and every model override the
-    sweeps use, so equal specs always produce bit-identical results.
+    sweeps use, so equal specs always produce bit-identical results. The
+    scheme :data:`~repro.core.flows.STATIC_NUCA` runs the S-NUCA baseline
+    on the same trace and fabric.
     """
 
     design: str
@@ -101,6 +117,130 @@ class CellSpec:
             (f.name, getattr(self, f.name)) for f in fields(self)
         )
 
+    def execute(self) -> RunResult:
+        """Run this cell from scratch (no caches)."""
+        return _simulate(self)[1]
+
+
+@dataclass
+class EnergyResult:
+    """One cell's run with the energy and gating reports of its system."""
+
+    run: RunResult
+    energy: EnergyReport
+    gating: GatingReport
+    wall_s: float | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def metrics(self) -> dict[str, Any] | None:
+        """The run's telemetry snapshot (merged by run_cells)."""
+        return self.run.metrics
+
+
+@dataclass(frozen=True, slots=True)
+class EnergySpec:
+    """Energy and on-demand bank gating of one :class:`CellSpec`'s run.
+
+    The cell's live system is metered inside the process that ran it, by
+    :class:`~repro.power.EnergyMeter` and
+    :func:`~repro.power.simulate_gating`.
+    """
+
+    cell: CellSpec
+    #: Idle cycles after which a bank is gated off.
+    gate_threshold: int = 2000
+
+    @property
+    def design(self) -> str:
+        return self.cell.design
+
+    @property
+    def scheme(self) -> str:
+        return self.cell.scheme
+
+    @property
+    def benchmark(self) -> str:
+        return self.cell.benchmark
+
+    @property
+    def seed(self) -> int:
+        return self.cell.seed
+
+    def key(self) -> tuple[object, ...]:
+        return ("energy", ("gate_threshold", self.gate_threshold)) + (
+            self.cell.key()
+        )
+
+    def execute(self) -> EnergyResult:
+        """Run the cell and meter its system from scratch (no caches)."""
+        from repro.power import EnergyMeter, GatingPolicy, simulate_gating
+
+        started = time.perf_counter()
+        policy = GatingPolicy(idle_threshold=self.gate_threshold)
+        system, run = _simulate(self.cell)
+        return EnergyResult(
+            run=run,
+            energy=EnergyMeter().measure(system, run),
+            gating=simulate_gating(system, run, policy),
+            wall_s=time.perf_counter() - started,
+        )
+
+
+#: Multiprogrammed mix of a CMP cell, one benchmark per core (paper
+#: Table-2 members).
+DEFAULT_MIX = ("twolf", "vpr", "art", "galgel")
+
+
+@dataclass(frozen=True, slots=True)
+class CMPSpec:
+    """One CMP cell: *num_cores* cores sharing one design's L2.
+
+    Core ``i`` runs ``DEFAULT_MIX[i]`` on the trace of the cell
+    ``(design, scheme, DEFAULT_MIX[i])`` at seed ``seed + i``.
+    """
+
+    scheme: ClassVar[str] = "multicast+fast_lru"
+
+    design: str
+    num_cores: int
+    measure: int
+    seed: int
+    #: Windowed-telemetry sample window in sim-cycles (0 = off).
+    window: int = 0
+
+    @property
+    def benchmark(self) -> str:
+        """The engine's benchmark coordinate: the cores' mix."""
+        return "+".join(DEFAULT_MIX[: self.num_cores])
+
+    def key(self) -> tuple[object, ...]:
+        return ("cmp",) + tuple(
+            (f.name, getattr(self, f.name)) for f in fields(self)
+        )
+
+    def execute(self) -> CMPResult:
+        """Run this CMP cell from scratch (no caches)."""
+        from repro.cmp import CMPCacheSystem
+        from repro.workloads.profiles import profile_by_name
+
+        workloads: list[tuple[BenchmarkProfile, Trace, int]] = []
+        for i, name in enumerate(DEFAULT_MIX[: self.num_cores]):
+            cell = CellSpec(
+                self.design, self.scheme, name, self.measure, self.seed + i
+            )
+            workloads.append((profile_by_name(name), *trace_with_warmup(cell)))
+        started = time.perf_counter()
+        system = CMPCacheSystem(
+            design=self.design,
+            scheme=self.scheme,
+            num_cores=self.num_cores,
+            window=self.window,
+        )
+        result = system.run(workloads)
+        result.wall_s = time.perf_counter() - started
+        result.provenance = telemetry.provenance_block(self)
+        return result
+
 
 def spec_for(
     design: str,
@@ -117,7 +257,7 @@ def spec_for(
     overrides.setdefault("window", int(getattr(config, "window", 0)))
     return CellSpec(
         design=design,
-        scheme=make_scheme(scheme).name,
+        scheme=scheme if scheme == STATIC_NUCA else make_scheme(scheme).name,
         benchmark=benchmark,
         measure=config.measure,
         seed=config.seed,
@@ -133,8 +273,12 @@ _TraceKey = tuple[str, int, int, float, int | None]
 _worker_traces: dict[_TraceKey, tuple[Trace, int]] = {}
 
 
-def _trace_with_warmup(spec: CellSpec) -> tuple[Trace, int]:
-    """Deterministic (trace, warmup) for a spec, memoized per process."""
+def trace_with_warmup(spec: CellSpec) -> tuple[Trace, int]:
+    """Deterministic ``(trace, warmup)`` for a spec, memoized per process.
+
+    The differential oracle, the CMP cell and the benchmark harness read
+    exactly the trace a cell runs through this memo.
+    """
     from repro.workloads.generator import TraceGenerator
     from repro.workloads.profiles import profile_by_name
 
@@ -161,15 +305,6 @@ def _trace_with_warmup(spec: CellSpec) -> tuple[Trace, int]:
             _worker_traces.clear()
         _worker_traces[key] = cached
     return cached
-
-
-def trace_with_warmup(spec: CellSpec) -> tuple[Trace, int]:
-    """Public accessor for a spec's deterministic ``(trace, warmup)``.
-
-    The differential oracle replays exactly the trace a cell ran, so it
-    shares the per-process memo with :func:`execute_cell`.
-    """
-    return _trace_with_warmup(spec)
 
 
 @contextlib.contextmanager
@@ -200,7 +335,31 @@ def _model_overrides(spec: CellSpec) -> Iterator[None]:
             entry["wire"] = original_wires[capacity]
 
 
-def _build_system(spec: CellSpec) -> NetworkedCacheSystem:
+#: CellSpec fields the S-NUCA replay loop has no use for: a cell that
+#: sets one away from its default is refused, not run without it.
+_STATIC_NUCA_UNREAD = (
+    "spike_queue_entries", "single_cycle_router", "spike_wire_scale",
+    "early_miss_detection", "link_fault_rate", "bank_fault_rate",
+    "transient_fault_rate", "fault_seed",
+)
+
+
+def _build_system(spec: CellSpec) -> NetworkedCacheSystem | StaticNUCASystem:
+    if spec.scheme == STATIC_NUCA:
+        from repro.core.static_system import StaticNUCASystem
+
+        unread = [
+            f.name
+            for f in fields(spec)
+            if f.name in _STATIC_NUCA_UNREAD
+            and getattr(spec, f.name) != f.default
+        ]
+        if unread:
+            raise ConfigurationError(
+                f"an S-NUCA cell cannot honour {', '.join(unread)}"
+            )
+        return StaticNUCASystem(design=spec.design, window=spec.window)
+
     from repro.config import RouterConfig
 
     router_config = None
@@ -232,7 +391,6 @@ def _apply_faults(system: NetworkedCacheSystem, spec: CellSpec) -> None:
     :func:`_rebuild_uniform_halo`.
     """
     from repro.cache.array import CacheArray
-    from repro.core.flows import TransactionEngine
     from repro.faults.models import FaultPlan
     from repro.faults.recovery import DegradedCacheGeometry
 
@@ -257,13 +415,12 @@ def _apply_faults(system: NetworkedCacheSystem, spec: CellSpec) -> None:
         geometry.columns, system.scheme.policy, system.mapper
     )
     system.memory.channel.floor_clock = geometry.floor_clock
-    system.engine = TransactionEngine(geometry, system.memory, system.scheme)
+    system.rebuild_engine()
 
 
 def _rebuild_uniform_halo(system: NetworkedCacheSystem, wire_scale: int) -> None:
     """Swap in the spiral-spike ablation's uniform 16x16 halo geometry."""
     from repro.cache.bank import bank_descriptors_for_column
-    from repro.core.flows import TransactionEngine
     from repro.core.geometry import CacheGeometry
     from repro.noc.topology import HaloTopology
 
@@ -277,15 +434,16 @@ def _rebuild_uniform_halo(system: NetworkedCacheSystem, wire_scale: int) -> None
     columns = [bank_descriptors_for_column([64 * 1024] * 16) for _ in range(16)]
     system.geometry = CacheGeometry(topology, columns)
     system.memory.channel.floor_clock = system.geometry.floor_clock
-    system.engine = TransactionEngine(system.geometry, system.memory, system.scheme)
+    system.rebuild_engine()
 
 
-def _execute_cell_spec(spec: CellSpec) -> RunResult:
-    """Run one trace-replay cell from scratch (no caches)."""
+def _simulate(spec: CellSpec) -> tuple[Any, RunResult]:
+    """Run one trace-replay cell from scratch; returns its live system (a
+    :class:`NetworkedCacheSystem` or an S-NUCA system) too."""
     from repro.workloads.profiles import profile_by_name
 
     profile = profile_by_name(spec.benchmark)
-    trace, warmup = _trace_with_warmup(spec)
+    trace, warmup = trace_with_warmup(spec)
     started = time.perf_counter()
     with _model_overrides(spec):
         system = _build_system(spec)
@@ -294,41 +452,7 @@ def _execute_cell_spec(spec: CellSpec) -> RunResult:
         )
     result.wall_s = time.perf_counter() - started
     result.provenance = telemetry.provenance_block(spec)
-    return result
-
-
-#: Executors for additional spec families (e.g. repro.stream's
-#: ``StreamSpec``), keyed by exact spec type. Registration happens at the
-#: spec module's import time, so worker processes pick it up simply by
-#: unpickling a spec (unpickling imports its defining module).
-_spec_executors: dict[type, Callable[[Any], Any]] = {}
-
-
-def register_spec_executor(
-    spec_type: type, executor: Callable[[Any], Any]
-) -> None:
-    """Register *executor* as the from-scratch runner for *spec_type*.
-
-    The spec type must be a frozen picklable dataclass exposing the
-    ``design``/``scheme``/``benchmark``/``seed`` reporting coordinates
-    and a stable ``key()`` for the persistent cache, and the executor a
-    top-level function returning a result whose optional ``metrics``
-    snapshot merges into the global registry (like ``RunResult``).
-    """
-    _spec_executors[spec_type] = executor
-
-
-def execute_cell(spec: Any) -> Any:
-    """Run one cell from scratch (no caches). Top-level and picklable."""
-    if type(spec) is CellSpec:
-        return _execute_cell_spec(spec)
-    executor = _spec_executors.get(type(spec))
-    if executor is None:
-        raise ConfigurationError(
-            f"no executor registered for spec type {type(spec).__name__}; "
-            "import its defining module before run_cells"
-        )
-    return executor(spec)
+    return system, result
 
 
 # -- engine configuration ----------------------------------------------------
@@ -345,7 +469,7 @@ class EngineSettings:
 _settings = EngineSettings()
 
 #: In-process memo: spec -> result (the figure drivers share many cells).
-#: Keyed by any registered spec family, not just CellSpec.
+#: Keyed by every spec family, not just CellSpec.
 _memo: dict[Any, Any] = {}
 
 
@@ -398,8 +522,8 @@ class CellReport:
     seed: int
     #: ``memo`` (in-process), ``cache`` (persistent), or ``computed``.
     source: str
-    #: Wall seconds of the original computation (stamped by execute_cell;
-    #: replayed results carry the time their producer spent).
+    #: Wall seconds of the original computation (stamped by the spec's
+    #: ``execute()``; replayed results carry the time their producer spent).
     wall_s: float | None
 
     def payload(self) -> dict[str, object]:
@@ -527,7 +651,7 @@ def run_cells(
         if jobs > 1 and len(todo) > 1:
             remaining = _run_pool(todo, min(jobs, len(todo)), commit)
         for spec in remaining:
-            commit(spec, execute_cell(spec))
+            commit(spec, spec.execute())
 
     # Fold each unique cell's metrics into the process-global registry in
     # deterministic (first-appearance) order -- identical whether results
@@ -578,7 +702,7 @@ def _run_pool(
         return todo
     with executor:
         try:
-            futures = [(spec, executor.submit(execute_cell, spec)) for spec in todo]
+            futures = [(spec, executor.submit(spec.execute)) for spec in todo]
         except (BrokenProcessPool, OSError, RuntimeError):
             return todo
         for i, (spec, future) in enumerate(futures):

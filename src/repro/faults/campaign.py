@@ -20,7 +20,7 @@ Reported per point:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 
@@ -38,6 +38,8 @@ class CampaignConfig:
     seed: int = 1
     #: Seed of the fault-plan sampler and transient streams.
     fault_seed: int = 7
+    #: Windowed-telemetry sample window of every cell (0 = off).
+    window: int = 0
 
     def __post_init__(self) -> None:
         if not self.rates:
@@ -74,9 +76,6 @@ class CampaignPoint:
     exhausted_retries: int = 0
     degraded_accesses: int = 0
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass
 class CampaignResult:
@@ -97,7 +96,8 @@ def _counter(metrics: dict, name: str) -> int:
 
 def run_campaign(config: CampaignConfig | None = None) -> CampaignResult:
     """Run the sweep through the experiment engine; returns all points."""
-    from repro.experiments.runner import CellSpec, run_cells
+    from repro.experiments.common import ExperimentConfig
+    from repro.experiments.runner import run_cells, spec_for
 
     config = config or CampaignConfig()
     rates = config.sweep_rates()
@@ -107,13 +107,15 @@ def run_campaign(config: CampaignConfig | None = None) -> CampaignResult:
         for scheme in config.schemes
         for rate in rates
     ]
+    workload = ExperimentConfig(
+        measure=config.measure, seed=config.seed, window=config.window
+    )
     specs = [
-        CellSpec(
-            design=design,
-            scheme=scheme,
-            benchmark=config.benchmark,
-            measure=config.measure,
-            seed=config.seed,
+        spec_for(
+            design,
+            scheme,
+            config.benchmark,
+            workload,
             link_fault_rate=rate,
             transient_fault_rate=rate,
             fault_seed=config.fault_seed,

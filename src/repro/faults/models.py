@@ -96,15 +96,6 @@ class FaultPlan:
     banks: tuple = ()
     transients: TransientFaults | None = None
 
-    @property
-    def is_null(self) -> bool:
-        """True when the plan injects nothing at all."""
-        return (
-            not self.links
-            and not self.banks
-            and (self.transients is None or self.transients.drop_rate == 0.0)
-        )
-
     def dead_channels(self) -> frozenset:
         """Directed channels dead under this plan."""
         return frozenset((f.src, f.dst) for f in self.links)

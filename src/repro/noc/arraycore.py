@@ -492,14 +492,6 @@ class ArrayNetwork:
 
     # -- inspection ---------------------------------------------------------
 
-    def idle(self) -> bool:
-        """True when no flit is buffered, in flight, or awaiting injection."""
-        return (
-            not self._pending_ejects
-            and not self._queues_nonempty()
-            and not self._arrivals
-        )
-
     def pending_work(self) -> bool:
         """True while any injected packet still has flits to deliver."""
         return bool(self._pending_ejects) or self._queues_nonempty()

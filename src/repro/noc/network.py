@@ -352,14 +352,6 @@ class Network:
             )
         return "\n".join(lines)
 
-    def idle(self) -> bool:
-        """True when no flit is buffered, in flight, or awaiting injection."""
-        return (
-            not self._pending_ejects
-            and not self._inject_queues_nonempty()
-            and not self._arrivals
-        )
-
     def pending_work(self) -> bool:
         """True while any injected packet still has flits to deliver."""
         return bool(self._pending_ejects) or self._inject_queues_nonempty()

@@ -14,10 +14,6 @@ class LatencyStats:
     minimum: int
     maximum: int
 
-    @staticmethod
-    def empty() -> "LatencyStats":
-        return LatencyStats(count=0, mean=0.0, minimum=0, maximum=0)
-
 
 @dataclass
 class LatencyAccumulator:

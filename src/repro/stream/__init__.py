@@ -20,7 +20,6 @@ from repro.stream.arrivals import (
 from repro.stream.engine import (
     StreamResult,
     StreamSpec,
-    execute_stream_cell,
     stream_spec_for,
 )
 from repro.stream.service import (
@@ -41,7 +40,6 @@ __all__ = [
     "StreamSpec",
     "TENANT_MIXES",
     "TenantSpec",
-    "execute_stream_cell",
     "generate_arrivals",
     "generate_tenant_arrivals",
     "make_stream_series",

@@ -4,10 +4,7 @@ A :class:`StreamSpec` is the streaming analogue of
 :class:`~repro.experiments.runner.CellSpec`: plain picklable data that
 fully determines one open-loop serving run, keyed into the same
 in-process memo and persistent result cache, and executable in worker
-processes. Importing this module registers :func:`execute_stream_cell`
-with the engine's spec-executor registry; worker processes pick the
-registration up automatically, because unpickling a ``StreamSpec``
-imports this module.
+processes through its own :meth:`StreamSpec.execute`.
 
 The engine's reporting coordinates map as: ``design`` is the Table-3
 design letter, ``scheme`` the admission policy, ``benchmark`` the named
@@ -22,7 +19,6 @@ from typing import Any
 
 from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.experiments import runner
 from repro.noc.network import normalize_core
 from repro.stream.arrivals import MIX_NAMES, generate_arrivals, tenant_mix
 from repro.stream.service import ADMISSION_POLICIES, StreamService
@@ -55,6 +51,37 @@ class StreamSpec:
         return ("stream",) + tuple(
             (f.name, getattr(self, f.name)) for f in fields(self)
         )
+
+    def execute(self) -> StreamResult:
+        """Run this streaming cell from scratch (no caches)."""
+        started = time.perf_counter()
+        tenants = tenant_mix(self.benchmark, self.load)
+        requests = generate_arrivals(tenants, self.cycles, self.seed)
+        service = build_service(self)
+        service.run(requests, self.cycles, drain=self.drain)
+        registry = MetricsRegistry()
+        service.publish_metrics(registry)
+        summary = service.summary()
+        result = StreamResult(
+            design=self.design,
+            scheme=self.scheme,
+            benchmark=self.benchmark,
+            seed=self.seed,
+            cycles=self.cycles,
+            offered=summary["offered"],
+            admitted=summary["admitted"],
+            rejected=sum(summary["rejected"].values()),
+            completed=summary["completed"],
+            quantiles=summary["quantiles"],
+            goodput_per_kcycle=summary["goodput_per_kcycle"],
+            availability=summary["availability"],
+            rejection_rate=summary["rejection_rate"],
+            summary=summary,
+            metrics=registry.snapshot(),
+            provenance=telemetry.provenance_block(self),
+        )
+        result.wall_s = time.perf_counter() - started
+        return result
 
 
 def stream_spec_for(
@@ -127,38 +154,3 @@ def build_service(spec: StreamSpec) -> StreamService:
         token_rate=spec.token_rate,
         token_burst=spec.token_burst,
     )
-
-
-def execute_stream_cell(spec: StreamSpec) -> StreamResult:
-    """Run one streaming cell from scratch. Top-level and picklable."""
-    started = time.perf_counter()
-    tenants = tenant_mix(spec.benchmark, spec.load)
-    requests = generate_arrivals(tenants, spec.cycles, spec.seed)
-    service = build_service(spec)
-    service.run(requests, spec.cycles, drain=spec.drain)
-    registry = MetricsRegistry()
-    service.publish_metrics(registry)
-    summary = service.summary()
-    result = StreamResult(
-        design=spec.design,
-        scheme=spec.scheme,
-        benchmark=spec.benchmark,
-        seed=spec.seed,
-        cycles=spec.cycles,
-        offered=summary["offered"],
-        admitted=summary["admitted"],
-        rejected=sum(summary["rejected"].values()),
-        completed=summary["completed"],
-        quantiles=summary["quantiles"],
-        goodput_per_kcycle=summary["goodput_per_kcycle"],
-        availability=summary["availability"],
-        rejection_rate=summary["rejection_rate"],
-        summary=summary,
-        metrics=registry.snapshot(),
-        provenance=telemetry.provenance_block(spec),
-    )
-    result.wall_s = time.perf_counter() - started
-    return result
-
-
-runner.register_spec_executor(StreamSpec, execute_stream_cell)

@@ -139,13 +139,6 @@ class Histogram:
         self.total = 0
         self.count = 0
 
-    def quantile(self, q: float) -> float:
-        """Upper-edge estimate of the ``q`` quantile (see
-        :func:`quantiles_from_counts`)."""
-        return quantiles_from_counts(self.edges, self.counts, (q,))[
-            _quantile_key(q)
-        ]
-
 
 def _quantile_key(q: float) -> str:
     """``0.95`` -> ``"p95"``; ``0.5`` -> ``"p50"``."""

@@ -10,13 +10,15 @@ import pickle
 
 import pytest
 
-from repro.core.flows import make_scheme
+from repro.core.flows import STATIC_NUCA, make_scheme
 from repro.core.system import RunResult
+from repro.errors import ConfigurationError
 from repro.experiments.cache import ResultCache, code_fingerprint
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.runner import (
     CellSpec,
-    execute_cell,
+    CMPSpec,
+    EnergySpec,
     last_batch,
     reset_memo,
     run_cells,
@@ -171,7 +173,8 @@ class TestTelemetryIntegration:
         """Series honor the same merge contract as every other metric: a
         windowed sweep's ``cache.series.*``/``noc.series.*`` payloads are
         byte-identical across serial, ``--jobs 2``, and warm-cache
-        replay -- window maps merge per-index, order-independently."""
+        replay -- window maps merge per-index, order-independently. The
+        S-NUCA, energy and CMP cell kinds ride along."""
         import json
 
         config = dataclasses.replace(ENGINE_CONFIG, window=50)
@@ -179,6 +182,10 @@ class TestTelemetryIntegration:
             spec_for(design, "multicast+fast_lru", benchmark, config)
             for design in ("A", "F")
             for benchmark in ("art", "twolf")
+        ] + [
+            spec_for("A", STATIC_NUCA, "art", config),
+            EnergySpec(spec_for("F", "unicast+lru", "art", config)),
+            CMPSpec("A", 2, config.measure, config.seed, window=50),
         ]
         cache = ResultCache(directory=tmp_path)
         serial, parallel, replayed = _triangle(specs, cache)
@@ -186,8 +193,10 @@ class TestTelemetryIntegration:
             name: snap for name, snap in serial.items()
             if snap["type"] == "series"
         }
-        assert "cache.series.accesses" in series
         assert all(snap["window"] == 50 for snap in series.values())
+        # Six single-core cells and a two-core CMP cell.
+        windows = series["cache.series.accesses"]["windows"]
+        assert sum(count for _, count in windows) == 8 * config.measure
         encode = lambda snap: json.dumps(snap, sort_keys=True)  # noqa: E731
         assert encode(serial) == encode(parallel) == encode(replayed)
 
@@ -214,8 +223,8 @@ class TestTelemetryIntegration:
 
     def test_provenance_is_pure_function_of_spec(self):
         spec = _sweep_specs()[0]
-        first = execute_cell(spec).provenance
-        second = execute_cell(spec).provenance
+        first = spec.execute().provenance
+        second = spec.execute().provenance
         assert first == second
 
 
@@ -336,14 +345,28 @@ class TestCellSpec:
         names = {name for name, _ in spec.key()[1:]}
         assert names == {f.name for f in dataclasses.fields(CellSpec)}
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"early_miss_detection": True},
+            {"link_fault_rate": 0.1},
+            {"single_cycle_router": True},
+        ],
+        ids=["early-miss", "faults", "router"],
+    )
+    def test_static_nuca_cell_refuses_what_it_cannot_honour(self, override):
+        spec = spec_for("A", STATIC_NUCA, "art", ENGINE_CONFIG, **override)
+        with pytest.raises(ConfigurationError, match=next(iter(override))):
+            spec.execute()
+
     def test_override_fields_reach_the_model(self):
         # mcf at this scale actually misses, so the off-chip latency
         # override must show up in the miss path.
         config = ExperimentConfig(measure=600)
         base = spec_for("A", "multicast+fast_lru", "mcf", config)
         slow = dataclasses.replace(base, memory_base_latency=500)
-        base_result = execute_cell(base)
-        slow_result = execute_cell(slow)
+        base_result = base.execute()
+        slow_result = slow.execute()
         assert base_result.latency.miss_count > 0
         assert (
             slow_result.average_miss_latency > base_result.average_miss_latency

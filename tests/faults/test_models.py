@@ -74,7 +74,8 @@ class TestFaultPlanSample:
 
     def test_zero_rates_null_plan(self):
         plan = FaultPlan.sample(MeshTopology(3, 3), seed=9)
-        assert plan.is_null
+        assert not plan.links and not plan.banks
+        assert plan.transients is None or plan.transients.drop_rate == 0.0
         assert plan.describe() == "no faults"
 
 

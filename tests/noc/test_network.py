@@ -138,7 +138,7 @@ class TestStress:
         _drain(net)
         assert net.stats.packets_delivered == 150
         assert net.total_buffered_flits() == 0
-        assert net.idle()
+        assert not net.pending_work() and net.in_flight_flits() == 0
 
     def test_sustained_multicast_load_drains(self):
         net = Network(MeshTopology(4, 4))

@@ -57,7 +57,7 @@ class TestCreditFlow:
         for i in range(10):
             network.inject(Packet(MessageType.REPLACEMENT, source=(0, 0),
                                   destinations=((2, 2),)))
-        while not network.idle():
+        while network.pending_work() or network.in_flight_flits():
             network.step()
             for router in network.routers.values():
                 for unit in router.inputs.values():

@@ -11,22 +11,14 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import (
-    execute_cell,
-    reset_memo,
-    run_cells,
-)
+from repro.experiments.runner import reset_memo, run_cells
 from repro.experiments.stream_sweep import (
     StreamSweepConfig,
     render,
     run_sweep,
     sweep_specs,
 )
-from repro.stream.engine import (
-    StreamSpec,
-    execute_stream_cell,
-    stream_spec_for,
-)
+from repro.stream.engine import StreamSpec, stream_spec_for
 from repro.telemetry import global_registry, reset_global_metrics
 
 SWEEP = StreamSweepConfig(
@@ -62,14 +54,14 @@ class TestStreamSpec:
         with pytest.raises(ConfigurationError):
             stream_spec_for("C", "drop-tail", "octet-mixed")
 
-    def test_execute_cell_dispatches_registered_specs(self):
+    def test_run_cells_runs_the_spec_itself(self):
         spec = _spec()
-        assert execute_cell(spec) == execute_stream_cell(spec)
+        assert run_cells([spec], jobs=1, cache=None)[0] == spec.execute()
 
     def test_results_deterministic_and_core_independent(self):
-        reference = execute_stream_cell(_spec())
-        assert execute_stream_cell(_spec()) == reference
-        array = execute_stream_cell(_spec(core="array"))
+        reference = _spec().execute()
+        assert _spec().execute() == reference
+        array = _spec(core="array").execute()
         assert array.summary == reference.summary
         assert json.dumps(array.metrics, sort_keys=True) == json.dumps(
             reference.metrics, sort_keys=True

@@ -16,7 +16,7 @@ import pytest
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.runner import CellSpec, reset_memo, run_cells, spec_for
 from repro.noc.protocol import FlitLevelCacheProtocol
-from repro.stream.engine import execute_stream_cell, stream_spec_for
+from repro.stream.engine import stream_spec_for
 from repro.telemetry import MetricsRegistry, catalog, reset_global_metrics
 from repro.validation.differential import FlitWorkload, PacketSpec, observe
 
@@ -72,7 +72,7 @@ def _protocol_metrics(core: str) -> dict:
 def _stream_metrics(core: str) -> dict:
     spec = stream_spec_for("C", "drop-tail", "duo-bursty",
                            seed=0, cycles=900, core=core)
-    return execute_stream_cell(spec).metrics
+    return spec.execute().metrics
 
 
 @functools.cache

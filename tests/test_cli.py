@@ -41,6 +41,23 @@ class TestParser:
         assert exc.value.code == 2
         assert "must not be negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["layout", "--jobs", "4"],
+            ["table", "1", "--window", "5"],
+            ["trace", "--output", "t.trace", "--metrics-out", "m.json"],
+        ],
+        ids=["layout", "table", "trace"],
+    )
+    def test_engine_option_on_a_command_that_simulates_nothing(
+        self, capsys, argv
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_run(self, capsys):
@@ -196,6 +213,36 @@ class TestObservabilityCLI:
         assert metrics["cache.series.accesses"]["window"] == 32
         assert metrics["cache.partial_tags.early_misses"]["value"] > 0
 
+    @pytest.mark.parametrize(
+        "argv, accesses",
+        [
+            (["energy", "--benchmark", "art", "--measure", "300"], 300),
+            (["snuca", "--measure", "300"], 2 * 300),
+            (["cmp", "--designs", "A", "--cores", "1", "2",
+              "--measure", "300"], (1 + 2) * 300),
+            (["faults", "--rate", "1e-2", "--accesses", "200",
+              "--designs", "A"], 2 * 200),
+        ],
+        ids=["energy", "snuca", "cmp", "faults"],
+    )
+    def test_simulating_command_keeps_window_series(
+        self, capsys, tmp_path, argv, accesses
+    ):
+        """Every cell the command ran records its measured accesses into
+        the six ``cache.series.*`` series (faults: the rate-0 baseline
+        and the 1e-2 point)."""
+        import json
+
+        target = tmp_path / "metrics.json"
+        assert main([*argv, "--window", "32", "--no-cache",
+                     "--metrics-out", str(target)]) == 0
+        metrics = json.loads(target.read_text())["metrics"]
+        for name in ("accesses", "hits", "bank_cycles", "network_cycles",
+                     "memory_cycles", "latency"):
+            assert metrics[f"cache.series.{name}"]["window"] == 32
+        windows = metrics["cache.series.accesses"]["windows"]
+        assert sum(count for _, count in windows) == accesses
+
     def test_faults_metrics_out_and_trace(self, capsys, tmp_path):
         import json
 
@@ -295,7 +342,6 @@ class TestSeedHygiene:
         ["figure", "9"],
         ["table", "3"],
         ["headline"],
-        ["layout"],
         ["energy"],
         ["report"],
         ["cmp"],

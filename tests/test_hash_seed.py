@@ -26,7 +26,7 @@ import random
 
 from repro.experiments.runner import reset_memo, run_cells
 from repro.noc.topology import HaloTopology
-from repro.stream.engine import execute_stream_cell, stream_spec_for
+from repro.stream.engine import stream_spec_for
 from repro.validation.differential import FlitWorkload, PacketSpec, observe
 
 
@@ -62,7 +62,7 @@ def halo_workload():
 multiprocessing.set_start_method("spawn")
 out = {}
 for core in ("object", "array"):
-    out["serve-" + core] = served([execute_stream_cell(serve_spec("drop-tail", core))])
+    out["serve-" + core] = served([serve_spec("drop-tail", core).execute()])
     out["halo-" + core] = digest(observe(halo_workload().run(core)))
 specs = [serve_spec(policy, "array") for policy in ("drop-tail", "token-bucket")]
 out["run_cells-serial"] = served(run_cells(specs, jobs=1, cache=None))

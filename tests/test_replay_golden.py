@@ -58,7 +58,7 @@ def compute_snapshot() -> dict:
     from repro.cmp import CMPCacheSystem
     from repro.core.static_system import StaticNUCASystem
     from repro.core.system import NetworkedCacheSystem
-    from repro.experiments.cmp_scaling import DEFAULT_MIX, _workload
+    from repro.experiments.runner import DEFAULT_MIX
     from repro.workloads import TraceGenerator, profile_by_name
 
     profile = profile_by_name("art")
@@ -76,7 +76,12 @@ def compute_snapshot() -> dict:
     dnuca = NetworkedCacheSystem(design="A", scheme="multicast+fast_lru").run(
         trace, profile, warmup=warmup
     )
-    workloads = [_workload(name, 1 + i, 300) for i, name in enumerate(DEFAULT_MIX[:2])]
+    workloads = []
+    for i, name in enumerate(DEFAULT_MIX[:2]):
+        core = profile_by_name(name)
+        workloads.append(
+            (core, *TraceGenerator(core, seed=1 + i).generate_with_warmup(300))
+        )
     cmp = CMPCacheSystem(design="F", num_cores=2).run(workloads)
     return {
         "snuca": {

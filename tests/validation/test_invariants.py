@@ -76,7 +76,7 @@ class TestCleanTrafficPasses:
         network.inject(Packet(MessageType.READ_REQUEST, (0, 0), ((2, 2),)))
         cycles = run_with_checkers(network)
         assert cycles > 0
-        assert network.idle()
+        assert not network.pending_work() and network.in_flight_flits() == 0
 
 
 class TestCheckersCatchBreakage:
