@@ -3,8 +3,7 @@
 from conftest import emit
 
 from repro.cache.replacement import PromotionPolicy
-from repro.core.flows import Scheme
-from repro.core.static_system import StaticNUCASystem
+from repro.core.flows import STATIC_NUCA, Scheme
 from repro.core.system import NetworkedCacheSystem
 from repro.workloads import TraceGenerator, profile_by_name
 
@@ -16,7 +15,9 @@ def _snuca_vs_dnuca(measure: int):
         trace, warmup = TraceGenerator(profile, seed=4).generate_with_warmup(
             measure=measure
         )
-        snuca = StaticNUCASystem(design="A").run(trace, profile, warmup=warmup)
+        snuca = NetworkedCacheSystem(design="A", scheme=STATIC_NUCA).run(
+            trace, profile, warmup=warmup
+        )
         dnuca = NetworkedCacheSystem(
             design="A", scheme="multicast+fast_lru"
         ).run(trace, profile, warmup=warmup)

@@ -49,9 +49,12 @@ class CacheArray:
         key = (column, index)
         state = self._sets.get(key)
         if state is None:
-            state = BankSetState(self._bank_of_way[column])
-            self._sets[key] = state
+            state = self._sets[key] = self._new_set(column, index)
         return state
+
+    def _new_set(self, column: int, index: int) -> BankSetState:
+        """An empty set (*column*, *index*), its ways spread down the column."""
+        return BankSetState(self._bank_of_way[column])
 
     def access(
         self, column: int, index: int, tag: int, is_write: bool = False
@@ -60,7 +63,7 @@ class CacheArray:
         key = (column, index)
         state = self._sets.get(key)
         if state is None:
-            state = self._sets[key] = BankSetState(self._bank_of_way[column])
+            state = self._sets[key] = self._new_set(column, index)
         if self.validator is None:
             outcome = self.policy.access(state, tag, is_write)
         else:

@@ -351,38 +351,25 @@ def cmd_serve(args: argparse.Namespace) -> str:
     from repro.experiments.runner import run_cells
     from repro.stream import stream_spec_for
 
-    window = args.window if args.window > 0 else 64
+    spec = stream_spec_for(
+        args.design,
+        args.policy,
+        args.mix,
+        seed=args.seed,
+        cycles=args.cycles,
+        load=args.load,
+        queue_limit=args.queue_limit,
+        max_outstanding=args.outstanding,
+        token_rate=args.token_rate,
+        token_burst=args.token_burst,
+        core=args.core,
+        window=args.window if args.window > 0 else 64,
+        drain=not args.no_drain,
+    )
     if args.sweep:
-        config = stream_sweep.StreamSweepConfig(
-            design=args.design,
-            mix=args.mix,
-            loads=tuple(args.sweep),
-            cycles=args.cycles,
-            seed=args.seed,
-            queue_limit=args.queue_limit,
-            max_outstanding=args.outstanding,
-            token_rate=args.token_rate,
-            token_burst=args.token_burst,
-            core=args.core,
-            window=window,
-        )
-        out = stream_sweep.render(config, stream_sweep.run_sweep(config))
+        specs = stream_sweep.sweep_specs(spec, loads=tuple(args.sweep))
+        out = stream_sweep.render(specs, run_cells(specs))
     else:
-        spec = stream_spec_for(
-            args.design,
-            args.policy,
-            args.mix,
-            seed=args.seed,
-            cycles=args.cycles,
-            load=args.load,
-            queue_limit=args.queue_limit,
-            max_outstanding=args.outstanding,
-            token_rate=args.token_rate,
-            token_burst=args.token_burst,
-            core=args.core,
-            window=window,
-            drain=not args.no_drain,
-        )
         out = _render_serve_cell(spec, run_cells([spec])[0])
     if args.metrics_out:
         # Write the serve payload here (metrics + provenance only): the

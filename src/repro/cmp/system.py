@@ -4,7 +4,9 @@ Each core runs its own workload against the shared L2: its own trace,
 its own blocking-read retirement clock, its own attach point. Accesses
 from all cores are merged in global issue-time order, so they contend for
 the same columns, banks, channels, and memory pipe -- the traffic-pattern
-analysis the paper proposes as future work.
+analysis the paper proposes as future work. The merge is
+:meth:`~repro.core.system.NetworkedCacheSystem.replay`, the loop a
+single-core run goes through too.
 """
 
 from __future__ import annotations
@@ -12,19 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.cache.bankset import BankSetStats
 from repro.core.designs import DesignSpec, design_spec
 from repro.core.flows import Scheme, make_scheme
-from repro.core.system import (
-    NetworkedCacheSystem,
-    collect_metrics,
-    record_access,
-    resolve_warmup,
-)
+from repro.core.system import NetworkedCacheSystem
 from repro.errors import ConfigurationError
 from repro.noc.topology import NodeId
 from repro.perf.ipc import IssueModel
-from repro.perf.metrics import LatencyAccumulator
 from repro.workloads.profiles import BenchmarkProfile
 from repro.workloads.trace import Trace
 
@@ -96,30 +91,6 @@ class CMPResult:
         return min(ipcs) / max(ipcs) if ipcs and max(ipcs) > 0 else 0.0
 
 
-@dataclass
-class _CoreState:
-    index: int
-    node: NodeId
-    profile: BenchmarkProfile
-    trace: Trace
-    warmup: int
-    issue: IssueModel
-    latency: LatencyAccumulator
-    #: The trace's addresses, decoded once: (columns, indexes, tags).
-    decoded: tuple[list[int], list[int], list[int]]
-    position: int = 0
-    next_issue: int | None = None
-
-    def done(self) -> bool:
-        return self.position >= len(self.trace)
-
-    def row(self) -> tuple[int, int, int, bool]:
-        """``(column, index, tag, is_write)`` of the access at ``position``."""
-        columns, indexes, tags = self.decoded
-        i = self.position
-        return columns[i], indexes[i], tags[i], self.trace.writes[i]
-
-
 class CMPCacheSystem:
     """N cores sharing one networked L2 cache."""
 
@@ -134,8 +105,8 @@ class CMPCacheSystem:
         self.scheme = make_scheme(scheme) if isinstance(scheme, str) else scheme
         self.num_cores = num_cores
         self.attach_points = core_attach_points(self.spec, num_cores)
-        # Reuse the single-core system for geometry/contents/engine and
-        # its windowed series (every core's accesses share them).
+        # Every core replays through one system: its geometry, contents,
+        # engine and windowed series are the shared L2's.
         self._system = NetworkedCacheSystem(
             design=self.spec, scheme=self.scheme, window=window
         )
@@ -153,93 +124,34 @@ class CMPCacheSystem:
             raise ConfigurationError(
                 f"need {self.num_cores} workloads, got {len(workloads)}"
             )
-        system = self._system
-        cores = [
-            _CoreState(
-                index=i,
-                node=self.attach_points[i],
-                profile=profile,
-                trace=trace,
-                warmup=resolve_warmup(warmup, len(trace)),
-                issue=IssueModel(perfect_ipc=profile.perfect_l2_ipc),
-                latency=LatencyAccumulator(),
-                decoded=system.mapper.decode_columns(trace.addresses),
-            )
-            for i, (profile, trace, warmup) in enumerate(workloads)
+        issues = [
+            IssueModel(perfect_ipc=profile.perfect_l2_ipc)
+            for profile, _, _ in workloads
         ]
-
-        # Phase 1: warm the shared contents, round-robin.
-        warming = True
-        while warming:
-            warming = False
-            for core in cores:
-                if core.position < core.warmup:
-                    system.array.access(*core.row())
-                    core.position += 1
-                    warming = True
-        system.array.stats = BankSetStats()
-        system.memory.reset()
-        system.geometry.reset_contention()
-        system.engine.reset()
-        system.engine.metrics.reset()
-
-        # Phase 2: merged measured run in global issue order.
-        series = system._series
-        for core in cores:
-            if not core.done():
-                gap = core.trace.gaps[core.position]
-                core.next_issue = core.issue.issue_time(gap)
-        while True:
-            ready = [c for c in cores if not c.done()]
-            if not ready:
-                break
-            core = min(ready, key=lambda c: c.next_issue)
-            column, index, tag, is_write = core.row()
-            outcome = system.array.access(column, index, tag, is_write)
-            timing = system.engine.execute(
-                column,
-                outcome,
-                core.next_issue,
-                is_write,
-                core_node=core.node,
+        latencies = self._system.replay([
+            (trace, warmup, issue, node)
+            for (_, trace, warmup), issue, node in zip(
+                workloads, issues, self.attach_points
             )
-            core.issue.complete(timing.data_at_core, is_write=is_write)
-            core.latency.record(
-                latency=timing.transaction_latency,
-                hit=timing.hit,
-                bank=timing.bank_cycles,
-                network=timing.network_cycles,
-                memory=timing.memory_cycles,
-                bank_position=timing.bank_position,
-            )
-            if series is not None:
-                record_access(series, core.next_issue, timing)
-            core.position += 1
-            if not core.done():
-                gap = core.trace.gaps[core.position]
-                core.next_issue = core.issue.issue_time(gap)
-
+        ])
         result = CMPResult(
             design=self.spec.key,
             scheme=self.scheme.name,
             num_cores=self.num_cores,
-            metrics=collect_metrics(
-                system.engine.metrics,
-                system.geometry,
-                system.array.stats,
-                system.memory,
-            ),
+            metrics=self._system.collect_metrics(),
         )
-        for core in cores:
-            _, ipc = core.issue.finish()
+        for core, ((profile, _, _), issue, latency) in enumerate(
+            zip(workloads, issues, latencies)
+        ):
+            _, ipc = issue.finish()
             result.cores.append(
                 CoreResult(
-                    core=core.index,
-                    benchmark=core.profile.name,
-                    accesses=core.latency.total_count,
+                    core=core,
+                    benchmark=profile.name,
+                    accesses=latency.total_count,
                     ipc=ipc,
-                    average_latency=core.latency.average_latency,
-                    hit_rate=core.latency.hit_rate,
+                    average_latency=latency.average_latency,
+                    hit_rate=latency.hit_rate,
                 )
             )
         return result

@@ -4,7 +4,7 @@
   topology (channels, banks, spike queues as contended resources);
 * :mod:`repro.core.flows` -- the transaction flows of Figures 2 and 3 for
   all five scheme combinations ({unicast, multicast} x {Promotion, LRU,
-  Fast-LRU});
+  Fast-LRU}), and the S-NUCA baseline's home-bank flow;
 * :mod:`repro.core.designs` -- the six evaluated designs A-F (Table 3);
 * :mod:`repro.core.system` -- :class:`NetworkedCacheSystem`, the end-to-end
   simulator a client drives with an access trace.

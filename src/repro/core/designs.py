@@ -60,28 +60,17 @@ class DesignSpec:
     def uniform(self) -> bool:
         return len(set(self.bank_capacities)) == 1
 
-    def build(
-        self,
-        router_config=None,
-        spike_queue_entries: int = 2,
-    ) -> CacheGeometry:
-        """Materialize the geometry (topology + bank descriptors).
+    def build(self) -> CacheGeometry:
+        """Materialize the pristine geometry (topology + bank descriptors).
 
-        *router_config* overrides the router microarchitecture (e.g. the
-        classic pipelined router for ablations); *spike_queue_entries*
-        sizes the halo spike issue queues (the paper uses 2).
+        The experiment runner builds the geometries of the ablations and
+        fault campaigns itself (router, spike-queue and fault overrides).
         """
-        topology = self.topology_factory()
         columns = [
             bank_descriptors_for_column(list(self.bank_capacities))
             for _ in range(NUM_COLUMNS)
         ]
-        return CacheGeometry(
-            topology,
-            columns,
-            router_config=router_config,
-            spike_queue_entries=spike_queue_entries,
-        )
+        return CacheGeometry(self.topology_factory(), columns)
 
 
 def _mesh_a() -> Topology:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.cache.bankset import AccessOutcome
 from repro.cache.memory import MemoryModel
@@ -173,16 +174,19 @@ class TransactionEngine:
     def execute(
         self,
         column: int,
+        index: int,
         outcome: AccessOutcome,
         issue_time: int,
         is_write: bool = False,
         core_node=None,
     ) -> AccessTiming:
         """Run the full protocol flow for one (already content-resolved)
-        access and return its timing.
+        access to set (*column*, *index*) and return its timing.
 
         *core_node* overrides the requesting core's attach point (CMP
-        runs; defaults to the geometry's single core).
+        runs; defaults to the geometry's single core). A bank set spans
+        its whole column, so the flows time the column and never read
+        *index*.
 
         The access first claims a transaction slot of its column: the
         controller keeps the bank-set tags consistent by admitting at most
@@ -195,6 +199,7 @@ class TransactionEngine:
     def execute_early_miss(
         self,
         column: int,
+        index: int,
         outcome,
         issue_time: int,
         is_write: bool = False,
@@ -610,10 +615,13 @@ def make_scheme(name: str) -> Scheme:
 
     Accepts common spelling variants case-insensitively: ``fastlru`` and
     ``fast-lru`` both mean ``fast_lru``, and the cast half may be
-    abbreviated ``uc``/``mc``.
+    abbreviated ``uc``/``mc``. :data:`STATIC_NUCA` names the S-NUCA
+    baseline: LRU contents timed by :class:`StaticNUCAEngine`.
     """
-    from repro.cache.replacement import policy_by_name, policy_names
+    from repro.cache.replacement import LRUPolicy, policy_by_name, policy_names
 
+    if name.strip().lower() == STATIC_NUCA:
+        return _HomeBankScheme(multicast=False, policy=LRUPolicy())
     cast, sep, policy_name = name.strip().lower().partition("+")
     if not sep or not cast or not policy_name:
         raise ProtocolError(
@@ -631,8 +639,108 @@ def make_scheme(name: str) -> Scheme:
 
 
 #: Scheme name of the S-NUCA baseline: every set pinned to one home bank,
-#: no search and no migration (``repro.core.static_system``).
+#: no search and no migration (:class:`StaticNUCAEngine`).
 STATIC_NUCA = "static-nuca"
+
+
+class _HomeBankScheme(Scheme):
+    """The S-NUCA baseline as a scheme: LRU contents, home-bank timing."""
+
+    __slots__ = ()
+
+    @property
+    def name(self) -> str:
+        return STATIC_NUCA
+
+
+class StaticNUCAEngine:
+    """S-NUCA timing (the paper's Section-2 baseline) over a geometry.
+
+    Every access goes straight to its set's home bank, with no search and
+    no migration::
+
+        core --request--> home bank --data/miss--> core / memory
+
+    It reserves the same channels, banks and memory pipe as
+    :class:`TransactionEngine`, so the comparison isolates the policy. It
+    admits accesses without column slots and records no span or chain
+    histograms: a home-bank access has no search legs and no chain.
+    """
+
+    def __init__(
+        self,
+        geometry: CacheGeometry,
+        memory: MemoryModel,
+        home_bank: Callable[[int, int], int],
+    ) -> None:
+        self.geometry = geometry
+        self.memory = memory
+        #: (column, index) -> the bank position the whole set lives in.
+        self.home_bank = home_bank
+        self.metrics = MetricsRegistry()
+
+    def reset(self) -> None:
+        """Nothing to forget: accesses are admitted without slots."""
+
+    def _bank_acquire(
+        self, column: int, position: int, time: int, replace: bool
+    ) -> tuple[int, int]:
+        timing = self.geometry.bank(column, position).timing
+        latency = timing.tag_replace_latency if replace else timing.tag_latency
+        start = self.geometry.bank_resource(column, position).acquire(
+            time, latency
+        )
+        return start + latency, latency
+
+    def execute(
+        self,
+        column: int,
+        index: int,
+        outcome: AccessOutcome,
+        issue_time: int,
+        is_write: bool = False,
+        core_node=None,
+    ) -> AccessTiming:
+        """Time one access to set (*column*, *index*) at its home bank."""
+        geometry = self.geometry
+        geometry.floor_clock.advance(issue_time)
+        bank = self.home_bank(column, index)
+        hit = outcome.hit
+        arrival = geometry.core_to_bank(
+            column, bank, issue_time, CONTROL, core=core_node
+        )
+        done, charged = self._bank_acquire(column, bank, arrival, replace=not hit)
+        memory_cycles = 0
+        if hit:
+            reply = CONTROL if is_write else DATA
+            data_at_core = geometry.bank_to_core(
+                column, bank, done, reply, core=core_node
+            )
+            completion = data_at_core
+        else:
+            mem_request = geometry.bank_to_memory(column, bank, done, CONTROL)
+            _, ready = self.memory.read(mem_request)
+            memory_cycles = ready - mem_request
+            fill = geometry.memory_to_bank(column, bank, ready, DATA)
+            fill_done, extra = self._bank_acquire(column, bank, fill, replace=True)
+            charged += extra
+            data_at_core = geometry.bank_to_core(
+                column, bank, fill - (DATA - 1), DATA, core=core_node
+            )
+            completion = max(data_at_core, fill_done)
+            if outcome.writeback_required:
+                wb = geometry.bank_to_memory(column, bank, fill_done, DATA)
+                self.memory.writeback(wb)
+        return AccessTiming(
+            issued=issue_time,
+            data_at_core=data_at_core,
+            completion=completion,
+            hit=hit,
+            bank_position=bank if hit else None,
+            bank_cycles=charged,
+            memory_cycles=memory_cycles,
+            settled=completion,
+        )
 
 #: The five scheme combinations of Figure 8, in the paper's legend order.
 FIGURE8_SCHEMES = (

@@ -1,8 +1,10 @@
 """End-to-end networked cache system: the package's main entry point.
 
-Composes a Table-3 design, a replacement scheme, the contents model, the
-off-chip memory, and the transaction flows, and runs an access trace
-through them:
+Composes a Table-3 design's geometry, a replacement scheme, the contents
+model, the off-chip memory, and the transaction flows, and runs access
+traces through them. :meth:`NetworkedCacheSystem.replay` is the one
+replay loop: a D-NUCA run, an S-NUCA run (scheme ``static-nuca``: home-
+bank contents and timing) and every core of a CMP run go through it.
 
     >>> from repro.core import NetworkedCacheSystem
     >>> from repro.workloads import profile_by_name, generate_trace
@@ -16,16 +18,28 @@ through them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from itertools import chain, zip_longest
+from typing import Sequence
 
 from repro.cache.address import AddressMapper
 from repro.cache.array import CacheArray
 from repro.cache.bankset import BankSetStats
 from repro.cache.memory import MemoryModel
 from repro.cache.partial_tags import PartialTagStore
+from repro.cache.static_nuca import StaticNUCAArray
 from repro.core.designs import DesignSpec, design_spec
-from repro.core.flows import AccessTiming, Scheme, TransactionEngine, make_scheme
+from repro.core.flows import (
+    STATIC_NUCA,
+    AccessTiming,
+    Scheme,
+    StaticNUCAEngine,
+    TransactionEngine,
+    make_scheme,
+)
 from repro.core.geometry import CacheGeometry
 from repro.errors import ConfigurationError
+from repro.noc.topology import NodeId
 from repro.perf.ipc import IssueModel
 from repro.perf.metrics import LatencyAccumulator
 from repro.telemetry.registry import (
@@ -73,32 +87,12 @@ def record_access(
     series["latency"].record(issue_time, timing.transaction_latency)
 
 
-def collect_metrics(
-    registry: MetricsRegistry,
-    geometry: CacheGeometry,
-    stats: BankSetStats,
-    memory: MemoryModel,
-) -> dict:
-    """Snapshot a replay loop's metric sources into *registry*.
-
-    The snapshot is a plain sorted-key dict: deterministic, picklable,
-    and mergeable into any other registry (serial and parallel batch
-    runs fold these per-cell snapshots identically). The D-NUCA, S-NUCA
-    and CMP loops all publish through here.
-    """
-    geometry.publish_metrics(registry)
-    stats.publish_metrics(registry)
-    registry.counter("cache.memory.reads").set(memory.reads)
-    registry.counter("cache.memory.writebacks").set(memory.writebacks)
-    return registry.snapshot()
-
-
 def resolve_warmup(warmup: int | None, length: int) -> int:
     """The warm-up of a run over a *length*-access trace.
 
     ``None`` means a third of the trace. A negative warm-up, or one that
     leaves no access to measure, raises :class:`ConfigurationError`.
-    Every replay loop (D-NUCA, S-NUCA and each CMP core) calls this.
+    The replay loop checks every core's warm-up with this.
     """
     if warmup is None:
         warmup = length // 3
@@ -157,54 +151,67 @@ class RunResult:
         return self.latency.breakdown_fractions()
 
 
+#: One core of a replay: its trace, its warm-up (None = a third of the
+#: trace), its issue model and its attach point (None = the geometry's
+#: core).
+CoreWorkload = tuple[Trace, int | None, IssueModel, NodeId | None]
+
+
 class NetworkedCacheSystem:
-    """A complete design + scheme instance ready to run traces."""
+    """A complete design + scheme instance ready to run traces.
+
+    *geometry* is the timing geometry to run on; by default the design's
+    pristine one. The scheme ``static-nuca`` builds the S-NUCA baseline:
+    :class:`~repro.cache.static_nuca.StaticNUCAArray` contents timed by
+    :class:`~repro.core.flows.StaticNUCAEngine`.
+    """
 
     def __init__(
         self,
         design: str | DesignSpec = "A",
         scheme: str | Scheme = "multicast+fast_lru",
         mapper: AddressMapper | None = None,
-        router_config=None,
-        spike_queue_entries: int = 2,
+        geometry: CacheGeometry | None = None,
         early_miss_detection: bool = False,
         window: int = 0,
     ) -> None:
         self.spec = design_spec(design) if isinstance(design, str) else design
         self.scheme = make_scheme(scheme) if isinstance(scheme, str) else scheme
-        self.geometry: CacheGeometry = self.spec.build(
-            router_config=router_config,
-            spike_queue_entries=spike_queue_entries,
-        )
+        self.geometry = geometry if geometry is not None else self.spec.build()
         self.mapper = mapper or AddressMapper()
-        self.array = CacheArray(
-            self.geometry.columns, self.scheme.policy, self.mapper
-        )
         self.memory = MemoryModel()
         self.memory.channel.floor_clock = self.geometry.floor_clock
+        self.array: CacheArray
+        self.engine: TransactionEngine | StaticNUCAEngine
+        if self.scheme.name == STATIC_NUCA:
+            if early_miss_detection:
+                raise ConfigurationError(
+                    "an S-NUCA system cannot honour early_miss_detection"
+                )
+            array = StaticNUCAArray(self.geometry.columns)
+            self.array = array
+            self.engine = StaticNUCAEngine(
+                self.geometry, self.memory, array.home_bank
+            )
+        else:
+            self.array = CacheArray(
+                self.geometry.columns, self.scheme.policy, self.mapper
+            )
+            self.engine = TransactionEngine(
+                self.geometry, self.memory, self.scheme
+            )
         #: Windowed metric series sampled every *window* issue-cycles
-        #: (0 = off).
-        self.window = int(window)
-        self.rebuild_engine()
+        #: (0 = off), in the engine's registry so they survive the
+        #: warm-up reset like its histograms.
+        self._series = (
+            make_system_series(self.engine.metrics, int(window))
+            if window > 0
+            else None
+        )
         #: Optional partial-tag early miss detection (D-NUCA smart search).
         self.partial_tags: PartialTagStore | None = None
         if early_miss_detection:
             self.partial_tags = PartialTagStore()
-
-    def rebuild_engine(self) -> None:
-        """Build the transaction engine over the current geometry.
-
-        Called again after a geometry swap (the fault and spiral-spike
-        rebuilds), so the windowed series live in the registry the run
-        snapshots. They survive its warm-up reset, like the engine's
-        histograms.
-        """
-        self.engine = TransactionEngine(self.geometry, self.memory, self.scheme)
-        self._series = (
-            make_system_series(self.engine.metrics, self.window)
-            if self.window > 0
-            else None
-        )
 
     # -- single-access convenience ------------------------------------------
 
@@ -212,7 +219,7 @@ class NetworkedCacheSystem:
         """Run one access; returns its :class:`AccessTiming`."""
         (column,), (index,), (tag,) = self.mapper.decode_columns((address,))
         outcome = self.array.access(column, index, tag, is_write)
-        return self.engine.execute(column, outcome, at, is_write)
+        return self.engine.execute(column, index, outcome, at, is_write)
 
     # -- trace runs ------------------------------------------------------------
 
@@ -229,66 +236,14 @@ class NetworkedCacheSystem:
         The first *warmup* accesses (default: a third of the trace) update
         cache contents without timing, standing in for the paper's 100 M
         warm-up instructions. Either *profile* or *perfect_ipc* must supply
-        the core's ideal IPC.
+        the core's ideal IPC. This is the one-core :meth:`replay`.
         """
         if profile is not None:
             perfect_ipc = profile.perfect_l2_ipc
         if perfect_ipc is None:
             raise ConfigurationError("run() needs a profile or perfect_ipc")
-        warmup = resolve_warmup(warmup, len(trace))
-
         issue = IssueModel(perfect_ipc=perfect_ipc, hide_cycles=hide_cycles)
-        latency = LatencyAccumulator()
-        columns, indexes, tags = self.mapper.decode_columns(trace.addresses)
-        writes = trace.writes
-        access = self.array.access
-
-        for column, index, tag, is_write in zip(
-            columns[:warmup], indexes[:warmup], tags[:warmup], writes[:warmup]
-        ):
-            access(column, index, tag, is_write)
-        if warmup:
-            # Measurement starts fresh after warm-up.
-            self.array.stats = BankSetStats()
-            self.memory.reset()
-            self.geometry.reset_contention()
-            self.engine.reset()
-            self.engine.metrics.reset()
-
-        partial_tags = self.partial_tags
-        series = self._series
-        for column, index, tag, is_write, gap in zip(
-            columns[warmup:], indexes[warmup:], tags[warmup:],
-            writes[warmup:], trace.gaps[warmup:],
-        ):
-            early_miss = False
-            if partial_tags is not None:
-                state = self.array.set_state(column, index)
-                early_miss = partial_tags.is_guaranteed_miss(
-                    state, tag, actual_hit=state.find(tag) is not None
-                )
-            outcome = access(column, index, tag, is_write)
-            issue_time = issue.issue_time(gap)
-            if early_miss:
-                timing = self.engine.execute_early_miss(
-                    column, outcome, issue_time, is_write
-                )
-            else:
-                timing = self.engine.execute(
-                    column, outcome, issue_time, is_write
-                )
-            issue.complete(timing.data_at_core, is_write=is_write)
-            latency.record(
-                latency=timing.transaction_latency,
-                hit=timing.hit,
-                bank=timing.bank_cycles,
-                network=timing.network_cycles,
-                memory=timing.memory_cycles,
-                bank_position=timing.bank_position,
-            )
-            if series is not None:
-                record_access(series, issue_time, timing)
-
+        (latency,) = self.replay([(trace, warmup, issue, None)])
         cycles, ipc = issue.finish()
         return RunResult(
             design=self.spec.key,
@@ -303,16 +258,116 @@ class NetworkedCacheSystem:
             memory_reads=self.memory.reads,
             memory_writebacks=self.memory.writebacks,
             contents_digest=self.array.contents_digest(),
-            metrics=self._collect_metrics(),
+            metrics=self.collect_metrics(),
         )
 
-    def _collect_metrics(self) -> dict:
-        """Snapshot every metric source into the engine's registry."""
+    def replay(self, cores: Sequence[CoreWorkload]) -> list[LatencyAccumulator]:
+        """Replay one trace per core through the shared cache.
+
+        The cores' warm-up prefixes update contents only, round-robin
+        across cores; then measurement starts fresh. Measured accesses
+        run in global issue-time order, the lowest core index first on
+        ties, each core issuing on its own :class:`IssueModel`. Returns
+        each core's latency accumulator, in core order.
+        """
+        warmups = [
+            resolve_warmup(warmup, len(trace)) for trace, warmup, _, _ in cores
+        ]
+        decode = self.mapper.decode_columns
+        warming = []
+        measured = []
+        for (trace, _, _, _), warmup in zip(cores, warmups):
+            columns, indexes, tags = decode(trace.addresses)
+            writes = trace.writes
+            warming.append(zip(
+                columns[:warmup], indexes[:warmup], tags[:warmup],
+                writes[:warmup],
+            ))
+            measured.append(zip(
+                columns[warmup:], indexes[warmup:], tags[warmup:],
+                writes[warmup:], trace.gaps[warmup:],
+            ))
+        array = self.array
+        access = array.access
+        for row in chain.from_iterable(zip_longest(*warming)):
+            if row is not None:
+                access(*row)
+        engine = self.engine
+        if any(warmups):
+            # Measurement starts fresh after warm-up.
+            array.stats = BankSetStats()
+            self.memory.reset()
+            self.geometry.reset_contention()
+            engine.reset()
+            engine.metrics.reset()
+
+        execute = engine.execute
+        partial_tags = self.partial_tags
+        series = self._series
+        latencies = [LatencyAccumulator() for _ in cores]
+        # (issue time, core, access) of each waiting core's next access.
+        heap = []
+        for core, rows in enumerate(measured):
+            row = next(rows)
+            heap.append((cores[core][2].issue_time(row[4]), core, row))
+        heapify(heap)
+        while heap:
+            issue_time, core, row = heappop(heap)
+            _, _, issue, node = cores[core]
+            latency = latencies[core]
+            rows = measured[core]
+            # Run this core until another core's next access issues first.
+            while True:
+                column, index, tag, is_write, _ = row
+                early_miss = False
+                if partial_tags is not None:
+                    state = array.set_state(column, index)
+                    early_miss = partial_tags.is_guaranteed_miss(
+                        state, tag, actual_hit=state.find(tag) is not None
+                    )
+                outcome = access(column, index, tag, is_write)
+                if early_miss:
+                    timing = engine.execute_early_miss(
+                        column, index, outcome, issue_time, is_write, node
+                    )
+                else:
+                    timing = execute(
+                        column, index, outcome, issue_time, is_write, node
+                    )
+                issue.complete(timing.data_at_core, is_write=is_write)
+                latency.record(
+                    latency=timing.transaction_latency,
+                    hit=timing.hit,
+                    bank=timing.bank_cycles,
+                    network=timing.network_cycles,
+                    memory=timing.memory_cycles,
+                    bank_position=timing.bank_position,
+                )
+                if series is not None:
+                    record_access(series, issue_time, timing)
+                row = next(rows, None)
+                if row is None:
+                    break
+                issue_time = issue.issue_time(row[4])
+                if heap and (issue_time, core) > heap[0][:2]:
+                    heappush(heap, (issue_time, core, row))
+                    break
+        return latencies
+
+    def collect_metrics(self) -> dict:
+        """Snapshot every metric source into the engine's registry.
+
+        The snapshot is a plain sorted-key dict: deterministic, picklable,
+        and mergeable into any other registry (serial and parallel batch
+        runs fold these per-cell snapshots identically).
+        """
         registry = self.engine.metrics
         if self.partial_tags is not None:
             registry.counter("cache.partial_tags.early_misses").set(
                 self.partial_tags.early_misses
             )
-        return collect_metrics(
-            registry, self.geometry, self.array.stats, self.memory
-        )
+        self.geometry.publish_metrics(registry)
+        self.array.stats.publish_metrics(registry)
+        registry.counter("cache.memory.reads").set(self.memory.reads)
+        registry.counter("cache.memory.writebacks").set(self.memory.writebacks)
+        return registry.snapshot()

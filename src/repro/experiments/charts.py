@@ -81,32 +81,6 @@ def stacked_bars(
     return "\n".join(lines)
 
 
-def grouped_bars(
-    groups: Mapping[str, Mapping[str, float]],
-    width: int = 40,
-) -> str:
-    """Grouped bars (e.g. Fig. 9: per benchmark, one bar per design)."""
-    if not groups:
-        raise ConfigurationError("nothing to chart")
-    maximum = max(
-        value for group in groups.values() for value in group.values()
-    )
-    if maximum <= 0:
-        raise ConfigurationError("chart needs a positive maximum")
-    label_width = max(
-        len(name) for group in groups.values() for name in group
-    )
-    lines = []
-    for group_label, group in groups.items():
-        lines.append(f"{group_label}:")
-        for name, value in group.items():
-            filled = round(value / maximum * width)
-            lines.append(
-                f"  {name.rjust(label_width)} {'#' * filled} {value:.2f}"
-            )
-    return "\n".join(lines)
-
-
 def sparkline(values: Iterable[float]) -> str:
     """Compact one-line trend (e.g. a load-latency curve)."""
     values = list(values)

@@ -23,7 +23,6 @@ class ExperimentConfig:
     measure: int = 10_000
     seed: int = 1
     benchmarks: tuple = BENCHMARK_NAMES
-    warmup_mix_factor: float = 0.5
     #: Windowed-telemetry sample window in sim-cycles (0 = off); recorded
     #: on every CellSpec so windowed runs never share cache entries with
     #: unwindowed ones.
@@ -35,7 +34,6 @@ class ExperimentConfig:
             measure=measure,
             seed=self.seed,
             benchmarks=self.benchmarks,
-            warmup_mix_factor=self.warmup_mix_factor,
             window=self.window,
         )
 

@@ -7,7 +7,8 @@ module owns that evaluation:
 * a :class:`CellSpec` captures everything a run depends on as plain
   picklable fields (design, scheme, benchmark, trace parameters, and the
   model overrides the ablation/sensitivity sweeps need), so a cell can be
-  executed in any process and keyed into caches;
+  executed in any process and keyed into caches; its system is built
+  once, over the geometry its fields select;
 * :func:`run_cells` evaluates a batch, deduplicating repeats, consulting
   the in-process memo and the persistent
   :class:`~repro.experiments.cache.ResultCache`, and fanning what remains
@@ -19,10 +20,11 @@ module owns that evaluation:
 Every spec family runs itself: a spec is a frozen picklable dataclass
 with ``design``/``scheme``/``benchmark``/``seed`` reporting coordinates,
 a stable ``key()`` for the persistent cache and an ``execute()`` method
-that computes its result from scratch. :class:`CellSpec` covers the
-D-NUCA and S-NUCA replay loops, :class:`EnergySpec` meters a cell's live
-system, :class:`CMPSpec` runs several cores on one shared L2, and the
-streaming family lives in ``repro.stream.engine``. A worker finds
+that computes its result from scratch. :class:`CellSpec` replays one
+trace through a D-NUCA or S-NUCA system, :class:`EnergySpec` meters a
+cell's live system, :class:`CMPSpec` replays several cores through one
+shared L2, and the streaming family lives in ``repro.stream.engine``.
+Every trace replay runs :meth:`NetworkedCacheSystem.replay`. A worker finds
 ``execute()`` by unpickling the spec, which imports its module.
 
 Determinism: a cell owns a fresh system and a trace generated from its
@@ -49,7 +51,7 @@ from repro.experiments.cache import ResultCache
 
 if TYPE_CHECKING:
     from repro.cmp import CMPResult
-    from repro.core.static_system import StaticNUCASystem
+    from repro.core.geometry import CacheGeometry
     from repro.experiments.common import ExperimentConfig
     from repro.power import EnergyReport, GatingReport
     from repro.workloads.profiles import BenchmarkProfile
@@ -75,7 +77,6 @@ class CellSpec:
     benchmark: str
     measure: int
     seed: int
-    warmup_mix_factor: float = 0.5
     #: IssueModel overlap knob (issue-model ablation).
     hide_cycles: int = 0
     #: Set-sampling width override (sampling ablation); None = generator default.
@@ -95,7 +96,6 @@ class CellSpec:
     #: Fault-injection rates (repro.faults); all-zero means the pristine
     #: build path runs untouched and results stay bit-identical to it.
     link_fault_rate: float = 0.0
-    bank_fault_rate: float = 0.0
     transient_fault_rate: float = 0.0
     fault_seed: int = 0
     #: Windowed-telemetry sample window in sim-cycles (0 = off). Part of
@@ -105,11 +105,7 @@ class CellSpec:
 
     @property
     def has_faults(self) -> bool:
-        return (
-            self.link_fault_rate > 0.0
-            or self.bank_fault_rate > 0.0
-            or self.transient_fault_rate > 0.0
-        )
+        return self.link_fault_rate > 0.0 or self.transient_fault_rate > 0.0
 
     def key(self) -> tuple[object, ...]:
         """Stable cache key: field names and values in declaration order."""
@@ -208,6 +204,13 @@ class CMPSpec:
     #: Windowed-telemetry sample window in sim-cycles (0 = off).
     window: int = 0
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.num_cores <= len(DEFAULT_MIX):
+            raise ConfigurationError(
+                f"num_cores must be from 1 to {len(DEFAULT_MIX)}, one core "
+                f"per benchmark of the CMP mix; got {self.num_cores}"
+            )
+
     @property
     def benchmark(self) -> str:
         """The engine's benchmark coordinate: the cores' mix."""
@@ -257,18 +260,17 @@ def spec_for(
     overrides.setdefault("window", int(getattr(config, "window", 0)))
     return CellSpec(
         design=design,
-        scheme=scheme if scheme == STATIC_NUCA else make_scheme(scheme).name,
+        scheme=make_scheme(scheme).name,
         benchmark=benchmark,
         measure=config.measure,
         seed=config.seed,
-        warmup_mix_factor=config.warmup_mix_factor,
         **overrides,
     )
 
 
 # -- cell execution (must stay top-level: workers pickle by reference) -------
 
-_TraceKey = tuple[str, int, int, float, int | None]
+_TraceKey = tuple[str, int, int, int | None]
 
 _worker_traces: dict[_TraceKey, tuple[Trace, int]] = {}
 
@@ -286,7 +288,6 @@ def trace_with_warmup(spec: CellSpec) -> tuple[Trace, int]:
         spec.benchmark,
         spec.measure,
         spec.seed,
-        spec.warmup_mix_factor,
         spec.index_space,
     )
     cached = _worker_traces.get(key)
@@ -296,9 +297,7 @@ def trace_with_warmup(spec: CellSpec) -> tuple[Trace, int]:
             {} if spec.index_space is None else {"index_space": spec.index_space}
         )
         generator = TraceGenerator(profile, seed=spec.seed, **kwargs)
-        cached = generator.generate_with_warmup(
-            measure=spec.measure, mix_factor=spec.warmup_mix_factor
-        )
+        cached = generator.generate_with_warmup(measure=spec.measure)
         # A bounded per-process memo: each value is a pure function of its
         # key, so evicting or refilling it never changes a result.
         if len(_worker_traces) >= _TRACE_CACHE_MAX:
@@ -335,19 +334,18 @@ def _model_overrides(spec: CellSpec) -> Iterator[None]:
             entry["wire"] = original_wires[capacity]
 
 
-#: CellSpec fields the S-NUCA replay loop has no use for: a cell that
-#: sets one away from its default is refused, not run without it.
+#: CellSpec fields the S-NUCA model has no use for: a cell that sets one
+#: away from its default is refused, not run without it (the system
+#: itself refuses early-miss detection).
 _STATIC_NUCA_UNREAD = (
     "spike_queue_entries", "single_cycle_router", "spike_wire_scale",
-    "early_miss_detection", "link_fault_rate", "bank_fault_rate",
-    "transient_fault_rate", "fault_seed",
+    "link_fault_rate", "transient_fault_rate", "fault_seed",
 )
 
 
-def _build_system(spec: CellSpec) -> NetworkedCacheSystem | StaticNUCASystem:
+def _build_system(spec: CellSpec) -> NetworkedCacheSystem:
+    """The cell's system, constructed once over the cell's geometry."""
     if spec.scheme == STATIC_NUCA:
-        from repro.core.static_system import StaticNUCASystem
-
         unread = [
             f.name
             for f in fields(spec)
@@ -358,88 +356,78 @@ def _build_system(spec: CellSpec) -> NetworkedCacheSystem | StaticNUCASystem:
             raise ConfigurationError(
                 f"an S-NUCA cell cannot honour {', '.join(unread)}"
             )
-        return StaticNUCASystem(design=spec.design, window=spec.window)
+    return NetworkedCacheSystem(
+        design=spec.design,
+        scheme=spec.scheme,
+        geometry=_build_geometry(spec),
+        early_miss_detection=spec.early_miss_detection,
+        window=spec.window,
+    )
 
+
+def _build_geometry(spec: CellSpec) -> CacheGeometry:
+    """The cell's timing geometry.
+
+    The fabric is the design's, or for the spiral-spike ablation a
+    uniform 16x16 halo whose spike wires are scaled. Under nonzero fault
+    rates it is a proof-checked
+    :class:`~repro.faults.recovery.DegradedCacheGeometry` over a
+    :class:`~repro.faults.models.FaultPlan` sampled from the rates and
+    the fault seed (columns truncated to their live prefixes).
+    """
+    from repro.cache.bank import bank_descriptors_for_column
     from repro.config import RouterConfig
+    from repro.core.designs import NUM_COLUMNS, design_spec
+    from repro.core.geometry import CacheGeometry
+    from repro.noc.topology import HaloTopology
 
     router_config = None
     if spec.single_cycle_router is not None:
         router_config = RouterConfig(single_cycle=spec.single_cycle_router)
-    system = NetworkedCacheSystem(
-        design=spec.design,
-        scheme=spec.scheme,
-        router_config=router_config,
-        spike_queue_entries=spec.spike_queue_entries,
-        early_miss_detection=spec.early_miss_detection,
-        window=spec.window,
-    )
-    if spec.spike_wire_scale is not None:
-        _rebuild_uniform_halo(system, spec.spike_wire_scale)
-    if spec.has_faults:
-        _apply_faults(system, spec)
-    return system
-
-
-def _apply_faults(system: NetworkedCacheSystem, spec: CellSpec) -> None:
-    """Swap the pristine geometry for a degraded one under a sampled plan.
-
-    Samples a :class:`~repro.faults.models.FaultPlan` from the spec's
-    rates and fault seed, rebuilds the geometry as a proof-checked
-    :class:`~repro.faults.recovery.DegradedCacheGeometry` (columns
-    truncated to their live prefixes), and rebuilds the content array and
-    transaction engine on top of it -- the same rebuild discipline as
-    :func:`_rebuild_uniform_halo`.
-    """
-    from repro.cache.array import CacheArray
+    if spec.spike_wire_scale is None:
+        design = design_spec(spec.design)
+        topology = design.topology_factory()
+        capacities = list(design.bank_capacities)
+    else:
+        capacities = [64 * 1024] * 16
+        topology = HaloTopology(
+            16,
+            16,
+            position_bank_capacities=capacities,
+            memory_pin_delay=16,
+            wire_delay_scale=spec.spike_wire_scale,
+        )
+    columns = [
+        bank_descriptors_for_column(capacities) for _ in range(NUM_COLUMNS)
+    ]
+    if not spec.has_faults:
+        return CacheGeometry(
+            topology,
+            columns,
+            router_config=router_config,
+            spike_queue_entries=spec.spike_queue_entries,
+        )
     from repro.faults.models import FaultPlan
     from repro.faults.recovery import DegradedCacheGeometry
 
-    topology = system.geometry.topology
     plan = FaultPlan.sample(
         topology,
         link_rate=spec.link_fault_rate,
-        bank_rate=spec.bank_fault_rate,
         transient_rate=spec.transient_fault_rate,
         seed=spec.fault_seed,
     )
-    geometry = DegradedCacheGeometry(
+    return DegradedCacheGeometry(
         topology,
-        system.geometry.columns,
+        columns,
         plan,
         seed=spec.fault_seed,
-        router_config=system.geometry.router_config,
+        router_config=router_config,
         spike_queue_entries=spec.spike_queue_entries,
     )
-    system.geometry = geometry
-    system.array = CacheArray(
-        geometry.columns, system.scheme.policy, system.mapper
-    )
-    system.memory.channel.floor_clock = geometry.floor_clock
-    system.rebuild_engine()
 
 
-def _rebuild_uniform_halo(system: NetworkedCacheSystem, wire_scale: int) -> None:
-    """Swap in the spiral-spike ablation's uniform 16x16 halo geometry."""
-    from repro.cache.bank import bank_descriptors_for_column
-    from repro.core.geometry import CacheGeometry
-    from repro.noc.topology import HaloTopology
-
-    topology = HaloTopology(
-        16,
-        16,
-        position_bank_capacities=[64 * 1024] * 16,
-        memory_pin_delay=16,
-        wire_delay_scale=wire_scale,
-    )
-    columns = [bank_descriptors_for_column([64 * 1024] * 16) for _ in range(16)]
-    system.geometry = CacheGeometry(topology, columns)
-    system.memory.channel.floor_clock = system.geometry.floor_clock
-    system.rebuild_engine()
-
-
-def _simulate(spec: CellSpec) -> tuple[Any, RunResult]:
-    """Run one trace-replay cell from scratch; returns its live system (a
-    :class:`NetworkedCacheSystem` or an S-NUCA system) too."""
+def _simulate(spec: CellSpec) -> tuple[NetworkedCacheSystem, RunResult]:
+    """Run one trace-replay cell from scratch; returns its live system too."""
     from repro.workloads.profiles import profile_by_name
 
     profile = profile_by_name(spec.benchmark)

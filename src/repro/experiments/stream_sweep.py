@@ -11,73 +11,38 @@ bit-identical serial vs ``--jobs N`` vs warm cache replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Sequence
+import dataclasses
+from typing import Sequence
 
-from repro.experiments.runner import run_cells
-from repro.stream.arrivals import MIX_NAMES
-from repro.stream.engine import StreamResult, StreamSpec, stream_spec_for
+from repro.stream.engine import StreamResult, StreamSpec
 from repro.stream.service import ADMISSION_POLICIES
 
 #: Default offered-load multipliers: below the knee, near it, and past it.
 DEFAULT_LOADS = (0.5, 1.0, 2.0, 4.0)
 
 
-@dataclass(frozen=True)
-class StreamSweepConfig:
-    """Coordinates of one overload sweep."""
-
-    design: str = "C"
-    mix: str = "duo-bursty"
-    loads: tuple[float, ...] = DEFAULT_LOADS
-    policies: tuple[str, ...] = ADMISSION_POLICIES
-    cycles: int = 4000
-    seed: int = 0
-    queue_limit: int = 32
-    max_outstanding: int = 8
-    token_rate: float = 0.12
-    token_burst: float = 8.0
-    core: str = "object"
-    window: int = 64
-
-
-def sweep_specs(config: StreamSweepConfig) -> list[StreamSpec]:
-    """The sweep's cells in deterministic (policy-major) order."""
-    assert config.mix in MIX_NAMES
+def sweep_specs(
+    base: StreamSpec,
+    loads: Sequence[float] = DEFAULT_LOADS,
+    policies: Sequence[str] = ADMISSION_POLICIES,
+) -> list[StreamSpec]:
+    """The sweep's cells in deterministic (policy-major) order: *base*
+    with each admission policy and offered-load multiplier."""
     return [
-        stream_spec_for(
-            config.design,
-            policy,
-            config.mix,
-            seed=config.seed,
-            cycles=config.cycles,
-            load=load,
-            queue_limit=config.queue_limit,
-            max_outstanding=config.max_outstanding,
-            token_rate=config.token_rate,
-            token_burst=config.token_burst,
-            core=config.core,
-            window=config.window,
-        )
-        for policy in config.policies
-        for load in config.loads
+        dataclasses.replace(base, scheme=policy, load=load)
+        for policy in policies
+        for load in loads
     ]
 
 
-def run_sweep(
-    config: StreamSweepConfig, **engine_kwargs: Any
-) -> list[StreamResult]:
-    """Evaluate the sweep through the experiment engine."""
-    return run_cells(sweep_specs(config), **engine_kwargs)
-
-
 def render(
-    config: StreamSweepConfig, results: Sequence[StreamResult]
+    specs: Sequence[StreamSpec], results: Sequence[StreamResult]
 ) -> str:
     """ASCII overload table: one row per (policy, load) cell."""
+    base = specs[0]
     header = (
-        f"Overload sweep: design {config.design}, mix {config.mix}, "
-        f"{config.cycles} cycles, seed {config.seed}\n"
+        f"Overload sweep: design {base.design}, mix {base.benchmark}, "
+        f"{base.cycles} cycles, seed {base.seed}\n"
     )
     columns = (
         f"{'policy':<14} {'load':>5} {'offered':>8} {'admit%':>7} "
@@ -85,7 +50,6 @@ def render(
         f"{'p99':>6}"
     )
     lines = [header, columns, "-" * len(columns)]
-    specs = sweep_specs(config)
     for spec, result in zip(specs, results):
         lines.append(
             f"{spec.scheme:<14} {spec.load:>5.2f} {result.offered:>8} "

@@ -1,6 +1,6 @@
 """Fault modeling and resilience at the transaction level (DESIGN.md §11).
 
-Seeded fault plans (link cuts, dead banks, transient message loss) are
+Seeded fault plans (link cuts, transient message loss) are
 timed by a degraded cache geometry: degraded routing keeps surviving
 traffic XYX-legal, columns shrink to their live prefixes, and lost
 traversals retry with bounded backoff; campaigns sweep fault rate
@@ -14,7 +14,6 @@ from repro.faults.campaign import (
     run_campaign,
 )
 from repro.faults.models import (
-    BankFault,
     FaultPlan,
     LinkFault,
     TransientFaults,
@@ -35,7 +34,6 @@ from repro.faults.reroute import (
 )
 
 __all__ = [
-    "BankFault",
     "CampaignConfig",
     "CampaignPoint",
     "CampaignResult",

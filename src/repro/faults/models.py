@@ -1,14 +1,14 @@
 """Seeded, deterministic fault plans for the transaction-level model.
 
-The fault taxonomy (DESIGN.md §11) covers three classes:
+The fault taxonomy (DESIGN.md §11) covers two classes:
 
 * **permanent link failure** (:class:`LinkFault`) -- a directed channel
-  is dead for the whole run; degraded routing detours around it;
+  is dead for the whole run; degraded routing detours around it, and a
+  bank column keeps only the banks in front of its first unreachable
+  bank;
 * **transient faults** (:class:`TransientFaults`) -- each link traversal
   independently loses its message with a seeded probability, and the
-  sender retries;
-* **dead banks** (:class:`BankFault`) -- a bank node neither sources nor
-  sinks packets; its column keeps only the banks in front of it.
+  sender retries.
 
 A :class:`FaultPlan` bundles faults; :meth:`FaultPlan.sample` draws one
 deterministically from a seed while protecting the nodes the cache cannot
@@ -39,13 +39,6 @@ class LinkFault:
 
     src: NodeId
     dst: NodeId
-
-
-@dataclass(frozen=True)
-class BankFault:
-    """A dead bank node: its column keeps only the banks in front of it."""
-
-    node: NodeId
 
 
 @dataclass(frozen=True)
@@ -93,22 +86,16 @@ class FaultPlan:
     """A declared, reproducible set of faults for one run."""
 
     links: tuple = ()
-    banks: tuple = ()
     transients: TransientFaults | None = None
 
     def dead_channels(self) -> frozenset:
         """Directed channels dead under this plan."""
         return frozenset((f.src, f.dst) for f in self.links)
 
-    def dead_banks(self) -> frozenset:
-        return frozenset(f.node for f in self.banks)
-
     def describe(self) -> str:
         parts = []
         if self.links:
             parts.append(f"{len(self.links)} link fault(s)")
-        if self.banks:
-            parts.append(f"{len(self.banks)} dead bank(s)")
         if self.transients is not None and self.transients.drop_rate > 0:
             parts.append(
                 f"transient rate {self.transients.drop_rate:g}/traversal"
@@ -120,16 +107,14 @@ class FaultPlan:
         topology: Topology,
         *,
         link_rate: float = 0.0,
-        bank_rate: float = 0.0,
         transient_rate: float = 0.0,
         seed: int = 0,
     ) -> "FaultPlan":
-        """Draw a deterministic plan: each candidate link/bank fails
-        independently with its rate, under the protection constraints.
+        """Draw a deterministic plan: each candidate link fails
+        independently with *link_rate*, under the protection constraints.
 
         Both directions of a physical link fail together (a severed wire
-        bundle). Bank faults spare the protected nodes and never kill
-        every bank of the topology.
+        bundle).
         """
         rng = random.Random(f"faults/{seed}")
         protected = protected_nodes(topology)
@@ -149,21 +134,9 @@ class FaultPlan:
                 links.append(LinkFault(channel.src, channel.dst))
                 links.append(LinkFault(channel.dst, channel.src))
 
-        banks = []
-        if bank_rate > 0.0:
-            for node in sorted(topology.nodes, key=str):
-                if node in protected:
-                    continue
-                if rng.random() < bank_rate:
-                    banks.append(BankFault(node))
-
         transients = (
             TransientFaults(drop_rate=transient_rate)
             if transient_rate > 0.0
             else None
         )
-        return FaultPlan(
-            links=tuple(links),
-            banks=tuple(banks),
-            transients=transients,
-        )
+        return FaultPlan(links=tuple(links), transients=transients)

@@ -53,8 +53,8 @@ def truncate_columns(
     """Live prefix of each bank column under *plan*.
 
     A column is cut at its first dead position -- a bank whose router lost
-    a *legal* round trip to the core (link cuts with no XYX-legal detour)
-    or whose bank itself died. The Fast-LRU eviction chain runs strictly
+    a *legal* round trip to the core (link cuts with no XYX-legal detour).
+    The Fast-LRU eviction chain runs strictly
     down the column, so banks past a dead position cannot participate even
     when their routers still answer. Prefixes keep positions dense
     (0..k-1), which preserves every ``bank_of_way`` value in the content
@@ -67,7 +67,6 @@ def truncate_columns(
     core = topology.core_attach
     if core is None:
         raise ConfigurationError(f"{topology.name} has no core attach point")
-    dead_banks = plan.dead_banks()
     is_halo = isinstance(topology, HaloTopology)
     out = []
     for col, descriptors in enumerate(columns):
@@ -78,10 +77,8 @@ def truncate_columns(
                 if is_halo
                 else (col, descriptor.position)
             )
-            if (
-                node in dead_banks
-                or not routing.can_route(core, node)
-                or not routing.can_route(node, core)
+            if not routing.can_route(core, node) or not routing.can_route(
+                node, core
             ):
                 break
             kept.append(descriptor)
@@ -212,7 +209,7 @@ class DegradedCacheGeometry(CacheGeometry):
     def publish_metrics(self, registry) -> None:
         super().publish_metrics(registry)
         plan = self.fault_plan
-        registry.counter("faults.injected").set(len(plan.links) + len(plan.banks))
+        registry.counter("faults.injected").set(len(plan.links))
         stats = self.fault_stats
         registry.counter("faults.rerouted_packets").set(
             stats.rerouted_traversals

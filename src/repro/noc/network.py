@@ -64,12 +64,6 @@ class NetworkStats:
     def max_latency(self) -> int:
         return max((d.latency for d in self.deliveries), default=0)
 
-    @property
-    def average_hops(self) -> float:
-        if not self.deliveries:
-            return 0.0
-        return sum(d.hops for d in self.deliveries) / len(self.deliveries)
-
 
 #: Recognized flit-core selectors (see :func:`make_network`).
 CORES = ("object", "array")

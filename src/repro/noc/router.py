@@ -437,11 +437,5 @@ class Router:
                 f"noc.vc.credit_stall_cycles.{node}->{out_port}.vc{out_vc}"
             ).inc(self.credit_stalls[(out_port, out_vc)])
 
-    def occupied_vcs(self) -> int:
-        """Number of input VCs currently holding or reserved by a packet."""
-        return sum(
-            1 for unit in self.inputs.values() for vc in unit if not vc.is_free
-        )
-
     def buffered_flits(self) -> int:
         return sum(vc.occupancy for unit in self.inputs.values() for vc in unit)

@@ -159,13 +159,6 @@ class Topology:
     def predecessors(self, node: NodeId) -> tuple[NodeId, ...]:
         return tuple(self._in.get(node, ()))
 
-    def link_inventory(self) -> dict[str, int]:
-        """Count unidirectional channels per orientation class."""
-        inventory: dict[str, int] = {}
-        for channel in self._channels.values():
-            inventory[channel.orientation] = inventory.get(channel.orientation, 0) + 1
-        return inventory
-
 
 class MeshTopology(Topology):
     """A full 2D mesh (Design A fabric).

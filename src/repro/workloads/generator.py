@@ -93,21 +93,19 @@ class TraceGenerator:
         )
         return address.tolist()
 
-    def generate_with_warmup(
-        self, measure: int, mix_factor: float = 0.5
-    ) -> tuple[Trace, int]:
+    def generate_with_warmup(self, measure: int) -> tuple[Trace, int]:
         """Trace with a deterministic warm-up prefix; returns (trace, warmup).
 
         The prefix touches every footprint block once (so compulsory misses
         do not leak into measurement -- the paper's 100 M warm-up
-        instructions serve the same purpose) followed by
-        ``mix_factor * footprint`` Zipf accesses that establish realistic
-        stack order, then *measure* accesses to be measured.
+        instructions serve the same purpose) followed by half a footprint
+        of Zipf accesses that establish realistic stack order, then
+        *measure* accesses to be measured.
         """
         if measure < 1:
             raise TraceError("measure must be positive")
         resident = self.profile.footprint_blocks + self.profile.band_blocks
-        mix = int(resident * mix_factor)
+        mix = int(resident * 0.5)
         addresses, writes, gaps = self._columns(mix + measure)
         rng = np.random.default_rng(
             (self.seed + 1, zlib.crc32(self.profile.name.encode("utf-8")))

@@ -6,7 +6,7 @@ since the previous access (which paces the issue model).
 
 A :class:`Trace` stores them as three columns of plain Python values --
 ``addresses`` (int), ``writes`` (bool) and ``gaps`` (int) -- checked once
-when the trace is built. The replay loops read the columns directly;
+when the trace is built. The replay loop reads the columns directly;
 :class:`TraceAccess` views exist only for callers that iterate over or
 index a trace.
 """
@@ -123,11 +123,3 @@ class Trace:
 
     def distinct_blocks(self, offset_bits: int = 6) -> int:
         return len({address >> offset_bits for address in self.addresses})
-
-    def slice(self, start: int, stop: int | None = None) -> "Trace":
-        return Trace(
-            self.addresses[start:stop],
-            self.writes[start:stop],
-            self.gaps[start:stop],
-            name=f"{self.name}[{start}:{stop}]",
-        )

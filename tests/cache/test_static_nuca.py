@@ -4,9 +4,14 @@ import pytest
 
 from repro.cache.address import AddressMapper
 from repro.cache.static_nuca import StaticNUCAArray
+from repro.core.designs import design_a
 from repro.errors import ConfigurationError
 
 MAPPER = AddressMapper()
+
+
+def _array():
+    return StaticNUCAArray(design_a.build().columns)
 
 
 def _addr(tag, index=3, column=2):
@@ -22,11 +27,11 @@ def _home(array, tag, index=3, column=2):
 
 class TestStaticNUCAArray:
     def test_home_bank_is_stable(self):
-        array = StaticNUCAArray()
+        array = _array()
         assert _home(array, 5) == _home(array, 99)  # same set
 
     def test_home_banks_cover_all_rows(self):
-        array = StaticNUCAArray()
+        array = _array()
         banks = {
             _home(array, 0, index=i, column=c)
             for i in range(16)
@@ -35,62 +40,70 @@ class TestStaticNUCAArray:
         assert banks == set(range(16))
 
     def test_hit_after_fill(self):
-        array = StaticNUCAArray()
+        array = _array()
         assert not array.access(*_addr(7)).hit
         outcome = array.access(*_addr(7))
         assert outcome.hit
         assert outcome.bank == _home(array, 7)
 
     def test_no_migration_ever(self):
-        array = StaticNUCAArray()
+        array = _array()
         for _ in range(5):
             outcome = array.access(*_addr(7))
         assert outcome.bank == _home(array, 7)
+        assert outcome.moved_boundaries == 0
 
     def test_lru_within_home_bank(self):
-        array = StaticNUCAArray(associativity=2)
-        array.access(*_addr(1))
-        array.access(*_addr(2))
-        array.access(*_addr(1))      # touch 1: now MRU
-        outcome = array.access(*_addr(3))  # evicts 2
+        array = _array()
+        ways = array.associativity(2)
+        for tag in range(1, ways + 1):
+            array.access(*_addr(tag))
+        array.access(*_addr(1))      # touch 1: now MRU, 2 is the LRU
+        outcome = array.access(*_addr(ways + 1))  # evicts 2
         assert outcome.victim.tag == 2
+        assert outcome.moved_boundaries == 0
 
     def test_hit_rate(self):
-        array = StaticNUCAArray()
+        array = _array()
         array.access(*_addr(1))
         array.access(*_addr(1))
-        assert array.hit_rate == 0.5
+        assert array.stats.hit_rate == 0.5
 
     def test_invalid_dimensions(self):
         with pytest.raises(ConfigurationError):
-            StaticNUCAArray(columns=0)
+            StaticNUCAArray([])
 
 
 class TestStaticNUCASystem:
     def test_runs_and_reports(self):
-        from repro.core.static_system import StaticNUCASystem
+        from repro.core.system import NetworkedCacheSystem
         from repro.workloads import TraceGenerator, profile_by_name
 
         profile = profile_by_name("vpr")
         trace, warmup = TraceGenerator(profile, seed=9).generate_with_warmup(
             measure=200
         )
-        result = StaticNUCASystem(design="A").run(trace, profile, warmup=warmup)
+        system = NetworkedCacheSystem(design="A", scheme="static-nuca")
+        result = system.run(trace, profile, warmup=warmup)
         assert result.scheme == "static-nuca"
         assert result.accesses == 200
         assert result.average_latency > 0
         assert 0 < result.ipc <= profile.perfect_l2_ipc
 
     def test_deterministic(self):
-        from repro.core.static_system import StaticNUCASystem
+        from repro.core.system import NetworkedCacheSystem
         from repro.workloads import TraceGenerator, profile_by_name
 
         profile = profile_by_name("vpr")
         trace, warmup = TraceGenerator(profile, seed=9).generate_with_warmup(
             measure=150
         )
-        a = StaticNUCASystem(design="A").run(trace, profile, warmup=warmup)
-        b = StaticNUCASystem(design="A").run(trace, profile, warmup=warmup)
+        a = NetworkedCacheSystem(design="A", scheme="static-nuca").run(
+            trace, profile, warmup=warmup
+        )
+        b = NetworkedCacheSystem(design="A", scheme="static-nuca").run(
+            trace, profile, warmup=warmup
+        )
         assert a.ipc == b.ipc and a.average_latency == b.average_latency
 
     @pytest.mark.parametrize(
@@ -99,10 +112,11 @@ class TestStaticNUCASystem:
     def test_bad_warmup_rejected(self, warmup, match):
         # The same check as the D-NUCA loop: a negative warm-up must not
         # silently measure the whole trace.
-        from repro.core.static_system import StaticNUCASystem
+        from repro.core.system import NetworkedCacheSystem
         from repro.workloads import TraceGenerator, profile_by_name
 
         profile = profile_by_name("art")
         trace = TraceGenerator(profile, seed=1).generate(300)
+        system = NetworkedCacheSystem(design="A", scheme="static-nuca")
         with pytest.raises(ConfigurationError, match=match):
-            StaticNUCASystem(design="A").run(trace, profile, warmup=warmup)
+            system.run(trace, profile, warmup=warmup)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cmp import CMPCacheSystem, core_attach_points
 from repro.core.designs import design_a, design_e, design_spec
+from repro.core.system import NetworkedCacheSystem
 from repro.errors import ConfigurationError
 from repro.workloads import TraceGenerator, profile_by_name
 
@@ -91,3 +92,31 @@ class TestCMPRun:
             result = system.run([_workload("twolf", 1), _workload("vpr", 2)])
             results.append(result.aggregate_ipc)
         assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "design, name, scheme",
+    [
+        ("A", "mcf", "multicast+fast_lru"),
+        ("F", "art", "unicast+lru"),
+        ("C", "twolf", "multicast+promotion"),
+        ("D", "gcc", "unicast+fast_lru"),
+    ],
+)
+def test_one_core_cell_is_a_single_core_run(design, name, scheme):
+    """A one-core CMP run and a plain run replay the same trace through
+    the same loop, so every observable of the two agrees exactly."""
+    profile, trace, warmup = _workload(name, 3, measure=1500)
+    run = NetworkedCacheSystem(design=design, scheme=scheme).run(
+        trace, profile, warmup=warmup
+    )
+    cmp = CMPCacheSystem(design=design, scheme=scheme, num_cores=1).run(
+        [(profile, trace, warmup)]
+    )
+    (core,) = cmp.cores
+    assert core.accesses == run.accesses == 1500
+    assert core.ipc == run.ipc
+    assert core.average_latency == run.average_latency
+    assert core.hit_rate == run.hit_rate
+    assert cmp.aggregate_ipc == run.ipc
+    assert cmp.metrics == run.metrics

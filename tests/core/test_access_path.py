@@ -1,9 +1,10 @@
-"""The replay loops run on decoded columns and shared hit outcomes.
+"""The replay loop runs on decoded columns and shared hit outcomes.
 
-Each loop decodes its trace's address column once per run, so neither the
-scalar :meth:`AddressMapper.decode` nor a :class:`TraceAccess` row view is
-needed, and every hit returns a per-way outcome built once per bank
-layout. Each test runs a small cell once to build the layouts' tables,
+:meth:`NetworkedCacheSystem.replay` decodes each trace's address column
+once per run, so neither the scalar :meth:`AddressMapper.decode` nor a
+:class:`TraceAccess` row view is needed, and every hit returns a per-way
+outcome built once per bank layout. D-NUCA, S-NUCA and CMP cells all run
+through it. Each test runs a small cell once to build the layouts' tables,
 then again, trace generation included, with both patched to raise and the
 :class:`AccessOutcome` objects built for hits counted.
 """
@@ -101,11 +102,12 @@ def test_checked_cell_runs_the_validator_path(monkeypatch):
 
 
 def test_static_nuca_cell_needs_no_per_access_objects(monkeypatch):
-    from repro.core.static_system import StaticNUCASystem
+    from repro.core.system import NetworkedCacheSystem
 
     def cell():
         profile, trace, warmup = _workload("mcf")
-        return StaticNUCASystem(design="A").run(trace, profile, warmup=warmup)
+        system = NetworkedCacheSystem(design="A", scheme="static-nuca")
+        return system.run(trace, profile, warmup=warmup)
 
     plain, patched, built = _patched_rerun(monkeypatch, cell)
     assert patched == plain

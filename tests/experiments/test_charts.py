@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.charts import (
-    grouped_bars,
     horizontal_bars,
     sparkline,
     stacked_bars,
@@ -57,17 +56,6 @@ class TestStackedBars:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             stacked_bars({})
-
-
-class TestGroupedBars:
-    def test_groups_rendered(self):
-        out = grouped_bars({"g1": {"a": 1.0, "b": 2.0}, "g2": {"a": 0.5, "b": 1.0}})
-        assert "g1:" in out and "g2:" in out
-        assert out.count("#") > 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            grouped_bars({})
 
 
 class TestSparkline:

@@ -155,11 +155,10 @@ class TestTelemetryIntegration:
         """The full determinism triangle: a serial run, a ``--jobs 2`` run,
         and a warm-cache replay of the same sweep must merge to the same
         telemetry, not just the same results. One cell runs on a degraded
-        geometry (link, bank and transient faults)."""
+        geometry (link and transient faults)."""
         faulted = spec_for(
             "A", "multicast+fast_lru", "art", ENGINE_CONFIG,
-            link_fault_rate=0.1, bank_fault_rate=0.1,
-            transient_fault_rate=0.01, fault_seed=7,
+            link_fault_rate=0.1, transient_fault_rate=0.01, fault_seed=7,
         )
         cache = ResultCache(directory=tmp_path)
         serial, parallel, replayed = _triangle(

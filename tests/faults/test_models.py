@@ -42,8 +42,7 @@ class TestFaultPlanSample:
     def test_same_seed_same_plan(self):
         topology = MeshTopology(4, 4)
         kwargs = dict(
-            link_rate=0.4, bank_rate=0.3,
-            transient_rate=0.05, seed=3,
+            link_rate=0.4, transient_rate=0.05, seed=3,
         )
         assert FaultPlan.sample(topology, **kwargs) == FaultPlan.sample(
             topology, **kwargs
@@ -74,7 +73,7 @@ class TestFaultPlanSample:
 
     def test_zero_rates_null_plan(self):
         plan = FaultPlan.sample(MeshTopology(3, 3), seed=9)
-        assert not plan.links and not plan.banks
+        assert not plan.links
         assert plan.transients is None or plan.transients.drop_rate == 0.0
         assert plan.describe() == "no faults"
 

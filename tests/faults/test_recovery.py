@@ -5,7 +5,6 @@ import pytest
 from repro.cache.bank import bank_descriptors_for_column
 from repro.errors import ConfigurationError
 from repro.faults import (
-    BankFault,
     DegradedRouting,
     FaultPlan,
     LinkFault,
@@ -73,15 +72,14 @@ class TestTruncateColumns:
         assert [len(column) for column in live] == [2, 3, 3]
         assert [d.position for d in live[0]] == [0, 1]
 
-    def test_dead_bank_cuts_its_column(self):
-        topology = MeshTopology(3, 3, core_column=1, memory_column=1)
-        plan = FaultPlan(banks=(BankFault((2, 1)),))
-        live = truncate_columns(topology, self._columns(3, 3), plan)
-        assert [len(column) for column in live] == [3, 3, 1]
-
     def test_emptied_column_rejected(self):
+        # Cutting both links of bank (0, 0) leaves column 0 no live bank.
         topology = MeshTopology(3, 3, core_column=1, memory_column=1)
-        plan = FaultPlan(banks=(BankFault((0, 0)),))
+        plan = FaultPlan(links=tuple(
+            LinkFault(src, dst)
+            for a, b in (((0, 0), (1, 0)), ((0, 0), (0, 1)))
+            for src, dst in ((a, b), (b, a))
+        ))
         with pytest.raises(ConfigurationError):
             truncate_columns(topology, self._columns(3, 3), plan)
 

@@ -164,7 +164,12 @@ class TestIntrospection:
             )
         assert peak > 0
         network.run_until_drained()
-        assert all(r.occupied_vcs() == 0 for r in network.routers.values())
+        assert all(
+            vc.is_free
+            for r in network.routers.values()
+            for unit in r.inputs.values()
+            for vc in unit
+        )
         assert all(
             r.buffered_flits() == 0 for r in network.routers.values()
         )

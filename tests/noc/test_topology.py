@@ -1,5 +1,7 @@
 """Unit tests for mesh, simplified mesh, and halo topologies."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import TopologyError
@@ -126,9 +128,13 @@ class TestSimplifiedMesh:
         assert mesh.memory_attach == (9, 0)
 
     def test_link_inventory_orientation(self):
-        inventory = SimplifiedMeshTopology(4, 4).link_inventory()
+        inventory = Counter(
+            channel.orientation
+            for channel in SimplifiedMeshTopology(4, 4).channels()
+        )
         assert inventory["horizontal"] == 2 * 3
         assert inventory["vertical"] == 2 * 4 * 3
+        assert sum(inventory.values()) == 2 * 3 + 2 * 4 * 3
 
 
 class TestHalo:

@@ -12,20 +12,13 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import reset_memo, run_cells
-from repro.experiments.stream_sweep import (
-    StreamSweepConfig,
-    render,
-    run_sweep,
-    sweep_specs,
-)
+from repro.experiments.stream_sweep import render, sweep_specs
 from repro.stream.engine import StreamSpec, stream_spec_for
 from repro.telemetry import global_registry, reset_global_metrics
 
-SWEEP = StreamSweepConfig(
-    design="C",
-    mix="duo-bursty",
+SWEEP = sweep_specs(
+    stream_spec_for("C", "drop-tail", "duo-bursty", cycles=900),
     loads=(1.0, 3.0),
-    cycles=900,
 )
 
 
@@ -70,8 +63,7 @@ class TestStreamSpec:
 
 class TestSweep:
     def test_specs_cover_the_grid_policy_major(self):
-        specs = sweep_specs(SWEEP)
-        assert [(s.scheme, s.load) for s in specs] == [
+        assert [(s.scheme, s.load) for s in SWEEP] == [
             ("drop-tail", 1.0),
             ("drop-tail", 3.0),
             ("token-bucket", 1.0),
@@ -79,7 +71,7 @@ class TestSweep:
         ]
 
     def test_render_tabulates_every_cell(self):
-        results = run_sweep(SWEEP, jobs=1, cache=None)
+        results = run_cells(SWEEP, jobs=1, cache=None)
         table = render(SWEEP, results)
         assert "Overload sweep: design C" in table
         assert table.count("drop-tail") == 2
@@ -87,7 +79,7 @@ class TestSweep:
 
     def _merged(self, jobs: int, cache) -> dict:
         reset_global_metrics()
-        results = run_cells(sweep_specs(SWEEP), jobs=jobs, cache=cache)
+        results = run_cells(SWEEP, jobs=jobs, cache=cache)
         snapshot = global_registry().snapshot()
         reset_global_metrics()
         assert all(r.offered == r.admitted + r.rejected for r in results)
@@ -103,16 +95,13 @@ class TestSweep:
         parallel = self._merged(jobs=2, cache=None)
         reset_memo()
         replayed = self._merged(jobs=1, cache=cache)
-        assert cache.stats.hits == len(set(sweep_specs(SWEEP)))
+        assert cache.stats.hits == len(set(SWEEP))
         assert serial
         assert serial == parallel == replayed
 
     def test_overload_degrades_availability(self):
-        results = run_sweep(SWEEP, jobs=1, cache=None)
-        by_cell = {
-            (s.scheme, s.load): r
-            for s, r in zip(sweep_specs(SWEEP), results)
-        }
+        results = run_cells(SWEEP, jobs=1, cache=None)
+        by_cell = {(s.scheme, s.load): r for s, r in zip(SWEEP, results)}
         for policy in ("drop-tail", "token-bucket"):
             nominal = by_cell[(policy, 1.0)]
             overloaded = by_cell[(policy, 3.0)]

@@ -79,7 +79,7 @@ def _stream_metrics(core: str) -> dict:
 def _faulted_metrics() -> dict:
     return _cell_metrics(CellSpec(
         design="F", scheme="multicast+fast_lru", benchmark="art",
-        measure=150, seed=1, link_fault_rate=0.01, bank_fault_rate=0.05,
+        measure=150, seed=1, link_fault_rate=0.01,
         transient_fault_rate=0.01, fault_seed=7,
     ))
 

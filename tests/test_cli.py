@@ -314,6 +314,46 @@ class TestExtensionCommands:
         out = capsys.readouterr().out
         assert "agg IPC" in out
 
+    def test_cmp_refuses_a_core_count_its_mix_cannot_fill(
+        self, capsys, monkeypatch
+    ):
+        from repro.experiments.runner import CMPSpec
+
+        ran = []
+        monkeypatch.setattr(CMPSpec, "execute", lambda spec: ran.append(spec))
+        argv = ["cmp", "--cores", "1", "5", "--measure", "100", "--no-cache"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro: error: num_cores must be from 1 to 4, one core per "
+            "benchmark of the CMP mix; got 5\n"
+        )
+        assert ran == []
+
+    def test_no_drain_reaches_every_sweep_cell(self, capsys, monkeypatch):
+        from repro.experiments import runner
+
+        real = runner.run_cells
+        batches = []
+
+        def spy(specs, *args, **kwargs):
+            batches.append(list(specs))
+            return real(specs, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_cells", spy)
+        argv = ["serve", "--design", "C", "--sweep", "3.0", "--cycles", "400",
+                "--no-cache"]
+        tables = []
+        for extra in ([], ["--no-drain"]):
+            main(argv + extra)
+            tables.append(capsys.readouterr().out)
+        drained, undrained = batches
+        assert len(undrained) == 2
+        assert all(spec.drain for spec in drained)
+        assert not any(spec.drain for spec in undrained)
+        assert tables[0] != tables[1]
+
     def test_snuca(self, capsys):
         main(["snuca", "--benchmark", "art", "--measure", "300"])
         out = capsys.readouterr().out
@@ -395,7 +435,11 @@ class TestTypedErrors:
         [
             (["serve", "--cycles", "0", "--no-cache"], "cycles must be positive"),
             (["run", "--measure", "0", "--no-cache"], "measure must be positive"),
-            (["cmp", "--cores", "0", "--no-cache"], "num_cores must be >= 1"),
+            (
+                ["cmp", "--cores", "0", "--no-cache"],
+                "num_cores must be from 1 to 4, one core per benchmark of "
+                "the CMP mix; got 0",
+            ),
             (["lint", "notes.txt"], "not a python file or directory: notes.txt"),
         ],
         ids=["serve", "run", "cmp", "lint"],

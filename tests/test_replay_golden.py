@@ -1,4 +1,4 @@
-"""Golden runs of the two replay loops the figure goldens do not reach.
+"""Golden runs of the S-NUCA and CMP cells the figure goldens do not reach.
 
 ``tests/data/replay_golden.json`` pins, exactly:
 
@@ -56,7 +56,6 @@ def _stdout(argv: list[str]) -> str:
 
 def compute_snapshot() -> dict:
     from repro.cmp import CMPCacheSystem
-    from repro.core.static_system import StaticNUCASystem
     from repro.core.system import NetworkedCacheSystem
     from repro.experiments.runner import DEFAULT_MIX
     from repro.workloads import TraceGenerator, profile_by_name
@@ -65,12 +64,14 @@ def compute_snapshot() -> dict:
     trace, warmup = TraceGenerator(profile, seed=1).generate_with_warmup(
         measure=300
     )
-    snuca = StaticNUCASystem(design="A").run(trace, profile, warmup=warmup)
+    snuca = NetworkedCacheSystem(design="A", scheme="static-nuca").run(
+        trace, profile, warmup=warmup
+    )
     mcf = profile_by_name("mcf")
     mcf_trace, mcf_warmup = TraceGenerator(mcf, seed=1).generate_with_warmup(
         measure=300
     )
-    snuca_mcf = StaticNUCASystem(design="A").run(
+    snuca_mcf = NetworkedCacheSystem(design="A", scheme="static-nuca").run(
         mcf_trace, mcf, warmup=mcf_warmup
     )
     dnuca = NetworkedCacheSystem(design="A", scheme="multicast+fast_lru").run(

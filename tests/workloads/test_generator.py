@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from repro.cache.address import AddressMapper
 from repro.errors import TraceError
-from repro.workloads import TraceGenerator, generate_trace, profile_by_name
+from repro.workloads import (
+    Trace,
+    TraceGenerator,
+    generate_trace,
+    profile_by_name,
+)
 from repro.workloads.generator import DEFAULT_INDEX_SPACE
 
 
@@ -98,14 +103,16 @@ class TestWarmupCover:
         generator = TraceGenerator(art, seed=1)
         trace, warmup = generator.generate_with_warmup(measure=100)
         resident = art.footprint_blocks + art.band_blocks
-        cover = trace.slice(0, resident)
+        cover = Trace(
+            trace.addresses[:resident],
+            trace.writes[:resident],
+            trace.gaps[:resident],
+        )
         assert cover.distinct_blocks() == resident
 
     def test_warmup_length(self, art):
         generator = TraceGenerator(art, seed=1)
-        trace, warmup = generator.generate_with_warmup(
-            measure=100, mix_factor=0.5
-        )
+        trace, warmup = generator.generate_with_warmup(measure=100)
         resident = art.footprint_blocks + art.band_blocks
         assert warmup == resident + resident // 2
         assert len(trace) == warmup + 100

