@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.config import AddressLayout
 from repro.errors import ConfigurationError
 
@@ -73,6 +71,8 @@ class AddressMapper:
         The whole-trace form of :meth:`decode`: one range check and three
         masked shifts over the column, returned as lists of Python ints.
         """
+        import numpy as np
+
         try:
             values = np.array(raw, dtype=np.int64)
         except OverflowError:

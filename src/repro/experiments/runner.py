@@ -338,8 +338,8 @@ def _model_overrides(spec: CellSpec) -> Iterator[None]:
 #: away from its default is refused, not run without it (the system
 #: itself refuses early-miss detection).
 _STATIC_NUCA_UNREAD = (
-    "spike_queue_entries", "single_cycle_router", "spike_wire_scale",
-    "link_fault_rate", "transient_fault_rate", "fault_seed",
+    "spike_queue_entries", "link_fault_rate", "transient_fault_rate",
+    "fault_seed",
 )
 
 

@@ -99,17 +99,17 @@ class FlitPool:
 
     def _grow(self) -> None:
         extra = self.capacity
-        self.packet.extend(bytes(8 * extra))
-        self.is_head.extend(bytes(extra))
-        self.is_tail.extend(bytes(extra))
-        self.index.extend(bytes(4 * extra))
-        self.injected_at.extend(bytes(8 * extra))
-        self.hops.extend(bytes(4 * extra))
-        self.eligible_at.extend(bytes(8 * extra))
+        self.packet.frombytes(bytes(8 * extra))
+        self.is_head.frombytes(bytes(extra))
+        self.is_tail.frombytes(bytes(extra))
+        self.index.frombytes(bytes(4 * extra))
+        self.injected_at.frombytes(bytes(8 * extra))
+        self.hops.frombytes(bytes(4 * extra))
+        self.eligible_at.frombytes(bytes(8 * extra))
         self.destinations.extend([()] * extra)
-        self.dest0.extend(bytes(4 * extra))
-        self.is_mc.extend(bytes(extra))
-        self.group_node.extend(bytes(4 * extra))
+        self.dest0.frombytes(bytes(4 * extra))
+        self.is_mc.frombytes(bytes(extra))
+        self.group_node.frombytes(bytes(4 * extra))
         self.groups.extend([[]] * extra)
         self.capacity += extra
 

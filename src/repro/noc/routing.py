@@ -15,8 +15,6 @@ from __future__ import annotations
 import enum
 from typing import Iterable
 
-import networkx as nx
-
 from repro.errors import RoutingError
 from repro.noc.topology import HUB, HaloTopology, NodeId, Topology
 
@@ -242,27 +240,24 @@ def channel_dependency_graph(
     topology: Topology,
     routing: RouteComputer,
     pairs: Iterable[tuple[NodeId, NodeId]] | None = None,
-) -> "nx.DiGraph":
+) -> dict[tuple[NodeId, NodeId], set[tuple[NodeId, NodeId]]]:
     """Build the channel dependency graph induced by *routing*.
 
-    Nodes are directed channels ``(src, dst)``; an edge from channel ``a``
-    to channel ``b`` exists when some routed path holds ``a`` while
-    requesting ``b`` (i.e. uses them consecutively). Wormhole routing is
-    deadlock-free iff this graph is acyclic (Dally & Seitz).
+    Each of the topology's directed channels ``(src, dst)`` maps to the
+    set of channels some routed path holds it while requesting (i.e. uses
+    right after it). Wormhole routing is deadlock-free iff this graph is
+    acyclic (Dally & Seitz).
     """
-    graph = nx.DiGraph()
-    for channel in topology.channels():
-        graph.add_node((channel.src, channel.dst))
+    graph: dict[tuple[NodeId, NodeId], set[tuple[NodeId, NodeId]]] = {
+        (channel.src, channel.dst): set() for channel in topology.channels()
+    }
     if pairs is None:
         nodes = sorted(topology.nodes)
         pairs = ((s, d) for s in nodes for d in nodes if s != d)
     for source, destination in pairs:
         path = routing.path(topology, source, destination)
         for i in range(len(path) - 2):
-            graph.add_edge(
-                (path[i], path[i + 1]),
-                (path[i + 1], path[i + 2]),
-            )
+            graph[(path[i], path[i + 1])].add((path[i + 1], path[i + 2]))
     return graph
 
 
@@ -271,7 +266,23 @@ def is_deadlock_free(
     routing: RouteComputer,
     pairs: Iterable[tuple[NodeId, NodeId]] | None = None,
 ) -> bool:
-    """True when *routing*'s channel dependency graph is acyclic."""
-    return nx.is_directed_acyclic_graph(
-        channel_dependency_graph(topology, routing, pairs)
-    )
+    """True when *routing*'s channel dependency graph is acyclic.
+
+    Kahn's algorithm: peel channels nothing depends on until none is
+    left. A cycle keeps its channels' in-degrees above zero, so the graph
+    is acyclic iff every channel is peeled.
+    """
+    graph = channel_dependency_graph(topology, routing, pairs)
+    in_degree = dict.fromkeys(graph, 0)
+    for successors in graph.values():
+        for channel in successors:
+            in_degree[channel] += 1
+    ready = [channel for channel, degree in in_degree.items() if degree == 0]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for channel in graph[ready.pop()]:
+            in_degree[channel] -= 1
+            if in_degree[channel] == 0:
+                ready.append(channel)
+    return peeled == len(graph)

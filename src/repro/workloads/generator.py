@@ -25,13 +25,15 @@ Generation is fully deterministic given ``(profile, seed, length)``.
 from __future__ import annotations
 
 import zlib
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.cache.address import AddressMapper
 from repro.errors import TraceError
 from repro.workloads.profiles import BenchmarkProfile
 from repro.workloads.trace import Trace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Default number of sampled index values (of the 1024 the address allows).
 #: 8 indexes x 16 columns x 16 ways = 2048 effective blocks, dense enough
@@ -102,6 +104,8 @@ class TraceGenerator:
         of Zipf accesses that establish realistic stack order, then
         *measure* accesses to be measured.
         """
+        import numpy as np
+
         if measure < 1:
             raise TraceError("measure must be positive")
         resident = self.profile.footprint_blocks + self.profile.band_blocks
@@ -131,6 +135,8 @@ class TraceGenerator:
 
     def _columns(self, length: int) -> tuple[list[int], list[bool], list[int]]:
         """(addresses, writes, gaps) of a *length*-access trace."""
+        import numpy as np
+
         if length < 1:
             raise TraceError("trace length must be positive")
         profile = self.profile

@@ -349,14 +349,28 @@ class TestCellSpec:
         [
             {"early_miss_detection": True},
             {"link_fault_rate": 0.1},
-            {"single_cycle_router": True},
         ],
-        ids=["early-miss", "faults", "router"],
+        ids=["early-miss", "faults"],
     )
     def test_static_nuca_cell_refuses_what_it_cannot_honour(self, override):
         spec = spec_for("A", STATIC_NUCA, "art", ENGINE_CONFIG, **override)
         with pytest.raises(ConfigurationError, match=next(iter(override))):
             spec.execute()
+
+    @pytest.mark.parametrize(
+        "design, override",
+        [
+            ("A", {"single_cycle_router": False}),
+            ("E", {"spike_wire_scale": 4}),
+        ],
+        ids=["router", "wire-scale"],
+    )
+    def test_static_nuca_cell_honours_the_geometry_knobs(self, design, override):
+        # The S-NUCA system runs on the cell's geometry, so a slower
+        # router pipeline or longer spike wires show in its latency.
+        base = spec_for(design, STATIC_NUCA, "art", ENGINE_CONFIG)
+        slow = dataclasses.replace(base, **override)
+        assert slow.execute().average_latency > base.execute().average_latency
 
     def test_override_fields_reach_the_model(self):
         # mcf at this scale actually misses, so the off-chip latency

@@ -13,6 +13,7 @@ and switch phases directly.
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
@@ -168,6 +169,21 @@ class TestSoAPlumbing:
         assert pool.capacity >= 5
         assert pool.size == 5
         assert pool.destinations[4] == (4,)
+
+    def test_flit_pool_columns_match_capacity_after_growth(self):
+        # Growing from 256 to 8,192 rows must add exactly that many rows
+        # to every column, whatever its item size.
+        pool = FlitPool()
+        for i in range(4097):
+            pool.alloc(i, True, True, 0, (0,), 0, 0, 0)
+        assert pool.capacity == 8192
+        columns = {
+            name: len(column)
+            for name, column in vars(pool).items()
+            if isinstance(column, (array, list))
+        }
+        assert len(columns) == 12
+        assert columns == dict.fromkeys(columns, pool.capacity)
 
     def test_ring_buffer_wraparound(self):
         # Force heavy reuse of one VC: a long single-source stream keeps
