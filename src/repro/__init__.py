@@ -15,7 +15,6 @@ Public API highlights:
   and table of the paper.
 """
 
-from repro.config import SystemConfig
 from repro.core.designs import DESIGN_NAMES, design_spec, make_design
 from repro.core.flows import FIGURE8_SCHEMES, Scheme, make_scheme
 from repro.core.system import NetworkedCacheSystem, RunResult
@@ -24,7 +23,6 @@ from repro.workloads import BENCHMARKS, generate_trace, profile_by_name
 __version__ = "1.0.0"
 
 __all__ = [
-    "SystemConfig",
     "NetworkedCacheSystem",
     "RunResult",
     "DESIGN_NAMES",

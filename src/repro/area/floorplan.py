@@ -179,7 +179,7 @@ def halo_layout(spec: DesignSpec, planner: FloorPlanner | None = None) -> dict:
     Returns the die side, core side, and per-spike segments (identical for
     all spikes, radial coordinates measured from the core edge).
     """
-    if not spec.network.startswith("16-spike"):
+    if not isinstance(spec.topology_factory(), HaloTopology):
         raise ConfigurationError(f"design {spec.key} is not a halo design")
     planner = planner or FloorPlanner()
     sides = planner.spike_tile_sides(spec)

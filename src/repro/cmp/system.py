@@ -18,7 +18,7 @@ from repro.core.designs import DesignSpec, design_spec
 from repro.core.flows import Scheme, make_scheme
 from repro.core.system import NetworkedCacheSystem
 from repro.errors import ConfigurationError
-from repro.noc.topology import NodeId
+from repro.noc.topology import HaloTopology, NodeId
 from repro.perf.ipc import IssueModel
 from repro.workloads.profiles import BenchmarkProfile
 from repro.workloads.trace import Trace
@@ -33,7 +33,7 @@ def core_attach_points(spec: DesignSpec, num_cores: int) -> list[NodeId]:
     if num_cores < 1:
         raise ConfigurationError("num_cores must be >= 1")
     topology = spec.topology_factory()
-    if spec.network.startswith("16-spike"):
+    if isinstance(topology, HaloTopology):
         return [topology.core_attach] * num_cores
     cols = 16
     if num_cores > cols:

@@ -8,7 +8,7 @@ level and transaction level) and all area models agree on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -143,7 +143,6 @@ class RouterConfig:
 
     num_vcs: int = VCS_PER_PC
     buffer_depth: int = FLIT_BUFFER_DEPTH
-    flit_size_bits: int = FLIT_SIZE_BITS
     stage_latency: int = ROUTER_STAGE_LATENCY
     single_cycle: bool = True
 
@@ -152,8 +151,6 @@ class RouterConfig:
             raise ConfigurationError("num_vcs must be positive")
         if self.buffer_depth <= 0:
             raise ConfigurationError("buffer_depth must be positive")
-        if self.flit_size_bits <= 0:
-            raise ConfigurationError("flit_size_bits must be positive")
         if self.stage_latency <= 0:
             raise ConfigurationError("stage_latency must be positive")
 
@@ -162,29 +159,6 @@ class RouterConfig:
         """Cycles a flit spends in one router (1 for the single-cycle design,
         5 pipeline stages otherwise)."""
         return self.stage_latency if self.single_cycle else 5 * self.stage_latency
-
-
-@dataclass(frozen=True)
-class SystemConfig:
-    """Top-level configuration shared by the cache/network simulators."""
-
-    total_capacity_bytes: int = 16 * 1024 * 1024
-    block_size_bytes: int = BLOCK_SIZE_BYTES
-    address: AddressLayout = field(default_factory=AddressLayout)
-    router: RouterConfig = field(default_factory=RouterConfig)
-
-    def __post_init__(self) -> None:
-        if self.total_capacity_bytes <= 0:
-            raise ConfigurationError("total_capacity_bytes must be positive")
-        if self.block_size_bytes <= 0:
-            raise ConfigurationError("block_size_bytes must be positive")
-        if self.total_capacity_bytes % self.block_size_bytes:
-            raise ConfigurationError("capacity must be a multiple of block size")
-
-    @property
-    def total_blocks(self) -> int:
-        """Total number of cache blocks the L2 can hold."""
-        return self.total_capacity_bytes // self.block_size_bytes
 
 
 def packet_flits(carries_block: bool) -> int:

@@ -45,8 +45,6 @@ class DesignSpec:
     network: str
     bank_capacities: tuple[int, ...]
     topology_factory: Callable[[], Topology] = field(compare=False)
-    #: Extra wire cycles between memory controller and off-chip pins.
-    memory_pin_delay: int = 0
 
     @property
     def banks_per_column(self) -> int:
@@ -172,7 +170,6 @@ design_e = DesignSpec(
     network="16-spike halo (length 16)",
     bank_capacities=(64 * KB,) * 16,
     topology_factory=_halo_e,
-    memory_pin_delay=16,
 )
 
 design_f = DesignSpec(
@@ -181,7 +178,6 @@ design_f = DesignSpec(
     network="16-spike halo (length 5)",
     bank_capacities=NON_UNIFORM_COLUMN,
     topology_factory=_halo_f,
-    memory_pin_delay=9,
 )
 
 _DESIGNS = {spec.key: spec for spec in

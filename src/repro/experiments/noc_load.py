@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Any
 
-from repro.config import RouterConfig
 from repro.noc import MeshTopology, MessageType, Packet, make_network
 
 
@@ -24,24 +24,22 @@ class LoadPoint:
     max_latency: int
 
 
-def run_load_point(
-    injection_rate: float,
-    mesh_size: int = 8,
-    cycles: int = 600,
-    drain_cycles: int = 4000,
-    seed: int = 1,
-    single_cycle: bool = True,
-    core: str | None = None,
-) -> LoadPoint:
-    """Uniform random traffic at *injection_rate* for *cycles* cycles."""
+#: Cycles a load point may take to drain on top of 50 per injection cycle.
+DRAIN_CYCLES = 4000
+
+
+def offer_uniform_load(
+    network: Any, injection_rate: float, cycles: int, seed: int
+) -> int:
+    """Offer uniform random traffic to *network* for *cycles* cycles.
+
+    Every cycle, each node sends a 1-flit read request with probability
+    *injection_rate* to a uniformly drawn node (drawing itself sends
+    nothing); then the network steps. Returns the packets offered and
+    leaves the drain to the caller.
+    """
     rng = random.Random(seed)
-    topology = MeshTopology(mesh_size, mesh_size)
-    network = make_network(
-        topology,
-        router_config=RouterConfig(single_cycle=single_cycle),
-        core=core,
-    )
-    nodes = sorted(topology.nodes)
+    nodes = sorted(network.topology.nodes)
     offered = 0
     for _ in range(cycles):
         for node in nodes:
@@ -58,7 +56,20 @@ def run_load_point(
                 )
                 offered += 1
         network.step()
-    network.run_until_drained(max_cycles=drain_cycles + cycles * 50)
+    return offered
+
+
+def run_load_point(
+    injection_rate: float,
+    mesh_size: int = 8,
+    cycles: int = 600,
+    seed: int = 1,
+    core: str | None = None,
+) -> LoadPoint:
+    """Uniform random traffic at *injection_rate* for *cycles* cycles."""
+    network = make_network(MeshTopology(mesh_size, mesh_size), core=core)
+    offered = offer_uniform_load(network, injection_rate, cycles, seed)
+    network.run_until_drained(max_cycles=DRAIN_CYCLES + cycles * 50)
     stats = network.stats
     return LoadPoint(
         injection_rate=injection_rate,
@@ -74,12 +85,9 @@ def run(
     mesh_size: int = 8,
     cycles: int = 400,
     seed: int = 1,
-    core: str | None = None,
 ) -> list[LoadPoint]:
     return [
-        run_load_point(
-            rate, mesh_size=mesh_size, cycles=cycles, seed=seed, core=core
-        )
+        run_load_point(rate, mesh_size=mesh_size, cycles=cycles, seed=seed)
         for rate in rates
     ]
 

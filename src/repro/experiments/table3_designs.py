@@ -33,7 +33,7 @@ def run() -> list[dict]:
                 "links": topology.num_links,
                 "halo": isinstance(topology, HaloTopology),
                 "simplified": isinstance(topology, SimplifiedMeshTopology),
-                "memory_pin_delay": spec.memory_pin_delay,
+                "memory_pin_delay": geometry.memory_pin_delay,
             }
         )
     return rows

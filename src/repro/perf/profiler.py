@@ -57,12 +57,6 @@ class PhaseProfile:
             return {phase: 0.0 for phase in PHASES}
         return {phase: self.seconds[phase] / total for phase in PHASES}
 
-    def merge(self, other: "PhaseProfile") -> None:
-        """Fold another profile of the same core into this one."""
-        for phase in PHASES:
-            self.seconds[phase] += other.seconds[phase]
-            self.calls[phase] += other.calls[phase]
-
     def render(self) -> str:
         fractions = self.fractions()
         lines = [f"phase profile ({self.core} core, "
@@ -123,41 +117,20 @@ def profile_load(
     core: str,
     mesh_size: int = 6,
     cycles: int = 300,
-    injection_rate: float = 0.3,
     seed: int = 1,
 ) -> PhaseProfile:
     """Run the standard uniform-random load through one core, profiled.
 
-    A thin driver over :func:`repro.experiments.noc_load.run_load_point`'s
-    traffic pattern; exists so ``repro validate --profile-phases`` has a
-    fixed, comparable workload per core.
+    The traffic of :func:`repro.experiments.noc_load.offer_uniform_load`
+    at 0.3 packets per node per cycle; a fixed, comparable workload per
+    core for ``repro validate --profile-phases``.
     """
-    import random
+    from repro.experiments.noc_load import offer_uniform_load
+    from repro.noc import MeshTopology, make_network
 
-    from repro.config import RouterConfig
-    from repro.noc import MeshTopology, MessageType, Packet, make_network
-
-    rng = random.Random(seed)
-    topology = MeshTopology(mesh_size, mesh_size)
-    network = make_network(
-        topology, router_config=RouterConfig(single_cycle=True), core=core
-    )
+    network = make_network(MeshTopology(mesh_size, mesh_size), core=core)
     profile = attach(network, core=core)
-    nodes = sorted(topology.nodes)
-    for _ in range(cycles):
-        for node in nodes:
-            if rng.random() < injection_rate:
-                destination = rng.choice(nodes)
-                if destination == node:
-                    continue
-                network.inject(
-                    Packet(
-                        MessageType.READ_REQUEST,
-                        source=node,
-                        destinations=(destination,),
-                    )
-                )
-        network.step()
+    offer_uniform_load(network, 0.3, cycles, seed)
     network.run_until_drained(max_cycles=cycles * 200)
     detach(network)
     return profile

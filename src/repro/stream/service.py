@@ -33,13 +33,12 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from repro.cache.bank import bank_descriptors_for_column
 from repro.config import memory_access_latency
 from repro.core.designs import design_spec
 from repro.errors import ConfigurationError, SimulationError
 from repro.noc.network import Delivery, NetworkStats, make_network
 from repro.noc.packet import MessageType, Packet
-from repro.noc.topology import HUB, NodeId, spike_node
+from repro.noc.topology import NodeId
 from repro.stream.arrivals import Request
 from repro.telemetry.registry import (
     LATENCY_SLO_EDGES,
@@ -100,25 +99,18 @@ class StreamService:
             raise ConfigurationError("max_outstanding must be positive")
         if token_rate <= 0 or token_burst < 1:
             raise ConfigurationError("bad token-bucket parameters")
-        self.spec = design_spec(design)
-        self.topology = self.spec.topology_factory()
-        self.network = make_network(self.topology, core=core, window=window)
+        self.geometry = design_spec(design).build()
+        self.network = make_network(
+            self.geometry.topology, core=core, window=window
+        )
         self.window = window
         self.policy = policy
         self.queue_limit = queue_limit
         self.max_outstanding = max_outstanding
         self.token_rate = token_rate
         self.token_burst = token_burst
-        self.rows = self.spec.banks_per_column
-        self.banks = bank_descriptors_for_column(
-            list(self.spec.bank_capacities)
-        )
-        self.hub: NodeId = self.topology.core_attach
-        self.memory: NodeId = self.topology.memory_attach
-        #: Halo designs attach core and memory at the same hub router, so
-        #: the memory leg cannot be a hub->hub packet; it is modeled as a
-        #: timed completion over the spike-free pin path instead.
-        self._halo_memory = self.hub == HUB
+        self.hub: NodeId = self.geometry.core_node
+        self.memory: NodeId = self.geometry.memory_node
 
         self._queue: deque[Request] = deque()
         self._outstanding = 0
@@ -192,17 +184,13 @@ class StreamService:
 
     # -- issue / protocol legs ----------------------------------------------
 
-    def _bank_node(self, column: int, position: int) -> NodeId:
-        if self._halo_memory:
-            return spike_node(column, position)
-        return (column, position)
-
     def _depth(self, request: Request) -> int:
+        rows = self.geometry.banks_per_column(request.column)
         if not request.hit:
             # Misses are decided at the LRU (deepest) bank, mirroring the
             # Fast-LRU column-combined miss report.
-            return self.rows - 1
-        return min(self.rows - 1, int(request.depth_unit * self.rows))
+            return rows - 1
+        return min(rows - 1, int(request.depth_unit * rows))
 
     def _issue_ready(self, cycle: int) -> None:
         while self._queue and self._outstanding < self.max_outstanding:
@@ -215,7 +203,7 @@ class StreamService:
             packet = Packet(
                 MessageType.READ_REQUEST,
                 source=self.hub,
-                destinations=(self._bank_node(request.column, depth),),
+                destinations=(self.geometry.nodes[request.column][depth],),
             )
             self._roles[packet.packet_id] = ("request", seq)
             self.network.inject(packet)
@@ -226,29 +214,35 @@ class StreamService:
             return
         kind, seq = role
         request, depth = self._inflight[seq]
+        geometry = self.geometry
         if kind == "request":
-            done = delivery.delivered_at + self.banks[depth].timing.tag_latency
+            timing = geometry.bank(request.column, depth).timing
+            done = delivery.delivered_at + timing.tag_latency
+            bank = geometry.nodes[request.column][depth]
             if request.hit:
                 response = Packet(
                     MessageType.HIT_DATA,
-                    source=self._bank_node(request.column, depth),
+                    source=bank,
                     destinations=(self.hub,),
                 )
                 self._roles[response.packet_id] = ("hit_data", seq)
             else:
                 response = Packet(
                     MessageType.MISS_NOTIFY,
-                    source=self._bank_node(request.column, depth),
+                    source=bank,
                     destinations=(self.hub,),
                 )
                 self._roles[response.packet_id] = ("miss_notify", seq)
             self.network.schedule_injection(response, done)
         elif kind == "miss_notify":
-            if self._halo_memory:
+            if geometry.is_halo:
+                # Halo designs attach core and memory at the same hub
+                # router, so the memory leg cannot be a hub->hub packet;
+                # it is a timed completion over the spike-free pin path.
                 ready = (
                     delivery.delivered_at
                     + memory_access_latency()
-                    + 2 * self.spec.memory_pin_delay
+                    + 2 * geometry.memory_pin_delay
                 )
                 heapq.heappush(self._memory_heap, (ready, seq))
             else:

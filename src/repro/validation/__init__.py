@@ -12,9 +12,9 @@ Three layers of defense against silently-wrong simulation:
   core and the array core must agree on every observable; and the
   oracle, the same seeded trace through the experiment engine and
   through a checked in-process replay, diffed on hit/miss outcomes and
-  final bank contents, plus a flit-level re-enactment of sampled
-  transactions checked against the transaction-level model's hop
-  assumptions;
+  final bank contents, plus a re-enactment of sampled transactions
+  through the flit-level protocol (:mod:`repro.noc.protocol`), checked
+  against the transaction-level model's hop assumptions;
 * :mod:`repro.validation.fuzzer` -- ``repro validate --fuzz N`` samples
   random geometries, bank-set shapes, traffic, and traces, runs them
   under the checkers, and shrinks any failure to a minimal
@@ -28,7 +28,6 @@ from repro.validation.differential import (
     OracleReport,
     PacketSpec,
     StreamWorkload,
-    Tolerances,
     compare,
     observe,
     run_oracle,
@@ -76,7 +75,6 @@ __all__ = [
     "OracleReport",
     "PacketSpec",
     "StreamWorkload",
-    "Tolerances",
     "TransactionTimingChecker",
     "case_to_pytest",
     "compare",

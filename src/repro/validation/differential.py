@@ -23,15 +23,15 @@ Differential oracle
       transaction invariant checkers installed.
 
     The two runs are diffed on hit/miss outcomes, final bank contents
-    (the contents digest), and aggregate counters; then a deterministic
-    sample of the replay's measured transactions is re-enacted leg by
-    leg on the real flit-level network over the same topology, comparing
-    each delivered hop count against the transaction-level geometry
-    model's assumption (``routing.hops(src, dst) + 1`` -- the ejection
-    switch also counts a hop), and the same legs go through
-    :func:`compare`. Divergence within the declared :class:`Tolerances`
-    passes; anything else is reported, making silent drift between the
-    models loud.
+    (the contents digest), and aggregate counters, exactly; then a
+    deterministic sample of the replay's measured transactions is
+    re-enacted through :class:`~repro.noc.protocol.FlitLevelCacheProtocol`
+    on a checked flit-level network of the same design, comparing each
+    delivered hop count against the transaction-level geometry model's
+    assumption (``routing.hops(src, dst) + 1`` -- the ejection switch
+    also counts a hop), and the same samples go through :func:`compare`
+    as a :class:`ProtocolWorkload`. Any divergence is reported, making
+    silent drift between the models loud.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ from typing import Any
 
 from repro.config import RouterConfig, packet_flits
 from repro.errors import ValidationError
-from repro.noc.network import Network, make_network
+from repro.noc.network import make_network
 from repro.noc.packet import MessageType, Packet
+from repro.noc.protocol import FlitLevelCacheProtocol
 from repro.noc.topology import (
     HaloTopology,
     MeshTopology,
@@ -56,7 +57,6 @@ from repro.validation.invariants import (
     BlockConservationChecker,
     TransactionTimingChecker,
     default_network_checkers,
-    run_with_checkers,
 )
 
 
@@ -319,21 +319,9 @@ def compare(workload: Any) -> Divergence | None:
 # -- differential oracle ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Declared acceptable divergence between the two model paths."""
-
-    #: Absolute difference allowed in measured hit counts.
-    hit_count: int = 0
-    #: Require bit-identical final cache contents digests.
-    contents_exact: bool = True
-    #: Allowed |delivered - predicted| hops per flit-level leg.
-    hop_slack: int = 0
-
-
 @dataclass
 class LegResult:
-    """One protocol leg re-enacted on the flit-level network."""
+    """One delivery of a re-enacted transaction on the flit-level network."""
 
     transaction: int
     leg: str
@@ -361,9 +349,8 @@ class OracleReport:
     conservation_checks: int = 0
     timing_checks: int = 0
     legs: list[LegResult] = field(default_factory=list)
-    #: Leg deliveries cross-checked across both cores: one per
-    #: destination of each replayed leg, all compared unless a
-    #: divergence is reported.
+    #: Protocol deliveries cross-checked across both cores: one per leg
+    #: delivery, all compared unless a divergence is reported.
     array_legs: int = 0
     divergences: list[str] = field(default_factory=list)
 
@@ -423,86 +410,34 @@ def _sample_indices(count: int, sample: int) -> list[int]:
     return sorted({round(i * step) for i in range(sample)})
 
 
-def _protocol_legs(system, column: int, hit: bool, bank_position):
-    """The (name, source, destination(s)) legs of one cache transaction.
-
-    Mirrors the Section 5 message flows the transaction-level model costs:
-    the multicast scheme broadcasts the request down the column; unicast
-    walks it bank to bank. Misses add the notify / memory round trip.
-    """
-    geometry = system.geometry
-    nbanks = geometry.banks_per_column(column)
-    core = geometry.core_node
-    memory = geometry.memory_node
-    bank = lambda p: geometry.bank_node(column, p)  # noqa: E731
-    legs: list[tuple[str, MessageType, object, tuple]] = []
-    if system.scheme.multicast:
-        targets = tuple(dict.fromkeys(bank(p) for p in range(nbanks)))
-        legs.append(("mc_request", MessageType.READ_REQUEST, core, targets))
+def _play(protocol: FlitLevelCacheProtocol, sample: tuple) -> None:
+    """Play one sampled ``(column, hit, bank_position)`` transaction."""
+    column, hit, position = sample
+    if hit:
+        protocol.run_hit(column, position)
     else:
-        walk_end = bank_position if hit and bank_position is not None else nbanks - 1
-        previous = core
-        for position in range(walk_end + 1):
-            legs.append(
-                ("uc_request", MessageType.READ_REQUEST, previous, (bank(position),))
-            )
-            previous = bank(position)
-    if hit and bank_position is not None:
-        legs.append(("hit_data", MessageType.HIT_DATA, bank(bank_position), (core,)))
-    else:
-        legs.append(("miss_notify", MessageType.MISS_NOTIFY, bank(nbanks - 1), (core,)))
-        legs.append(("memory_request", MessageType.MEMORY_REQUEST, core, (memory,)))
-        legs.append(("memory_fill", MessageType.MEMORY_FILL, memory, (bank(0),)))
-        legs.append(("fill_data", MessageType.HIT_DATA, bank(0), (core,)))
-    return legs
-
-
-def _replay_legs_on_network(system, legs, report, hop_slack: int) -> None:
-    """Re-enact the sampled legs on a checked flit network."""
-    topology = system.geometry.topology
-    routing = system.geometry.routing
-    network = Network(topology)
-    for checker in default_network_checkers(topology):
-        network.install_checker(checker)
-    for txn_index, leg_name, message, source, destinations in legs:
-        already = len(network.stats.deliveries)
-        network.inject(Packet(message, source, destinations))
-        run_with_checkers(network)
-        for delivery in network.stats.deliveries[already:]:
-            predicted = routing.hops(topology, source, delivery.destination) + 1
-            report.legs.append(
-                LegResult(
-                    transaction=txn_index,
-                    leg=leg_name,
-                    source=source,
-                    destination=delivery.destination,
-                    predicted_hops=predicted,
-                    delivered_hops=delivery.hops,
-                )
-            )
-            if abs(delivery.hops - predicted) > hop_slack:
-                report.divergences.append(
-                    f"txn {txn_index} {leg_name} {source}->"
-                    f"{delivery.destination}: flit level delivered "
-                    f"{delivery.hops} hops, transaction model assumes "
-                    f"{predicted}"
-                )
+        protocol.run_miss(column)
 
 
 @dataclass(frozen=True)
-class _LegReplay:
-    """The sampled legs on a design's fabric, one packet at a time."""
+class ProtocolWorkload:
+    """Sampled transactions of one cell, replayed on a fresh protocol.
+
+    Plain data whose ``repr`` round-trips: ``samples`` holds the
+    ``(column, hit, bank_position)`` of each transaction, played in
+    order through :class:`~repro.noc.protocol.FlitLevelCacheProtocol`.
+    """
 
     design: str
-    legs: tuple  # of (message, source, destinations)
-    topology: Topology = field(repr=False, compare=False)
+    scheme: str
+    samples: tuple = ()
 
     def run(self, core: str) -> Any:
-        network = make_network(self.topology, core=core)
-        for message, source, destinations in self.legs:
-            network.inject(Packet(message, source, destinations))
-            network.run_until_drained()
-        return network
+        """The drained network of a fresh protocol on *core*."""
+        protocol = FlitLevelCacheProtocol(self.design, self.scheme, core=core)
+        for sample in self.samples:
+            _play(protocol, sample)
+        return protocol.network
 
 
 def run_oracle(
@@ -512,16 +447,15 @@ def run_oracle(
     measure: int = 240,
     seed: int = 1,
     sample: int = 4,
-    tolerances: Tolerances | None = None,
 ) -> OracleReport:
     """Differentially validate one cell; returns the full report.
 
     The engine path goes through :func:`run_cells` (so cached and pooled
     results are what gets validated -- exactly what figures consume), the
     replay path runs fresh under invariant checkers, and *sample* measured
-    transactions are re-enacted at flit level: on a checked object network
-    against the geometry's hop counts, and through :func:`compare` across
-    both cores.
+    transactions are re-enacted through the flit-level protocol: on a
+    checked object network against the geometry's hop counts, and through
+    :func:`compare` across both cores.
     """
     from repro.core.system import NetworkedCacheSystem
     from repro.experiments.common import ExperimentConfig
@@ -533,7 +467,6 @@ def run_oracle(
     )
     from repro.workloads.profiles import profile_by_name
 
-    tolerances = tolerances or Tolerances()
     config = ExperimentConfig(measure=measure, seed=seed)
     spec = spec_for(design, scheme, benchmark, config)
     report = OracleReport(
@@ -571,20 +504,17 @@ def run_oracle(
     report.timing_checks = timing_checker.checked
 
     # Diff the two content-model outcomes.
-    if abs(report.engine_hits - report.replay_hits) > tolerances.hit_count:
+    if report.engine_hits != report.replay_hits:
         report.divergences.append(
-            f"hit counts diverge beyond tolerance {tolerances.hit_count}: "
-            f"engine {report.engine_hits}, replay {report.replay_hits}"
+            f"hit counts diverge: engine {report.engine_hits}, "
+            f"replay {report.replay_hits}"
         )
-    if engine_result.content.misses != replay_result.content.misses and (
-        abs(engine_result.content.misses - replay_result.content.misses)
-        > tolerances.hit_count
-    ):
+    if engine_result.content.misses != replay_result.content.misses:
         report.divergences.append(
             f"miss counts diverge: engine {engine_result.content.misses}, "
             f"replay {replay_result.content.misses}"
         )
-    if tolerances.contents_exact and report.engine_digest != report.replay_digest:
+    if report.engine_digest != report.replay_digest:
         report.divergences.append(
             f"final bank contents diverge: engine digest "
             f"{report.engine_digest}, replay {report.replay_digest}"
@@ -595,23 +525,44 @@ def run_oracle(
             f"{engine_result.accesses}, replay {replay_result.accesses}"
         )
 
-    # Flit-level re-enactment of a deterministic transaction sample.
-    legs = [
-        (i, leg_name, message, source, destinations)
-        for i in _sample_indices(len(recorder.rows), sample)
-        for leg_name, message, source, destinations in _protocol_legs(
-            system, *recorder.rows[i]
-        )
-    ]
-    _replay_legs_on_network(system, legs, report, tolerances.hop_slack)
-    divergence = compare(
-        _LegReplay(
-            spec.design,
-            tuple(leg[2:] for leg in legs),
-            system.geometry.topology,
-        )
-    )
+    # Flit-level re-enactment of a deterministic transaction sample, on a
+    # checked object network: every delivery against the geometry's hops.
+    indices = _sample_indices(len(recorder.rows), sample)
+    samples = tuple(recorder.rows[i] for i in indices)
+    protocol = FlitLevelCacheProtocol(spec.design, spec.scheme)
+    network = protocol.network
+    topology = protocol.geometry.topology
+    routing = protocol.geometry.routing
+    for checker in default_network_checkers(topology):
+        network.install_checker(checker)
+    for txn_index, transaction in zip(indices, samples):
+        already = len(network.stats.deliveries)
+        _play(protocol, transaction)
+        for delivery in network.stats.deliveries[already:]:
+            leg = protocol.roles[delivery.packet.packet_id]
+            source = delivery.packet.source
+            predicted = routing.hops(topology, source, delivery.destination) + 1
+            report.legs.append(
+                LegResult(
+                    transaction=txn_index,
+                    leg=leg,
+                    source=source,
+                    destination=delivery.destination,
+                    predicted_hops=predicted,
+                    delivered_hops=delivery.hops,
+                )
+            )
+            if delivery.hops != predicted:
+                report.divergences.append(
+                    f"txn {txn_index} {leg} {source}->"
+                    f"{delivery.destination}: flit level delivered "
+                    f"{delivery.hops} hops, transaction model assumes "
+                    f"{predicted}"
+                )
+    for checker in network.checkers:
+        checker.final_check(network)
+    divergence = compare(ProtocolWorkload(spec.design, spec.scheme, samples))
     if divergence is not None:
         report.divergences.append(divergence.render())
-    report.array_legs = sum(len(leg[4]) for leg in legs)
+    report.array_legs = len(report.legs)
     return report

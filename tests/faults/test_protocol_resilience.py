@@ -26,7 +26,7 @@ class TestTraceGuards:
             ProtocolTrace(issued=3).data_latency
 
     def test_hit_trace_never_requests_memory(self):
-        protocol = FlitLevelCacheProtocol(cols=4, rows=4)
+        protocol = FlitLevelCacheProtocol("C")  # four banks per column
         trace = protocol.run_hit(column=1, depth=2)
         assert trace.data_latency > 0
         with pytest.raises(ProtocolError):

@@ -110,17 +110,22 @@ class TestProtocolAndLoadParity:
 
         traces = {}
         for core in ("object", "array"):
-            protocol = FlitLevelCacheProtocol(cols=8, rows=8, core=core)
-            hit = protocol.run_hit(column=3, depth=4)
-            miss = protocol.run_miss(column=5)
-            traces[core] = (
-                hit.issued,
-                hit.data_at_core,
-                hit.chain_done_at,
-                sorted(hit.request_arrivals.items()),
-                miss.data_at_core,
-                miss.memory_requested_at,
-            )
+            traces[core] = []
+            for design, scheme in (
+                ("A", "multicast+fast_lru"),
+                ("F", "unicast+lru"),
+            ):
+                protocol = FlitLevelCacheProtocol(design, scheme, core=core)
+                hit = protocol.run_hit(column=3, depth=4)
+                miss = protocol.run_miss(column=5)
+                traces[core].append((
+                    hit.issued,
+                    hit.data_at_core,
+                    hit.chain_done_at,
+                    sorted(hit.request_arrivals.items()),
+                    miss.data_at_core,
+                    miss.memory_requested_at,
+                ))
         assert traces["object"] == traces["array"]
 
     def test_load_point_identical(self):

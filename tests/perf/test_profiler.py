@@ -71,7 +71,7 @@ class TestAttachDetach:
 
 
 class TestProfileShape:
-    def test_fractions_sum_to_one_and_merge_adds(self):
+    def test_fractions_sum_to_one(self):
         profile = profiler.PhaseProfile("object")
         profile.seconds["switch"] = 3.0
         profile.seconds["inject"] = 1.0
@@ -79,12 +79,6 @@ class TestProfileShape:
         fractions = profile.fractions()
         assert fractions["switch"] == 0.75
         assert sum(fractions.values()) == pytest.approx(1.0)
-        other = profiler.PhaseProfile("object")
-        other.seconds["switch"] = 1.0
-        other.calls["switch"] = 2
-        profile.merge(other)
-        assert profile.seconds["switch"] == 4.0
-        assert profile.calls["switch"] == 12
 
     def test_empty_profile_renders_without_dividing_by_zero(self):
         profile = profiler.PhaseProfile("array")

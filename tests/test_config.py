@@ -82,10 +82,9 @@ class TestRouterConfig:
         router = config.RouterConfig()
         assert router.num_vcs == 4
         assert router.buffer_depth == 4
-        assert router.flit_size_bits == 128
 
     @pytest.mark.parametrize("field", ["num_vcs", "buffer_depth",
-                                       "flit_size_bits", "stage_latency"])
+                                       "stage_latency"])
     def test_non_positive_rejected(self, field):
         with pytest.raises(ConfigurationError):
             config.RouterConfig(**{field: 0})
@@ -102,18 +101,3 @@ class TestPacketFlits:
         # type(2) + size(7) + routing(8) + comm(1) = 18 bits of overhead
         assert config.FLIT_OVERHEAD_BITS == 18
         assert config.FLIT_OVERHEAD_BITS < config.FLIT_SIZE_BITS
-
-
-class TestSystemConfig:
-    def test_default_is_16mb(self):
-        system = config.SystemConfig()
-        assert system.total_capacity_bytes == 16 * 1024 * 1024
-        assert system.total_blocks == 262_144
-
-    def test_capacity_must_divide_block_size(self):
-        with pytest.raises(ConfigurationError):
-            config.SystemConfig(total_capacity_bytes=100)
-
-    def test_non_positive_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            config.SystemConfig(total_capacity_bytes=0)
