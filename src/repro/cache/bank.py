@@ -35,15 +35,6 @@ class BankDescriptor:
     ways: int
     timing: BankTiming
 
-    @property
-    def way_range(self) -> range:
-        """Global way indices of the bank-set stack this bank holds."""
-        return range(self.way_start, self.way_start + self.ways)
-
-    @property
-    def is_mru_bank(self) -> bool:
-        return self.position == 0
-
 
 def bank_descriptors_for_column(
     capacities: list[int] | tuple[int, ...],
@@ -80,11 +71,6 @@ def bank_descriptors_for_column(
         )
         way_start += ways
     return descriptors
-
-
-def column_associativity(descriptors: list[BankDescriptor]) -> int:
-    """Total ways provided by a column of banks."""
-    return sum(d.ways for d in descriptors)
 
 
 def bank_of_way(descriptors: list[BankDescriptor]) -> list[int]:

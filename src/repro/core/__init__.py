@@ -1,7 +1,7 @@
 """The paper's primary contribution: the co-designed networked cache.
 
 * :mod:`repro.core.geometry` -- resource-aware path timing over a design's
-  topology (channels, banks, spike queues as contended resources);
+  topology (channels and banks as contended resources);
 * :mod:`repro.core.flows` -- the transaction flows of Figures 2 and 3 for
   all five scheme combinations ({unicast, multicast} x {Promotion, LRU,
   Fast-LRU}), and the S-NUCA baseline's home-bank flow;

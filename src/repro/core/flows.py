@@ -148,13 +148,16 @@ class TransactionEngine:
         ]
         self._sink = _trace.NULL_SINK
         #: Per-column transaction slots: the cache controller admits one
-        #: transaction per bank-set column at a time on meshes, and two per
-        #: spike on halos (the paper's 2-entry spike issue queues). Each
-        #: entry is the time that slot's transaction settles.
-        slots = 2 if geometry.is_halo else 1
+        #: transaction per bank-set column at a time on meshes; on halos
+        #: the slots are the spike's issue queue
+        #: (``geometry.column_slots`` entries, 2 in the paper). Each entry
+        #: is the time that slot's transaction settles.
         self._column_slots: list[list[int]] = [
-            [0] * slots for _ in range(geometry.num_columns)
+            [0] * geometry.column_slots for _ in range(geometry.num_columns)
         ]
+        #: Cycles between admission and the request leaving the core: a
+        #: halo request spends one in its spike's issue queue.
+        self._admission_cycles = 1 if geometry.is_halo else 0
         self._spine_bank_cycles = 0
         #: Core node the current access belongs to (CMP support).
         self._core = geometry.core_node
@@ -190,9 +193,9 @@ class TransactionEngine:
 
         The access first claims a transaction slot of its column: the
         controller keeps the bank-set tags consistent by admitting at most
-        one in-flight transaction per column (two per halo spike), so a
-        transaction's full settle time -- exactly what Fast-LRU shortens --
-        gates the column's throughput.
+        one in-flight transaction per mesh column (``column_slots`` per
+        halo spike), so a transaction's full settle time -- exactly what
+        Fast-LRU shortens -- gates the column's throughput.
         """
         return self._transact(column, outcome, issue_time, is_write, core_node)
 
@@ -238,7 +241,7 @@ class TransactionEngine:
         fault_stats = getattr(geometry, "fault_stats", None)
         if fault_stats is not None:
             degraded_before = fault_stats.rerouted_traversals + fault_stats.retries
-        t0 = geometry.enter_column(column, start)
+        t0 = start + self._admission_cycles
         if early_miss:
             timing = self._finish_miss(
                 column,

@@ -2,14 +2,15 @@
 
 Bridges the topology (where banks sit, which channels exist) and the
 transaction flows (who talks to whom, when). Every channel and every bank
-is a FCFS :class:`~repro.sim.resource.Resource`; halo spike queues are
-2-entry :class:`~repro.sim.resource.OccupancyTracker` instances (the paper
-gives each spike a small issue queue). Traversals reserve each channel on
-the path for the packet's flit count, so concurrent transactions contend
-exactly where the paper says they do: the row the core sits on, the bank
-columns, and the memory channel. Every grant loop of the transaction
-model lives here: :meth:`CacheGeometry.reserve_segment` for one routed
-segment, and the column walks :meth:`CacheGeometry.multicast_column` and
+is a FCFS :class:`~repro.sim.resource.Resource`. The paper gives each
+halo spike a small issue queue; :attr:`CacheGeometry.column_slots` is its
+depth, and the transaction engine's per-column slots are the queue
+(DESIGN.md §8). Traversals reserve each channel on the path for the
+packet's flit count, so concurrent transactions contend exactly where the
+paper says they do: the row the core sits on, the bank columns, and the
+memory channel. Every grant loop of the transaction model lives here:
+:meth:`CacheGeometry.reserve_segment` for one routed segment, and the
+column walks :meth:`CacheGeometry.multicast_column` and
 :meth:`CacheGeometry.walk` (DESIGN.md §8).
 """
 
@@ -22,7 +23,7 @@ from repro.config import RouterConfig, packet_flits
 from repro.errors import ConfigurationError
 from repro.noc.routing import RouteComputer, routing_for
 from repro.noc.topology import HaloTopology, NodeId, Topology, spike_node
-from repro.sim.resource import FloorClock, OccupancyTracker, Resource
+from repro.sim.resource import FloorClock, Resource
 
 #: One hop of a routed path: (channel resource, hop cost, node reached).
 Hop = tuple[Resource, int, NodeId]
@@ -96,6 +97,13 @@ class CacheGeometry:
         self.routing = routing or routing_for(topology)
         self.router_config = router_config or RouterConfig()
         self.is_halo = isinstance(topology, HaloTopology)
+        if spike_queue_entries < 1:
+            raise ConfigurationError(
+                f"spike_queue_entries must be >= 1, got {spike_queue_entries}"
+            )
+        #: Transactions one column admits at a time: the depth of the
+        #: spike's issue queue on halos, one per column on meshes.
+        self.column_slots = spike_queue_entries if self.is_halo else 1
         if topology.core_attach is None or topology.memory_attach is None:
             raise ConfigurationError("topology must define core/memory attach points")
         self.core_node: NodeId = topology.core_attach
@@ -125,12 +133,6 @@ class CacheGeometry:
         self.links: list[list[Segment]] = [[] for _ in columns]
         #: (column, entry node) -> multicast chain, built on first use.
         self._chains: dict[tuple[int, NodeId], ColumnChain] = {}
-        self._spike_queues: dict[int, OccupancyTracker] | None = None
-        if self.is_halo:
-            self._spike_queues = {
-                s: OccupancyTracker(spike_queue_entries, name=f"spike-queue-{s}")
-                for s in range(len(columns))
-            }
         #: Cycles multicast deliveries lost to channel contention -- the
         #: transaction-level analogue of replica-blocked router cycles.
         self.multicast_blocked_cycles = 0
@@ -219,11 +221,6 @@ class CacheGeometry:
             links.append(self.route(nodes[len(links)], nodes[len(links) + 1]))
         return links[position]
 
-    def spike_queue(self, column: int) -> OccupancyTracker:
-        if self._spike_queues is None:
-            raise ConfigurationError("spike queues exist only on halo designs")
-        return self._spike_queues[column]
-
     def reset_contention(self) -> None:
         """Clear all resource occupancy (fresh run, same layout)."""
         self.floor_clock.reset()
@@ -235,9 +232,6 @@ class CacheGeometry:
             resource.reset()
         for resource in self._bank_resources.values():
             resource.reset()
-        if self._spike_queues is not None:
-            for tracker in self._spike_queues.values():
-                tracker.reset()
 
     def publish_metrics(self, registry) -> None:
         """Export contention counters into a telemetry registry.
@@ -294,14 +288,6 @@ class CacheGeometry:
         registry.counter("cache.bank.wait_cycles").set(
             sum(r.queued_cycles for r in banks)
         )
-        if self._spike_queues is not None:
-            trackers = self._spike_queues.values()
-            registry.counter("noc.spike.queue_waits").set(
-                sum(t.waits for t in trackers)
-            )
-            registry.counter("noc.spike.queue_wait_cycles").set(
-                sum(t.queued_cycles for t in trackers)
-            )
 
     # -- timing primitives ----------------------------------------------------
 
@@ -672,13 +658,3 @@ class CacheGeometry:
             flits,
         )
         return arrival + self.memory_pin_delay
-
-    def enter_column(self, column: int, time: int) -> int:
-        """Admission step before a request leaves the core.
-
-        On halo designs the request first claims one of the spike's queue
-        entries; on meshes admission is immediate.
-        """
-        if self._spike_queues is None:
-            return time
-        return self.spike_queue(column).acquire(time, 1) + 1

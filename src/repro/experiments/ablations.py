@@ -162,7 +162,7 @@ def render(points: list[AblationPoint], title: str) -> str:
     for point in points:
         lines.append(
             f"  {point.label:38s} IPC {point.geomean_ipc:.3f} "
-            f"({point.geomean_ipc / base:+.1%} vs first)  "
+            f"({point.geomean_ipc / base - 1:+.1%} vs first)  "
             f"lat {point.mean_latency:.1f}"
         )
     return "\n".join(lines)

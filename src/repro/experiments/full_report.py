@@ -48,10 +48,6 @@ _ARTIFACTS = (
 )
 
 
-def artifact_names() -> tuple[str, ...]:
-    return tuple(title for title, _, _ in _ARTIFACTS)
-
-
 def simulation_cells(config: ExperimentConfig) -> list[tuple[str, str, str]]:
     """Every (design, scheme, benchmark) cell the report will simulate.
 

@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro import config
 
 if TYPE_CHECKING:
     from repro.noc.packet import Packet
@@ -63,16 +62,6 @@ class Flit:
     def is_multicast(self) -> bool:
         """The 1-bit communication-type field."""
         return len(self.destinations) > 1
-
-    @property
-    def size_bits(self) -> int:
-        """Total flit size on the wire, including overhead fields."""
-        return config.FLIT_SIZE_BITS
-
-    @property
-    def payload_bits(self) -> int:
-        """Bits available for address/data after the overhead fields."""
-        return config.FLIT_SIZE_BITS - config.FLIT_OVERHEAD_BITS
 
     def clone_for(self, destinations: tuple[object, ...]) -> "Flit":
         """Replicate this flit for a subset of destinations (multicasting).

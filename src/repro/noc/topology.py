@@ -128,11 +128,6 @@ class Topology:
         return tuple(self._channels.values())
 
     @property
-    def num_channels(self) -> int:
-        """Number of unidirectional channels."""
-        return len(self._channels)
-
-    @property
     def num_links(self) -> int:
         """Number of physical links; a bidirectional pair counts as one."""
         seen = set()

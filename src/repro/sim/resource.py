@@ -1,13 +1,13 @@
 """Occupancy-based resources for the transaction-level simulator.
 
 The transaction-level cache simulator does not simulate individual flits;
-instead every contended component (a cache bank, a network channel, a spike
-issue queue, the memory controller) is a :class:`Resource` that hands out
-time intervals. A request wanting the resource at time ``t`` for ``d``
-cycles is granted the earliest gap of length ``d`` starting at or after
-``t`` -- so a tag-match arriving *before* a far-future replacement-chain
-reservation correctly slips in front of it, exactly as the hardware would
-serve it first.
+instead every contended component (a cache bank, a network channel, the
+memory channel) is a :class:`Resource` that hands out time intervals. A
+request wanting the resource at time ``t`` for ``d`` cycles is granted
+the earliest gap of length ``d`` starting at or after ``t`` -- so a
+tag-match arriving *before* a far-future replacement-chain reservation
+correctly slips in front of it, exactly as the hardware would serve it
+first.
 
 Reservations already granted are never displaced (no preemption), which
 keeps the model causal and deterministic.
@@ -135,49 +135,3 @@ class Resource:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Resource(name={self.name!r}, reservations={len(self._starts)})"
-
-
-class OccupancyTracker:
-    """A k-server resource (e.g. the 2-entry spike issue queue of a halo).
-
-    Models *k* identical servers: each acquire is granted the earliest
-    finishing server. Used where the paper provides small queues that allow
-    limited concurrency rather than strict single occupancy.
-    """
-
-    __slots__ = ("servers", "name", "_free_at", "grants", "queued_cycles",
-                 "waits")
-
-    def __init__(self, servers: int, name: str = "tracker") -> None:
-        if servers <= 0:
-            raise SimulationError(f"{name}: servers must be positive")
-        self.servers = servers
-        self.name = name
-        self._free_at = [0] * servers
-        self.grants = 0
-        self.queued_cycles = 0
-        self.waits = 0
-
-    def acquire(self, time: int, duration: int) -> int:
-        """Reserve one server for *duration* cycles at or after *time*."""
-        if duration < 0:
-            raise SimulationError(f"{self.name}: negative duration {duration}")
-        free_at = self._free_at
-        best = min(range(self.servers), key=free_at.__getitem__)
-        start = max(time, free_at[best])
-        if start > time:
-            self.queued_cycles += start - time
-            self.waits += 1
-        free_at[best] = start + duration
-        self.grants += 1
-        return start
-
-    def reset(self) -> None:
-        """Return all servers to idle."""
-        self._free_at = [0] * self.servers
-        self.grants = 0
-        self.queued_cycles = 0
-        self.waits = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OccupancyTracker(servers={self.servers}, name={self.name!r})"

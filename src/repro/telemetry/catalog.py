@@ -73,8 +73,6 @@ CATALOG: dict[str, tuple[str, ...]] = {
     "noc.series.flits_injected": ("series",),
     "noc.series.latency": ("series",),
     "noc.series.packets_delivered": ("series",),
-    "noc.spike.queue_wait_cycles": ("counter",),
-    "noc.spike.queue_waits": ("counter",),
     "noc.traversal.hop_cycles": ("counter",),
     "noc.traversal.queue_cycles": ("counter",),
     "noc.traversal.serialization_cycles": ("counter",),

@@ -24,14 +24,15 @@ Differential oracle
 
     The two runs are diffed on hit/miss outcomes, final bank contents
     (the contents digest), and aggregate counters, exactly; then a
-    deterministic sample of the replay's measured transactions is
-    re-enacted through :class:`~repro.noc.protocol.FlitLevelCacheProtocol`
-    on a checked flit-level network of the same design, comparing each
-    delivered hop count against the transaction-level geometry model's
-    assumption (``routing.hops(src, dst) + 1`` -- the ejection switch
-    also counts a hop), and the same samples go through :func:`compare`
-    as a :class:`ProtocolWorkload`. Any divergence is reported, making
-    silent drift between the models loud.
+    deterministic sample of the replay's measured transactions (half of
+    it misses, when the cell misses) is re-enacted through
+    :class:`~repro.noc.protocol.FlitLevelCacheProtocol` on a checked
+    flit-level network of the same design, comparing each delivered hop
+    count against the transaction-level geometry model's assumption
+    (``routing.hops(src, dst) + 1`` -- the ejection switch also counts a
+    hop), and the same samples go through :func:`compare` as a
+    :class:`ProtocolWorkload`. Any divergence is reported, making silent
+    drift between the models loud.
 """
 
 from __future__ import annotations
@@ -410,6 +411,23 @@ def _sample_indices(count: int, sample: int) -> list[int]:
     return sorted({round(i * step) for i in range(sample)})
 
 
+def _oracle_sample(rows: list[tuple[int, bool, int | None]],
+                   sample: int) -> list[int]:
+    """Indices of the *sample* recorded transactions to re-enact, in
+    trace order.
+
+    Half the sample, rounded up, is spread evenly over the misses (all of
+    them, if fewer), so the memory legs are hop-checked whenever the cell
+    misses at all; the rest is spread evenly over the hits. A cell
+    without a miss samples evenly over all its transactions.
+    """
+    misses = [i for i, (_, hit, _) in enumerate(rows) if not hit]
+    hits = [i for i, (_, hit, _) in enumerate(rows) if hit]
+    chosen = [misses[i] for i in _sample_indices(len(misses), (sample + 1) // 2)]
+    chosen += [hits[i] for i in _sample_indices(len(hits), sample - len(chosen))]
+    return sorted(chosen)
+
+
 def _play(protocol: FlitLevelCacheProtocol, sample: tuple) -> None:
     """Play one sampled ``(column, hit, bank_position)`` transaction."""
     column, hit, position = sample
@@ -527,7 +545,7 @@ def run_oracle(
 
     # Flit-level re-enactment of a deterministic transaction sample, on a
     # checked object network: every delivery against the geometry's hops.
-    indices = _sample_indices(len(recorder.rows), sample)
+    indices = _oracle_sample(recorder.rows, sample)
     samples = tuple(recorder.rows[i] for i in indices)
     protocol = FlitLevelCacheProtocol(spec.design, spec.scheme)
     network = protocol.network

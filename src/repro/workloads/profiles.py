@@ -67,11 +67,6 @@ class BenchmarkProfile:
     def write_fraction(self) -> float:
         return self.l2_writes / self.l2_accesses
 
-    @property
-    def mean_gap_instructions(self) -> float:
-        """Average instructions between consecutive L2 accesses."""
-        return 1.0 / self.l2_access_per_instr
-
 
 def _p(name, suite, instr_m, ipc, reads_m, writes_m, api, fp, alpha, stream,
        band=0.0, band_blocks=0):

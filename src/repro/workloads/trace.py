@@ -117,9 +117,5 @@ class Trace:
     def write_count(self) -> int:
         return self.writes.count(True)
 
-    @property
-    def read_count(self) -> int:
-        return len(self) - self.write_count
-
     def distinct_blocks(self, offset_bits: int = 6) -> int:
         return len({address >> offset_bits for address in self.addresses})

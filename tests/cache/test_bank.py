@@ -6,7 +6,6 @@ from repro.cache.bank import (
     NON_UNIFORM_COLUMN,
     bank_descriptors_for_column,
     bank_of_way,
-    column_associativity,
 )
 from repro.errors import ConfigurationError
 
@@ -18,23 +17,20 @@ class TestUniformColumn:
         descriptors = bank_descriptors_for_column([64 * KB] * 16)
         assert len(descriptors) == 16
         assert all(d.ways == 1 for d in descriptors)
-        assert column_associativity(descriptors) == 16
+        assert sum(d.ways for d in descriptors) == 16
 
     def test_way_ranges_are_contiguous(self):
         descriptors = bank_descriptors_for_column([64 * KB] * 4)
-        assert [list(d.way_range) for d in descriptors] == [[0], [1], [2], [3]]
-
-    def test_mru_bank_flag(self):
-        descriptors = bank_descriptors_for_column([64 * KB] * 4)
-        assert descriptors[0].is_mru_bank
-        assert not descriptors[1].is_mru_bank
+        assert [(d.way_start, d.ways) for d in descriptors] == [
+            (0, 1), (1, 1), (2, 1), (3, 1)
+        ]
 
 
 class TestNonUniformColumn:
     def test_paper_column(self):
         descriptors = bank_descriptors_for_column(list(NON_UNIFORM_COLUMN))
         assert [d.ways for d in descriptors] == [1, 1, 2, 4, 8]
-        assert column_associativity(descriptors) == 16
+        assert sum(d.ways for d in descriptors) == 16
 
     def test_bank_of_way_mapping(self):
         descriptors = bank_descriptors_for_column(list(NON_UNIFORM_COLUMN))

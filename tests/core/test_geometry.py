@@ -2,10 +2,16 @@
 
 import pytest
 
-from repro.core.designs import design_a, design_e, design_f
+from repro.cache.address import AddressMapper
+from repro.cache.bank import bank_descriptors_for_column
+from repro.core.designs import NUM_COLUMNS, design_a, design_e, design_f
 from repro.core.geometry import CacheGeometry
+from repro.core.system import NetworkedCacheSystem
 from repro.errors import ConfigurationError
 from repro.noc.topology import HUB
+from repro.telemetry.registry import SPAN_CYCLE_EDGES
+
+MAPPER = AddressMapper()
 
 
 @pytest.fixture
@@ -103,15 +109,105 @@ class TestMemoryPaths:
         assert arrival == 16 + 2
 
 
+def _geometry(spec, spike_queue_entries: int) -> CacheGeometry:
+    columns = [
+        bank_descriptors_for_column(list(spec.bank_capacities))
+        for _ in range(NUM_COLUMNS)
+    ]
+    return CacheGeometry(
+        spec.topology_factory(), columns,
+        spike_queue_entries=spike_queue_entries,
+    )
+
+
+def _system(spec, spike_queue_entries: int = 2) -> NetworkedCacheSystem:
+    return NetworkedCacheSystem(
+        design=spec.key, geometry=_geometry(spec, spike_queue_entries)
+    )
+
+
+def _issue(system, *tags, at=0):
+    """Access column 5 once per tag (set index = tag), all at cycle *at*.
+
+    Returns each access's timing and the cycles from its issue to its
+    request leaving the core (its ``injection_queueing`` leg).
+    """
+    leg = system.engine.metrics.histogram(
+        "cache.span.injection_queueing", SPAN_CYCLE_EDGES
+    )
+    runs = []
+    for tag in tags:
+        before = leg.total
+        timing = system.access(MAPPER.encode(tag=tag, index=tag, column=5), at=at)
+        runs.append((timing, leg.total - before))
+    return runs
+
+
+def _forget_contention(system) -> None:
+    system.geometry.reset_contention()
+    system.memory.reset()
+    system.engine.reset()
+
+
 class TestSpikeQueues:
-    def test_mesh_admission_is_immediate(self, mesh_geometry):
-        assert mesh_geometry.enter_column(0, 5) == 5
+    """A halo spike's issue queue is its column's transaction slots."""
 
-    def test_spike_queue_allows_two(self, halo_geometry):
-        assert halo_geometry.enter_column(0, 0) == 1
-        assert halo_geometry.enter_column(0, 0) == 1
-        assert halo_geometry.enter_column(0, 0) == 2
+    def test_mesh_admission_is_immediate(self):
+        [(_, admission)] = _issue(_system(design_a), 1, at=7)
+        assert admission == 0
 
-    def test_mesh_has_no_spike_queue(self, mesh_geometry):
+    def test_spike_queue_allows_two(self):
+        (first, wait1), (second, wait2) = _issue(_system(design_f, 2), 1, 2)
+        # Each request spends its one admission cycle, and the second
+        # overlaps the first instead of waiting for it to settle.
+        assert wait1 == wait2 == 1
+        assert second.data_at_core == 254
+        assert second.data_at_core < first.settled + first.latency
+
+    def test_two_entries_admit_two_concurrent(self):
+        (first, wait1), (_, wait2), (_, wait3) = _issue(
+            _system(design_f, 2), 1, 2, 3
+        )
+        # Two requests hold both entries at once; a third waits until
+        # the first settles and frees its entry.
+        assert wait1 == wait2 == 1
+        assert wait3 == first.settled + 1
+
+    def test_one_entry_serializes_the_spike(self):
+        (first, _), (second, wait) = _issue(_system(design_f, 1), 1, 2)
+        assert first.settled == 223
+        # The second request enters the queue only when the first
+        # settles, then replays the first one's uncontended flow.
+        assert wait == first.settled + 1
+        assert second.data_at_core == first.settled + first.latency == 445
+
+    def test_earliest_free_entry_wins(self):
+        system = _system(design_f, 2)
+        _issue(system, 1)  # tag 1 now sits in the MRU bank
+        _forget_contention(system)
+        (miss, _), (hit, _), (_, wait) = _issue(system, 2, 1, 3)
+        assert not miss.hit and hit.hit
+        assert hit.settled < miss.settled
+        # Both entries are taken; the hit's frees first.
+        assert wait == hit.settled + 1
+
+    def test_reset_frees_every_entry(self):
+        system = _system(design_f, 1)
+        [(first, _)] = _issue(system, 1)
+        _forget_contention(system)
+        [(second, wait)] = _issue(system, 2)
+        assert wait == 1
+        assert second.latency == first.latency
+
+    def test_depth_is_the_halo_column_slots(self):
+        assert _geometry(design_f, 4).column_slots == 4
+        assert design_f.build().column_slots == 2
+
+    def test_mesh_column_admits_one_transaction(self):
+        # A mesh column admits one transaction whatever the depth knob.
+        assert _geometry(design_a, 4).column_slots == 1
+
+    @pytest.mark.parametrize("spec", [design_a, design_f], ids=["mesh", "halo"])
+    def test_zero_entries_is_a_configuration_error(self, spec):
         with pytest.raises(ConfigurationError):
-            mesh_geometry.spike_queue(0)
+            _geometry(spec, 0)

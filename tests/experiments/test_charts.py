@@ -93,8 +93,8 @@ class TestReportFormatting:
 
 class TestFullReport:
     def test_artifact_registry(self):
-        from repro.experiments.full_report import artifact_names
+        from repro.experiments.full_report import _ARTIFACTS
 
-        names = artifact_names()
+        names = [title for title, _, _ in _ARTIFACTS]
         assert len(names) == 11
         assert any("Figure 9" in n for n in names)

@@ -22,6 +22,17 @@ class TestAblations:
     def test_spike_queue_depths(self):
         points = ablations.spike_queue_ablation(TINY, depths=(1, 2))
         assert len(points) == 2
+        # One entry serializes each spike, so the queue depth binds.
+        assert points[0].mean_latency > points[1].mean_latency
+
+    def test_render_prints_the_change_from_the_first_row(self):
+        points = [
+            ablations.AblationPoint("base", 0.2, 50.0),
+            ablations.AblationPoint("faster", 0.25, 40.0),
+        ]
+        lines = ablations.render(points, "t").splitlines()
+        assert "IPC 0.200 (+0.0% vs first)" in lines[2]
+        assert "IPC 0.250 (+25.0% vs first)" in lines[3]
 
     def test_sampling_ablation(self):
         ratios = ablations.sampling_ablation(TINY, index_spaces=(8, 16))

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import config
 from repro.errors import ProtocolError
 from repro.noc import Flit, FlitType, MessageType, Packet
 
@@ -105,11 +104,6 @@ class TestFlit:
         packet = Packet(MessageType.READ_REQUEST, source=(0, 0),
                         destinations=destinations)
         return packet.flits()[0]
-
-    def test_payload_excludes_overhead(self):
-        flit = self._flit()
-        assert flit.payload_bits == config.FLIT_SIZE_BITS - config.FLIT_OVERHEAD_BITS
-        assert flit.size_bits == config.FLIT_SIZE_BITS
 
     def test_clone_narrows_destinations(self):
         flit = self._flit(destinations=((1, 1), (2, 2)))

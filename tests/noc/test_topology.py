@@ -46,7 +46,7 @@ class TestTopologyBase:
         topology.add_node(1)
         topology.add_node(2)
         topology.add_bidirectional(1, 2)
-        assert topology.num_channels == 2
+        assert len(topology.channels()) == 2
         assert topology.num_links == 1
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for interval resources and trackers."""
+"""Unit tests for interval resources."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.designs import design_a
 from repro.core.geometry import Segment
 from repro.errors import SimulationError
-from repro.sim import FloorClock, OccupancyTracker, Resource
+from repro.sim import FloorClock, Resource
 
 
 class TestResource:
@@ -118,39 +118,6 @@ class TestResource:
         granted.sort()
         for (_, end_a), (start_b, _) in zip(granted, granted[1:]):
             assert end_a <= start_b
-
-
-class TestOccupancyTracker:
-    def test_two_servers_allow_two_concurrent(self):
-        tracker = OccupancyTracker(2)
-        assert tracker.acquire(0, 10) == 0
-        assert tracker.acquire(0, 10) == 0
-        assert tracker.acquire(0, 10) == 10
-
-    def test_earliest_server_wins(self):
-        tracker = OccupancyTracker(2)
-        tracker.acquire(0, 10)
-        tracker.acquire(0, 4)
-        assert tracker.acquire(0, 1) == 4
-
-    def test_single_server_serializes(self):
-        tracker = OccupancyTracker(1)
-        assert tracker.acquire(0, 3) == 0
-        assert tracker.acquire(1, 3) == 3
-
-    def test_invalid_servers_rejected(self):
-        with pytest.raises(SimulationError):
-            OccupancyTracker(0)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(SimulationError):
-            OccupancyTracker(1).acquire(0, -5)
-
-    def test_reset(self):
-        tracker = OccupancyTracker(2)
-        tracker.acquire(0, 100)
-        tracker.reset()
-        assert tracker.acquire(0, 1) == 0
 
 
 class TestFloorClock:

@@ -16,6 +16,7 @@ from repro.validation.differential import (
     DRAIN_PER_FLIT,
     FlitWorkload,
     PacketSpec,
+    _oracle_sample,
     _sample_indices,
 )
 
@@ -46,6 +47,29 @@ class TestSampleIndices:
 
     def test_deterministic(self):
         assert _sample_indices(240, 4) == _sample_indices(240, 4)
+
+
+class TestOracleSample:
+    @staticmethod
+    def _rows(hits):
+        return [(0, hit, 0 if hit else None) for hit in hits]
+
+    def test_cell_without_misses_spreads_over_everything(self):
+        rows = self._rows([True] * 240)
+        assert _oracle_sample(rows, 4) == _sample_indices(240, 4)
+
+    def test_half_the_sample_is_misses(self):
+        rows = self._rows([i % 10 != 3 for i in range(100)])  # 10 misses
+        chosen = _oracle_sample(rows, 5)
+        assert chosen == sorted(chosen)
+        assert len(chosen) == 5
+        misses = [i for i in chosen if not rows[i][1]]
+        assert misses == [3, 43, 93]  # ceil(5 / 2), spread over the misses
+
+    def test_few_misses_are_all_taken(self):
+        rows = self._rows([i != 7 for i in range(50)])
+        chosen = _oracle_sample(rows, 4)
+        assert 7 in chosen and len(chosen) == 4
 
 
 class TestDrainGuard:
@@ -118,6 +142,13 @@ class TestOracleAgreement:
             assert leg.destination == (column, position + 1)
         for leg in report.legs:
             assert leg.delivered_hops == leg.predicted_hops
+
+    def test_miss_sample_reports_memory_legs(self):
+        # mcf misses at this scale; the sample must reach the memory path.
+        report = run_oracle("A", "unicast+lru", "mcf", measure=90, sample=2)
+        assert report.ok, report.render()
+        legs = {leg.leg for leg in report.legs}
+        assert {"memory_request", "memory_fill", "fill_forward"} <= legs
 
     def test_report_renders_every_leg(self):
         report = run_oracle(measure=90, sample=2)

@@ -38,7 +38,6 @@ class TestTrace:
     def test_counts(self):
         trace = self._trace()
         assert trace.write_count == 1
-        assert trace.read_count == 2
 
     def test_total_instructions(self):
         assert self._trace().total_instructions == 10
