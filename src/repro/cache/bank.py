@@ -1,4 +1,4 @@
-"""Bank descriptors: capacity, way span, and Table-1 timing.
+"""Bank descriptors: capacity, way count, and Table-1 timing.
 
 A *column* (mesh) or *spike* (halo) of banks implements one group of bank
 sets. With uniform 64 KB banks each bank is direct-mapped and holds exactly
@@ -27,11 +27,10 @@ NON_UNIFORM_COLUMN = (
 
 @dataclass(frozen=True)
 class BankDescriptor:
-    """One bank's position, way span, and timing inside a column."""
+    """One bank's position, way count, and timing inside a column."""
 
     position: int
     capacity_bytes: int
-    way_start: int
     ways: int
     timing: BankTiming
 
@@ -48,7 +47,6 @@ def bank_descriptors_for_column(
     across the column is the bank set's associativity.
     """
     descriptors: list[BankDescriptor] = []
-    way_start = 0
     for position, capacity in enumerate(capacities):
         blocks = capacity // block_size
         if blocks % sets_per_bank:
@@ -64,12 +62,10 @@ def bank_descriptors_for_column(
             BankDescriptor(
                 position=position,
                 capacity_bytes=capacity,
-                way_start=way_start,
                 ways=ways,
                 timing=BankTiming.for_capacity(capacity),
             )
         )
-        way_start += ways
     return descriptors
 
 

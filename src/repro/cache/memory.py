@@ -1,9 +1,9 @@
 """Off-chip memory timing model (Table 1).
 
-Pipelined: an access observes ``130 + 4 * ceil(bytes/8)`` cycles of latency
-(162 for a 64 B block), but the pipeline accepts a new transfer only every
-``4 * ceil(bytes/8)`` cycles, so back-to-back fills and write-backs queue
-on the memory channel.
+Pipelined: an access observes ``base + 4 * ceil(bytes/8)`` cycles of
+latency (Table 1's base is 130, so 162 for a 64 B block), but the
+pipeline accepts a new transfer only every ``4 * ceil(bytes/8)`` cycles,
+so back-to-back fills and write-backs queue on the memory channel.
 """
 
 from __future__ import annotations
@@ -15,22 +15,21 @@ from repro.sim.resource import Resource
 class MemoryModel:
     """A bandwidth-limited, fixed-latency memory behind one channel."""
 
-    def __init__(self, block_size: int = config.BLOCK_SIZE_BYTES) -> None:
+    def __init__(
+        self,
+        block_size: int = config.BLOCK_SIZE_BYTES,
+        base_latency: int = config.MEMORY_BASE_LATENCY,
+    ) -> None:
         self.block_size = block_size
+        #: Pipeline occupancy of one block transfer.
+        self.transfer_cycles = config.MEMORY_CYCLES_PER_8B * (
+            (block_size + 7) // 8
+        )
+        #: Start-to-data latency of one block access.
+        self.access_latency = base_latency + self.transfer_cycles
         self.channel = Resource(name="memory-channel")
         self.reads = 0
         self.writebacks = 0
-
-    @property
-    def transfer_cycles(self) -> int:
-        """Pipeline occupancy of one block transfer."""
-        chunks = (self.block_size + 7) // 8
-        return config.MEMORY_CYCLES_PER_8B * chunks
-
-    @property
-    def access_latency(self) -> int:
-        """Start-to-data latency of one block access."""
-        return config.memory_access_latency(self.block_size)
 
     def read(self, time: int) -> tuple[int, int]:
         """Issue a block read at *time*.

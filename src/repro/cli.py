@@ -273,7 +273,7 @@ def cmd_validate(args: argparse.Namespace) -> str:
 
 def cmd_faults(args: argparse.Namespace) -> str:
     from repro.experiments import fault_sweep
-    from repro.faults.campaign import CampaignConfig
+    from repro.faults.campaign import CampaignConfig, run_campaign
 
     config = CampaignConfig(
         designs=tuple(args.designs),
@@ -285,7 +285,7 @@ def cmd_faults(args: argparse.Namespace) -> str:
         fault_seed=args.fault_seed if args.fault_seed is not None else args.seed,
         window=args.window,
     )
-    return fault_sweep.render(fault_sweep.run(config))
+    return fault_sweep.render(run_campaign(config))
 
 
 def _render_serve_cell(spec, result) -> str:

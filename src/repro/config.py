@@ -9,6 +9,8 @@ level and transaction level) and all area models agree on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.errors import ConfigurationError
 
@@ -24,7 +26,8 @@ CONTROL_PACKET_FLITS = 1
 
 #: Number of flits in a packet that carries a 64 B block (write request,
 #: replacement transfer, memory fill, hit-data forwarding): 32-bit address +
-#: 64 B data + per-flit overhead split into five flits (Section 5).
+#: 64 B data + per-flit overhead (type 2, size 7, routing 8 and comm type
+#: 1 bits) split into five flits (Section 5).
 DATA_PACKET_FLITS = 5
 
 #: Base (uncontended) off-chip memory latency in core cycles.
@@ -32,9 +35,6 @@ MEMORY_BASE_LATENCY = 130
 
 #: Additional pipelined memory cycles per 8 bytes transferred.
 MEMORY_CYCLES_PER_8B = 4
-
-#: Per-flit overhead bits: type(2) + size(7) + routing(8) + comm type(1).
-FLIT_OVERHEAD_BITS = 18
 
 #: Latency in cycles of one router pipeline stage (Table 1).
 ROUTER_STAGE_LATENCY = 1
@@ -44,17 +44,6 @@ VCS_PER_PC = 4
 
 #: Flit buffer depth (flits) of each virtual channel.
 FLIT_BUFFER_DEPTH = 4
-
-#: Supported bank capacities (bytes) with their Table-1 latencies.
-#: wire: per-hop global wire delay in cycles for a tile of this bank size.
-#: tag: bank access latency (cycles) for tag matching only.
-#: tag_repl: bank access latency (cycles) for tag matching + replacement.
-_BANK_TIMING = {
-    64 * 1024: {"wire": 1, "tag": 2, "tag_repl": 3},
-    128 * 1024: {"wire": 2, "tag": 4, "tag_repl": 4},
-    256 * 1024: {"wire": 2, "tag": 4, "tag_repl": 5},
-    512 * 1024: {"wire": 3, "tag": 5, "tag_repl": 6},
-}
 
 
 def memory_access_latency(bytes_transferred: int = BLOCK_SIZE_BYTES) -> int:
@@ -74,8 +63,11 @@ class BankTiming:
     """Timing of a single cache bank of a given capacity (Table 1)."""
 
     capacity_bytes: int
+    #: Per-hop global wire delay (cycles) across a tile of this bank size.
     wire_delay: int
+    #: Bank access latency (cycles) for tag matching only.
     tag_latency: int
+    #: Bank access latency (cycles) for tag matching + replacement.
     tag_replace_latency: int
 
     @classmethod
@@ -86,19 +78,26 @@ class BankTiming:
         characterize.
         """
         try:
-            entry = _BANK_TIMING[capacity_bytes]
+            return _BANK_TIMING[capacity_bytes]
         except KeyError:
             supported = ", ".join(str(k) for k in sorted(_BANK_TIMING))
             raise ConfigurationError(
                 f"unsupported bank capacity {capacity_bytes}; "
                 f"supported: {supported}"
             ) from None
-        return cls(
-            capacity_bytes=capacity_bytes,
-            wire_delay=entry["wire"],
-            tag_latency=entry["tag"],
-            tag_replace_latency=entry["tag_repl"],
-        )
+
+
+#: Supported bank capacities (bytes) with their Table-1 timing; read-only,
+#: so a model that wants other wires builds them into its own topology.
+_BANK_TIMING: Mapping[int, BankTiming] = MappingProxyType({
+    timing.capacity_bytes: timing
+    for timing in (
+        BankTiming(64 * 1024, wire_delay=1, tag_latency=2, tag_replace_latency=3),
+        BankTiming(128 * 1024, wire_delay=2, tag_latency=4, tag_replace_latency=4),
+        BankTiming(256 * 1024, wire_delay=2, tag_latency=4, tag_replace_latency=5),
+        BankTiming(512 * 1024, wire_delay=3, tag_latency=5, tag_replace_latency=6),
+    )
+})
 
 
 def supported_bank_capacities() -> tuple[int, ...]:

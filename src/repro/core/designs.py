@@ -61,8 +61,9 @@ class DesignSpec:
     def build(self) -> CacheGeometry:
         """Materialize the pristine geometry (topology + bank descriptors).
 
-        The experiment runner builds the geometries of the ablations and
-        fault campaigns itself (router, spike-queue and fault overrides).
+        The experiment runner builds the geometries of the ablations,
+        sensitivity sweeps and fault campaigns itself (router,
+        spike-queue, wire-scale and fault overrides).
         """
         columns = [
             bank_descriptors_for_column(list(self.bank_capacities))

@@ -28,6 +28,7 @@ from repro.cache.bankset import BankSetStats
 from repro.cache.memory import MemoryModel
 from repro.cache.partial_tags import PartialTagStore
 from repro.cache.static_nuca import StaticNUCAArray
+from repro.config import MEMORY_BASE_LATENCY
 from repro.core.designs import DesignSpec, design_spec
 from repro.core.flows import (
     STATIC_NUCA,
@@ -161,7 +162,9 @@ class NetworkedCacheSystem:
     """A complete design + scheme instance ready to run traces.
 
     *geometry* is the timing geometry to run on; by default the design's
-    pristine one. The scheme ``static-nuca`` builds the S-NUCA baseline:
+    pristine one. *memory_base_latency* is the off-chip memory's base
+    latency (Table 1: 130 cycles). The scheme ``static-nuca`` builds the
+    S-NUCA baseline:
     :class:`~repro.cache.static_nuca.StaticNUCAArray` contents timed by
     :class:`~repro.core.flows.StaticNUCAEngine`.
     """
@@ -174,12 +177,13 @@ class NetworkedCacheSystem:
         geometry: CacheGeometry | None = None,
         early_miss_detection: bool = False,
         window: int = 0,
+        memory_base_latency: int = MEMORY_BASE_LATENCY,
     ) -> None:
         self.spec = design_spec(design) if isinstance(design, str) else design
         self.scheme = make_scheme(scheme) if isinstance(scheme, str) else scheme
         self.geometry = geometry if geometry is not None else self.spec.build()
         self.mapper = mapper or AddressMapper()
-        self.memory = MemoryModel()
+        self.memory = MemoryModel(base_latency=memory_base_latency)
         self.memory.channel.floor_clock = self.geometry.floor_clock
         self.array: CacheArray
         self.engine: TransactionEngine | StaticNUCAEngine

@@ -5,10 +5,10 @@ contribution on a fixed workload mix:
 
 * ``router``      -- single-cycle router vs the classic 5-stage pipeline;
 * ``spike_queue`` -- halo spike issue-queue depth (the paper uses 2);
-* ``multicast``   -- parallel tag match vs sequential search (Fast-LRU
-                     contents held fixed);
-* ``fast_lru``    -- overlapped vs classic replacement (multicast held
-                     fixed);
+* ``spiral``      -- straight vs spiral spikes, whose longer wires the
+                     model takes as twice the wire delay (Design E);
+* ``mechanism``   -- the proposal factored: unicast Promotion on the mesh,
+                     then + Fast-LRU, + multicast, + the halo (Design F);
 * ``sampling``    -- set-sampling sensitivity: the figure shapes must not
                      depend on the sampled index-space size;
 * ``issue_model`` -- hide_cycles sensitivity of the blocking-read IPC
@@ -90,14 +90,14 @@ def spike_queue_ablation(
 def spiral_spike_ablation(
     config: ExperimentConfig | None = None,
 ) -> list[AblationPoint]:
-    """Straight vs spiral (curved) spikes on a uniform halo.
+    """Straight vs spiral (curved) spikes on Design E's uniform halo.
 
     Section 4: curving a spike packs the die better but lengthens its
-    wires; we model the spiral as doubling every spike wire delay.
+    wires; we model the spiral as doubling every wire delay of the halo.
     """
     config = config or ExperimentConfig()
     return _points(config, [
-        (label, _mix_specs(config, design="E", spike_wire_scale=scale))
+        (label, _mix_specs(config, design="E", wire_delay_scale=scale))
         for label, scale in (("straight spikes", 1), ("spiral spikes (2x wire)", 2))
     ])
 

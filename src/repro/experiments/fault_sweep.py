@@ -1,25 +1,17 @@
 """Fault-rate sweep: availability, goodput, and latency degradation.
 
-Not a paper artifact -- a resilience extension (DESIGN.md §11). The sweep
-drives :mod:`repro.faults.campaign` through the standard experiment
-engine and renders one curve row per (design, scheme, rate): how much
-fault pressure the fabric absorbs through degraded-mode reroutes and
-end-to-end retries before capacity truncation and retry stalls show up
-as latency degradation.
+Not a paper artifact -- a resilience extension (DESIGN.md §11).
+:func:`repro.faults.campaign.run_campaign` runs the sweep through the
+standard experiment engine; this module renders one curve row per
+(design, scheme, rate): how much fault pressure the fabric absorbs
+through degraded-mode reroutes and end-to-end retries before capacity
+truncation and retry stalls show up as latency degradation.
 """
 
 from __future__ import annotations
 
 from repro.experiments.report import format_table
-from repro.faults.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    run_campaign,
-)
-
-
-def run(config: CampaignConfig | None = None) -> CampaignResult:
-    return run_campaign(config)
+from repro.faults.campaign import CampaignResult
 
 
 def render(result: CampaignResult) -> str:

@@ -35,19 +35,20 @@ the engine tests assert.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Sequence
 
 from repro import telemetry
+from repro.config import MEMORY_BASE_LATENCY
 from repro.core.flows import STATIC_NUCA
 from repro.core.system import NetworkedCacheSystem, RunResult
 from repro.errors import ConfigurationError
 from repro.experiments.cache import ResultCache
+from repro.workloads.generator import DEFAULT_INDEX_SPACE
 
 if TYPE_CHECKING:
     from repro.cmp import CMPResult
@@ -67,7 +68,9 @@ class CellSpec:
 
     The first three fields are the paper's (design, scheme, benchmark)
     coordinates; the rest pin down the trace and every model override the
-    sweeps use, so equal specs always produce bit-identical results. The
+    sweeps use, so equal specs always produce bit-identical results. Each
+    override defaults to the paper's value and is built into the cell's
+    own objects; no cell writes module state another cell reads. The
     scheme :data:`~repro.core.flows.STATIC_NUCA` runs the S-NUCA baseline
     on the same trace and fabric.
     """
@@ -79,18 +82,18 @@ class CellSpec:
     seed: int
     #: IssueModel overlap knob (issue-model ablation).
     hide_cycles: int = 0
-    #: Set-sampling width override (sampling ablation); None = generator default.
-    index_space: int | None = None
+    #: Sampled index values of the trace (sampling ablation).
+    index_space: int = DEFAULT_INDEX_SPACE
     #: Halo spike issue-queue depth (spike-queue ablation).
     spike_queue_entries: int = 2
-    #: Router pipeline override (router ablation); None = design default.
-    single_cycle_router: bool | None = None
-    #: Off-chip base latency override (memory sensitivity); None = Table 1.
-    memory_base_latency: int | None = None
-    #: Scale factor on every Table-1 bank wire delay (wire sensitivity).
-    wire_delay_scale: int | None = None
-    #: Spike wire-delay scale on a rebuilt uniform halo (spiral ablation).
-    spike_wire_scale: int | None = None
+    #: Single-cycle routers (Table 1); False runs the 5-stage pipeline
+    #: (router ablation).
+    single_cycle_router: bool = True
+    #: Off-chip base latency in cycles (memory sensitivity).
+    memory_base_latency: int = MEMORY_BASE_LATENCY
+    #: Factor on the wire delay of every channel of the cell's fabric
+    #: (wire sensitivity; the spiral-spike ablation on design E).
+    wire_delay_scale: int = 1
     #: Partial-tag early miss detection (D-NUCA smart search).
     early_miss_detection: bool = False
     #: Fault-injection rates (repro.faults); all-zero means the pristine
@@ -270,7 +273,7 @@ def spec_for(
 
 # -- cell execution (must stay top-level: workers pickle by reference) -------
 
-_TraceKey = tuple[str, int, int, int | None]
+_TraceKey = tuple[str, int, int, int]
 
 _worker_traces: dict[_TraceKey, tuple[Trace, int]] = {}
 
@@ -292,11 +295,11 @@ def trace_with_warmup(spec: CellSpec) -> tuple[Trace, int]:
     )
     cached = _worker_traces.get(key)
     if cached is None:
-        profile = profile_by_name(spec.benchmark)
-        kwargs: dict[str, int] = (
-            {} if spec.index_space is None else {"index_space": spec.index_space}
+        generator = TraceGenerator(
+            profile_by_name(spec.benchmark),
+            seed=spec.seed,
+            index_space=spec.index_space,
         )
-        generator = TraceGenerator(profile, seed=spec.seed, **kwargs)
         cached = generator.generate_with_warmup(measure=spec.measure)
         # A bounded per-process memo: each value is a pure function of its
         # key, so evicting or refilling it never changes a result.
@@ -304,34 +307,6 @@ def trace_with_warmup(spec: CellSpec) -> tuple[Trace, int]:
             _worker_traces.clear()
         _worker_traces[key] = cached
     return cached
-
-
-@contextlib.contextmanager
-def _model_overrides(spec: CellSpec) -> Iterator[None]:
-    """Apply the spec's global model overrides, restoring them on exit."""
-    from repro import config as repro_config
-
-    if spec.memory_base_latency is None and spec.wire_delay_scale is None:
-        yield
-        return
-    original_memory = repro_config.MEMORY_BASE_LATENCY
-    original_wires = {
-        capacity: entry["wire"]
-        for capacity, entry in repro_config._BANK_TIMING.items()
-    }
-    try:
-        if spec.memory_base_latency is not None:
-            # Restored in the finally below; cells run strictly serially
-            # within a worker process.
-            repro_config.MEMORY_BASE_LATENCY = spec.memory_base_latency
-        if spec.wire_delay_scale is not None:
-            for capacity, entry in repro_config._BANK_TIMING.items():
-                entry["wire"] = original_wires[capacity] * spec.wire_delay_scale
-        yield
-    finally:
-        repro_config.MEMORY_BASE_LATENCY = original_memory
-        for capacity, entry in repro_config._BANK_TIMING.items():
-            entry["wire"] = original_wires[capacity]
 
 
 #: CellSpec fields the S-NUCA model has no use for: a cell that sets one
@@ -362,15 +337,16 @@ def _build_system(spec: CellSpec) -> NetworkedCacheSystem:
         geometry=_build_geometry(spec),
         early_miss_detection=spec.early_miss_detection,
         window=spec.window,
+        memory_base_latency=spec.memory_base_latency,
     )
 
 
 def _build_geometry(spec: CellSpec) -> CacheGeometry:
     """The cell's timing geometry.
 
-    The fabric is the design's, or for the spiral-spike ablation a
-    uniform 16x16 halo whose spike wires are scaled. Under nonzero fault
-    rates it is a proof-checked
+    The fabric is a newly built topology of the cell's design, with every
+    channel's wire delay scaled by ``wire_delay_scale``. Under nonzero
+    fault rates the geometry is a proof-checked
     :class:`~repro.faults.recovery.DegradedCacheGeometry` over a
     :class:`~repro.faults.models.FaultPlan` sampled from the rates and
     the fault seed (columns truncated to their live prefixes).
@@ -379,26 +355,16 @@ def _build_geometry(spec: CellSpec) -> CacheGeometry:
     from repro.config import RouterConfig
     from repro.core.designs import NUM_COLUMNS, design_spec
     from repro.core.geometry import CacheGeometry
-    from repro.noc.topology import HaloTopology
 
-    router_config = None
-    if spec.single_cycle_router is not None:
-        router_config = RouterConfig(single_cycle=spec.single_cycle_router)
-    if spec.spike_wire_scale is None:
-        design = design_spec(spec.design)
-        topology = design.topology_factory()
-        capacities = list(design.bank_capacities)
-    else:
-        capacities = [64 * 1024] * 16
-        topology = HaloTopology(
-            16,
-            16,
-            position_bank_capacities=capacities,
-            memory_pin_delay=16,
-            wire_delay_scale=spec.spike_wire_scale,
-        )
+    router_config = RouterConfig(single_cycle=spec.single_cycle_router)
+    design = design_spec(spec.design)
+    topology = design.topology_factory()
+    if spec.wire_delay_scale != 1:
+        # Scaling rebuilds every channel; at 1 it would rebuild them as is.
+        topology.scale_wire_delays(spec.wire_delay_scale)
     columns = [
-        bank_descriptors_for_column(capacities) for _ in range(NUM_COLUMNS)
+        bank_descriptors_for_column(design.bank_capacities)
+        for _ in range(NUM_COLUMNS)
     ]
     if not spec.has_faults:
         return CacheGeometry(
@@ -433,11 +399,10 @@ def _simulate(spec: CellSpec) -> tuple[NetworkedCacheSystem, RunResult]:
     profile = profile_by_name(spec.benchmark)
     trace, warmup = trace_with_warmup(spec)
     started = time.perf_counter()
-    with _model_overrides(spec):
-        system = _build_system(spec)
-        result = system.run(
-            trace, profile, warmup=warmup, hide_cycles=spec.hide_cycles
-        )
+    system = _build_system(spec)
+    result = system.run(
+        trace, profile, warmup=warmup, hide_cycles=spec.hide_cycles
+    )
     result.wall_s = time.perf_counter() - started
     result.provenance = telemetry.provenance_block(spec)
     return system, result

@@ -7,8 +7,8 @@ is far; both are technology parameters. This experiment sweeps them:
   does the Design-F-over-Design-A IPC ratio move? (Slower memory dilutes
   the on-chip advantage for miss-heavy mixes; faster memory amplifies
   the hit-path win.)
-* **wire delay** -- scaling every Table-1 wire delay by k models worse
-  (or better) global wires; the halo's short MRU paths should matter
+* **wire delay** -- scaling the wire delay of every channel by k models
+  worse global wires; the halo's short MRU paths should matter
   *more* as wires get worse, which is the paper's underlying bet on
   technology scaling ("increasing wire delays ... lead to various
   technologies to minimize the impact of slow on-chip communication").
@@ -42,9 +42,8 @@ def _sweep(
 ) -> list[SensitivityPoint]:
     """One engine batch covering every (value, design, benchmark) cell.
 
-    The model override travels inside each :class:`CellSpec`, so workers
-    apply it locally (and restore it) instead of the sweep mutating
-    ``repro.config`` around serial runs.
+    The model override travels inside each :class:`CellSpec`, which
+    builds it into the cell's own topology or memory model.
     """
     specs = [
         spec_for(design, SCHEME, benchmark, config, **overrides_of(value))
@@ -85,7 +84,7 @@ def wire_delay_sweep(
     config: ExperimentConfig | None = None,
     scales: tuple = (1, 2, 3),
 ) -> list[SensitivityPoint]:
-    """Scale every Table-1 wire delay by an integer factor."""
+    """Scale the wire delay of every channel by an integer factor."""
     config = config or ExperimentConfig()
     return _sweep(
         config,

@@ -21,7 +21,6 @@ from repro.faults.models import (
 )
 from repro.faults.recovery import (
     DegradedCacheGeometry,
-    RetryPolicy,
     TransactionFaultStats,
     truncate_columns,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "DegradedRouting",
     "FaultPlan",
     "LinkFault",
-    "RetryPolicy",
     "TransactionFaultStats",
     "TransientFaults",
     "alive_nodes",

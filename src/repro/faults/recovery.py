@@ -6,9 +6,9 @@ surviving fabric of a :class:`~repro.faults.models.FaultPlan`: columns are
 truncated to their live prefix (:func:`truncate_columns`), routes come
 from :class:`~repro.faults.reroute.DegradedRouting`, and each traversal
 runs a seeded transient-loss retry loop charging ``timeout + backoff``
-per attempt (:class:`RetryPolicy`). Zero-fault plans draw no randomness
-and add no cycles, so a degraded geometry with an empty plan is
-bit-identical to the base.
+per attempt (:data:`RETRY_TIMEOUT`, :func:`backoff`). Zero-fault plans
+draw no randomness and add no cycles, so a degraded geometry with an
+empty plan is bit-identical to the base.
 """
 
 from __future__ import annotations
@@ -25,23 +25,16 @@ from repro.noc.topology import HaloTopology, Topology, spike_node
 from repro.telemetry.registry import RECOVERY_LATENCY_EDGES
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff for a lost traversal's re-send."""
+#: Cycles after issue before an undelivered message is presumed lost.
+RETRY_TIMEOUT = 64
+#: Re-sends of one traversal before its loss is escalated out of band.
+MAX_RETRIES = 8
 
-    #: Cycles after issue before an undelivered message is presumed lost.
-    timeout: int = 64
-    #: Backoff before retry k is ``min(backoff_base * 2**k, backoff_cap)``.
-    backoff_base: int = 4
-    backoff_cap: int = 256
-    max_retries: int = 8
 
-    def __post_init__(self) -> None:
-        if self.timeout < 1 or self.backoff_base < 0 or self.max_retries < 0:
-            raise ConfigurationError(f"invalid retry policy {self}")
-
-    def backoff(self, attempt: int) -> int:
-        return min(self.backoff_base * (2 ** attempt), self.backoff_cap)
+def backoff(attempt: int) -> int:
+    """Cycles retry *attempt* (0-based) waits after its timeout:
+    ``4 * 2**attempt``, capped at 256."""
+    return min(4 * 2**attempt, 256)
 
 
 def truncate_columns(
@@ -108,8 +101,8 @@ class DegradedCacheGeometry(CacheGeometry):
     """A :class:`CacheGeometry` over the surviving fabric of a fault plan.
 
     Construction truncates columns to their live prefixes, swaps in
-    degraded routing, and (by default) proof-checks every endpoint pair it
-    can ever route. ``reserve_segment`` then counts rerouted traversals
+    degraded routing, and proof-checks every endpoint pair it can ever
+    route. ``reserve_segment`` then counts rerouted traversals
     and runs the seeded transient retry loop on every segment. Because it
     is overridden, the column walks reserve every link through it too, one
     call per segment, instead of granting the hops inline; with a null
@@ -123,11 +116,9 @@ class DegradedCacheGeometry(CacheGeometry):
         columns: list,
         plan: FaultPlan,
         *,
-        policy: RetryPolicy | None = None,
         seed: int = 0,
         router_config=None,
         spike_queue_entries: int = 2,
-        verify: bool = True,
     ) -> None:
         routing = DegradedRouting(
             topology, routing_for(topology), plan.dead_channels()
@@ -141,24 +132,22 @@ class DegradedCacheGeometry(CacheGeometry):
             spike_queue_entries=spike_queue_entries,
         )
         self.fault_plan = plan
-        self.retry_policy = policy or RetryPolicy()
         self.fault_seed = seed
         self.fault_stats = TransactionFaultStats()
         transients = plan.transients
         self._transient_rate = transients.drop_rate if transients else 0.0
         self._rng = random.Random(f"faults/txn/{seed}")
-        if verify:
-            self.verify_routes()
-
-    def verify_routes(self) -> dict:
-        """Proof-check every endpoint pair this geometry can route."""
+        # Proof-check every endpoint pair this geometry can route.
         endpoints = {self.core_node, self.memory_node}
         for col in range(self.num_columns):
             for pos in range(self.banks_per_column(col)):
                 endpoints.add(self.bank_node(col, pos))
         ordered = sorted(endpoints, key=str)
-        pairs = [(s, d) for s in ordered for d in ordered if s != d]
-        return verify_degraded(self.topology, self.routing, pairs=pairs)
+        verify_degraded(
+            topology,
+            routing,
+            pairs=[(s, d) for s in ordered for d in ordered if s != d],
+        )
 
     def reserve_segment(
         self,
@@ -175,15 +164,14 @@ class DegradedCacheGeometry(CacheGeometry):
         first_arrival = arrival
         attempt = 0
         send_time = time
-        policy = self.retry_policy
         while self._rng.random() < self._transient_rate:
-            if attempt >= policy.max_retries:
+            if attempt >= MAX_RETRIES:
                 self.fault_stats.exhausted_retries += 1
                 break
             # The sender detects the loss one timeout after issue, backs
             # off, and re-sends; the wire/bank reservations of the doomed
             # attempt stay charged (the flits did occupy them).
-            resend = send_time + policy.timeout + policy.backoff(attempt)
+            resend = send_time + RETRY_TIMEOUT + backoff(attempt)
             # The caller charges the segment as one traversal from *time*
             # to the final arrival. Charging each abandoned attempt as a
             # traversal from the resend to its own arrival makes the

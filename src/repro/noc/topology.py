@@ -17,7 +17,7 @@ ties wire delay to the bank size of the traversed tile).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.config import BankTiming
 from repro.errors import TopologyError
@@ -104,6 +104,21 @@ class Topology:
     ) -> None:
         self.add_channel(a, b, wire_delay, orientation)
         self.add_channel(b, a, wire_delay, orientation)
+
+    def scale_wire_delays(self, factor: int) -> None:
+        """Multiply the wire delay of every channel by *factor* (>= 1).
+
+        Models slower global wires (a later technology node) or longer
+        ones (Section 4's spiral spikes, which 'incur the longer wire
+        delay'). Timing reads channels only, so this covers delays the
+        constructor pinned as well as the Table-1 ones.
+        """
+        if factor < 1:
+            raise TopologyError(f"wire delay factor must be >= 1, got {factor}")
+        self._channels = {
+            key: replace(channel, wire_delay=channel.wire_delay * factor)
+            for key, channel in self._channels.items()
+        }
 
     # -- queries ----------------------------------------------------------
 
@@ -338,16 +353,9 @@ class HaloTopology(Topology):
         spike_length: int,
         position_bank_capacities: list[int] | None = None,
         memory_pin_delay: int = 0,
-        wire_delay_scale: int = 1,
         name: str | None = None,
     ) -> None:
-        """*wire_delay_scale* > 1 models a curved (spiral) spike layout,
-        whose wires are longer than the straight layout's (Section 4: 'the
-        spiral spike layout incurs the longer wire delay than the straight
-        spike layout')."""
         super().__init__(name or f"halo-{num_spikes}x{spike_length}")
-        if wire_delay_scale < 1:
-            raise TopologyError("wire_delay_scale must be >= 1")
         if num_spikes < 1 or spike_length < 1:
             raise TopologyError("halo needs >=1 spike of length >=1")
         if (
@@ -361,10 +369,10 @@ class HaloTopology(Topology):
         self.spike_length = spike_length
         self.position_bank_capacities = position_bank_capacities
         if position_bank_capacities is None:
-            position_delays = [wire_delay_scale] * spike_length
+            position_delays = [1] * spike_length
         else:
             position_delays = [
-                wire_delay_scale * BankTiming.for_capacity(capacity).wire_delay
+                BankTiming.for_capacity(capacity).wire_delay
                 for capacity in position_bank_capacities
             ]
 

@@ -21,9 +21,7 @@ class TestUniformColumn:
 
     def test_way_ranges_are_contiguous(self):
         descriptors = bank_descriptors_for_column([64 * KB] * 4)
-        assert [(d.way_start, d.ways) for d in descriptors] == [
-            (0, 1), (1, 1), (2, 1), (3, 1)
-        ]
+        assert bank_of_way(descriptors) == [0, 1, 2, 3]
 
 
 class TestNonUniformColumn:

@@ -361,7 +361,7 @@ class TestCellSpec:
         "design, override",
         [
             ("A", {"single_cycle_router": False}),
-            ("E", {"spike_wire_scale": 4}),
+            ("E", {"wire_delay_scale": 4}),
         ],
         ids=["router", "wire-scale"],
     )
@@ -384,6 +384,53 @@ class TestCellSpec:
         assert (
             slow_result.average_miss_latency > base_result.average_miss_latency
         )
+
+    def test_overrides_are_built_into_the_cell(self, monkeypatch):
+        # A cell's memory and wire overrides live in its own memory model
+        # and topology: while it runs, the Table-1 globals read as ever.
+        from repro import config
+        from repro.cache.memory import MemoryModel
+
+        seen = set()
+        read = MemoryModel.read
+
+        def observed_read(memory, time):
+            seen.add((
+                config.MEMORY_BASE_LATENCY,
+                config.BankTiming.for_capacity(65536).wire_delay,
+                memory.access_latency,
+            ))
+            return read(memory, time)
+
+        monkeypatch.setattr(MemoryModel, "read", observed_read)
+        spec = spec_for(
+            "A", "multicast+fast_lru", "mcf", ExperimentConfig(measure=600),
+            memory_base_latency=300, wire_delay_scale=3,
+        )
+        result = spec.execute()
+        assert result.latency.miss_count > 0
+        assert seen == {(130, 1, 300 + 32)}
+
+    def test_wire_scale_multiplies_every_channel(self):
+        # Design D pins its first-row horizontals at 3 cycles; a wire
+        # scale multiplies them like every Table-1 delay.
+        from repro.core.designs import design_spec
+        from repro.experiments.runner import _build_geometry
+
+        spec = spec_for("D", "multicast+fast_lru", "art", ENGINE_CONFIG)
+        pristine = {
+            (c.src, c.dst): c.wire_delay
+            for c in design_spec("D").topology_factory().channels()
+        }
+        scaled = {
+            (c.src, c.dst): c.wire_delay
+            for c in _build_geometry(
+                dataclasses.replace(spec, wire_delay_scale=2)
+            ).topology.channels()
+        }
+        assert scaled == {pair: 2 * delay for pair, delay in pristine.items()}
+        assert pristine[(0, 0), (1, 0)] == 3
+        assert scaled[(0, 0), (1, 0)] == 6
 
 
 class TestSchemeAliases:

@@ -39,27 +39,59 @@ class TestAblations:
         assert set(ratios) == {8, 16}
         assert all(v > 0.9 for v in ratios.values())
 
+    def test_spiral_spikes_cost_performance(self):
+        straight, spiral = ablations.spiral_spike_ablation(TINY)
+        assert spiral.geomean_ipc < straight.geomean_ipc
+        assert spiral.mean_latency > straight.mean_latency
+
+    def test_issue_model_ablation(self):
+        ratios = ablations.issue_model_ablation(TINY)
+        assert set(ratios) == {0, 10, 20}
+        assert all(v > 0.9 for v in ratios.values())
+
 
 class TestSensitivity:
-    def test_memory_sweep_restores_config(self):
+    @staticmethod
+    def _table1_during(monkeypatch) -> set:
+        """Record the Table-1 globals at every memory read of a sweep."""
         from repro import config
+        from repro.cache.memory import MemoryModel
+        from repro.experiments import runner
 
-        before = config.MEMORY_BASE_LATENCY
+        # Every cell must run here, not replay from an earlier test.
+        runner.reset_memo()
+        monkeypatch.setattr(runner.settings(), "cache", None)
+        seen = set()
+        read = MemoryModel.read
+
+        def observed_read(memory, time):
+            seen.add((
+                config.MEMORY_BASE_LATENCY,
+                config.BankTiming.for_capacity(65536).wire_delay,
+            ))
+            return read(memory, time)
+
+        monkeypatch.setattr(MemoryModel, "read", observed_read)
+        return seen
+
+    def test_memory_sweep_restores_config(self, monkeypatch):
+        # Nothing to restore: each cell builds its base latency into its
+        # own memory model, so repro.config reads Table 1 throughout.
+        seen = self._table1_during(monkeypatch)
         points = sensitivity.memory_latency_sweep(
             TINY, base_latencies=(60, 300)
         )
-        assert config.MEMORY_BASE_LATENCY == before
+        assert seen == {(130, 1)}
         assert len(points) == 2
         assert all(p.ipc_a > 0 for p in points)
         # Faster memory means higher absolute IPC everywhere.
         assert points[0].ipc_a > points[1].ipc_a
 
-    def test_wire_sweep_restores_config(self):
-        from repro.config import BankTiming
-
-        before = BankTiming.for_capacity(65536).wire_delay
+    def test_wire_sweep_restores_config(self, monkeypatch):
+        # Nothing to restore: each cell scales its own topology's channels.
+        seen = self._table1_during(monkeypatch)
         points = sensitivity.wire_delay_sweep(TINY, scales=(1, 3))
-        assert BankTiming.for_capacity(65536).wire_delay == before
+        assert seen == {(130, 1)}
         # Worse wires hurt absolute IPC.
         assert points[1].ipc_a < points[0].ipc_a
 

@@ -1,16 +1,19 @@
-"""Degraded operation: retry policy, reroute delivery, column truncation."""
+"""Degraded operation: retry schedule, reroute delivery, column truncation."""
 
 import pytest
 
 from repro.cache.bank import bank_descriptors_for_column
+from repro.core.geometry import CacheGeometry
 from repro.errors import ConfigurationError
 from repro.faults import (
+    DegradedCacheGeometry,
     DegradedRouting,
     FaultPlan,
     LinkFault,
-    RetryPolicy,
+    TransientFaults,
     truncate_columns,
 )
+from repro.faults.recovery import backoff
 from repro.noc.network import Network
 from repro.noc.packet import MessageType, Packet
 from repro.noc.routing import routing_for
@@ -23,12 +26,30 @@ from repro.validation.invariants import (
 
 class TestRetryPolicy:
     def test_backoff_growth_and_cap(self):
-        policy = RetryPolicy(backoff_base=4, backoff_cap=32)
-        assert [policy.backoff(k) for k in range(5)] == [4, 8, 16, 32, 32]
+        # 4 * 2**k, capped at 256, for each of the eight retries.
+        assert [backoff(k) for k in range(8)] == [
+            4, 8, 16, 32, 64, 128, 256, 256
+        ]
 
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(timeout=0)
+    def test_a_lost_traversal_spends_the_whole_schedule(self):
+        # Every attempt is lost: the traversal re-sends eight times, each
+        # one timeout (64) plus its backoff after the last, then gives up.
+        topology = MeshTopology(3, 3, core_column=1, memory_column=1)
+        columns = [bank_descriptors_for_column([64 * 1024] * 3)] * 3
+        plain = CacheGeometry(topology, columns)
+        lossy = DegradedCacheGeometry(
+            topology, columns,
+            FaultPlan(transients=TransientFaults(drop_rate=1.0)),
+        )
+        core, bank = plain.core_node, plain.bank_node(0, 2)
+        arrival = plain.reserve_segment(plain.route(core, bank), 0, 1)
+        penalty = 8 * 64 + sum([4, 8, 16, 32, 64, 128, 256, 256])
+        assert lossy.reserve_segment(
+            lossy.route(core, bank), 0, 1
+        ) == arrival + penalty
+        stats = lossy.fault_stats
+        assert (stats.retries, stats.exhausted_retries) == (8, 1)
+        assert stats.recovery_penalties == [penalty]
 
 
 class TestLinkCutReroute:

@@ -49,6 +49,23 @@ class TestTopologyBase:
         assert len(topology.channels()) == 2
         assert topology.num_links == 1
 
+    def test_scale_wire_delays_multiplies_every_channel(self):
+        halo = HaloTopology(2, 5, position_bank_capacities=[
+            64 * 1024, 64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024,
+        ])
+        before = halo.channels()
+        halo.scale_wire_delays(3)
+        assert [(c.src, c.dst, c.orientation) for c in halo.channels()] == [
+            (c.src, c.dst, c.orientation) for c in before
+        ]
+        assert [c.wire_delay for c in halo.channels()] == [
+            3 * c.wire_delay for c in before
+        ]
+
+    def test_scale_below_one_rejected(self):
+        with pytest.raises(TopologyError, match="factor"):
+            MeshTopology(2, 2).scale_wire_delays(0)
+
 
 class TestMesh:
     def test_node_count(self):

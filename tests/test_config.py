@@ -96,8 +96,3 @@ class TestPacketFlits:
 
     def test_block_packet_is_five_flits(self):
         assert config.packet_flits(carries_block=True) == 5
-
-    def test_flit_overhead_fits(self):
-        # type(2) + size(7) + routing(8) + comm(1) = 18 bits of overhead
-        assert config.FLIT_OVERHEAD_BITS == 18
-        assert config.FLIT_OVERHEAD_BITS < config.FLIT_SIZE_BITS
