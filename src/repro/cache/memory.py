@@ -9,6 +9,7 @@ so back-to-back fills and write-backs queue on the memory channel.
 from __future__ import annotations
 
 from repro import config
+from repro.errors import ConfigurationError
 from repro.sim.resource import Resource
 
 
@@ -20,6 +21,11 @@ class MemoryModel:
         block_size: int = config.BLOCK_SIZE_BYTES,
         base_latency: int = config.MEMORY_BASE_LATENCY,
     ) -> None:
+        if base_latency < 0:
+            # A block would be ready before it was requested.
+            raise ConfigurationError(
+                f"memory base latency must be >= 0, got {base_latency}"
+            )
         self.block_size = block_size
         #: Pipeline occupancy of one block transfer.
         self.transfer_cycles = config.MEMORY_CYCLES_PER_8B * (

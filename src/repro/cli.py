@@ -655,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--core", choices=CORES, default="object",
                        help="flit-simulation core: the reference object "
                             "model or the struct-of-arrays core "
-                            "(bit-identical, much faster)")
+                            "(bit-identical, faster)")
     workload(serve, measure=False)
     engine(serve)
     serve.set_defaults(handler=cmd_serve)

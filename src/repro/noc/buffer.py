@@ -17,12 +17,48 @@ from repro.noc.flit import Flit
 
 
 @dataclass
+class Occupancy:
+    """What one router's VCs buffer, counted as flits enter and leave.
+
+    Every VC of a router shares the router's ``Occupancy``; ``push`` and
+    ``pop`` keep it current. ``active`` is shared by every router of a
+    network: it holds the ``rank`` (position in ``topology.nodes``) of
+    each router that buffers at least one flit, so the network sweeps
+    only those.
+    """
+
+    rank: int = 0
+    active: set[int] = field(default_factory=set)
+    flits: int = 0
+    #: Buffered flits bound for several destinations (multicast heads).
+    multicast_heads: int = 0
+
+    def add(self, flit: Flit) -> None:
+        if not self.flits:
+            self.active.add(self.rank)
+        self.flits += 1
+        if flit.is_multicast:
+            self.multicast_heads += 1
+
+    def remove(self, flit: Flit) -> None:
+        self.flits -= 1
+        if not self.flits:
+            self.active.discard(self.rank)
+        if flit.is_multicast:
+            self.multicast_heads -= 1
+
+
+@dataclass
 class VirtualChannel:
     """One VC FIFO plus its wormhole bookkeeping."""
 
     port: object
     index: int
     depth: int
+    #: Counts of the router this VC belongs to (shared by its VCs).
+    router_occupancy: Occupancy = field(
+        default_factory=Occupancy, repr=False, compare=False
+    )
     fifo: deque[Flit] = field(default_factory=deque)
     #: Packet currently occupying the VC (None = free).
     active_packet: int | None = None
@@ -74,12 +110,14 @@ class VirtualChannel:
         self.fifo.append(flit)
         if len(self.fifo) > self.max_occupancy:
             self.max_occupancy = len(self.fifo)
+        self.router_occupancy.add(flit)
 
     def pop(self) -> Flit:
         """Remove the head flit; tail flits release the VC."""
         if not self.fifo:
             raise SimulationError("pop from empty VC")
         flit = self.fifo.popleft()
+        self.router_occupancy.remove(flit)
         if flit.kind.is_tail:
             self.active_packet = None
             self.out_port = None
@@ -87,6 +125,12 @@ class VirtualChannel:
         return flit
 
 
-def make_input_unit(port: object, num_vcs: int, depth: int) -> list[VirtualChannel]:
-    """Create the VC set of one physical input channel."""
-    return [VirtualChannel(port=port, index=i, depth=depth) for i in range(num_vcs)]
+def make_input_unit(
+    port: object, num_vcs: int, depth: int, occupancy: Occupancy
+) -> list[VirtualChannel]:
+    """Create the VC set of one physical input channel, counting into the
+    owning router's *occupancy*."""
+    return [
+        VirtualChannel(port=port, index=i, depth=depth, router_occupancy=occupancy)
+        for i in range(num_vcs)
+    ]

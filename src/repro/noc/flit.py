@@ -29,13 +29,11 @@ class FlitType(enum.Enum):
     #: A packet that fits in one flit is simultaneously head and tail.
     HEAD_TAIL = "head_tail"
 
-    @property
-    def is_head(self) -> bool:
-        return self in (FlitType.HEAD, FlitType.HEAD_TAIL)
-
-    @property
-    def is_tail(self) -> bool:
-        return self in (FlitType.TAIL, FlitType.HEAD_TAIL)
+    def __init__(self, value: str) -> None:
+        # Plain attributes, not properties: the object core reads them
+        # for every flit it buffers, pops and switches.
+        self.is_head = value in ("head", "head_tail")
+        self.is_tail = value in ("tail", "head_tail")
 
 
 @dataclass

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.config import RouterConfig
 from repro.errors import SimulationError
+from repro.noc.buffer import Occupancy
 from repro.noc.flit import Flit
 from repro.noc.packet import Packet
 from repro.noc.router import EJECT, INJECT, Router
@@ -143,18 +144,30 @@ class Network:
         self.topology = topology
         self.routing = routing or routing_for(topology)
         self.router_config = router_config or RouterConfig()
+        #: Ranks (positions in ``topology.nodes``) of the routers that
+        #: buffer a flit; their VCs' push and pop keep it current.
+        self._active: set[int] = set()
         self.routers: dict[NodeId, Router] = {
-            node: Router(node, topology, self.routing, self.router_config)
-            for node in topology.nodes
+            node: Router(
+                node, topology, self.routing, self.router_config,
+                Occupancy(rank, self._active),
+            )
+            for rank, node in enumerate(topology.nodes)
         }
+        self._ranked: list[Router] = list(self.routers.values())
         for router in self.routers.values():
             router.connect(self.routers)
+        self._wire_delay: dict[tuple[NodeId, NodeId], int] = {
+            (channel.src, channel.dst): channel.wire_delay
+            for channel in topology.channels()
+        }
 
         self.cycle = 0
         self.stats = NetworkStats()
         #: cycle -> list of (node, in_port, vc_index, flit) arrivals
         self._arrivals: dict[int, list] = defaultdict(list)
         #: per-router FIFO of packets waiting to enter the inject port
+        #: (a router's entry goes when its FIFO empties)
         self._inject_queues: dict[NodeId, deque] = defaultdict(deque)
         #: cycle -> [(packet, node)] future injections (protocol timing)
         self._timed_injections: dict[int, list] = defaultdict(list)
@@ -252,15 +265,31 @@ class Network:
         self.stats.cycles = self.cycle
 
     def _replication_phase(self, cycle: int) -> None:
-        """Split multicast heads that need several output ports."""
-        for router in self.routers.values():
-            router.replication_phase(cycle)
+        """Split multicast heads that need several output ports.
+
+        Only a router that buffers a multicast head can split one, and a
+        split pushes replicas into its own VCs alone, so sweeping just
+        those routers, in ``topology.nodes`` order, is exact.
+        """
+        ranked = self._ranked
+        for rank in sorted(self._active):
+            router = ranked[rank]
+            if router.occupancy.multicast_heads:
+                router.replication_phase(cycle)
 
     def _switch_phase(self, cycle: int) -> None:
-        """Arbitrate every crossbar; route winners to links or ejection."""
-        for node, router in self.routers.items():
+        """Arbitrate every busy crossbar; route winners to links or ejection.
+
+        A router without a buffered flit has no candidate, and no router
+        gains a flit in this phase (arrivals land on later cycles), so the
+        active set taken here is exact; it is swept in ``topology.nodes``
+        order because each commit reserves a VC the next router may seek.
+        """
+        ranked = self._ranked
+        for rank in sorted(self._active):
+            router = ranked[rank]
             for forward in router.switch_phase(cycle):
-                self._handle_forward(node, forward, cycle)
+                self._handle_forward(router.node, forward, cycle)
 
     def run(self, cycles: int) -> None:
         for _ in range(cycles):
@@ -369,7 +398,7 @@ class Network:
 
     def _inject_queues_nonempty(self) -> bool:
         return (
-            any(self._inject_queues.values())
+            bool(self._inject_queues)
             or bool(self._inject_progress)
             or bool(self._timed_injections)
         )
@@ -387,14 +416,20 @@ class Network:
                 )
 
     def _inject_phase(self, cycle: int) -> None:
-        """Move at most one flit per router from its inject queue to a VC."""
-        for node, queue in self._inject_queues.items():
-            router = self.routers[node]
+        """Move at most one flit per router from its inject queue to a VC.
+
+        Only routers with a queued packet or a partial injection are
+        visited. Each touches only its own inject port and its own
+        partial injections, so the order among them cannot be observed.
+        """
+        queues = self._inject_queues
+        partial: dict[NodeId, list] = {}
+        for key, flits in self._inject_progress.items():
+            partial.setdefault(key[0], []).append((key, flits))
+        for node in dict.fromkeys([*partial, *queues]):
             progressed = False
             # Continue partially injected packets first (wormhole order).
-            for key, flits in list(self._inject_progress.items()):
-                if key[0] != node:
-                    continue
+            for key, flits in partial.get(node, ()):
                 vc = flits[0][1]
                 flit = flits[0][0]
                 if vc.has_space:
@@ -409,14 +444,17 @@ class Network:
                     del self._inject_progress[key]
                 if progressed:
                     break
+            queue = queues.get(node)
             if progressed or not queue:
                 continue
             packet = queue[0]
-            unit = router.inputs[INJECT]
+            unit = self.routers[node].inputs[INJECT]
             free = next((vc for vc in unit if vc.is_free), None)
             if free is None:
                 continue
             queue.popleft()
+            if not queue:
+                del queues[node]
             flits = packet.flits()
             head = flits[0]
             head.injected_at = cycle
@@ -443,8 +481,7 @@ class Network:
         self._link_flits[link] = self._link_flits.get(link, 0) + 1
         if self._series is not None:
             self._series["noc.series.flits_forwarded"].record(cycle)
-        wire_delay = self.topology.channel(node, forward.out_port).wire_delay
-        arrival = cycle + wire_delay + 1
+        arrival = cycle + self._wire_delay[link] + 1
         self._arrivals[arrival].append(
             (forward.out_port, node, forward.out_vc, flit)
         )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from repro.config import RouterConfig
 from repro.errors import ProtocolError, SimulationError
-from repro.noc.buffer import VirtualChannel, make_input_unit
+from repro.noc.buffer import Occupancy, VirtualChannel, make_input_unit
 from repro.noc.flit import Flit
 from repro.noc.routing import RouteComputer
 from repro.noc.topology import NodeId, Topology
@@ -62,6 +62,8 @@ class _Forward:
     flit: Flit
     out_port: object
     out_vc: int | None
+    #: The input VC whose head the flit is.
+    vc: VirtualChannel
 
 
 class Router:
@@ -73,16 +75,22 @@ class Router:
         topology: Topology,
         routing: RouteComputer,
         config: RouterConfig,
+        occupancy: Occupancy,
     ) -> None:
         self.node = node
         self.topology = topology
         self.routing = routing
         self.config = config
         self.stats = RouterStats()
+        #: Flits and multicast heads buffered here, kept by the VCs' push
+        #: and pop, which also keep the network's active set.
+        self.occupancy = occupancy
 
         in_ports = list(topology.predecessors(node)) + [INJECT]
         self.inputs: dict[object, list[VirtualChannel]] = {
-            port: make_input_unit(port, config.num_vcs, config.buffer_depth)
+            port: make_input_unit(
+                port, config.num_vcs, config.buffer_depth, self.occupancy
+            )
             for port in in_ports
         }
         self.out_ports: list[object] = list(topology.successors(node)) + [EJECT]
@@ -107,6 +115,9 @@ class Router:
         #: Arbitration tie-break ranks, precomputed so the switch-allocation
         #: hot loop never re-stringifies port names.
         self._in_rank: dict[object, str] = {port: str(port) for port in in_ports}
+        #: Output port toward each destination, filled on first use: the
+        #: route is a function of (router, destination) alone.
+        self._route: dict[NodeId, object] = {}
         #: Validation observers (installed via Network.install_checker);
         #: notified after each committed switch traversal and each
         #: multicast replication. Empty in normal runs.
@@ -143,18 +154,23 @@ class Router:
 
     # -- route computation --------------------------------------------------
 
-    def _output_groups(self, flit: Flit) -> dict[object, tuple]:
-        """Group the head flit's destinations by required output port."""
-        node = self.node
-        next_hop = self.routing.next_hop
-        topology = self.topology
-        groups: dict[object, list] = {}
-        for destination in flit.destinations:
-            if destination == node:
+    def _output_port(self, destination: NodeId) -> object:
+        """Output port toward *destination* (EJECT here), memoized."""
+        port = self._route.get(destination)
+        if port is None:
+            if destination == self.node:
                 port = EJECT
             else:
-                port = next_hop(topology, node, destination)
-            groups.setdefault(port, []).append(destination)
+                port = self.routing.next_hop(self.topology, self.node, destination)
+            self._route[destination] = port
+        return port
+
+    def _output_groups(self, flit: Flit) -> dict[object, tuple]:
+        """Group the head flit's destinations by required output port."""
+        output_port = self._output_port
+        groups: dict[object, list] = {}
+        for destination in flit.destinations:
+            groups.setdefault(output_port(destination), []).append(destination)
         return {port: tuple(dsts) for port, dsts in groups.items()}
 
     # -- multicast replication (Section 3.1 hybrid scheme) ------------------
@@ -205,6 +221,8 @@ class Router:
             borrowed.append((slot[0], slot[1], destinations))
         # Commit: narrow the original and install replicas.
         flit.destinations = keep_dsts
+        if len(keep_dsts) == 1:
+            self.occupancy.multicast_heads -= 1  # no longer a multicast head
         for borrow_port, borrow_vc, destinations in borrowed:
             replica = flit.clone_for(destinations)
             replica.eligible_at = cycle + 1  # replication takes the cycle
@@ -271,27 +289,26 @@ class Router:
         if flit is None or flit.eligible_at > cycle:
             return None
         if flit.kind.is_head:
-            groups = self._output_groups(flit)
-            if flit.is_multicast and len(groups) > 1:
+            if flit.is_multicast and len(self._output_groups(flit)) > 1:
                 return None  # must replicate first
-            (out_port, _), = groups.items()
+            out_port = self._output_port(flit.destinations[0])
             if out_port == EJECT:
-                return _Forward(flit, EJECT, None)
+                return _Forward(flit, EJECT, None, vc)
             out_vc = self._allocate_downstream_vc(out_port, flit)
             if out_vc is None:
                 self.stats.vc_alloc_failures += 1
                 return None
-            return _Forward(flit, out_port, out_vc)
+            return _Forward(flit, out_port, out_vc, vc)
         # Body/tail flit: follows the wormhole's allocated route.
         if vc.out_port == EJECT:
-            return _Forward(flit, EJECT, None)
+            return _Forward(flit, EJECT, None, vc)
         if vc.out_port is None or vc.out_vc is None:
             return None  # head has not been switched yet
         if self.credits[(vc.out_port, vc.out_vc)] <= 0:
             key = (vc.out_port, vc.out_vc)
             self.credit_stalls[key] = self.credit_stalls.get(key, 0) + 1
             return None
-        return _Forward(flit, vc.out_port, vc.out_vc)
+        return _Forward(flit, vc.out_port, vc.out_vc, vc)
 
     def _allocate_downstream_vc(self, out_port: object, flit: Flit) -> int | None:
         """Find a free downstream VC with credit (VC allocation)."""
@@ -349,8 +366,7 @@ class Router:
 
     def _commit(self, port: object, forward: _Forward, cycle: int) -> _Forward:
         """Perform the switch traversal for a winning flit."""
-        unit = self.inputs[port]
-        vc = next(v for v in unit if v.head() is forward.flit)
+        vc = forward.vc
         if self.config.single_cycle and forward.flit.eligible_at == cycle:
             # Crossed on its first eligible cycle: with an empty VC behind
             # it this is a buffer bypass; a head flit additionally won its

@@ -197,17 +197,22 @@ class MeshTopology(Topology):
         self.cols = cols
         self.rows = rows
         self.row_bank_capacities = row_bank_capacities
-        self._vertical_delays = self._compute_vertical_delays(
+        row_delays = self._compute_vertical_delays(
             rows, uniform_wire_delay, row_bank_capacities
         )
-        if horizontal_wire_delay is None:
-            horizontal_wire_delay = max(self._vertical_delays, default=uniform_wire_delay)
-        self.horizontal_wire_delay = horizontal_wire_delay
+        if row_bank_capacities is None:
+            horizontal_delays = row_delays
+        else:
+            if horizontal_wire_delay is None:
+                horizontal_wire_delay = max(row_delays, default=uniform_wire_delay)
+            horizontal_delays = [horizontal_wire_delay] * rows
 
         for x in range(cols):
             for y in range(rows):
                 self.add_node((x, y))
-        self._build_links()
+        # The delays live on the channels alone, where scale_wire_delays
+        # can reach them.
+        self._build_links(row_delays, horizontal_delays)
 
         core_column = cols // 2 if core_column is None else core_column
         memory_column = cols // 2 if memory_column is None else memory_column
@@ -233,29 +238,30 @@ class MeshTopology(Topology):
             for capacity in row_bank_capacities
         ]
 
-    def vertical_delay(self, y_from: int, y_to: int) -> int:
-        """Wire delay of the vertical hop entering row ``max(y_from, y_to)``'s
-        tile when moving down, or leaving it when moving up; we charge the
-        delay of the farther-from-core row, whose tile the wire spans."""
-        return self._vertical_delays[max(y_from, y_to)]
+    def _build_links(
+        self, row_delays: list[int], horizontal_delays: list[int]
+    ) -> None:
+        """Wire every tile to its neighbours.
 
-    def _build_links(self) -> None:
+        A vertical hop between rows ``y`` and ``y + 1`` costs
+        ``row_delays[y + 1]``: the delay of the farther-from-core row,
+        whose tile the wire spans. A horizontal hop in row ``y`` costs
+        ``horizontal_delays[y]``.
+        """
         for x in range(self.cols):
             for y in range(self.rows):
                 if x + 1 < self.cols:
                     self.add_bidirectional(
                         (x, y),
                         (x + 1, y),
-                        wire_delay=self.horizontal_wire_delay
-                        if self.row_bank_capacities is not None
-                        else self._vertical_delays[y],
+                        wire_delay=horizontal_delays[y],
                         orientation="horizontal",
                     )
                 if y + 1 < self.rows:
                     self.add_bidirectional(
                         (x, y),
                         (x, y + 1),
-                        wire_delay=self.vertical_delay(y, y + 1),
+                        wire_delay=row_delays[y + 1],
                         orientation="vertical",
                     )
 
@@ -315,23 +321,24 @@ class SimplifiedMeshTopology(MeshTopology):
         )
         self.memory_attach = (memory_column, 0)
 
-    def _build_links(self) -> None:
+    def _build_links(
+        self, row_delays: list[int], horizontal_delays: list[int]
+    ) -> None:
+        """As the full mesh, keeping only row 0's horizontal links."""
         for x in range(self.cols):
             for y in range(self.rows):
                 if x + 1 < self.cols and y == 0:
                     self.add_bidirectional(
                         (x, y),
                         (x + 1, y),
-                        wire_delay=self.horizontal_wire_delay
-                        if self.row_bank_capacities is not None
-                        else self._vertical_delays[y],
+                        wire_delay=horizontal_delays[y],
                         orientation="horizontal",
                     )
                 if y + 1 < self.rows:
                     self.add_bidirectional(
                         (x, y),
                         (x, y + 1),
-                        wire_delay=self.vertical_delay(y, y + 1),
+                        wire_delay=row_delays[y + 1],
                         orientation="vertical",
                     )
 

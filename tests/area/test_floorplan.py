@@ -3,7 +3,7 @@
 import pytest
 
 from repro.area.floorplan import FloorPlanner, halo_layout
-from repro.core.designs import design_a, design_b, design_e, design_f, design_spec
+from repro.core.designs import design_a, design_e, design_f, design_spec
 from repro.errors import ConfigurationError
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.memory import MemoryModel
+from repro.errors import ConfigurationError
 
 
 class TestMemoryModel:
@@ -47,3 +48,10 @@ class TestMemoryModel:
         memory = MemoryModel(block_size=8)
         assert memory.transfer_cycles == 4
         assert memory.access_latency == 134
+
+    def test_zero_base_latency_is_the_transfer_alone(self):
+        assert MemoryModel(base_latency=0).access_latency == 32
+
+    def test_negative_base_latency_rejected(self):
+        with pytest.raises(ConfigurationError, match="base latency"):
+            MemoryModel(base_latency=-500)

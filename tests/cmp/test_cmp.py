@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cmp import CMPCacheSystem, core_attach_points
-from repro.core.designs import design_a, design_e, design_spec
+from repro.core.designs import design_a, design_e
 from repro.core.system import NetworkedCacheSystem
 from repro.errors import ConfigurationError
 from repro.workloads import TraceGenerator, profile_by_name

@@ -5,7 +5,6 @@ import pytest
 from repro.cache.address import AddressMapper
 from repro.core.flows import FIGURE8_SCHEMES, Scheme, make_scheme
 from repro.core.system import NetworkedCacheSystem
-from repro.errors import ProtocolError
 
 MAPPER = AddressMapper()
 

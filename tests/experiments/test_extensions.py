@@ -1,7 +1,5 @@
 """Smoke tests for the extension experiment drivers (tiny scale)."""
 
-import pytest
-
 from repro.experiments import ablations, cmp_scaling, noc_load, sensitivity
 from repro.experiments.common import ExperimentConfig
 

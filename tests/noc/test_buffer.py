@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.noc import MessageType, Packet
-from repro.noc.buffer import VirtualChannel, make_input_unit
+from repro.noc.buffer import Occupancy, VirtualChannel, make_input_unit
 
 
 def _flits(message=MessageType.REPLACEMENT):
@@ -74,7 +74,9 @@ class TestVirtualChannel:
 
 class TestInputUnit:
     def test_make_input_unit(self):
-        unit = make_input_unit("Y-", num_vcs=4, depth=4)
+        occupancy = Occupancy()
+        unit = make_input_unit("Y-", num_vcs=4, depth=4, occupancy=occupancy)
         assert len(unit) == 4
         assert [vc.index for vc in unit] == [0, 1, 2, 3]
         assert all(vc.port == "Y-" for vc in unit)
+        assert all(vc.router_occupancy is occupancy for vc in unit)

@@ -5,7 +5,6 @@ wormhole's flits must arrive in order -- for any topology and any traffic
 pattern hypothesis can produce.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

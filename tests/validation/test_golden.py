@@ -16,8 +16,6 @@ then review the diff like any other code change.
 import json
 from pathlib import Path
 
-import pytest
-
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "figure9_golden.json"
 
 DESIGNS = ("A", "C", "F")

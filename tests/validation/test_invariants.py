@@ -15,7 +15,6 @@ from repro.noc.topology import (
 from repro.validation import (
     BlockConservationChecker,
     ChannelOrderChecker,
-    FlitConservationChecker,
     MulticastDeliveryChecker,
     TransactionTimingChecker,
     default_network_checkers,
@@ -126,12 +125,18 @@ class TestCheckersCatchBreakage:
         flit = packet.flits()[0]
         router = network.routers[(2, 0)]
         # Legal grant: X+ out of (2, 0) -- an X-class channel...
-        order.on_switch(router, (1, 0), _Forward(flit, (3, 0), 0), cycle=0)
+        order.on_switch(
+            router, (1, 0), _Forward(flit, (3, 0), 0, router.inputs[(1, 0)][0]),
+            cycle=0,
+        )
         # ...then a Y- grant, whose class enumerates *below* every X
         # channel: descending, so the dependency cycle check must fire.
         up = network.routers[(3, 1)]
         with pytest.raises(ValidationError, match="channel-order"):
-            order.on_switch(up, (3, 2), _Forward(flit, (3, 0), 0), cycle=1)
+            order.on_switch(
+                up, (3, 2), _Forward(flit, (3, 0), 0, up.inputs[(3, 2)][0]),
+                cycle=1,
+            )
 
     def test_channel_order_requires_simplified_mesh(self):
         with pytest.raises(ValidationError, match="simplified"):
