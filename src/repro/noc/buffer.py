@@ -37,14 +37,14 @@ class Occupancy:
         if not self.flits:
             self.active.add(self.rank)
         self.flits += 1
-        if flit.is_multicast:
+        if len(flit.destinations) > 1:
             self.multicast_heads += 1
 
     def remove(self, flit: Flit) -> None:
         self.flits -= 1
         if not self.flits:
             self.active.discard(self.rank)
-        if flit.is_multicast:
+        if len(flit.destinations) > 1:
             self.multicast_heads -= 1
 
 
@@ -88,7 +88,7 @@ class VirtualChannel:
 
     def push(self, flit: Flit) -> None:
         """Buffer an arriving flit; head flits claim the VC."""
-        if not self.has_space:
+        if len(self.fifo) >= self.depth:
             raise SimulationError(
                 f"VC overflow at port {self.port} vc {self.index}: "
                 "credit flow control violated"

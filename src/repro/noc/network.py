@@ -404,10 +404,13 @@ class Network:
         )
 
     def _deliver_arrivals(self, cycle: int) -> None:
-        for node, in_port, vc_index, flit in self._arrivals.pop(cycle, ()):  # noqa: B020
-            router = self.routers[node]
-            flit.eligible_at = cycle + (self.router_config.hop_latency - 1)
-            router.inputs[in_port][vc_index].push(flit)
+        batch = self._arrivals.pop(cycle, None)
+        if batch is None:
+            return
+        eligible_at = cycle + (self.router_config.hop_latency - 1)
+        for node, in_port, vc_index, flit in batch:
+            flit.eligible_at = eligible_at
+            self.routers[node].inputs[in_port][vc_index].push(flit)
             if self._sink.enabled:
                 self._sink.instant(
                     "traverse", "noc.flit", cycle, tid=node,

@@ -134,24 +134,6 @@ class Router:
             if port != EJECT and port in neighbors:
                 self.downstream[port] = neighbors[port]
 
-    # -- credit flow ------------------------------------------------------
-
-    def return_credit(self, from_node: NodeId, vc_index: int) -> None:
-        """Downstream freed one slot of our channel toward *from_node*."""
-        key = (from_node, vc_index)
-        self.credits[key] += 1
-        if self.credits[key] > self.config.buffer_depth:
-            raise SimulationError(f"credit overflow on {self.node}->{from_node}")
-
-    def _pop(self, port: object, vc: VirtualChannel) -> Flit:
-        """Pop a flit and return the freed slot's credit upstream."""
-        flit = vc.pop()
-        if port != INJECT:
-            upstream = self.upstream.get(port)
-            if upstream is not None:
-                upstream.return_credit(self.node, vc.index)
-        return flit
-
     # -- route computation --------------------------------------------------
 
     def _output_port(self, destination: NodeId) -> object:
@@ -268,73 +250,78 @@ class Router:
 
     # -- switch allocation --------------------------------------------------
 
-    def _candidate_for_port(self, port: object, cycle: int) -> _Forward | None:
-        """Pick at most one ready VC of input PC *port* (round-robin)."""
-        unit = self.inputs[port]
-        n = len(unit)
-        start = self._rr_in[port]
-        vc_ready = self._vc_ready
-        for offset in range(n):
-            vc = unit[(start + offset) % n]
-            if not vc.fifo:
-                continue
-            forward = vc_ready(vc, cycle)
-            if forward is not None:
-                self._rr_in[port] = (start + offset + 1) % n
-                return forward
-        return None
-
-    def _vc_ready(self, vc: VirtualChannel, cycle: int) -> _Forward | None:
-        flit = vc.head()
-        if flit is None or flit.eligible_at > cycle:
-            return None
-        if flit.kind.is_head:
-            if flit.is_multicast and len(self._output_groups(flit)) > 1:
-                return None  # must replicate first
-            out_port = self._output_port(flit.destinations[0])
-            if out_port == EJECT:
-                return _Forward(flit, EJECT, None, vc)
-            out_vc = self._allocate_downstream_vc(out_port, flit)
-            if out_vc is None:
-                self.stats.vc_alloc_failures += 1
-                return None
-            return _Forward(flit, out_port, out_vc, vc)
-        # Body/tail flit: follows the wormhole's allocated route.
-        if vc.out_port == EJECT:
-            return _Forward(flit, EJECT, None, vc)
-        if vc.out_port is None or vc.out_vc is None:
-            return None  # head has not been switched yet
-        if self.credits[(vc.out_port, vc.out_vc)] <= 0:
-            key = (vc.out_port, vc.out_vc)
-            self.credit_stalls[key] = self.credit_stalls.get(key, 0) + 1
-            return None
-        return _Forward(flit, vc.out_port, vc.out_vc, vc)
-
-    def _allocate_downstream_vc(self, out_port: object, flit: Flit) -> int | None:
-        """Find a free downstream VC with credit (VC allocation)."""
-        downstream = self.downstream.get(out_port)
-        if downstream is None:
-            raise SimulationError(f"no downstream router on port {out_port}")
-        unit = downstream.inputs[self.node]
-        for vc in unit:
-            if vc.is_free and self.credits[(out_port, vc.index)] > 0:
-                return vc.index
-        return None
-
     def switch_phase(self, cycle: int) -> list[_Forward]:
-        """Arbitrate the crossbar; pop and return this cycle's winners."""
-        candidate = self._candidate_for_port
-        by_input: dict[object, _Forward] = {}
+        """Arbitrate the crossbar; pop and return this cycle's winners.
+
+        Each input PC offers at most one candidate: the first ready VC of
+        one round-robin walk from its ``_rr_in`` pointer. A head flit
+        needs its route and a free downstream VC with credit; a body/tail
+        flit follows its wormhole and needs one credit. Candidates are
+        grouped by output port as they are found, in input-port order.
+        """
+        rr_in = self._rr_in
+        route = self._route
+        credits = self.credits
+        by_out: dict[object, list[tuple[object, _Forward]]] = {}
         for port, unit in self.inputs.items():
-            for vc in unit:
-                if vc.fifo:
-                    break
-            else:
-                continue  # every VC of this input PC is empty
-            forward = candidate(port, cycle)
-            if forward is not None:
-                by_input[port] = forward
-        if not by_input:
+            n = len(unit)
+            start = rr_in[port]
+            for offset in range(n):
+                vc = unit[(start + offset) % n]
+                fifo = vc.fifo
+                if not fifo:
+                    continue
+                flit = fifo[0]
+                if flit.eligible_at > cycle:
+                    continue
+                if flit.kind.is_head:
+                    destinations = flit.destinations
+                    if len(destinations) > 1 and len(self._output_groups(flit)) > 1:
+                        continue  # must replicate first
+                    out_port = route.get(destinations[0])
+                    if out_port is None:
+                        out_port = self._output_port(destinations[0])
+                    out_vc = None
+                    if out_port != EJECT:
+                        # VC allocation: the first free downstream VC with
+                        # credit on the channel feeding it.
+                        downstream = self.downstream.get(out_port)
+                        if downstream is None:
+                            raise SimulationError(
+                                f"no downstream router on port {out_port}"
+                            )
+                        for down_vc in downstream.inputs[self.node]:
+                            if (
+                                down_vc.active_packet is None
+                                and not down_vc.fifo
+                                and credits[(out_port, down_vc.index)] > 0
+                            ):
+                                out_vc = down_vc.index
+                                break
+                        else:
+                            self.stats.vc_alloc_failures += 1
+                            continue
+                else:
+                    # Body/tail flit: follows the wormhole's allocated route.
+                    out_port = vc.out_port
+                    out_vc = vc.out_vc
+                    if out_port != EJECT:
+                        if out_port is None or out_vc is None:
+                            continue  # head has not been switched yet
+                        key = (out_port, out_vc)
+                        if credits[key] <= 0:
+                            stalls = self.credit_stalls
+                            stalls[key] = stalls.get(key, 0) + 1
+                            continue
+                rr_in[port] = (start + offset + 1) % n
+                contender = (port, _Forward(flit, out_port, out_vc, vc))
+                group = by_out.get(out_port)
+                if group is None:
+                    by_out[out_port] = [contender]
+                else:
+                    group.append(contender)
+                break
+        if not by_out:
             return []
 
         winners: list[_Forward] = []
@@ -343,12 +330,8 @@ class Router:
         observers = self.observers
         # Round-robin over output ports for fairness.
         for out_port in self.out_ports:
-            contenders = [
-                (port, fwd)
-                for port, fwd in by_input.items()
-                if fwd.out_port == out_port
-            ]
-            if not contenders:
+            contenders = by_out.get(out_port)
+            if contenders is None:
                 continue
             if len(contenders) > 1:
                 self.stats.switch_conflicts += len(contenders) - 1
@@ -367,19 +350,38 @@ class Router:
     def _commit(self, port: object, forward: _Forward, cycle: int) -> _Forward:
         """Perform the switch traversal for a winning flit."""
         vc = forward.vc
-        if self.config.single_cycle and forward.flit.eligible_at == cycle:
+        flit = forward.flit
+        kind = flit.kind
+        fifo = vc.fifo
+        if self.config.single_cycle and flit.eligible_at == cycle:
             # Crossed on its first eligible cycle: with an empty VC behind
             # it this is a buffer bypass; a head flit additionally won its
             # VC allocation and the switch in the same (speculative) cycle.
-            if len(vc.fifo) == 1:
+            if len(fifo) == 1:
                 self.stats.buffer_bypass_hits += 1
-            if forward.flit.kind.is_head and forward.out_port != EJECT:
+            if kind.is_head and forward.out_port != EJECT:
                 self.stats.speculative_switch_wins += 1
-        flit = self._pop(port, vc)
+        # Pop the flit (a tail releases its VC) and return the freed
+        # slot's credit upstream.
+        fifo.popleft()
+        vc.router_occupancy.remove(flit)
+        if kind.is_tail:
+            vc.active_packet = None
+            vc.out_port = None
+            vc.out_vc = None
+        upstream = self.upstream.get(port)
+        if upstream is not None:
+            key = (self.node, vc.index)
+            returned = upstream.credits[key] + 1
+            if returned > self.config.buffer_depth:
+                raise SimulationError(
+                    f"credit overflow on {upstream.node}->{self.node}"
+                )
+            upstream.credits[key] = returned
         flit.hops += 1
         if forward.out_port == EJECT:
             self.stats.flits_ejected += 1
-            if flit.kind.is_head and not flit.kind.is_tail:
+            if kind.is_head and not kind.is_tail:
                 # Body flits of this wormhole must also eject here.
                 vc.out_port = EJECT
                 vc.out_vc = None
@@ -389,14 +391,13 @@ class Router:
         if self.credits[key] <= 0:
             raise SimulationError("switched a flit without credit")
         self.credits[key] -= 1
-        if flit.kind.is_head:
+        if kind.is_head:
             # Reserve the downstream VC for this wormhole.
             downstream = self.downstream[forward.out_port]
             downstream_vc = downstream.inputs[self.node][forward.out_vc]
-            if not flit.kind.is_tail:
-                vc_after = vc  # multi-flit: body flits keep following
-                vc_after.out_port = forward.out_port
-                vc_after.out_vc = forward.out_vc
+            if not kind.is_tail:
+                vc.out_port = forward.out_port  # body flits keep following
+                vc.out_vc = forward.out_vc
             if downstream_vc.active_packet not in (None, flit.packet.packet_id):
                 raise SimulationError("downstream VC reserved by another packet")
             downstream_vc.active_packet = flit.packet.packet_id

@@ -2,13 +2,15 @@
 
 The full-sim equivalence sweeps only visit (occupancy, credit,
 round-robin pointer) states reachable from empty fabrics. These tests
-plant *arbitrary* table states -- random buffered heads and wormhole
-bodies, random credit counts, random rr pointers, randomly reserved
-VCs -- into the object core and the array core, run exactly one
-switch-allocation phase without delivering ejected flits, and require
-identical grant vectors, identical post-state (pointers, credits, VC
-bookkeeping), and identical counters. This pins the stringified-port
-tie-break order independently of any workload generator.
+plant *arbitrary* table states -- random buffered unicast and multicast
+heads and wormhole bodies, random credit counts, random rr pointers,
+randomly reserved VCs -- into the object core and the array core, run
+exactly one switch-allocation phase without delivering ejected flits,
+and require identical grant vectors, identical post-state (pointers,
+credits, VC bookkeeping), and identical counters. This pins the
+stringified-port tie-break order independently of any workload
+generator, and how each core switches a multicast head with a single
+output port and skips one that must replicate first.
 
 The replication cases plant a multicast head among arbitrary per-PC VC
 occupancy and upstream credits, run one replication phase, and pin
@@ -41,7 +43,46 @@ OUT_PORTS = {r: list(_PROBE.routers[node].out_ports) for r, node in enumerate(NO
 CONFIG = RouterConfig()
 VCS = CONFIG.num_vcs
 DEPTH = CONFIG.buffer_depth
+
+
+def _route_groups(router):
+    """Destination ids grouped by the output port they leave *router*
+    through (EJECT holds the router itself alone)."""
+    groups = {}
+    for d, dest in enumerate(NODES):
+        groups.setdefault(router._output_port(dest), []).append(d)
+    return list(groups.values())
+
+
+ROUTE_GROUPS = {
+    r: _route_groups(_PROBE.routers[node]) for r, node in enumerate(NODES)
+}
 del _PROBE
+
+
+@st.composite
+def multicast_dests(draw, r):
+    """2-3 destinations of a multicast head at router *r*: all behind
+    one output port (it switches as it is) or behind several (it must
+    replicate first)."""
+    groups = ROUTE_GROUPS[r]
+    if draw(st.booleans()):
+        group = draw(st.sampled_from([g for g in groups if len(g) > 1]))
+        return tuple(draw(st.lists(
+            st.sampled_from(group), min_size=2, max_size=3, unique=True
+        )))
+    first, second = draw(st.lists(
+        st.integers(0, len(groups) - 1), min_size=2, max_size=2, unique=True
+    ))
+    dests = [
+        draw(st.sampled_from(groups[first])),
+        draw(st.sampled_from(groups[second])),
+    ]
+    if draw(st.booleans()):
+        dests.append(draw(st.sampled_from(
+            [d for d in range(MESH * MESH) if d not in dests]
+        )))
+    return tuple(dests)
 
 
 @st.composite
@@ -59,9 +100,12 @@ def table_state(draw):
         if (r, p, vc) in flits:
             continue
         eligible = draw(st.booleans())
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(("head", "body", "multicast")))
+        if kind == "head":
             dest = draw(st.integers(0, MESH * MESH - 1))
             flits[(r, p, vc)] = ("head", dest, eligible)
+        elif kind == "multicast":
+            flits[(r, p, vc)] = ("multicast", draw(multicast_dests(r)))
         else:
             out = draw(st.integers(0, len(OUT_PORTS[r]) - 1))
             out_vc = draw(st.integers(0, VCS - 1))

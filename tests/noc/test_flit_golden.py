@@ -1,6 +1,7 @@
-"""Flit-level results of the object core pinned against a stored golden.
+"""Flit-level results of both flit cores pinned against a stored golden.
 
-Three inputs, all on the reference (object) flit core:
+Three inputs, each run on the reference (object) core and on the array
+core and checked against one golden written on the object core:
 
 * the uniform-random load points of :func:`run_load_point` at injection
   rates 0.05 and 0.45 (8x8 mesh, 200 cycles, seed 1);
@@ -15,7 +16,8 @@ The cross-core tests compare the two cores with each other, so they
 cannot see a change that moves both alike (packets, flit types,
 topologies and routing are shared). This golden can.
 
-Regenerate (only for an intended change to flit-level timing) with::
+Regenerate (only for an intended change to flit-level timing; it runs
+the object core) with::
 
     PYTHONPATH=src python tests/noc/test_flit_golden.py
 """
@@ -40,14 +42,14 @@ SERVE_DESIGNS = ("C", "F")
 SCHEME = "multicast+fast_lru"
 
 
-def _load_point(rate: float) -> dict:
+def _load_point(rate: float, core: str = "object") -> dict:
     return asdict(run_load_point(rate, mesh_size=8, cycles=200, seed=1,
-                                 core="object"))
+                                 core=core))
 
 
-def _serve(design: str) -> dict:
+def _serve(design: str, core: str = "object") -> dict:
     spec = stream_spec_for(design, "drop-tail", "duo-bursty", seed=1,
-                           cycles=1500, load=3.0, core="object")
+                           cycles=1500, load=3.0, core=core)
     result = spec.execute()
     metrics = json.dumps(result.metrics, sort_keys=True)
     return {
@@ -69,8 +71,8 @@ def _trace_fields(trace: ProtocolTrace) -> dict:
     }
 
 
-def _protocol(design: str, outcome: str) -> dict:
-    protocol = FlitLevelCacheProtocol(design, SCHEME, core="object")
+def _protocol(design: str, outcome: str, core: str = "object") -> dict:
+    protocol = FlitLevelCacheProtocol(design, SCHEME, core=core)
     if outcome == "hit":
         depth = protocol.geometry.banks_per_column(0) - 1
         trace = protocol.run_hit(0, depth)
@@ -100,20 +102,42 @@ def _roundtrip(observed: dict) -> dict:
     return json.loads(json.dumps(observed, sort_keys=True))
 
 
-@pytest.mark.parametrize("rate", LOAD_RATES)
-def test_load_point_matches_golden(rate):
-    assert _roundtrip(_load_point(rate)) == _golden(f"load/rate={rate:g}")
+def _both_cores(*cases: tuple) -> list:
+    """Each case as ``(*case, core)`` on both cores. The object core's
+    runs keep the case's bare id, so the reference tests keep their names."""
+    params = []
+    for case in cases:
+        name = "-".join(map(str, case))
+        params.append(pytest.param(*case, "object", id=name))
+        params.append(pytest.param(*case, "array", id=f"{name}-array"))
+    return params
 
 
-@pytest.mark.parametrize("design", SERVE_DESIGNS)
-def test_serve_cell_matches_golden(design):
-    assert _roundtrip(_serve(design)) == _golden(f"serve/{design}")
+@pytest.mark.parametrize(
+    ("rate", "core"), _both_cores(*((rate,) for rate in LOAD_RATES))
+)
+def test_load_point_matches_golden(rate, core):
+    observed = _roundtrip(_load_point(rate, core))
+    assert observed == _golden(f"load/rate={rate:g}")
 
 
-@pytest.mark.parametrize("outcome", ("hit", "miss"))
-@pytest.mark.parametrize("design", DESIGN_NAMES)
-def test_protocol_trace_matches_golden(design, outcome):
-    observed = _roundtrip(_protocol(design, outcome))
+@pytest.mark.parametrize(
+    ("design", "core"), _both_cores(*((design,) for design in SERVE_DESIGNS))
+)
+def test_serve_cell_matches_golden(design, core):
+    assert _roundtrip(_serve(design, core)) == _golden(f"serve/{design}")
+
+
+@pytest.mark.parametrize(
+    ("design", "outcome", "core"),
+    _both_cores(*(
+        (design, outcome)
+        for design in DESIGN_NAMES
+        for outcome in ("hit", "miss")
+    )),
+)
+def test_protocol_trace_matches_golden(design, outcome, core):
+    observed = _roundtrip(_protocol(design, outcome, core))
     assert observed == _golden(f"protocol/{design}/{outcome}")
 
 
