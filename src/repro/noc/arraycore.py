@@ -1,6 +1,8 @@
 """Struct-of-arrays wormhole core: the object model without the objects.
 
-:class:`ArrayNetwork` reimplements :class:`repro.noc.network.Network` /
+:class:`ArrayNetwork` is a second cycle kernel for the client side that
+:class:`repro.noc.network.FlitFabric` gives both cores: it reimplements
+the phases of :class:`repro.noc.network.Network` /
 :class:`repro.noc.router.Router` with every piece of hot state -- flits,
 VC bookkeeping, FIFO slots, credits -- held in flat preallocated lists of
 ints indexed by small integers instead of per-flit / per-VC Python objects:
@@ -13,7 +15,7 @@ ints indexed by small integers instead of per-flit / per-VC Python objects:
   contiguous slots of one flat ring-buffer list;
 * flits live in a growable struct-of-arrays pool (parallel list columns,
   one of them holding destination tuples); a "flit" is an integer row
-  index;
+  index, and an ejected flit's row is reused;
 * route lookups go through a lazily filled flat next-hop table, one int
   per (router, destination) pair.
 
@@ -23,11 +25,11 @@ CPython 3.11 on a 2-vCPU x86-64 host (``timeit``, best of 40), a read
 costs ~24 ns against ~9 ns for a list item, a write ~38 ns against
 ~9 ns, and ``x[i] += 1`` ~89 ns against ~27 ns.
 
-The cycle loop only visits routers that actually hold flits, and
-:meth:`ArrayNetwork.run_until_drained` fast-forwards across cycles where
-the fabric is provably idle (nothing buffered, nothing to inject) --
-both are pure reorderings of no-ops, so counters and timings match the
-object core bit for bit.
+The cycle loop only visits routers that actually hold flits, and the
+drain loop (:meth:`ArrayNetwork._advance`) fast-forwards across cycles
+where the fabric is provably idle (nothing buffered, nothing to inject)
+-- both are pure reorderings of no-ops, so counters and timings match
+the object core bit for bit.
 
 Each cycle phase is one fused scalar loop over those flat columns (see
 DESIGN.md section 13): the switch phase scans, arbitrates, commits and
@@ -45,16 +47,15 @@ unsupported here; install them on the object core.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 from repro.config import RouterConfig
 from repro.errors import ProtocolError, SimulationError
-from repro.noc.network import Delivery, NetworkStats
+from repro.noc.network import FlitFabric
 from repro.noc.packet import Packet
 from repro.noc.router import INJECT
-from repro.noc.routing import RouteComputer, routing_for
+from repro.noc.routing import RouteComputer
 from repro.noc.topology import NodeId, Topology
-from repro.telemetry import trace as _trace
 
 #: Sentinel in the next-hop table: route not computed yet.
 _UNROUTED = -9
@@ -78,6 +79,12 @@ class FlitPool:
     cycle loop reads without touching the list.
     ``group_node`` caches which router the ``groups`` column was computed
     for (-1 = stale).
+
+    A row is live from :meth:`alloc` until its flit ejects; the array
+    core's ``_eject`` then puts it on ``free``, which :meth:`alloc` pops
+    before it takes a new row. Nothing observes a row number (arbitration
+    order comes from VC slots, and ``alloc`` resets ``group_node``), so a
+    reused row behaves as a new one. ``size`` counts the rows ever taken.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -102,6 +109,8 @@ class FlitPool:
         self.is_mc: list[int] = [0] * capacity
         self.group_node: list[int] = [0] * capacity
         self.groups: list[list[tuple[int, tuple[int, ...]]]] = [[]] * capacity
+        #: Rows of ejected flits, taken again before the pool grows.
+        self.free: list[int] = []
 
     def _grow(self) -> None:
         extra = self.capacity
@@ -127,11 +136,14 @@ class FlitPool:
         hops: int,
         eligible_at: int,
     ) -> int:
-        """Append one flit row; doubles the buffers when full."""
-        if self.size == self.capacity:
-            self._grow()
-        f = self.size
-        self.size = f + 1
+        """Fill a free row, else a new one (doubling the columns when full)."""
+        if self.free:
+            f = self.free.pop()
+        else:
+            f = self.size
+            if f == self.capacity:
+                self._grow()
+            self.size = f + 1
         self.packet[f] = packet_row
         self.is_head[f] = 1 if head else 0
         self.is_tail[f] = 1 if tail else 0
@@ -153,14 +165,15 @@ class FlitPool:
         self.group_node[flit] = -1
 
 
-class ArrayNetwork:
-    """Drop-in flit-level network on the struct-of-arrays core.
+class ArrayNetwork(FlitFabric):
+    """The flit-level network on the struct-of-arrays core.
 
-    Mirrors the :class:`~repro.noc.network.Network` client API (inject,
-    timed injections, step/run/run_until_drained, delivery callbacks,
-    stats, metrics) and is bit-identical to it on every healthy
-    workload.
+    Its client side is :class:`~repro.noc.network.FlitFabric`'s, and it is
+    bit-identical to :class:`~repro.noc.network.Network` on every healthy
+    workload; only the cycle kernel below is its own.
     """
+
+    core = "array"
 
     def __init__(
         self,
@@ -169,26 +182,17 @@ class ArrayNetwork:
         router_config: RouterConfig | None = None,
         window: int = 0,
     ) -> None:
-        self.topology = topology
-        self.routing = routing or routing_for(topology)
-        self.router_config = router_config or RouterConfig()
+        super().__init__(topology, routing, router_config, window)
         cfg = self.router_config
         self._vcs = cfg.num_vcs
         self._depth = cfg.buffer_depth
         self._hop_wait = cfg.hop_latency - 1
         self._single_cycle = cfg.single_cycle
-
-        # Node ids follow the exact iteration order the object core uses
-        # to build its router dict, so arbitration tie-breaks agree.
-        self._nodes: list[NodeId] = list(topology.nodes)
-        self._node_index: dict[NodeId, int] = {
-            node: i for i, node in enumerate(self._nodes)
-        }
+        # Router ids are ranks: the order the object core builds its
+        # router dict in, so arbitration tie-breaks agree.
         n = len(self._nodes)
         self._geometry()
 
-        self.cycle = 0
-        self.stats = NetworkStats()
         # Router-level counters, summed across the fabric (the object
         # core only ever exposes them summed or per-run totals).
         self.flits_forwarded = 0
@@ -201,45 +205,16 @@ class ArrayNetwork:
         self.speculative_switch_wins = 0
 
         self.pool = FlitPool()
-        #: Packet rows: the real Packet objects (deliveries hand them back).
+        #: Packet rows, one per packet whose head flit has entered the
+        #: fabric; a flit's ``pool.packet`` is its packet's row.
         self._packets: list[Packet] = []
-        self._packet_dests: list[tuple[int, ...]] = []
-        self._packet_nflits: list[int] = []
+        # The base's per-core layouts: an ``_arrivals`` entry is (router,
+        # local input, VC, flit row), and an ``_inject_progress`` value is
+        # (deque of flit rows still to inject, global VC, router).
 
         #: Lazily filled next-hop table, one int per (router,
         #: destination) pair, in a list like every hot column.
         self._route: list[int] = [_UNROUTED] * (n * n)
-
-        #: cycle -> [(dst_router, in_local, vc, flit)] link arrivals
-        self._arrivals: dict[int, list[tuple[int, int, int, int]]] = {}
-        #: router -> FIFO of packet rows awaiting the inject port; entries
-        #: are created on first use and persist when drained (iteration
-        #: order matches the object core's defaultdict).
-        self._inject_queues: dict[int, deque[int]] = {}
-        #: Routers whose inject queue is currently non-empty.
-        self._inject_ready: set[int] = set()
-        #: cycle -> [(packet, node)] future injections
-        self._timed_injections: dict[int, list[tuple[Packet, NodeId | None]]] = {}
-        #: (router, packet_id) -> (remaining flit rows, target global VC)
-        self._inject_progress: dict[tuple[int, int], tuple[deque[int], int]] = {}
-        #: (packet_id, destination id) -> flits still to eject there
-        self._pending_ejects: dict[tuple[int, int], int] = {}
-        self._eject_meta: dict[tuple[int, int], Packet] = {}
-        self._delivered_callbacks: list[Callable[[Delivery], None]] = []
-        #: Routers currently buffering at least one flit.
-        self._active: set[int] = set()
-        self._sink = _trace.current_sink()
-        #: High-water packet depth of each router's inject queue.
-        self._inject_depth_hw: dict[int, int] = {}
-        #: Windowed metric series keyed by sim-cycle windows; None when
-        #: off (same names/windows as the object core via make_noc_series).
-        self.window = int(window)
-        if self.window > 0:
-            from repro.noc.network import make_noc_series
-
-            self._series = make_noc_series(self.window)
-        else:
-            self._series = None
 
     # -- static geometry ----------------------------------------------------
 
@@ -366,12 +341,6 @@ class ArrayNetwork:
         #: buffered multicast heads fabric-wide (skips the whole phase)
         self._mc_total = 0
 
-    # -- client API ---------------------------------------------------------
-
-    def on_delivery(self, callback: Callable[[Delivery], None]) -> None:
-        """Register ``callback(delivery)`` fired on each packet delivery."""
-        self._delivered_callbacks.append(callback)
-
     def install_checker(self, checker: Any) -> None:
         """Invariant checkers hook per-object router state; the SoA core
         has none. Run checked workloads on the object core instead."""
@@ -379,59 +348,6 @@ class ArrayNetwork:
             "validation checkers are not supported on the array core; "
             "use core='object' for checked runs"
         )
-
-    @property
-    def checkers(self) -> tuple:
-        return ()
-
-    def schedule_injection(
-        self, packet: Packet, at_cycle: int, node: NodeId | None = None
-    ) -> None:
-        """Queue *packet* for injection at a future cycle."""
-        if at_cycle < self.cycle:
-            raise SimulationError(
-                f"cannot inject at {at_cycle}; current cycle is {self.cycle}"
-            )
-        self._timed_injections.setdefault(at_cycle, []).append((packet, node))
-
-    def inject(self, packet: Packet, node: NodeId | None = None) -> None:
-        """Queue *packet* for injection at *node* (default: its source)."""
-        target = packet.source if node is None else node
-        r = self._node_index.get(target)
-        if r is None:
-            raise SimulationError(f"injection node {target} not in topology")
-        try:
-            dests = tuple(self._node_index[d] for d in packet.destinations)
-        except KeyError as exc:
-            raise SimulationError(
-                f"destination {exc.args[0]} not in topology"
-            ) from None
-        packet.created_at = self.cycle
-        row = len(self._packets)
-        self._packets.append(packet)
-        self._packet_dests.append(dests)
-        self._packet_nflits.append(int(packet.num_flits))
-        queue = self._inject_queues.get(r)
-        if queue is None:
-            queue = deque()
-            self._inject_queues[r] = queue
-        queue.append(row)
-        self._inject_ready.add(r)
-        if len(queue) > self._inject_depth_hw.get(r, 0):
-            self._inject_depth_hw[r] = len(queue)
-        self.stats.packets_injected += 1
-        if self._sink.enabled:
-            self._sink.instant(
-                "inject", "noc.flit", self.cycle, tid=target,
-                args={"packet": packet.packet_id,
-                      "destinations": [str(d) for d in packet.destinations]},
-            )
-        nflits = self._packet_nflits[row]
-        pid = int(packet.packet_id)
-        for dest in dests:
-            key = (pid, dest)
-            self._pending_ejects[key] = nflits
-            self._eject_meta[key] = packet
 
     # -- cycle loop ---------------------------------------------------------
 
@@ -451,68 +367,27 @@ class ArrayNetwork:
         self.cycle = cycle + 1
         self.stats.cycles = self.cycle
 
-    def run(self, cycles: int) -> None:
-        for _ in range(cycles):
-            self.step()
+    def _advance(self, horizon: int) -> None:
+        """One :meth:`step`, or a jump across provably idle cycles.
 
-    def run_until_drained(self, max_cycles: int = 100_000) -> int:
-        """Step until every injected packet has been fully delivered.
-
-        Identical contract to the object core, plus an idle fast-forward:
-        when nothing is buffered or waiting to inject, every cycle until
+        When nothing is buffered or waiting to inject, every cycle until
         the next arrival / timed injection is a no-op, so the clock jumps
-        straight there (capped so the *max_cycles* timeout still fires at
-        the same cycle it would have).
+        straight there, capped at *horizon* so the drain timeout still
+        fires at the cycle it would have.
         """
-        start = self.cycle
-        while self._pending_ejects or self._queues_nonempty():
-            if self.cycle - start >= max_cycles:
-                raise SimulationError(
-                    f"network did not drain within {max_cycles} cycles; "
-                    f"{len(self._pending_ejects)} deliveries outstanding\n"
-                    + self.drain_diagnostic()
-                )
-            if (
-                not self._active
-                and not self._inject_progress
-                and not self._inject_ready
-            ):
-                horizon = start + max_cycles
-                target = horizon
-                if self._arrivals:
-                    target = min(min(self._arrivals), target)
-                if self._timed_injections:
-                    target = min(min(self._timed_injections), target)
-                if target > self.cycle:
-                    self.cycle = target
-                    self.stats.cycles = self.cycle
-                    continue
-            self.step()
-        return self.cycle - start
+        if not self._active and not self._inject_progress and not self._inject_queues:
+            target = horizon
+            if self._arrivals:
+                target = min(min(self._arrivals), target)
+            if self._timed_injections:
+                target = min(min(self._timed_injections), target)
+            if target > self.cycle:
+                self.cycle = target
+                self.stats.cycles = target
+                return
+        self.step()
 
     # -- inspection ---------------------------------------------------------
-
-    def pending_work(self) -> bool:
-        """True while any injected packet still has flits to deliver."""
-        return bool(self._pending_ejects) or self._queues_nonempty()
-
-    def next_timed_injection(self) -> int | None:
-        """Earliest cycle a scheduled future injection fires (None = none)."""
-        return min(self._timed_injections) if self._timed_injections else None
-
-    def outstanding_deliveries(self) -> list[tuple[int, NodeId, int]]:
-        """Undelivered ``(packet_id, destination, flits_remaining)`` rows."""
-        return sorted(
-            (
-                (pid, self._nodes[dest], n)
-                for (pid, dest), n in self._pending_ejects.items()
-            ),
-            key=str,
-        )
-
-    def in_flight_flits(self) -> int:
-        """Flits currently crossing links (scheduled future arrivals)."""
-        return sum(len(batch) for batch in self._arrivals.values())
 
     def total_buffered_flits(self) -> int:
         return sum(self._router_occ)
@@ -523,84 +398,35 @@ class ArrayNetwork:
     def total_replication_blocked(self) -> int:
         return self.replication_blocked_cycles
 
-    def drain_diagnostic(self) -> str:
-        """Human-readable snapshot of why the network has not drained."""
-        lines = [f"drain diagnostic at cycle {self.cycle}:"]
-        undelivered = self.outstanding_deliveries()
-        lines.append(f"  undelivered deliveries ({len(undelivered)}):")
-        for pid, dst, remaining in undelivered[:50]:
-            meta = self._eject_meta.get((pid, self._node_index[dst]))
-            kind = meta.message.value if meta is not None else "?"
-            lines.append(
-                f"    packet {pid} ({kind}) -> {dst}: "
-                f"{remaining} flit(s) outstanding"
-            )
-        if len(undelivered) > 50:
-            lines.append(f"    ... and {len(undelivered) - 50} more")
-        holders = sorted((r for r in self._active), key=lambda r: str(self._nodes[r]))
-        lines.append(f"  routers holding traffic ({len(holders)}):")
+    def _port(self, r: int, p: int) -> object:
+        """The object core's name of router *r*'s local input *p*."""
+        if p == self._inject_local[r]:
+            return INJECT
+        return self._nodes[self._in_nodes[r][p]]
+
+    def _held_vcs(self) -> list[tuple[NodeId, object, int, int, int]]:
         vcs = self._vcs
-        for r in holders:
+        held: list[tuple[NodeId, object, int, int, int]] = []
+        for r, node in enumerate(self._nodes):
             for p in range(self._inject_local[r] + 1):
-                unit = self._unit_base[r] + p
-                port = INJECT if p == self._inject_local[r] else (
-                    self._nodes[self._in_nodes[r][p]]
-                )
+                base = (self._unit_base[r] + p) * vcs
                 for vc in range(vcs):
-                    gvc = unit * vcs + vc
-                    if not self._vc_len[gvc] and self._vc_active[gvc] < 0:
-                        continue
-                    if self._vc_len[gvc]:
+                    gvc = base + vc
+                    flits = self._vc_len[gvc]
+                    if flits:
                         head = self._slots[gvc * self._depth + self._vc_head[gvc]]
                         pid = self._packets[self.pool.packet[head]].packet_id
-                        state = f"{self._vc_len[gvc]} flit(s) of packet {pid}"
+                    elif self._vc_active[gvc] >= 0:
+                        pid = self._vc_active[gvc]
                     else:
-                        state = f"reserved for packet {self._vc_active[gvc]}"
-                    lines.append(
-                        f"    router {self._nodes[r]} in_port {port} "
-                        f"vc {vc}: {state}"
-                    )
-        queued = {
-            self._nodes[r]: [self._packets[row].packet_id for row in queue]
-            for r, queue in self._inject_queues.items()
-            if queue
-        }
-        if queued:
-            lines.append(f"  inject queues: {queued}")
-        if self._inject_progress:
-            lines.append(
-                "  partially injected: "
-                + str(
-                    sorted(
-                        (str(self._nodes[r]), pid)
-                        for r, pid in self._inject_progress
-                    )
-                )
-            )
-        in_flight = self.in_flight_flits()
-        if in_flight:
-            lines.append(f"  flits on wires: {in_flight}")
-        if self._timed_injections:
-            lines.append(
-                f"  next timed injection at cycle {self.next_timed_injection()}"
-            )
-        return "\n".join(lines)
+                        continue
+                    held.append((node, self._port(r, p), vc, flits, pid))
+        return held
 
-    def publish_metrics(self, registry: Any) -> None:
-        """Export the same metric names/values as the object core."""
-        registry.counter("noc.network.cycles").inc(self.stats.cycles)
-        registry.counter("noc.network.packets_injected").inc(
-            self.stats.packets_injected
-        )
-        registry.counter("noc.network.flits_injected").inc(
-            self.stats.flits_injected
-        )
-        registry.counter("noc.network.packets_delivered").inc(
-            self.stats.packets_delivered
-        )
-        registry.gauge("noc.network.max_latency").update_max(
-            self.stats.max_latency
-        )
+    def _publish_routers(self, registry: Any) -> None:
+        """The object core's router, VC and link metrics, from the columns
+        (bit-identical to ``Router.publish_metrics`` summed over routers
+        and ``Network``'s per-link counts)."""
         prefix = "noc.router"
         registry.counter(f"{prefix}.flits_forwarded").inc(self.flits_forwarded)
         registry.counter(f"{prefix}.flits_ejected").inc(self.flits_ejected)
@@ -620,13 +446,6 @@ class ArrayNetwork:
         )
         occupancy = registry.gauge("noc.buffer.max_occupancy")
         occupancy.update_max(max(self._vc_max_occ, default=0))
-        self._publish_spatial(registry)
-
-    def _publish_spatial(self, registry: Any) -> None:
-        """Emit the per-(router, port, vc) metrics bit-identically to the
-        object core's ``Router._publish_spatial`` / network-level block."""
-        from repro.noc.network import publish_noc_series
-
         vcs = self._vcs
         nodes = self._nodes
         for r, node in enumerate(nodes):
@@ -635,11 +454,7 @@ class ArrayNetwork:
                     f"noc.router.replication_blocked.{node}"
                 ).inc(self._repl_blocked[r])
             for p in range(self._inject_local[r] + 1):
-                port: Any = (
-                    INJECT
-                    if p == self._inject_local[r]
-                    else nodes[self._in_nodes[r][p]]
-                )
+                port = self._port(r, p)
                 base = (self._unit_base[r] + p) * vcs
                 for vc in range(vcs):
                     occ = self._vc_max_occ[base + vc]
@@ -657,32 +472,12 @@ class ArrayNetwork:
                             "noc.vc.credit_stall_cycles."
                             f"{node}->{out_port}.vc{vc}"
                         ).inc(stalls)
-        for r, node in enumerate(nodes):
-            for out_local, dst in enumerate(self._out_nodes[r]):
-                count = self._link_flits[self._chan_base[r] + out_local]
-                if count:
-                    registry.counter(
-                        f"noc.link.flits.{node}->{nodes[dst]}"
-                    ).inc(count)
-        hub = getattr(self.topology, "core_attach", None)
-        hub_r = self._node_index.get(hub) if hub is not None else None
-        for r in self._inject_depth_hw:
-            depth = self._inject_depth_hw[r]
-            registry.gauge(
-                f"noc.inject_queue.max_depth.{nodes[r]}"
-            ).update_max(depth)
-            if r == hub_r:
-                registry.gauge("noc.hub.issue_queue_depth").update_max(depth)
-        publish_noc_series(registry, self._series)
+                if self._link_flits[chan]:
+                    registry.counter(f"noc.link.flits.{node}->{out_port}").inc(
+                        self._link_flits[chan]
+                    )
 
     # -- internals ----------------------------------------------------------
-
-    def _queues_nonempty(self) -> bool:
-        return (
-            bool(self._inject_ready)
-            or bool(self._inject_progress)
-            or bool(self._timed_injections)
-        )
 
     def _push(self, r: int, gvc: int, flit: int) -> None:
         """Buffer a flit in a VC; head flits claim the VC."""
@@ -825,43 +620,39 @@ class ArrayNetwork:
                 )
 
     def _inject_phase(self, cycle: int) -> None:
-        """Move at most one flit per router from its inject queue to a VC."""
+        """Move at most one flit per router from its inject queue to a VC.
+
+        A router first continues its partial injections, in the order they
+        began (wormhole order), and starts its next queued packet only if
+        none of them moved. Each router touches only its own inject port,
+        so the order among routers cannot be observed.
+        """
         progress = self._inject_progress
-        ready = self._inject_ready
-        if not progress and not ready:
+        queues = self._inject_queues
+        if not progress and not queues:
             return
-        vcs = self._vcs
         pool = self.pool
-        if progress:
-            routers = set(ready)
-            for r, _pid in progress:
-                routers.add(r)
-            order = sorted(routers)
-        else:
-            order = sorted(ready)
-        for r in order:
-            queue = self._inject_queues.get(r)
-            progressed = False
-            if progress:
-                for key in [k for k in progress if k[0] == r]:
-                    flits, gvc = progress[key]
-                    if self._vc_len[gvc] < self._depth:
-                        flit = flits.popleft()
-                        pool.eligible_at[flit] = cycle + self._hop_wait
-                        self._push(r, gvc, flit)
-                        self.stats.flits_injected += 1
-                        if self._series is not None:
-                            self._series["noc.series.flits_injected"].record(
-                                cycle
-                            )
-                        progressed = True
-                    if not flits:
-                        del progress[key]
-                    if progressed:
-                        break
-            if progressed or not queue:
+        series = self._series
+        eligible = cycle + self._hop_wait
+        moved: set[NodeId] = set()
+        for key, (rest, gvc, r) in list(progress.items()):
+            if key[0] in moved or self._vc_len[gvc] >= self._depth:
                 continue
-            row = queue[0]
+            flit = rest.popleft()
+            pool.eligible_at[flit] = eligible
+            self._push(r, gvc, flit)
+            self.stats.flits_injected += 1
+            if series is not None:
+                series["noc.series.flits_injected"].record(cycle)
+            moved.add(key[0])
+            if not rest:
+                del progress[key]
+        vcs = self._vcs
+        index = self._node_index
+        for node, queue in list(queues.items()):
+            if node in moved:
+                continue
+            r = index[node]
             unit = self._unit_base[r] + self._inject_local[r]
             free = -1
             for vc in range(vcs):
@@ -871,29 +662,24 @@ class ArrayNetwork:
                     break
             if free < 0:
                 continue
-            queue.popleft()
+            packet = queue.popleft()
             if not queue:
-                ready.discard(r)
-            packet = self._packets[row]
-            nflits = self._packet_nflits[row]
-            dests = self._packet_dests[row]
-            head = pool.alloc(
-                row, True, nflits == 1, 0, dests, cycle,
-                0, cycle + self._hop_wait,
-            )
+                del queues[node]
+            row = len(self._packets)
+            self._packets.append(packet)
+            nflits = packet.num_flits
+            dests = tuple(index[d] for d in packet.destinations)
+            head = pool.alloc(row, True, nflits == 1, 0, dests, cycle, 0, eligible)
             self._push(r, free, head)
             self.stats.flits_injected += 1
-            if self._series is not None:
-                self._series["noc.series.flits_injected"].record(cycle)
+            if series is not None:
+                series["noc.series.flits_injected"].record(cycle)
             if nflits > 1:
-                rest: deque[int] = deque()
-                for i in range(1, nflits):
-                    rest.append(
-                        pool.alloc(
-                            row, False, i == nflits - 1, i, (), cycle, 0, 0
-                        )
-                    )
-                self._inject_progress[(r, int(packet.packet_id))] = (rest, free)
+                rest = deque(
+                    pool.alloc(row, False, i == nflits - 1, i, (), cycle, 0, 0)
+                    for i in range(1, nflits)
+                )
+                progress[(node, packet.packet_id)] = (rest, free, r)
 
     # -- multicast replication ---------------------------------------------
 
@@ -1238,48 +1024,24 @@ class ArrayNetwork:
     def _eject(self, r: int, flit: int, cycle: int) -> None:
         pool = self.pool
         ejected_at = cycle + 1  # crossing the ejection channel
-        packet = self._packets[pool.packet[flit]]
+        pid = self._packets[pool.packet[flit]].packet_id
         if self._sink.enabled:
             self._sink.instant(
                 "eject", "noc.flit", ejected_at, tid=self._nodes[r],
-                args={"packet": packet.packet_id, "hops": pool.hops[flit]},
+                args={"packet": pid, "hops": pool.hops[flit]},
             )
-        pid = int(packet.packet_id)
+        pending = self._pending_ejects
         for dest in pool.destinations[flit] or (r,):
-            key = (pid, dest)
-            if key not in self._pending_ejects:
+            key = (pid, self._nodes[dest])
+            remaining = pending.get(key)
+            if remaining is None:
                 raise SimulationError(
-                    f"unexpected ejection of packet {pid} at {self._nodes[dest]}"
+                    f"unexpected ejection of packet {pid} at {key[1]}"
                 )
-            remaining = self._pending_ejects[key] - 1
-            if remaining:
-                self._pending_ejects[key] = remaining
-                continue
-            del self._pending_ejects[key]
-            meta = self._eject_meta.pop(key)
-            injected = pool.injected_at[flit]
-            delivery = Delivery(
-                packet=meta,
-                destination=self._nodes[dest],
-                injected_at=injected if injected else int(meta.created_at),
-                delivered_at=ejected_at,
-                hops=pool.hops[flit],
-            )
-            self.stats.deliveries.append(delivery)
-            if self._series is not None:
-                self._series["noc.series.packets_delivered"].record(
-                    delivery.delivered_at
+            if remaining > 1:
+                pending[key] = remaining - 1
+            else:
+                self._complete(
+                    key, pool.injected_at[flit], ejected_at, pool.hops[flit]
                 )
-                self._series["noc.series.latency"].record(
-                    delivery.delivered_at, delivery.latency
-                )
-            if self._sink.enabled:
-                self._sink.complete(
-                    "packet", "noc.packet", delivery.injected_at,
-                    delivery.latency, tid=self._nodes[dest],
-                    args={"packet": meta.packet_id,
-                          "source": str(meta.source),
-                          "hops": delivery.hops},
-                )
-            for callback in self._delivered_callbacks:
-                callback(delivery)
+        pool.free.append(flit)

@@ -1,16 +1,18 @@
 """Cycle-accurate flit-level network simulator.
 
-Ties :class:`~repro.noc.router.Router` instances together over a
-:class:`~repro.noc.topology.Topology`, moves flits across links with their
-wire delays, tracks injection queues, and records per-packet delivery
-statistics. One :meth:`Network.step` is one clock cycle.
+:class:`FlitFabric` is the client side both flit cores share: injection,
+delivery records and callbacks, the drain loop and its diagnostic, and
+the network-level metrics. :class:`Network` is the reference core on it:
+it ties :class:`~repro.noc.router.Router` instances together over a
+:class:`~repro.noc.topology.Topology` and moves flits across links with
+their wire delays. One ``step()`` is one clock cycle.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
 from repro.config import RouterConfig
 from repro.errors import SimulationError
@@ -21,10 +23,10 @@ from repro.noc.router import EJECT, INJECT, Router
 from repro.noc.routing import RouteComputer, routing_for
 from repro.noc.topology import NodeId, Topology
 from repro.telemetry import trace as _trace
+from repro.telemetry.registry import LATENCY_SLO_EDGES, Series
 
 if TYPE_CHECKING:
     from repro.noc.arraycore import ArrayNetwork
-    from repro.telemetry.registry import Series
 
 
 @dataclass
@@ -103,36 +105,28 @@ def make_network(
     return Network(topology, routing, router_config, window=window)
 
 
-def make_noc_series(window: int) -> dict[str, "Series"]:
-    """The windowed series both flit cores record, keyed by metric name.
+class FlitFabric:
+    """The client side of a flit-level network, written once for both cores.
 
-    Shared so the two cores cannot drift: same names, same windows, same
-    aggregations, same (fixed) latency edges.
+    A core subclass brings its buffers and routers and its cycle kernel:
+    ``step`` and the four phase methods (see :mod:`repro.perf.profiler`),
+    written in its own class body so that tools which wrap them by name
+    find them there. Everything a client sees is here: injection (timed
+    and immediate) with its per-destination eject counts, the delivery
+    records and callbacks, the drain loop and its diagnostic, and the
+    network-level metrics. A core supplies two hooks, :meth:`_held_vcs`
+    for the diagnostic and :meth:`_publish_routers` for its router
+    counters, and may override :meth:`_advance`, one turn of the drain
+    loop.
+
+    Both cores keep their routers in ``topology.nodes`` order (a router's
+    *rank* is its position there), their inject FIFOs keyed by node and
+    dropped when they empty, and their partial injections keyed by
+    ``(node, packet_id)``.
     """
-    from repro.telemetry.registry import LATENCY_SLO_EDGES, Series
 
-    return {
-        "noc.series.flits_injected": Series(window),
-        "noc.series.flits_forwarded": Series(window),
-        "noc.series.flits_ejected": Series(window),
-        "noc.series.packets_delivered": Series(window),
-        "noc.series.latency": Series(window, "hist", LATENCY_SLO_EDGES),
-    }
-
-
-def publish_noc_series(registry, series: dict[str, "Series"] | None) -> None:
-    """Merge a core's windowed series into *registry* (no-op when off)."""
-    if not series:
-        return
-    for name in sorted(series):
-        local = series[name]
-        registry.series(name, local.window, local.agg, local.edges).merge(
-            local.snapshot()
-        )
-
-
-class Network:
-    """A complete flit-level on-chip network instance."""
+    #: The ``core=`` name of this class (see :func:`make_network`).
+    core: ClassVar[str]
 
     def __init__(
         self,
@@ -144,75 +138,62 @@ class Network:
         self.topology = topology
         self.routing = routing or routing_for(topology)
         self.router_config = router_config or RouterConfig()
-        #: Ranks (positions in ``topology.nodes``) of the routers that
-        #: buffer a flit; their VCs' push and pop keep it current.
+        self._nodes: list[NodeId] = list(topology.nodes)
+        self._node_index: dict[NodeId, int] = {
+            node: rank for rank, node in enumerate(self._nodes)
+        }
+        #: Ranks of the routers that buffer at least one flit; each
+        #: core's buffers keep it current as flits enter and leave.
         self._active: set[int] = set()
-        self.routers: dict[NodeId, Router] = {
-            node: Router(
-                node, topology, self.routing, self.router_config,
-                Occupancy(rank, self._active),
-            )
-            for rank, node in enumerate(topology.nodes)
-        }
-        self._ranked: list[Router] = list(self.routers.values())
-        for router in self.routers.values():
-            router.connect(self.routers)
-        self._wire_delay: dict[tuple[NodeId, NodeId], int] = {
-            (channel.src, channel.dst): channel.wire_delay
-            for channel in topology.channels()
-        }
-
         self.cycle = 0
         self.stats = NetworkStats()
-        #: cycle -> list of (node, in_port, vc_index, flit) arrivals
-        self._arrivals: dict[int, list] = defaultdict(list)
-        #: per-router FIFO of packets waiting to enter the inject port
-        #: (a router's entry goes when its FIFO empties)
-        self._inject_queues: dict[NodeId, deque] = defaultdict(deque)
+        #: cycle -> link arrivals landing then, in the core's own layout
+        self._arrivals: defaultdict[int, list[Any]] = defaultdict(list)
+        #: per-node FIFO of packets waiting to enter the inject port (a
+        #: node's entry goes when its FIFO empties)
+        self._inject_queues: defaultdict[NodeId, deque[Packet]] = defaultdict(
+            deque
+        )
         #: cycle -> [(packet, node)] future injections (protocol timing)
-        self._timed_injections: dict[int, list] = defaultdict(list)
-        #: (node, packet) -> flits remaining to inject
-        self._inject_progress: dict[tuple[NodeId, int], deque] = {}
+        self._timed_injections: dict[int, list[tuple[Packet, NodeId | None]]] = {}
+        #: (node, packet_id) -> the flits still to inject, in the core's
+        #: own layout
+        self._inject_progress: dict[tuple[NodeId, int], Any] = {}
         #: (packet_id, destination) -> flits still to eject there
         self._pending_ejects: dict[tuple[int, NodeId], int] = {}
         self._eject_meta: dict[tuple[int, NodeId], Packet] = {}
-        self._delivered_callbacks: list = []
+        self._delivered_callbacks: list[Callable[[Delivery], None]] = []
         #: Installed validation checkers (see repro.validation.invariants);
         #: empty in normal runs so the hook sites cost one truthiness test.
-        self._checkers: list = []
+        self._checkers: list[Any] = []
         #: Trace sink captured at construction; the NullSink fast path
         #: reduces every per-flit event site to one attribute check.
         self._sink = _trace.current_sink()
-        #: Flits placed on each (src, dst) wire -- per-link utilization.
-        self._link_flits: dict[tuple[NodeId, NodeId], int] = {}
-        #: High-water packet depth of each router's inject queue.
+        #: High-water packet depth of each node's inject queue.
         self._inject_depth_hw: dict[NodeId, int] = {}
         #: Windowed metric series keyed by sim-cycle windows; None when
         #: off, so every recording site costs one identity test.
         self.window = int(window)
-        self._series = make_noc_series(self.window) if self.window > 0 else None
+        self._series: dict[str, Series] | None = None
+        if self.window > 0:
+            self._series = {
+                "noc.series.flits_injected": Series(self.window),
+                "noc.series.flits_forwarded": Series(self.window),
+                "noc.series.flits_ejected": Series(self.window),
+                "noc.series.packets_delivered": Series(self.window),
+                "noc.series.latency": Series(
+                    self.window, "hist", LATENCY_SLO_EDGES
+                ),
+            }
 
     # -- client API ---------------------------------------------------------
 
-    def on_delivery(self, callback) -> None:
+    def on_delivery(self, callback: Callable[[Delivery], None]) -> None:
         """Register ``callback(delivery)`` fired on each packet delivery."""
         self._delivered_callbacks.append(callback)
 
-    def install_checker(self, checker) -> None:
-        """Attach a validation checker to this network and its routers.
-
-        The checker's ``on_inject``/``after_cycle``/``on_delivery`` hooks
-        fire from the network, ``on_switch``/``on_replicate`` from every
-        router, and ``final_check`` when a checked run drains (see
-        :func:`repro.validation.run_with_checkers`).
-        """
-        self._checkers.append(checker)
-        for router in self.routers.values():
-            router.observers.append(checker)
-        self.on_delivery(checker.on_delivery)
-
     @property
-    def checkers(self) -> tuple:
+    def checkers(self) -> tuple[Any, ...]:
         return tuple(self._checkers)
 
     def schedule_injection(
@@ -224,13 +205,18 @@ class Network:
             raise SimulationError(
                 f"cannot inject at {at_cycle}; current cycle is {self.cycle}"
             )
-        self._timed_injections[at_cycle].append((packet, node))
+        self._timed_injections.setdefault(at_cycle, []).append((packet, node))
 
     def inject(self, packet: Packet, node: NodeId | None = None) -> None:
         """Queue *packet* for injection at *node* (default: its source)."""
         node = packet.source if node is None else node
-        if node not in self.routers:
+        if node not in self._node_index:
             raise SimulationError(f"injection node {node} not in topology")
+        for destination in packet.destinations:
+            if destination not in self._node_index:
+                raise SimulationError(
+                    f"destination {destination} not in topology"
+                )
         packet.created_at = self.cycle
         queue = self._inject_queues[node]
         queue.append(packet)
@@ -243,12 +229,241 @@ class Network:
                 args={"packet": packet.packet_id,
                       "destinations": [str(d) for d in packet.destinations]},
             )
+        flits = packet.num_flits
         for destination in packet.destinations:
             key = (packet.packet_id, destination)
-            self._pending_ejects[key] = packet.num_flits
+            self._pending_ejects[key] = flits
             self._eject_meta[key] = packet
         for checker in self._checkers:
             checker.on_inject(self, packet)
+
+    def step(self) -> None:
+        """Advance the network one clock cycle."""
+        raise NotImplementedError
+
+    def run(self, cycles: int) -> None:
+        for _ in range(cycles):
+            self.step()
+
+    def run_until_drained(self, max_cycles: int = 100_000) -> int:
+        """Step until every injected packet has been fully delivered.
+
+        Returns the cycle count consumed. Raises if the network fails to
+        drain within *max_cycles* (e.g. a deadlock or livelock).
+        """
+        start = self.cycle
+        horizon = start + max_cycles
+        while self.pending_work():
+            if self.cycle >= horizon:
+                raise SimulationError(
+                    f"network did not drain within {max_cycles} cycles; "
+                    f"{len(self._pending_ejects)} deliveries outstanding\n"
+                    + self.drain_diagnostic()
+                )
+            self._advance(horizon)
+        return self.cycle - start
+
+    def drain_diagnostic(self) -> str:
+        """Human-readable snapshot of why the network has not drained.
+
+        Lists undelivered packets (id, destination, flits remaining), the
+        exact VC each buffered flit sits in or each wormhole has reserved,
+        queued injections, flits on wires, and the next timed injection.
+        """
+        lines = [f"drain diagnostic at cycle {self.cycle}:"]
+        undelivered = self.outstanding_deliveries()
+        lines.append(f"  undelivered deliveries ({len(undelivered)}):")
+        for pid, dst, remaining in undelivered[:50]:
+            meta = self._eject_meta.get((pid, dst))
+            kind = meta.message.value if meta is not None else "?"
+            lines.append(
+                f"    packet {pid} ({kind}) -> {dst}: "
+                f"{remaining} flit(s) outstanding"
+            )
+        if len(undelivered) > 50:
+            lines.append(f"    ... and {len(undelivered) - 50} more")
+        held = self._held_vcs()
+        routers = len({node for node, *_ in held})
+        lines.append(f"  routers holding traffic ({routers}):")
+        for node, port, vc, flits, pid in held:
+            state = (
+                f"{flits} flit(s) of packet {pid}"
+                if flits
+                else f"reserved for packet {pid}"
+            )
+            lines.append(f"    router {node} in_port {port} vc {vc}: {state}")
+        if self._inject_queues:
+            queued = {
+                node: [p.packet_id for p in queue]
+                for node, queue in self._inject_queues.items()
+            }
+            lines.append(f"  inject queues: {queued}")
+        if self._inject_progress:
+            lines.append(
+                "  partially injected: "
+                + str(sorted((str(n), pid) for n, pid in self._inject_progress))
+            )
+        in_flight = self.in_flight_flits()
+        if in_flight:
+            lines.append(f"  flits on wires: {in_flight}")
+        if self._timed_injections:
+            lines.append(
+                f"  next timed injection at cycle {self.next_timed_injection()}"
+            )
+        return "\n".join(lines)
+
+    def pending_work(self) -> bool:
+        """True while any injected packet still has flits to deliver."""
+        return bool(
+            self._pending_ejects
+            or self._inject_queues
+            or self._inject_progress
+            or self._timed_injections
+        )
+
+    def next_timed_injection(self) -> int | None:
+        """Earliest cycle a scheduled future injection fires (None = none)."""
+        return min(self._timed_injections) if self._timed_injections else None
+
+    def outstanding_deliveries(self) -> list[tuple[int, NodeId, int]]:
+        """Undelivered ``(packet_id, destination, flits_remaining)`` rows."""
+        return sorted(
+            ((pid, dst, n) for (pid, dst), n in self._pending_ejects.items()),
+            key=str,
+        )
+
+    def in_flight_flits(self) -> int:
+        """Flits currently crossing links (scheduled future arrivals)."""
+        return sum(len(batch) for batch in self._arrivals.values())
+
+    def publish_metrics(self, registry: Any) -> None:
+        """Export network-level counters, then the core's router counters."""
+        stats = self.stats
+        registry.counter("noc.network.cycles").inc(stats.cycles)
+        registry.counter("noc.network.packets_injected").inc(
+            stats.packets_injected
+        )
+        registry.counter("noc.network.flits_injected").inc(stats.flits_injected)
+        registry.counter("noc.network.packets_delivered").inc(
+            stats.packets_delivered
+        )
+        registry.gauge("noc.network.max_latency").update_max(stats.max_latency)
+        self._publish_routers(registry)
+        hub = getattr(self.topology, "core_attach", None)
+        for node in sorted(self._inject_depth_hw, key=str):
+            depth = self._inject_depth_hw[node]
+            registry.gauge(f"noc.inject_queue.max_depth.{node}").update_max(
+                depth
+            )
+            if node == hub:
+                registry.gauge("noc.hub.issue_queue_depth").update_max(depth)
+        for name, local in sorted((self._series or {}).items()):
+            registry.series(name, local.window, local.agg, local.edges).merge(
+                local.snapshot()
+            )
+
+    # -- hooks and shared internals -------------------------------------------
+
+    def _advance(self, horizon: int) -> None:
+        """One turn of the drain loop: one :meth:`step`.
+
+        The object core keeps this, so a checker's ``after_cycle`` sees
+        every cycle; the array core may jump idle cycles up to *horizon*.
+        """
+        self.step()
+
+    def _held_vcs(self) -> list[tuple[NodeId, object, int, int, int]]:
+        """``(node, in_port, vc, flits, packet_id)`` of every VC that
+        buffers a flit or is reserved for a wormhole (``flits`` = 0), in
+        ``topology.nodes`` order, then port order, then VC order."""
+        raise NotImplementedError
+
+    def _publish_routers(self, registry: Any) -> None:
+        """Export the router, VC and link counters of the core."""
+        raise NotImplementedError
+
+    def _complete(
+        self,
+        key: tuple[int, NodeId],
+        injected_at: int | None,
+        delivered_at: int,
+        hops: int,
+    ) -> None:
+        """Record the delivery whose last flit to ``key[1]`` just ejected."""
+        del self._pending_ejects[key]
+        packet = self._eject_meta.pop(key)
+        delivery = Delivery(
+            packet=packet,
+            destination=key[1],
+            injected_at=injected_at or packet.created_at,
+            delivered_at=delivered_at,
+            hops=hops,
+        )
+        self.stats.deliveries.append(delivery)
+        if self._series is not None:
+            self._series["noc.series.packets_delivered"].record(delivered_at)
+            self._series["noc.series.latency"].record(
+                delivered_at, delivery.latency
+            )
+        if self._sink.enabled:
+            self._sink.complete(
+                "packet", "noc.packet", delivery.injected_at,
+                delivery.latency, tid=key[1],
+                args={"packet": packet.packet_id,
+                      "source": str(packet.source),
+                      "hops": hops},
+            )
+        for callback in self._delivered_callbacks:
+            callback(delivery)
+
+
+class Network(FlitFabric):
+    """The reference flit-level network: one :class:`Router` per node."""
+
+    core = "object"
+
+    def __init__(
+        self,
+        topology: Topology,
+        routing: RouteComputer | None = None,
+        router_config: RouterConfig | None = None,
+        window: int = 0,
+    ) -> None:
+        super().__init__(topology, routing, router_config, window)
+        self.routers: dict[NodeId, Router] = {
+            node: Router(
+                node, topology, self.routing, self.router_config,
+                Occupancy(rank, self._active),
+            )
+            for rank, node in enumerate(self._nodes)
+        }
+        self._ranked: list[Router] = list(self.routers.values())
+        for router in self._ranked:
+            router.connect(self.routers)
+        self._wire_delay: dict[tuple[NodeId, NodeId], int] = {
+            (channel.src, channel.dst): channel.wire_delay
+            for channel in topology.channels()
+        }
+        #: Flits placed on each (src, dst) wire -- per-link utilization.
+        self._link_flits: dict[tuple[NodeId, NodeId], int] = {}
+        # The base's per-core layouts: an ``_arrivals`` entry is (node,
+        # in_port, vc_index, flit), which CreditConservationChecker reads,
+        # and an ``_inject_progress`` value is a deque of (flit, vc).
+
+    def install_checker(self, checker: Any) -> None:
+        """Attach a validation checker to this network and its routers.
+
+        The checker's ``on_inject``/``after_cycle``/``on_delivery`` hooks
+        fire from the network, ``on_switch``/``on_replicate`` from every
+        router, and ``final_check`` when a checked run drains (see
+        :func:`repro.validation.run_with_checkers`).
+        """
+        self._checkers.append(checker)
+        for router in self._ranked:
+            router.observers.append(checker)
+        self.on_delivery(checker.on_delivery)
+
+    # -- cycle kernel ---------------------------------------------------------
 
     def step(self) -> None:
         """Advance the network one clock cycle."""
@@ -290,118 +505,6 @@ class Network:
             router = ranked[rank]
             for forward in router.switch_phase(cycle):
                 self._handle_forward(router.node, forward, cycle)
-
-    def run(self, cycles: int) -> None:
-        for _ in range(cycles):
-            self.step()
-
-    def run_until_drained(self, max_cycles: int = 100_000) -> int:
-        """Step until every injected packet has been fully delivered.
-
-        Returns the cycle count consumed. Raises if the network fails to
-        drain within *max_cycles* (e.g. a deadlock or livelock).
-        """
-        start = self.cycle
-        while self._pending_ejects or self._inject_queues_nonempty():
-            if self.cycle - start >= max_cycles:
-                raise SimulationError(
-                    f"network did not drain within {max_cycles} cycles; "
-                    f"{len(self._pending_ejects)} deliveries outstanding\n"
-                    + self.drain_diagnostic()
-                )
-            self.step()
-        return self.cycle - start
-
-    def drain_diagnostic(self) -> str:
-        """Human-readable snapshot of why the network has not drained.
-
-        Lists undelivered packets (id, destination, flits remaining), the
-        exact VC each buffered flit sits in, queued injections, flits on
-        wires, and the routers currently holding traffic.
-        """
-        lines = [f"drain diagnostic at cycle {self.cycle}:"]
-        undelivered = self.outstanding_deliveries()
-        lines.append(f"  undelivered deliveries ({len(undelivered)}):")
-        for pid, dst, remaining in undelivered[:50]:
-            meta = self._eject_meta.get((pid, dst))
-            kind = meta.message.value if meta is not None else "?"
-            lines.append(
-                f"    packet {pid} ({kind}) -> {dst}: "
-                f"{remaining} flit(s) outstanding"
-            )
-        if len(undelivered) > 50:
-            lines.append(f"    ... and {len(undelivered) - 50} more")
-        stalled = []
-        for node in sorted(self.routers, key=str):
-            router = self.routers[node]
-            held = [
-                (port, vc)
-                for port, unit in router.inputs.items()
-                for vc in unit
-                if vc.fifo or vc.active_packet is not None
-            ]
-            if held:
-                stalled.append((node, held))
-        lines.append(f"  routers holding traffic ({len(stalled)}):")
-        for node, held in stalled:
-            for port, vc in held:
-                head = vc.head()
-                state = (
-                    f"{len(vc.fifo)} flit(s) of packet {head.packet.packet_id}"
-                    if head is not None
-                    else f"reserved for packet {vc.active_packet}"
-                )
-                lines.append(
-                    f"    router {node} in_port {port} vc {vc.index}: {state}"
-                )
-        queued = {
-            node: [p.packet_id for p in queue]
-            for node, queue in self._inject_queues.items()
-            if queue
-        }
-        if queued:
-            lines.append(f"  inject queues: {queued}")
-        if self._inject_progress:
-            lines.append(
-                "  partially injected: "
-                + str(sorted((str(n), pid) for n, pid in self._inject_progress))
-            )
-        in_flight = self.in_flight_flits()
-        if in_flight:
-            lines.append(f"  flits on wires: {in_flight}")
-        if self._timed_injections:
-            lines.append(
-                f"  next timed injection at cycle {self.next_timed_injection()}"
-            )
-        return "\n".join(lines)
-
-    def pending_work(self) -> bool:
-        """True while any injected packet still has flits to deliver."""
-        return bool(self._pending_ejects) or self._inject_queues_nonempty()
-
-    def next_timed_injection(self) -> int | None:
-        """Earliest cycle a scheduled future injection fires (None = none)."""
-        return min(self._timed_injections) if self._timed_injections else None
-
-    def outstanding_deliveries(self) -> list[tuple[int, NodeId, int]]:
-        """Undelivered ``(packet_id, destination, flits_remaining)`` rows."""
-        return sorted(
-            ((pid, dst, n) for (pid, dst), n in self._pending_ejects.items()),
-            key=str,
-        )
-
-    def in_flight_flits(self) -> int:
-        """Flits currently crossing links (scheduled future arrivals)."""
-        return sum(len(batch) for batch in self._arrivals.values())
-
-    # -- internals ------------------------------------------------------------
-
-    def _inject_queues_nonempty(self) -> bool:
-        return (
-            bool(self._inject_queues)
-            or bool(self._inject_progress)
-            or bool(self._timed_injections)
-        )
 
     def _deliver_arrivals(self, cycle: int) -> None:
         batch = self._arrivals.pop(cycle, None)
@@ -496,76 +599,43 @@ class Network:
                 "eject", "noc.flit", flit.ejected_at, tid=node,
                 args={"packet": flit.packet.packet_id, "hops": flit.hops},
             )
+        pending = self._pending_ejects
         for destination in flit.destinations or (node,):
             key = (flit.packet.packet_id, destination)
-            if key not in self._pending_ejects:
+            remaining = pending.get(key)
+            if remaining is None:
                 raise SimulationError(
                     f"unexpected ejection of packet {flit.packet.packet_id} "
                     f"at {destination}"
                 )
-            self._pending_ejects[key] -= 1
-            if self._pending_ejects[key] == 0:
-                del self._pending_ejects[key]
-                packet = self._eject_meta.pop(key)
-                delivery = Delivery(
-                    packet=packet,
-                    destination=destination,
-                    injected_at=flit.injected_at or packet.created_at,
-                    delivered_at=flit.ejected_at,
-                    hops=flit.hops,
-                )
-                self.stats.deliveries.append(delivery)
-                if self._series is not None:
-                    self._series["noc.series.packets_delivered"].record(
-                        delivery.delivered_at
-                    )
-                    self._series["noc.series.latency"].record(
-                        delivery.delivered_at, delivery.latency
-                    )
-                if self._sink.enabled:
-                    self._sink.complete(
-                        "packet", "noc.packet", delivery.injected_at,
-                        delivery.latency, tid=destination,
-                        args={"packet": packet.packet_id,
-                              "source": str(packet.source),
-                              "hops": delivery.hops},
-                    )
-                for callback in self._delivered_callbacks:
-                    callback(delivery)
+            if remaining > 1:
+                pending[key] = remaining - 1
+            else:
+                self._complete(key, flit.injected_at, flit.ejected_at, flit.hops)
 
-    # -- aggregate inspection ---------------------------------------------
+    # -- inspection -----------------------------------------------------------
 
-    def publish_metrics(self, registry) -> None:
-        """Export network-level and summed per-router counters."""
-        registry.counter("noc.network.cycles").inc(self.stats.cycles)
-        registry.counter("noc.network.packets_injected").inc(
-            self.stats.packets_injected
-        )
-        registry.counter("noc.network.flits_injected").inc(
-            self.stats.flits_injected
-        )
-        registry.counter("noc.network.packets_delivered").inc(
-            self.stats.packets_delivered
-        )
-        registry.gauge("noc.network.max_latency").update_max(
-            self.stats.max_latency
-        )
-        for node in sorted(self.routers, key=str):
-            self.routers[node].publish_metrics(registry)
+    def _held_vcs(self) -> list[tuple[NodeId, object, int, int, int]]:
+        return [
+            (
+                router.node, port, vc.index, len(vc.fifo),
+                vc.fifo[0].packet.packet_id if vc.fifo else vc.active_packet,
+            )
+            for router in self._ranked
+            for port, unit in router.inputs.items()
+            for vc in unit
+            if vc.fifo or vc.active_packet is not None
+        ]
+
+    def _publish_routers(self, registry: Any) -> None:
+        """Summed per-router counters, then per-link flit counts."""
+        for router in self._ranked:
+            router.publish_metrics(registry)
         for link in sorted(self._link_flits, key=str):
             src, dst = link
             registry.counter(f"noc.link.flits.{src}->{dst}").inc(
                 self._link_flits[link]
             )
-        hub = getattr(self.topology, "core_attach", None)
-        for node in sorted(self._inject_depth_hw, key=str):
-            depth = self._inject_depth_hw[node]
-            registry.gauge(f"noc.inject_queue.max_depth.{node}").update_max(
-                depth
-            )
-            if node == hub:
-                registry.gauge("noc.hub.issue_queue_depth").update_max(depth)
-        publish_noc_series(registry, self._series)
 
     def total_buffered_flits(self) -> int:
         return sum(router.buffered_flits() for router in self.routers.values())

@@ -85,17 +85,16 @@ def _timed(original: Any, profile: PhaseProfile, phase: str) -> Any:
     return wrapper
 
 
-def attach(network: Any, core: str | None = None) -> PhaseProfile:
+def attach(network: Any) -> PhaseProfile:
     """Bind timing wrappers over *network*'s phase methods.
 
+    The profile is labelled with the network class's ``core`` name.
     Idempotence guard: attaching twice would stack wrappers and
     double-count, so a second attach raises.
     """
     if getattr(network, "_phase_profile", None) is not None:
         raise RuntimeError("network already has a phase profiler attached")
-    if core is None:
-        core = "array" if type(network).__name__ == "ArrayNetwork" else "object"
-    profile = PhaseProfile(core)
+    profile = PhaseProfile(type(network).core)
     for phase, name in PHASE_METHODS.items():
         setattr(network, name, _timed(getattr(network, name), profile, phase))
     network._phase_profile = profile
@@ -129,7 +128,7 @@ def profile_load(
     from repro.noc import MeshTopology, make_network
 
     network = make_network(MeshTopology(mesh_size, mesh_size), core=core)
-    profile = attach(network, core=core)
+    profile = attach(network)
     offer_uniform_load(network, 0.3, cycles, seed)
     network.run_until_drained(max_cycles=cycles * 200)
     detach(network)

@@ -21,6 +21,8 @@ from repro.errors import SimulationError
 from repro.noc import HaloTopology, MeshTopology, MessageType, Network, Packet
 from repro.noc.arraycore import ArrayNetwork, FlitPool
 from repro.noc.network import make_network, normalize_core
+from repro.stream.arrivals import generate_arrivals, tenant_mix
+from repro.stream.service import StreamService
 from repro.validation.differential import (
     FlitWorkload,
     PacketSpec,
@@ -177,7 +179,8 @@ class TestSoAPlumbing:
 
     def test_flit_pool_columns_match_capacity_after_growth(self):
         # Growing from 256 to 8,192 rows must add exactly that many rows
-        # to every column, whatever its item size.
+        # to every column, whatever its item size. The free list of
+        # ejected rows is not a column.
         pool = FlitPool()
         for i in range(4097):
             pool.alloc(i, True, True, 0, (0,), 0, 0, 0)
@@ -185,7 +188,7 @@ class TestSoAPlumbing:
         columns = {
             name: len(column)
             for name, column in vars(pool).items()
-            if isinstance(column, (array, list))
+            if isinstance(column, (array, list)) and name != "free"
         }
         assert len(columns) == 12
         assert columns == dict.fromkeys(columns, pool.capacity)
@@ -261,6 +264,18 @@ class TestSoAPlumbing:
             net._deliver_arrivals(0)
         assert net._vc_len[gvc] == 0
 
+    def test_pool_reuses_ejected_rows(self):
+        # A 1,500-cycle serve cell on design C at load 3 takes ~1,400
+        # flit rows; reused once ejected, the first 256 hold them all,
+        # and every row is free again once the cell drains.
+        service = StreamService("C", core="array")
+        requests = generate_arrivals(tenant_mix("duo-bursty", 3.0), 1500, seed=1)
+        service.run(requests, 1500)
+        assert service.completed > 200
+        pool = service.network.pool
+        assert pool.capacity == 256
+        assert sorted(pool.free) == list(range(pool.size))
+
     def test_checkers_and_faults_unsupported(self):
         net = ArrayNetwork(MeshTopology(2, 2))
         with pytest.raises(SimulationError):
@@ -279,6 +294,35 @@ class TestSoAPlumbing:
         net = workload.run("array")
         assert net.total_replications() >= 1
         assert len(net.stats.deliveries) == 4
+
+
+def _diagnostics(core):
+    """``drain_diagnostic()`` before the first cycle and after each one."""
+    network = make_network(MeshTopology(4, 1), core=core)
+    for packet in (
+        Packet(MessageType.REPLACEMENT, (0, 0), ((3, 0),), packet_id=1),
+        Packet(MessageType.READ_REQUEST, (1, 0), ((3, 0),), packet_id=2),
+        Packet(MessageType.MISS_NOTIFY, (3, 0), ((0, 0), (1, 0)), packet_id=3),
+    ):
+        network.inject(packet)
+    texts = [network.drain_diagnostic()]
+    while network.pending_work():
+        assert network.cycle < 100, "4x1 mesh failed to drain"
+        network.step()
+        texts.append(network.drain_diagnostic())
+    return texts
+
+
+class TestDrainDiagnostic:
+    def test_cores_agree_after_every_cycle(self):
+        # The diagnostic is shared, so both cores must describe the same
+        # state with the same text: wormhole reservations of empty VCs,
+        # partial injections and inject queues included.
+        expected = _diagnostics("object")
+        assert any("reserved for packet" in text for text in expected)
+        assert any("partially injected" in text for text in expected)
+        assert "inject queues" in expected[0]
+        assert _diagnostics("array") == expected
 
 
 class TestObservabilityEquivalence:

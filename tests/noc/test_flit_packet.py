@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.noc import Flit, FlitType, MessageType, Packet
+from repro.noc import FlitType, MessageType, Packet
 
 
 class TestFlitType:
