@@ -11,12 +11,15 @@ paper says they do: the row the core sits on, the bank columns, and the
 memory channel. Every grant loop of the transaction model lives here:
 :meth:`CacheGeometry.reserve_segment` for one routed segment, and the
 column walks :meth:`CacheGeometry.multicast_column` and
-:meth:`CacheGeometry.walk` (DESIGN.md §8).
+:meth:`CacheGeometry.walk` (DESIGN.md §8). Each of them counts its grants
+once per leg; :meth:`CacheGeometry.resources` charges them to the
+resources before anyone reads a resource's counters.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 
 from repro.cache.bank import BankDescriptor
 from repro.config import RouterConfig, packet_flits
@@ -69,7 +72,7 @@ class ColumnChain:
     links.
     """
 
-    __slots__ = ("inbound", "hop_cycles", "sends")
+    __slots__ = ("inbound", "hop_cycles", "sends", "multicasts")
 
     def __init__(self, entry: Segment | None, links: tuple[Segment, ...]) -> None:
         self.inbound = (entry, *links)
@@ -79,6 +82,10 @@ class ColumnChain:
         if entry is not None:
             self.hop_cycles += entry.cost
             self.sends += 1
+        #: Multicasts delivered down the chain and not yet charged to its
+        #: resources: ``[without, with]`` bank 0's eviction
+        #: (:meth:`CacheGeometry.multicast_column`).
+        self.multicasts = [0, 0]
 
 
 class CacheGeometry:
@@ -133,6 +140,15 @@ class CacheGeometry:
         self.links: list[list[Segment]] = [[] for _ in columns]
         #: (column, entry node) -> multicast chain, built on first use.
         self._chains: dict[tuple[int, NodeId], ColumnChain] = {}
+        #: Grants of the inline paths not yet charged to their resources,
+        #: one count per leg (:meth:`_settle`): (segment, flits) -> sends
+        #: through :meth:`reserve_segment`, and per column (last bank,
+        #: replace cut-off, flits) -> walks (:meth:`walk`). Multicasts
+        #: count on their :class:`ColumnChain`.
+        self._sends: dict[tuple[Segment, int], int] = {}
+        self._walks: list[dict[tuple[int, int, int], int]] = [
+            {} for _ in columns
+        ]
         #: Cycles multicast deliveries lost to channel contention -- the
         #: transaction-level analogue of replica-blocked router cycles.
         self.multicast_blocked_cycles = 0
@@ -221,13 +237,107 @@ class CacheGeometry:
             links.append(self.route(nodes[len(links)], nodes[len(links) + 1]))
         return links[position]
 
+    def resources(
+        self,
+    ) -> tuple[
+        dict[tuple[NodeId, NodeId], Resource], dict[tuple[int, int], Resource]
+    ]:
+        """Every channel and every bank resource created so far, with
+        every grant charged: ``(channels, banks)``, each keyed as
+        :meth:`channel_resource` and :meth:`bank_resource` key them and in
+        creation order, the order the power model sums in."""
+        self._settle()
+        return self._channel_resources, self._bank_resources
+
+    def _settle(self) -> None:
+        """Charge the grants and busy cycles the inline paths counted per
+        leg to each resource's ``grants`` and ``busy_cycles``.
+
+        On the per-segment path a column walk's links went through
+        :meth:`reserve_segment`, which counted them as sends, so its
+        chain and walk legs charge only their banks.
+        """
+        per_segment = self._per_segment
+        for (segment, flits), sends in self._sends.items():
+            busy = sends * flits
+            for resource, _, _ in segment.hops:
+                resource.grants += sends
+                resource.busy_cycles += busy
+        self._sends.clear()
+        for (column, _), chain in self._chains.items():
+            plain, evicting = chain.multicasts
+            total = plain + evicting
+            if not total:
+                continue
+            chain.multicasts = [0, 0]
+            rows = self.bank_rows[column]
+            for position, link in enumerate(chain.inbound):
+                bank, tag, tag_replace = rows[position]
+                bank.grants += total
+                bank.busy_cycles += (
+                    total * tag if position
+                    else plain * tag + evicting * tag_replace
+                )
+                if link is not None and not per_segment:
+                    for channel, _, _ in link.hops:
+                        channel.grants += total
+                        channel.busy_cycles += total * MULTICAST_FLITS
+        for column, walks in enumerate(self._walks):
+            if walks:
+                self._settle_walks(column, walks, per_segment)
+                walks.clear()
+
+    def _settle_walks(
+        self,
+        column: int,
+        walks: dict[tuple[int, int, int], int],
+        per_segment: bool,
+    ) -> None:
+        """Charge one column's walks. A walk to bank *last* grants banks
+        1..*last* and the links into them, so each position's count is a
+        suffix sum over the walks' last banks."""
+        rows = self.bank_rows[column]
+        size = len(rows)
+        reach = [0] * size  # walks whose last bank is p
+        flit_cycles = [0] * size  # their flits, summed
+        replace = [0] * size  # walks whose last tag+replace bank is p
+        for (last, replace_until, flits), count in walks.items():
+            reach[last] += count
+            flit_cycles[last] += count * flits
+            top = min(replace_until - 1, last)
+            if top > 0:
+                replace[top] += count
+        links = self.links[column]
+        walked = busy = replacing = 0
+        for position in range(size - 1, 0, -1):
+            walked += reach[position]
+            busy += flit_cycles[position]
+            replacing += replace[position]
+            if not walked:
+                continue
+            bank, tag, tag_replace = rows[position]
+            bank.grants += walked
+            bank.busy_cycles += (
+                replacing * tag_replace + (walked - replacing) * tag
+            )
+            if not per_segment:
+                for channel, _, _ in links[position - 1].hops:
+                    channel.grants += walked
+                    channel.busy_cycles += busy
+
     def reset_contention(self) -> None:
-        """Clear all resource occupancy (fresh run, same layout)."""
+        """Clear all resource occupancy and the grants not yet charged
+        (fresh run, same layout)."""
         self.floor_clock.reset()
         self.multicast_blocked_cycles = 0
         self.traversal_queue_cycles = 0
         self.traversal_hop_cycles = 0
         self.serialization_cycles = 0
+        self._sends.clear()
+        for chain in self._chains.values():
+            chain.multicasts = [0, 0]
+        for walks in self._walks:
+            walks.clear()
         for resource in self._channel_resources.values():
             resource.reset()
         for resource in self._bank_resources.values():
@@ -241,7 +351,8 @@ class CacheGeometry:
         failed same-cycle VC allocation, so channel waits are published
         under the ``noc.router`` names the flit-level router also uses.
         """
-        channels = self._channel_resources.values()
+        channel_resources, bank_resources = self.resources()
+        channels = channel_resources.values()
         registry.counter("noc.router.vc_alloc_failures").set(
             sum(r.waits for r in channels)
         )
@@ -266,8 +377,8 @@ class CacheGeometry:
         # Per-link congestion: one row per channel that carried traffic
         # (the resource dict is lazy, so unused channels never appear).
         # These rows are the heatmap substrate for `repro report`.
-        for key in sorted(self._channel_resources, key=str):
-            resource = self._channel_resources[key]
+        for key in sorted(channel_resources, key=str):
+            resource = channel_resources[key]
             if not resource.grants:
                 continue
             src, dst = key
@@ -280,7 +391,7 @@ class CacheGeometry:
                 registry.counter(f"noc.link.wait_cycles.{link}").set(
                     resource.queued_cycles
                 )
-        banks = self._bank_resources.values()
+        banks = bank_resources.values()
         registry.counter("cache.bank.grants").set(sum(r.grants for r in banks))
         registry.counter("cache.bank.busy_cycles").set(
             sum(r.busy_cycles for r in banks)
@@ -342,36 +453,38 @@ class CacheGeometry:
         """Reserve one segment's channels for a *flits*-flit packet whose
         head leaves at *time*; returns the tail's arrival.
 
-        Each hop is granted exactly as ``Resource.acquire(head, flits)``
-        would grant it: the fresh-list and idle-tail cases inline (every
+        Each hop is placed exactly as ``Resource.place(head, flits)``
+        would place it: the fresh-list and idle-tail cases inline (every
         channel shares this geometry's floor clock), the rest through
-        ``acquire``. The column walks (:meth:`multicast_column`,
-        :meth:`walk`) inline the same grant for their links. When
-        *waypoints* is given it receives the head's arrival at every
-        intermediate node, in hop order (``segment.waypoint_index``). The
-        caller charges the traversal counters for it as one traversal from
-        *time* to the returned arrival (:meth:`charge_traversals`).
+        ``place``. The send is counted once, per (segment, flit count),
+        and charged to the hops' ``grants`` and ``busy_cycles`` when the
+        geometry settles (:meth:`resources`). The column walks
+        (:meth:`multicast_column`, :meth:`walk`) inline the same placement
+        for their links. When *waypoints* is given it receives the head's
+        arrival at every intermediate node, in hop order
+        (``segment.waypoint_index``). The caller charges the traversal
+        counters for it as one traversal from *time* to the returned
+        arrival (:meth:`charge_traversals`).
         """
         head = time
         floor = self.floor_clock.time
         for resource, cost, _ in segment.hops:
-            ends = resource._ends
-            if head >= 0 and (not ends or ends[-1] <= floor):
-                resource._starts, resource._ends = [head], [head + flits]
-                resource.busy_cycles += flits
-                resource.grants += 1
-            elif ends and ends[-1] <= head:
-                if ends[0] <= floor:
-                    resource._prune()
-                resource._starts.append(head)
-                ends.append(head + flits)
-                resource.busy_cycles += flits
-                resource.grants += 1
+            busy = resource.busy
+            if busy[-1] <= floor and head >= 0:
+                resource.busy = [head, head + flits]
+            elif busy[-1] <= head:
+                if busy[1] <= floor:
+                    del busy[: bisect_right(busy, floor) & ~1]
+                busy.append(head)
+                busy.append(head + flits)
             else:
-                head = resource.acquire(head, flits)
+                head = resource.place(head, flits)
             head += cost
             if waypoints is not None:
                 waypoints.append(head)
+        sends = self._sends
+        key = (segment, flits)
+        sends[key] = sends.get(key, 0) + 1
         if waypoints:
             waypoints.pop()  # the last hop reaches dst
         return head + (flits - 1)
@@ -438,12 +551,13 @@ class CacheGeometry:
 
     # -- column walks ---------------------------------------------------------
     #
-    # Both walks grant each bank, and each hop of a link, exactly as
-    # ``Resource.acquire`` would: the fresh-list and idle-tail cases inline,
-    # the rest through ``acquire``. The inline cases assume a positive
-    # duration, which every flit count and Table-1 bank latency is. On a
+    # Both walks place each bank, and each hop of a link, exactly as
+    # ``Resource.place`` would: the fresh-list and idle-tail cases inline,
+    # the rest through ``place``. The inline cases assume a positive
+    # duration, which every flit count and Table-1 bank latency is. Each
+    # walk counts its grants once, as one leg (:meth:`_settle`). On a
     # geometry that overrides reserve_segment, the links go through it
-    # instead, one call each.
+    # instead, one call each, and count as its sends.
 
     def multicast_column(
         self,
@@ -470,6 +584,7 @@ class CacheGeometry:
         serialization = flits - 1
         floor = self.floor_clock.time
         per_segment = self._per_segment
+        chain.multicasts[evict] += 1
         head = time
         arrivals: list[int] = []
         done: list[int] = []
@@ -480,41 +595,33 @@ class CacheGeometry:
                 head = self.reserve_segment(link, head, flits)
             else:
                 for channel, cost, _ in link.hops:
-                    ends = channel._ends
-                    if head >= 0 and (not ends or ends[-1] <= floor):
-                        channel._starts, channel._ends = [head], [head + flits]
-                        channel.busy_cycles += flits
-                        channel.grants += 1
-                    elif ends and ends[-1] <= head:
-                        if ends[0] <= floor:
-                            channel._prune()
-                        channel._starts.append(head)
-                        ends.append(head + flits)
-                        channel.busy_cycles += flits
-                        channel.grants += 1
+                    busy = channel.busy
+                    if busy[-1] <= floor and head >= 0:
+                        channel.busy = [head, head + flits]
+                    elif busy[-1] <= head:
+                        if busy[1] <= floor:
+                            del busy[: bisect_right(busy, floor) & ~1]
+                        busy.append(head)
+                        busy.append(head + flits)
                     else:
-                        head = channel.acquire(head, flits)
+                        head = channel.place(head, flits)
                     head += cost
                 head += serialization
             arrivals.append(head)
             latency = tag_replace if evict else tag
             evict = False
-            ends = bank._ends
-            if head >= 0 and (not ends or ends[-1] <= floor):
-                bank._starts, bank._ends = [head], [head + latency]
-                bank.busy_cycles += latency
-                bank.grants += 1
+            busy = bank.busy
+            if busy[-1] <= floor and head >= 0:
+                bank.busy = [head, head + latency]
                 done.append(head + latency)
-            elif ends and ends[-1] <= head:
-                if ends[0] <= floor:
-                    bank._prune()
-                bank._starts.append(head)
-                ends.append(head + latency)
-                bank.busy_cycles += latency
-                bank.grants += 1
+            elif busy[-1] <= head:
+                if busy[1] <= floor:
+                    del busy[: bisect_right(busy, floor) & ~1]
+                busy.append(head)
+                busy.append(head + latency)
                 done.append(head + latency)
             else:
-                done.append(bank.acquire(head, latency) + latency)
+                done.append(bank.place(head, latency) + latency)
         # Each segment leaves when the previous one arrives, so the chain
         # travels from *time* to the final arrival; a grant never starts
         # before its request, so all its queueing is the replicas'
@@ -546,8 +653,11 @@ class CacheGeometry:
         replacement chain.
         """
         self.bank_row(column, last)
-        if last:
+        if last > 0:
             self.bank_link(column, last - 1)
+            walks = self._walks[column]
+            key = (last, replace_until, flits)
+            walks[key] = walks.get(key, 0) + 1
         rows = self.bank_rows[column]
         links = self.links[column]
         floor = self.floor_clock.time
@@ -562,20 +672,16 @@ class CacheGeometry:
             else:
                 head = current
                 for channel, cost, _ in link.hops:
-                    ends = channel._ends
-                    if head >= 0 and (not ends or ends[-1] <= floor):
-                        channel._starts, channel._ends = [head], [head + flits]
-                        channel.busy_cycles += flits
-                        channel.grants += 1
-                    elif ends and ends[-1] <= head:
-                        if ends[0] <= floor:
-                            channel._prune()
-                        channel._starts.append(head)
-                        ends.append(head + flits)
-                        channel.busy_cycles += flits
-                        channel.grants += 1
+                    busy = channel.busy
+                    if busy[-1] <= floor and head >= 0:
+                        channel.busy = [head, head + flits]
+                    elif busy[-1] <= head:
+                        if busy[1] <= floor:
+                            del busy[: bisect_right(busy, floor) & ~1]
+                        busy.append(head)
+                        busy.append(head + flits)
                     else:
-                        head = channel.acquire(head, flits)
+                        head = channel.place(head, flits)
                     head += cost
             travel += head - current
             hop_cycles += link.cost
@@ -584,22 +690,18 @@ class CacheGeometry:
             bank, tag, tag_replace = rows[position]
             latency = tag_replace if position < replace_until else tag
             bank_cycles += latency
-            ends = bank._ends
-            if head >= 0 and (not ends or ends[-1] <= floor):
-                bank._starts, bank._ends = [head], [head + latency]
-                bank.busy_cycles += latency
-                bank.grants += 1
+            busy = bank.busy
+            if busy[-1] <= floor and head >= 0:
+                bank.busy = [head, head + latency]
                 current = head + latency
-            elif ends and ends[-1] <= head:
-                if ends[0] <= floor:
-                    bank._prune()
-                bank._starts.append(head)
-                ends.append(head + latency)
-                bank.busy_cycles += latency
-                bank.grants += 1
+            elif busy[-1] <= head:
+                if busy[1] <= floor:
+                    del busy[: bisect_right(busy, floor) & ~1]
+                busy.append(head)
+                busy.append(head + latency)
                 current = head + latency
             else:
-                current = bank.acquire(head, latency) + latency
+                current = bank.place(head, latency) + latency
         self.charge_traversals(
             travel + last * serialization, hop_cycles, last, flits
         )

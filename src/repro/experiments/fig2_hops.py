@@ -65,10 +65,8 @@ def _measure(scheme: str, column: int = COLUMN) -> HopMeasurement:
 
 
 def _channel_grants(system: NetworkedCacheSystem) -> int:
-    return sum(
-        resource.grants
-        for resource in system.geometry._channel_resources.values()
-    )
+    channels, _ = system.geometry.resources()
+    return sum(resource.grants for resource in channels.values())
 
 
 def run() -> dict[str, HopMeasurement]:

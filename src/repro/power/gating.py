@@ -83,6 +83,7 @@ def simulate_gating(
     params = params or EnergyParams()
     planner = planner or FloorPlanner()
     geometry = system.geometry
+    _, banks = geometry.resources()
     cycles = max(result.cycles, 1)
 
     bank_model = planner.bank_model
@@ -94,7 +95,7 @@ def simulate_gating(
             area = bank_model.area_mm2(descriptor.capacity_bytes)
             total_bank_area += area
             key = (column, descriptor.position)
-            resource = geometry._bank_resources.get(key)
+            resource = banks.get(key)
             accesses = resource.grants if resource is not None else 0
             if accesses == 0:
                 total_weighted_off += area  # gated for the whole run

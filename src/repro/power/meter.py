@@ -76,13 +76,14 @@ class EnergyMeter:
                 )
                 capacities[(column, descriptor.position)] = descriptor.capacity_bytes
 
+        channels, banks = geometry.resources()
         bank_pj = 0.0
-        for key, resource in geometry._bank_resources.items():
+        for key, resource in banks.items():
             bank_pj += resource.grants * self.params.bank_access_pj(capacities[key])
 
         router_pj = 0.0
         link_pj = 0.0
-        for (src, dst), resource in geometry._channel_resources.items():
+        for (src, dst), resource in channels.items():
             flit_hops = resource.busy_cycles
             router_pj += flit_hops * self.params.router_flit_pj
             length = max(tile_sides.get(src, 0.0), tile_sides.get(dst, 0.0))

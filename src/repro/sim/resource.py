@@ -12,8 +12,9 @@ first.
 Reservations already granted are never displaced (no preemption), which
 keeps the model causal and deterministic.
 
-The busy list is kept as two parallel sorted lists (interval starts and
-ends), so placement is a binary search plus a short forward scan from the
+The reservations are one flat sorted list ``[s0, e0, s1, e1, ...]`` of
+half-open intervals, so a grant at the idle tail is two appends and any
+other placement is a binary search plus a short forward scan from the
 first candidate gap instead of a linear walk over every reservation.
 """
 
@@ -57,8 +58,7 @@ class Resource:
         "queued_cycles",
         "waits",
         "floor_clock",
-        "_starts",
-        "_ends",
+        "busy",
     )
 
     def __init__(
@@ -72,66 +72,74 @@ class Resource:
         #: the transaction-level analogue of a failed same-cycle allocation.
         self.waits = 0
         self.floor_clock = floor_clock if floor_clock is not None else FloorClock()
-        self._starts: list[int] = []
-        self._ends: list[int] = []
+        #: Reservations as one flat sorted list ``[s0, e0, s1, e1, ...]``:
+        #: an even index holds a start, the next odd one its end. Never
+        #: empty, so ``busy[-1]`` is always readable: an idle resource
+        #: holds ``[0, 0]``, which every request at or after 0 finds
+        #: behind the floor (DESIGN.md §8).
+        self.busy: list[int] = [0, 0]
 
     def acquire(self, time: int, duration: int) -> int:
-        """Reserve *duration* cycles at the earliest gap at/after *time*.
+        """Reserve *duration* cycles at the earliest gap at/after *time*
+        and count the grant.
 
         Returns the start of the granted interval.
+        """
+        start = self.place(time, duration)
+        self.grants += 1
+        self.busy_cycles += duration
+        return start
+
+    def place(self, time: int, duration: int) -> int:
+        """Reserve *duration* cycles at the earliest gap at/after *time*
+        without counting the grant; returns the start of the interval.
+
+        A placement that cannot start at *time* counts its wait
+        (``waits``, ``queued_cycles``). The grant and its busy cycles are
+        the caller's to count: :meth:`acquire` counts them per call, and
+        the geometry's inline grants count them once per leg.
         """
         if duration < 0:
             raise SimulationError(f"{self.name}: negative duration {duration}")
         start = time if time > 0 else 0
         if duration == 0:
-            self.grants += 1
             return start
-        starts = self._starts
-        ends = self._ends
+        busy = self.busy
         floor = self.floor_clock.time
-        if ends and ends[0] <= floor:
-            if ends[-1] <= floor:
-                starts, ends = self._starts, self._ends = [], []
-            else:
-                self._prune()
-        if time >= 0 and (not ends or ends[-1] <= time):
-            starts.append(time)
-            ends.append(time + duration)
-            self.busy_cycles += duration
-            self.grants += 1
-            return time
-        # All reservations starting at or before `start` are behind us; only
-        # the latest of them can still be busy (intervals are disjoint).
-        i = bisect_right(starts, start)
-        if i and ends[i - 1] > start:
-            start = ends[i - 1]
-        n = len(starts)
-        while i < n and starts[i] - start < duration:
-            start = ends[i]
-            i += 1
-        starts.insert(i, start)
-        ends.insert(i, start + duration)
+        if busy[-1] <= floor:
+            # Every reservation ended behind the floor: start afresh.
+            self.busy = [start, start + duration]
+        else:
+            if busy[1] <= floor:
+                # An odd bisect index falls inside an interval, which
+                # stays; every whole interval before it goes.
+                del busy[: bisect_right(busy, floor) & ~1]
+            if busy[-1] <= time:
+                busy.append(time)
+                busy.append(time + duration)
+                return time
+            i = bisect_right(busy, start)
+            if i & 1:
+                # *start* falls inside an interval: try from its end on.
+                start = busy[i]
+                i += 1
+            n = len(busy)
+            while i < n and busy[i] - start < duration:
+                start = busy[i + 1]
+                i += 2
+            busy[i:i] = (start, start + duration)
         if start > time:
             self.queued_cycles += start - time
             self.waits += 1
-        self.busy_cycles += duration
-        self.grants += 1
         return start
-
-    def _prune(self) -> None:
-        """Drop the reservations that ended at or before the floor."""
-        keep_from = bisect_right(self._ends, self.floor_clock.time)
-        del self._starts[:keep_from]
-        del self._ends[:keep_from]
 
     def reset(self) -> None:
         """Return the resource to its initial idle state, keeping its name."""
-        self._starts.clear()
-        self._ends.clear()
+        self.busy = [0, 0]
         self.busy_cycles = 0
         self.grants = 0
         self.queued_cycles = 0
         self.waits = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Resource(name={self.name!r}, reservations={len(self._starts)})"
+        return f"Resource(name={self.name!r}, reservations={len(self.busy) // 2})"

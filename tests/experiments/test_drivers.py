@@ -43,6 +43,11 @@ class TestFastDrivers:
         results = fig2_hops.run()
         assert results["fast_lru"].total_hops < results["lru"].total_hops
         assert "21" in fig2_hops.render(results)
+        # The hops are the channel grants of one hit, read after the
+        # geometry settles its per-leg counts.
+        lru, fast = results["lru"], results["fast_lru"]
+        assert (lru.total_hops, lru.transaction_latency) == (24, 76)
+        assert (fast.total_hops, fast.transaction_latency) == (14, 46)
 
     def test_link_analysis(self):
         rows = link_analysis.run((4, 8))

@@ -60,10 +60,10 @@ def _run(design: str, scheme: str) -> dict:
     system = NetworkedCacheSystem(design=design, scheme=scheme)
     result = system.run(trace, profile, warmup=warmup)
     report = EnergyMeter().measure(system, result)
-    geometry = system.geometry
+    channels, banks = system.geometry.resources()
     return {
-        "banks": _resources(geometry._bank_resources),
-        "channels": _resources(geometry._channel_resources),
+        "banks": _resources(banks),
+        "channels": _resources(channels),
         "bank_pj": report.bank_pj,
         "router_pj": report.router_pj,
         "link_pj": report.link_pj,

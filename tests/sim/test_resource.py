@@ -48,6 +48,8 @@ class TestResource:
     def test_negative_duration_rejected(self):
         with pytest.raises(SimulationError):
             Resource().acquire(0, -1)
+        with pytest.raises(SimulationError):
+            Resource().place(0, -1)
 
     def test_statistics(self):
         resource = Resource()
@@ -80,7 +82,7 @@ class TestResource:
         for t in range(0, 10_000, 10):
             clock.advance(t)
             resource.acquire(t, 5)
-        assert len(resource._starts) < 50
+        assert len(resource.busy) // 2 < 50  # intervals kept
 
     @pytest.mark.parametrize("via_segment", [False, True])
     def test_tail_appends_prune_a_list_that_never_empties(self, via_segment):
@@ -98,7 +100,7 @@ class TestResource:
                 assert geometry.reserve_segment(segment, t + 20, 5) == t + 24
             else:
                 assert resource.acquire(t + 20, 5) == t + 20
-            assert 1 <= len(resource._starts) <= 3
+            assert 1 <= len(resource.busy) // 2 <= 3  # intervals kept
 
     @given(
         requests=st.lists(
