@@ -20,9 +20,10 @@ set's tags are unstable, so a subsequent access to the *same set* stalls
 until the earlier one settles. This per-set serialization is precisely the
 cost of LRU's long chains that Fast-LRU overlaps away.
 
-The flows report a per-access :class:`AccessTiming` with the data-return
-latency decomposed into bank, network, and memory components exactly as
-Figure 7 plots them.
+Each access returns one plain :data:`Transaction` tuple: its data-return
+and completion times, and the bank and memory cycles of the Figure-7
+decomposition. :class:`AccessTiming` is the same record as an object, built
+only where something reads it as one.
 """
 
 from __future__ import annotations
@@ -77,6 +78,26 @@ class Scheme:
         return self.policy.overlaps_replacement
 
 
+#: What executing one access returns: ``(data_at_core, completion,
+#: settled, bank_cycles, memory_cycles, hit_bank)``, with *hit_bank* the
+#: bank position that hit, None on a miss (:class:`AccessTiming` names
+#: each field).
+Transaction = tuple[int, int, int, int, int, int | None]
+
+#: What a flow helper returns: ``(data_at_core, completion, settled,
+#: memory_cycles, hit_bank)``. The engine adds the bank cycles it counted.
+_Flow = tuple[int, int, int, int, int | None]
+
+
+def _settle_by(flow: _Flow, done: int) -> _Flow:
+    """*flow* with its completion and settling no earlier than *done*."""
+    data_at_core, completion, settled, memory_cycles, hit_bank = flow
+    return (
+        data_at_core, max(completion, done), max(settled, done),
+        memory_cycles, hit_bank,
+    )
+
+
 @dataclass(slots=True)
 class AccessTiming:
     """Timing of one access, with the Fig.-7 latency decomposition."""
@@ -112,11 +133,14 @@ class AccessTiming:
         routers, serialization, and queueing."""
         return max(0, self.transaction_latency - self.bank_cycles - self.memory_cycles)
 
-    @property
-    def occupancy(self) -> int:
-        """Cycles until every induced movement (replacement, write-back,
-        notifications) finished."""
-        return self.completion - self.issued
+    @classmethod
+    def of(cls, issued: int, transaction: Transaction) -> AccessTiming:
+        """The timing of *transaction*, an access issued at *issued*."""
+        data_at_core, completion, settled, bank, memory, hit_bank = transaction
+        return cls(
+            issued, data_at_core, completion, hit_bank is not None, hit_bank,
+            bank, memory, settled,
+        )
 
 
 class TransactionEngine:
@@ -132,6 +156,14 @@ class TransactionEngine:
         self.geometry = geometry
         self.memory = memory
         self.scheme = scheme
+        #: Scheme and geometry facts every access reads, read once here.
+        self._multicast = scheme.multicast
+        self._fast = scheme.is_fast
+        self._policy = scheme.policy.name
+        #: What a Promotion fill displaces (footnote 4): the recursive
+        #: demotion chain, one bank (``one_copy``) or none (``zero_copy``).
+        self._miss_policy = getattr(scheme.policy, "miss_policy", "recursive")
+        self._faulty = getattr(geometry, "fault_stats", None) is not None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Per-access replacement-chain length in banks (Fast-LRU's whole
         #: point is keeping this off the critical path; the histogram shows
@@ -146,6 +178,10 @@ class TransactionEngine:
             self.metrics.histogram(f"cache.span.{leg}", SPAN_CYCLE_EDGES)
             for leg in SPAN_LEGS
         ]
+        #: The span legs of the accesses not yet folded into _span_hists:
+        #: each distinct tuple of six legs (SPAN_LEGS order) -> how many
+        #: accesses had it (:meth:`fold_spans`).
+        self._spans: dict[tuple[int, ...], int] = {}
         self._sink = _trace.NULL_SINK
         #: Per-column transaction slots: the cache controller admits one
         #: transaction per bank-set column at a time on meshes; on halos
@@ -167,10 +203,23 @@ class TransactionEngine:
         self.validators: list = []
 
     def reset(self) -> None:
-        """Forget per-column serialization state (fresh measurement window)."""
+        """Forget per-column serialization state and the span legs not yet
+        folded (fresh measurement window)."""
         for slots in self._column_slots:
             for i in range(len(slots)):
                 slots[i] = 0
+        self._spans.clear()
+
+    def fold_spans(self) -> None:
+        """Add the tallied span legs to the ``cache.span.*`` histograms,
+        as one :meth:`~repro.telemetry.registry.Histogram.record` per leg
+        of every access would have, and empty the tally."""
+        for spans, count in self._spans.items():
+            for histogram, cycles in zip(self._span_hists, spans):
+                histogram.counts[bisect_left(SPAN_CYCLE_EDGES, cycles)] += count
+                histogram.total += count * cycles
+                histogram.count += count
+        self._spans.clear()
 
     # -- public entry -------------------------------------------------------
 
@@ -182,9 +231,10 @@ class TransactionEngine:
         issue_time: int,
         is_write: bool = False,
         core_node=None,
-    ) -> AccessTiming:
+    ) -> Transaction:
         """Run the full protocol flow for one (already content-resolved)
-        access to set (*column*, *index*) and return its timing.
+        access to set (*column*, *index*) and return its
+        :data:`Transaction`.
 
         *core_node* overrides the requesting core's attach point (CMP
         runs; defaults to the geometry's single core). A bank set spans
@@ -207,7 +257,7 @@ class TransactionEngine:
         issue_time: int,
         is_write: bool = False,
         core_node=None,
-    ) -> AccessTiming:
+    ) -> Transaction:
         """Guaranteed-miss shortcut (partial-tag early miss detection).
 
         The controller already knows the access misses, so the memory
@@ -226,7 +276,7 @@ class TransactionEngine:
         is_write: bool,
         core_node,
         early_miss: bool = False,
-    ) -> AccessTiming:
+    ) -> Transaction:
         geometry = self.geometry
         geometry.floor_clock.advance(issue_time)
         self._spine_bank_cycles = 0
@@ -238,12 +288,12 @@ class TransactionEngine:
         queue0 = geometry.traversal_queue_cycles
         hop0 = geometry.traversal_hop_cycles
         ser0 = geometry.serialization_cycles
-        fault_stats = getattr(geometry, "fault_stats", None)
-        if fault_stats is not None:
+        if self._faulty:
+            fault_stats = geometry.fault_stats
             degraded_before = fault_stats.rerouted_traversals + fault_stats.retries
         t0 = start + self._admission_cycles
         if early_miss:
-            timing = self._finish_miss(
+            flow = self._finish_miss(
                 column,
                 outcome,
                 miss_decided=t0,
@@ -251,63 +301,67 @@ class TransactionEngine:
                 is_write=is_write,
                 chain_already_ran=False,
             )
-        elif self.scheme.multicast:
-            timing = self._multicast_access(column, outcome, t0, is_write)
+        elif self._multicast:
+            flow = self._multicast_access(column, outcome, t0, is_write)
         else:
-            timing = self._unicast_access(column, outcome, t0, is_write)
+            flow = self._unicast_access(column, outcome, t0, is_write)
+        data_at_core, completion, settled, memory_cycles, hit_bank = flow
         # Accesses whose flow crossed a reroute or ran the transient retry
         # loop (per-access view of the per-traversal counters).
-        if fault_stats is not None and (
+        if self._faulty and (
             fault_stats.rerouted_traversals + fault_stats.retries
         ) > degraded_before:
             self.metrics.counter("cache.txn.degraded_accesses").inc()
-        timing.issued = issue_time
-        timing.bank_cycles = self._spine_bank_cycles
-        if timing.settled < timing.data_at_core:
-            timing.settled = timing.data_at_core
-        slots[slot] = timing.settled
-        # The latency-breakdown legs, in SPAN_LEGS order, recorded inline
-        # (what Histogram.record does, without a call per leg).
+        bank_cycles = self._spine_bank_cycles
+        if settled < data_at_core:
+            settled = data_at_core
+        slots[slot] = settled
+        # The latency-breakdown legs, in SPAN_LEGS order, tallied per
+        # distinct tuple until fold_spans adds them to their histograms.
         spans = (
             t0 - issue_time,
             geometry.serialization_cycles - ser0,
             geometry.traversal_hop_cycles - hop0,
             geometry.traversal_queue_cycles - queue0,
-            timing.bank_cycles,
-            timing.memory_cycles,
+            bank_cycles,
+            memory_cycles,
         )
-        for histogram, cycles in zip(self._span_hists, spans):
-            histogram.counts[bisect_left(SPAN_CYCLE_EDGES, cycles)] += 1
-            histogram.total += cycles
-            histogram.count += 1
+        tally = self._spans
+        tally[spans] = tally.get(spans, 0) + 1
+        transaction = (
+            data_at_core, completion, settled, bank_cycles, memory_cycles,
+            hit_bank,
+        )
         if sink.enabled:
             tid = f"column-{column}"
             for leg, cycles in zip(SPAN_LEGS, spans):
                 sink.complete(leg, "cache.span", issue_time, cycles, tid=tid)
-            args = {"data_at_core": timing.data_at_core,
-                    "settled": timing.settled, "write": is_write}
+            args = {"data_at_core": data_at_core,
+                    "settled": settled, "write": is_write}
             if early_miss:
                 name = "early_miss"
             else:
-                name = "hit" if timing.hit else "miss"
-                args = {"bank": timing.bank_position, **args}
+                name = "miss" if hit_bank is None else "hit"
+                args = {"bank": hit_bank, **args}
             sink.complete(
-                name, "cache.txn", issue_time, timing.completion - issue_time,
+                name, "cache.txn", issue_time, completion - issue_time,
                 tid=tid, args=args,
             )
-        for validator in self.validators:
-            validator.on_transaction(column, outcome, timing)
-        return timing
+        if self.validators:
+            timing = AccessTiming.of(issue_time, transaction)
+            for validator in self.validators:
+                validator.on_transaction(column, outcome, timing)
+        return transaction
 
     # -- unicast flows ----------------------------------------------------------
 
     def _unicast_access(
         self, column: int, outcome: AccessOutcome, t0: int, is_write: bool
-    ) -> AccessTiming:
+    ) -> _Flow:
         geometry = self.geometry
         hit_pos = outcome.bank if outcome.hit else None
-        last = geometry.banks_per_column(column) - 1 if hit_pos is None else hit_pos
-        fast = self.scheme.is_fast
+        last = len(geometry.nodes[column]) - 1 if hit_pos is None else hit_pos
+        fast = self._fast
 
         # Sequential tag-match walk down the column (Fig. 2). With Fast-LRU
         # the evicted block rides as the wormhole body behind the request
@@ -317,7 +371,8 @@ class TransactionEngine:
         flits = DATA if fast else CONTROL
         replace_until = (last if outcome.hit else last + 1) if fast else 0
         arrival = geometry.core_to_bank(column, 0, t0, CONTROL, core=self._core)
-        resource, tag, tag_replace = geometry.bank_row(column, 0)
+        rows = geometry.bank_rows[column]
+        resource, tag, tag_replace = rows[0] if rows else geometry.bank_row(column, 0)
         latency = tag_replace if replace_until else tag
         done = resource.acquire(arrival, latency) + latency
         done, bank_cycles = geometry.walk(column, last, done, flits, replace_until)
@@ -325,16 +380,15 @@ class TransactionEngine:
         tail_gap = flits - 1 if last else 0  # how far the body trails the head
 
         if hit_pos is not None:
-            timing = self._finish_hit(column, hit_pos, done, is_write)
+            flow = self._finish_hit(column, hit_pos, done, is_write)
             if fast and hit_pos > 0:
                 # The hit bank still absorbs the incoming evicted block
                 # (its frame was freed by the departing hit block).
-                resource, _, tag_replace = geometry.bank_rows[column][hit_pos]
+                resource, _, tag_replace = rows[hit_pos]
                 absorb = resource.acquire(done + tail_gap, tag_replace) + tag_replace
                 self._spine_bank_cycles += tag_replace
-                timing.settled = max(timing.settled, absorb)
-                timing.completion = max(timing.completion, absorb)
-            return timing
+                return _settle_by(flow, absorb)
+            return flow
         return self._finish_miss(
             column,
             outcome,
@@ -349,11 +403,10 @@ class TransactionEngine:
 
     def _multicast_access(
         self, column: int, outcome: AccessOutcome, t0: int, is_write: bool
-    ) -> AccessTiming:
+    ) -> _Flow:
         geometry = self.geometry
-        banks = geometry.banks_per_column(column)
         hit_pos = outcome.bank if outcome.hit else None
-        fast = self.scheme.is_fast
+        fast = self._fast
 
         # All banks tag-match concurrently (off the spine); the MRU bank of
         # a Fast-LRU flow additionally reads out its victim right after
@@ -362,6 +415,7 @@ class TransactionEngine:
             column, t0, core=self._core, evict=fast and hit_pos != 0
         )
         rows = geometry.bank_rows[column]
+        banks = len(rows)
         if self._sink.enabled:
             self._sink.complete(
                 "multicast", "cache.txn", t0, max(done) - t0,
@@ -371,12 +425,12 @@ class TransactionEngine:
 
         if hit_pos is not None:
             self._spine_bank_cycles += rows[hit_pos][1]
-            timing = self._finish_hit(column, hit_pos, done[hit_pos], is_write)
+            flow = self._finish_hit(column, hit_pos, done[hit_pos], is_write)
             if fast and hit_pos > 0:
-                chain_done = self._chain(column, done[0], hit_pos, done)
-                timing.settled = max(timing.settled, chain_done)
-                timing.completion = max(timing.completion, chain_done)
-            return timing
+                return _settle_by(
+                    flow, self._chain(column, done[0], hit_pos, done)
+                )
+            return flow
 
         # Global miss: the core waits for all banks to report misses, then
         # invokes the memory (Fig. 3(b)/(d)). Since the multicast request
@@ -405,9 +459,11 @@ class TransactionEngine:
 
     def _finish_hit(
         self, column: int, hit_pos: int, hit_done: int, is_write: bool
-    ) -> AccessTiming:
+    ) -> _Flow:
+        """Return the hit block from bank *hit_pos*, which matched at
+        *hit_done*, and run the policy's movement after it."""
         geometry = self.geometry
-        policy = self.scheme.policy.name
+        policy = self._policy
         reply_flits = CONTROL if is_write else DATA
         nodes = geometry.nodes[column]
         rows = geometry.bank_rows[column]
@@ -420,7 +476,9 @@ class TransactionEngine:
             if hit_pos > 0:
                 # Swap with the next-closer bank: two one-hop block moves.
                 up = geometry.route(nodes[hit_pos], nodes[hit_pos - 1])
-                down = geometry.bank_link(column, hit_pos - 1)
+                # The walk or multicast chain that found the hit built
+                # this link.
+                down = geometry.links[column][hit_pos - 1]
                 upper, _, upper_latency = rows[hit_pos - 1]
                 lower, _, lower_latency = rows[hit_pos]
                 up_tail = geometry.reserve_segment(up, hit_done, DATA)
@@ -434,14 +492,7 @@ class TransactionEngine:
                 self._spine_bank_cycles += upper_latency + lower_latency
                 notify = geometry.send(reply, settled, CONTROL)
                 completion = max(completion, notify)
-            return AccessTiming(
-                issued=0,
-                data_at_core=data_at_core,
-                completion=completion,
-                hit=True,
-                bank_position=hit_pos,
-                settled=settled,
-            )
+            return data_at_core, completion, settled, 0, hit_pos
 
         # LRU / Fast-LRU: the hit block is forwarded toward the core and
         # dropped off at the MRU frame on the way.
@@ -469,14 +520,7 @@ class TransactionEngine:
                 settled = self._chain(column, mru_write, hit_pos)
                 notify = geometry.send(reply, settled, CONTROL)
                 completion = max(completion, notify)
-        return AccessTiming(
-            issued=0,
-            data_at_core=data_at_core,
-            completion=completion,
-            hit=True,
-            bank_position=hit_pos,
-            settled=settled,
-        )
+        return data_at_core, completion, settled, 0, hit_pos
 
     def _finish_miss(
         self,
@@ -487,9 +531,9 @@ class TransactionEngine:
         is_write: bool,
         chain_already_ran: bool,
         fast_chain_done: int | None = None,
-    ) -> AccessTiming:
+    ) -> _Flow:
         geometry = self.geometry
-        banks = geometry.banks_per_column(column)
+        banks = len(geometry.nodes[column])
 
         # Memory request: from the last bank (unicast) or the core (multicast).
         if miss_source_pos is None:
@@ -507,7 +551,8 @@ class TransactionEngine:
         # to the core as its flits stream in.
         fill_tail = geometry.memory_to_bank(column, 0, data_ready, DATA)
         fill_head = fill_tail - (DATA - 1)
-        resource, _, latency = geometry.bank_row(column, 0)
+        rows = geometry.bank_rows[column]
+        resource, _, latency = rows[0] if rows else geometry.bank_row(column, 0)
         fill_write = resource.acquire(fill_tail, latency) + latency
         self._spine_bank_cycles += latency
         if self._sink.enabled:
@@ -535,7 +580,7 @@ class TransactionEngine:
             # the whole column for recursive replacement (LRU and this
             # paper's Promotion), one bank for one-copy, none for
             # zero-copy (footnote 4 variants).
-            miss_policy = getattr(self.scheme.policy, "miss_policy", "recursive")
+            miss_policy = self._miss_policy
             if miss_policy == "zero_copy":
                 chain_end = 0
             elif miss_policy == "one_copy":
@@ -564,15 +609,7 @@ class TransactionEngine:
             column, chain_end, chain_done, CONTROL, core=self._core
         )
         completion = max(completion, notify)
-        return AccessTiming(
-            issued=0,
-            data_at_core=data_at_core,
-            completion=completion,
-            hit=False,
-            bank_position=None,
-            memory_cycles=memory_cycles,
-            settled=settled,
-        )
+        return data_at_core, completion, settled, memory_cycles, None
 
     # -- replacement chains --------------------------------------------------------
 
@@ -685,6 +722,9 @@ class StaticNUCAEngine:
     def reset(self) -> None:
         """Nothing to forget: accesses are admitted without slots."""
 
+    def fold_spans(self) -> None:
+        """Nothing to fold: a home-bank access records no span legs."""
+
     def _bank_acquire(
         self, column: int, position: int, time: int, replace: bool
     ) -> tuple[int, int]:
@@ -703,7 +743,7 @@ class StaticNUCAEngine:
         issue_time: int,
         is_write: bool = False,
         core_node=None,
-    ) -> AccessTiming:
+    ) -> Transaction:
         """Time one access to set (*column*, *index*) at its home bank."""
         geometry = self.geometry
         geometry.floor_clock.advance(issue_time)
@@ -734,15 +774,9 @@ class StaticNUCAEngine:
             if outcome.writeback_required:
                 wb = geometry.bank_to_memory(column, bank, fill_done, DATA)
                 self.memory.writeback(wb)
-        return AccessTiming(
-            issued=issue_time,
-            data_at_core=data_at_core,
-            completion=completion,
-            hit=hit,
-            bank_position=bank if hit else None,
-            bank_cycles=charged,
-            memory_cycles=memory_cycles,
-            settled=completion,
+        return (
+            data_at_core, completion, completion, charged, memory_cycles,
+            bank if hit else None,
         )
 
 #: The five scheme combinations of Figure 8, in the paper's legend order.

@@ -135,7 +135,8 @@ class CacheGeometry:
         #: resolved so far. Both grow lazily in position order
         #: (:meth:`bank_row`, :meth:`bank_link`), so bank resources and
         #: routes are still created at their first use: the power model
-        #: sums in resource creation order.
+        #: sums in resource creation order. The walks and flows index the
+        #: lists directly and resolve only when one is too short.
         self.bank_rows: list[list[BankRow]] = [[] for _ in columns]
         self.links: list[list[Segment]] = [[] for _ in columns]
         #: (column, entry node) -> multicast chain, built on first use.
@@ -577,8 +578,14 @@ class CacheGeometry:
         ``(arrivals, done)``: the request's arrival at each bank position
         and each bank's tag-match completion.
         """
-        chain = self.column_chain(column, core)
-        self.bank_row(column, len(chain.inbound) - 1)
+        chain = self._chains.get(
+            (column, core if core is not None else self.core_node)
+        )
+        if chain is None:
+            # The first multicast into the column from this entry node
+            # resolves its chain and every bank row.
+            chain = self.column_chain(column, core)
+            self.bank_row(column, len(chain.inbound) - 1)
         rows = self.bank_rows[column]
         flits = MULTICAST_FLITS
         serialization = flits - 1
@@ -652,14 +659,16 @@ class CacheGeometry:
         cycles granted)``. Serves the unicast tag-match walk and every
         replacement chain.
         """
-        self.bank_row(column, last)
+        rows = self.bank_rows[column]
+        if len(rows) <= last:
+            self.bank_row(column, last)
+        links = self.links[column]
         if last > 0:
-            self.bank_link(column, last - 1)
+            if len(links) < last:
+                self.bank_link(column, last - 1)
             walks = self._walks[column]
             key = (last, replace_until, flits)
             walks[key] = walks.get(key, 0) + 1
-        rows = self.bank_rows[column]
-        links = self.links[column]
         floor = self.floor_clock.time
         per_segment = self._per_segment
         serialization = flits - 1

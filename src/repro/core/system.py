@@ -219,11 +219,16 @@ class NetworkedCacheSystem:
 
     # -- single-access convenience ------------------------------------------
 
-    def access(self, address: int, at: int = 0, is_write: bool = False):
-        """Run one access; returns its :class:`AccessTiming`."""
+    def access(
+        self, address: int, at: int = 0, is_write: bool = False
+    ) -> AccessTiming:
+        """Run one access; returns its :class:`AccessTiming`. Its span
+        legs are in the ``cache.span.*`` histograms on return."""
         (column,), (index,), (tag,) = self.mapper.decode_columns((address,))
         outcome = self.array.access(column, index, tag, is_write)
-        return self.engine.execute(column, index, outcome, at, is_write)
+        transaction = self.engine.execute(column, index, outcome, at, is_write)
+        self.engine.fold_spans()
+        return AccessTiming.of(at, transaction)
 
     # -- trace runs ------------------------------------------------------------
 
@@ -273,6 +278,14 @@ class NetworkedCacheSystem:
         run in global issue-time order, the lowest core index first on
         ties, each core issuing on its own :class:`IssueModel`. Returns
         each core's latency accumulator, in core order.
+
+        This loop is the replay kernel. The engine returns each access as
+        a plain :data:`~repro.core.flows.Transaction` tuple, and a running
+        core's retirement clock and latency sums stay in locals, written
+        back to its :class:`IssueModel` and :class:`LatencyAccumulator`
+        when another core's access issues first or the core finishes.
+        Only validators and the windowed series get an
+        :class:`AccessTiming`.
         """
         warmups = [
             resolve_warmup(warmup, len(trace)) for trace, warmup, _, _ in cores
@@ -318,8 +331,21 @@ class NetworkedCacheSystem:
         while heap:
             issue_time, core, row = heappop(heap)
             _, _, issue, node = cores[core]
-            latency = latencies[core]
+            accumulator = latencies[core]
             rows = measured[core]
+            # While this core runs, its retirement clock and latency sums
+            # live in locals, updated as IssueModel.issue_time and
+            # .complete and LatencyAccumulator.record would update them.
+            perfect_ipc = issue.perfect_ipc
+            hide_cycles = issue.hide_cycles
+            clock = issue.clock
+            instructions = issue.instructions
+            last_event = issue.last_event
+            low = accumulator.total_min
+            high = accumulator.total_max
+            hits_per_bank = accumulator.hits_per_bank
+            count = hits = hit_sum = miss_sum = 0
+            bank_sum = network_sum = memory_sum = 0
             # Run this core until another core's next access issues first.
             while True:
                 column, index, tag, is_write, _ = row
@@ -331,31 +357,70 @@ class NetworkedCacheSystem:
                     )
                 outcome = access(column, index, tag, is_write)
                 if early_miss:
-                    timing = engine.execute_early_miss(
+                    transaction = engine.execute_early_miss(
                         column, index, outcome, issue_time, is_write, node
                     )
                 else:
-                    timing = execute(
+                    transaction = execute(
                         column, index, outcome, issue_time, is_write, node
                     )
-                issue.complete(timing.data_at_core, is_write=is_write)
-                latency.record(
-                    latency=timing.transaction_latency,
-                    hit=timing.hit,
-                    bank=timing.bank_cycles,
-                    network=timing.network_cycles,
-                    memory=timing.memory_cycles,
-                    bank_position=timing.bank_position,
-                )
+                data_at_core, completion, _, bank, memory, hit_bank = transaction
+                if data_at_core > last_event:
+                    last_event = data_at_core
+                # A read blocks retirement until its data returns, less
+                # the cycles the out-of-order window hides.
+                if not is_write and data_at_core - hide_cycles > clock:
+                    clock = float(data_at_core - hide_cycles)
+                latency = completion - issue_time
+                count += 1
+                if low is None or latency < low:
+                    low = latency
+                if latency > high:
+                    high = latency
+                if hit_bank is None:
+                    miss_sum += latency
+                else:
+                    hits += 1
+                    hit_sum += latency
+                    hits_per_bank[hit_bank] = hits_per_bank.get(hit_bank, 0) + 1
+                bank_sum += bank
+                memory_sum += memory
+                network = latency - bank - memory  # clamped at 0
+                if network > 0:
+                    network_sum += network
                 if series is not None:
-                    record_access(series, issue_time, timing)
+                    record_access(
+                        series, issue_time, AccessTiming.of(issue_time, transaction)
+                    )
                 row = next(rows, None)
                 if row is None:
                     break
-                issue_time = issue.issue_time(row[4])
+                gap = row[4]
+                if gap < 0:
+                    raise ConfigurationError(
+                        "gap_instructions must be non-negative"
+                    )
+                instructions += gap
+                clock += gap / perfect_ipc
+                issue_time = int(clock)
                 if heap and (issue_time, core) > heap[0][:2]:
                     heappush(heap, (issue_time, core, row))
                     break
+            # The core yields or finishes: write its locals back.
+            issue.clock = clock
+            issue.instructions = instructions
+            issue.last_event = last_event
+            accumulator.total_count += count
+            accumulator.total_sum += hit_sum + miss_sum
+            accumulator.total_min = low
+            accumulator.total_max = high
+            accumulator.hit_count += hits
+            accumulator.hit_sum += hit_sum
+            accumulator.miss_count += count - hits
+            accumulator.miss_sum += miss_sum
+            accumulator.bank_sum += bank_sum
+            accumulator.network_sum += network_sum
+            accumulator.memory_sum += memory_sum
         return latencies
 
     def collect_metrics(self) -> dict:
@@ -365,6 +430,7 @@ class NetworkedCacheSystem:
         and mergeable into any other registry (serial and parallel batch
         runs fold these per-cell snapshots identically).
         """
+        self.engine.fold_spans()
         registry = self.engine.metrics
         if self.partial_tags is not None:
             registry.counter("cache.partial_tags.early_misses").set(

@@ -29,14 +29,22 @@ from repro.errors import ConfigurationError
 
 @dataclass
 class IssueModel:
-    """Tracks the retirement clock and L2 access issue times."""
+    """Tracks the retirement clock and L2 access issue times.
+
+    :meth:`~repro.core.system.NetworkedCacheSystem.replay` applies
+    :meth:`issue_time` and :meth:`complete` inline, on locals it writes
+    back to these fields; ``tests/core/test_replay_kernel.py`` checks the
+    two against each other; change them together.
+    """
 
     perfect_ipc: float
     #: Cycles of L2 latency the out-of-order window hides per read.
     hide_cycles: int = 0
     instructions: int = 0
-    _clock: float = 0.0
-    _last_event: int = 0
+    #: The retirement clock, in cycles.
+    clock: float = 0.0
+    #: The latest data-return time seen.
+    last_event: int = 0
 
     def __post_init__(self) -> None:
         if self.perfect_ipc <= 0:
@@ -53,8 +61,8 @@ class IssueModel:
         if gap_instructions < 0:
             raise ConfigurationError("gap_instructions must be non-negative")
         self.instructions += gap_instructions
-        self._clock += gap_instructions / self.perfect_ipc
-        return int(self._clock)
+        self.clock += gap_instructions / self.perfect_ipc
+        return int(self.clock)
 
     def complete(self, data_at_core: int, is_write: bool = False) -> None:
         """Record the data-return time of the access just issued.
@@ -62,12 +70,12 @@ class IssueModel:
         Reads block the retirement clock until their data returns (minus
         the hidden overlap); writes only record activity.
         """
-        self._last_event = max(self._last_event, data_at_core)
+        self.last_event = max(self.last_event, data_at_core)
         if is_write:
             return
         resume = data_at_core - self.hide_cycles
-        if resume > self._clock:
-            self._clock = float(resume)
+        if resume > self.clock:
+            self.clock = float(resume)
 
     def finish(self, tail_instructions: int = 0) -> tuple[int, float]:
         """Close the run: returns ``(total_cycles, ipc)``.
@@ -76,13 +84,13 @@ class IssueModel:
         """
         if tail_instructions:
             self.instructions += tail_instructions
-            self._clock += tail_instructions / self.perfect_ipc
-        total = int(self._clock)
+            self.clock += tail_instructions / self.perfect_ipc
+        total = int(self.clock)
         if total <= 0:
             return 0, self.perfect_ipc
         return total, self.instructions / total
 
     def reset(self) -> None:
         self.instructions = 0
-        self._clock = 0.0
-        self._last_event = 0
+        self.clock = 0.0
+        self.last_event = 0

@@ -35,6 +35,12 @@ class LatencyAccumulator:
 
     def record(self, latency: int, hit: bool, bank: int, network: int,
                memory: int, bank_position: int | None = None) -> None:
+        """Add one access.
+
+        :meth:`~repro.core.system.NetworkedCacheSystem.replay` applies the
+        same update inline and adds its sums when a core yields;
+        ``tests/core/test_replay_kernel.py`` checks the two agree.
+        """
         self.total_count += 1
         self.total_sum += latency
         self.total_min = latency if self.total_min is None else min(self.total_min, latency)

@@ -7,20 +7,31 @@ outcome built once per bank layout. D-NUCA, S-NUCA and CMP cells all run
 through it. Each test runs a small cell once to build the layouts' tables,
 then again, trace generation included, with both patched to raise and the
 :class:`AccessOutcome` objects built for hits counted.
+
+The rerun also counts :class:`AccessTiming` constructions and calls of the
+two entry points the benchmark harness wraps by name to count transactions
+and cache accesses: the engines' ``execute`` and :meth:`CacheArray.access`.
+A replay must call each once per access, so the harness's counts stay
+true, and build an :class:`AccessTiming` only for a validator.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.cache.address import AddressMapper
+from repro.cache.array import CacheArray
 from repro.cache.bankset import AccessOutcome
+from repro.core.flows import AccessTiming, StaticNUCAEngine, TransactionEngine
 from repro.workloads import TraceAccess, TraceGenerator, profile_by_name
 
 MEASURE = 150
 
 
 def _patched_rerun(monkeypatch, cell):
-    """``cell()`` run plainly, then under the patches; both results and
-    the hit outcomes the patched run built."""
+    """``cell()`` run plainly, then under the patches; both results, the
+    hit outcomes the patched run built, and its calls counted by name
+    (``timings``, ``executes`` and ``accesses``)."""
     plain = cell()
 
     def refuse(*args, **kwargs):
@@ -34,12 +45,31 @@ def _patched_rerun(monkeypatch, cell):
             built.append((args, kwargs))
         original(self, hit, *args, **kwargs)
 
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
     with monkeypatch.context() as patch:
         patch.setattr(AddressMapper, "decode", refuse)
         patch.setattr(TraceAccess, "__init__", refuse)
         patch.setattr(AccessOutcome, "__init__", counting)
+        patch.setattr(
+            AccessTiming, "__init__", counted("timings", AccessTiming.__init__)
+        )
+        for engine in (TransactionEngine, StaticNUCAEngine):
+            patch.setattr(engine, "execute", counted("executes", engine.execute))
+        patch.setattr(CacheArray, "access", counted("accesses", CacheArray.access))
         patched = cell()
-    return plain, patched, built
+    return plain, patched, built, calls
+
+
+def _trace_length(*workloads):
+    return sum(len(trace) for _, trace, _ in workloads)
 
 
 def _workload(benchmark, seed=5):
@@ -67,10 +97,13 @@ def test_networked_cell_needs_no_per_access_objects(monkeypatch, design, scheme)
         system = NetworkedCacheSystem(design=design, scheme=scheme)
         return system.run(trace, profile, warmup=warmup)
 
-    plain, patched, built = _patched_rerun(monkeypatch, cell)
+    plain, patched, built, calls = _patched_rerun(monkeypatch, cell)
     assert patched == plain
     assert patched.accesses == MEASURE and patched.content.hits > 0
     assert built == []
+    assert calls == {
+        "executes": MEASURE, "accesses": _trace_length(_workload("twolf"))
+    }
 
 
 def test_checked_cell_runs_the_validator_path(monkeypatch):
@@ -93,12 +126,14 @@ def test_checked_cell_runs_the_validator_path(monkeypatch):
         checks.append((conservation.checked, timing.checked, len(trace)))
         return result
 
-    plain, patched, built = _patched_rerun(monkeypatch, cell)
+    plain, patched, built, calls = _patched_rerun(monkeypatch, cell)
     assert patched == plain and patched.content.hits > 0
     assert built == []
     conservation_checks, timing_checks, length = checks[-1]
     assert conservation_checks == length
     assert timing_checks == MEASURE
+    # The timing checker gets the one AccessTiming each access builds.
+    assert calls == {"timings": MEASURE, "executes": MEASURE, "accesses": length}
 
 
 def test_static_nuca_cell_needs_no_per_access_objects(monkeypatch):
@@ -109,10 +144,13 @@ def test_static_nuca_cell_needs_no_per_access_objects(monkeypatch):
         system = NetworkedCacheSystem(design="A", scheme="static-nuca")
         return system.run(trace, profile, warmup=warmup)
 
-    plain, patched, built = _patched_rerun(monkeypatch, cell)
+    plain, patched, built, calls = _patched_rerun(monkeypatch, cell)
     assert patched == plain
     assert patched.accesses == MEASURE and patched.content.hits > 0
     assert built == []
+    assert calls == {
+        "executes": MEASURE, "accesses": _trace_length(_workload("mcf"))
+    }
 
 
 def test_cmp_cell_needs_no_per_access_objects(monkeypatch):
@@ -122,7 +160,11 @@ def test_cmp_cell_needs_no_per_access_objects(monkeypatch):
         workloads = [_workload("twolf", 1), _workload("vpr", 2)]
         return CMPCacheSystem(design="F", num_cores=2).run(workloads)
 
-    plain, patched, built = _patched_rerun(monkeypatch, cell)
+    plain, patched, built, calls = _patched_rerun(monkeypatch, cell)
     assert patched == plain
     assert [core.accesses for core in patched.cores] == [MEASURE, MEASURE]
     assert built == []
+    assert calls == {
+        "executes": 2 * MEASURE,
+        "accesses": _trace_length(_workload("twolf", 1), _workload("vpr", 2)),
+    }

@@ -286,6 +286,32 @@ class TestTransactionTiming:
         with pytest.raises(ValidationError, match="before issue"):
             checker.on_transaction(0, AccessOutcome(hit=True, bank=0), timing)
 
+    @pytest.mark.parametrize("scheme", ["multicast+fast_lru", "unicast+promotion"])
+    def test_rejects_a_flow_that_reports_the_wrong_hit_bank(
+        self, monkeypatch, scheme
+    ):
+        # The checked timing takes its hit bank from the flow's own hit
+        # path, never from the contents outcome it is checked against.
+        from repro.core.flows import TransactionEngine
+        from repro.core.system import NetworkedCacheSystem
+        from repro.workloads import TraceGenerator, profile_by_name
+
+        finish_hit = TransactionEngine._finish_hit
+
+        def wrong_bank(self, column, hit_pos, hit_done, is_write):
+            *times, hit_bank = finish_hit(self, column, hit_pos, hit_done, is_write)
+            return (*times, hit_bank + 1)
+
+        monkeypatch.setattr(TransactionEngine, "_finish_hit", wrong_bank)
+        profile = profile_by_name("twolf")
+        trace, warmup = TraceGenerator(profile, seed=3).generate_with_warmup(
+            measure=120
+        )
+        system = NetworkedCacheSystem(design="B", scheme=scheme)
+        system.engine.validators.append(TransactionTimingChecker())
+        with pytest.raises(ValidationError, match="hit bank mismatch"):
+            system.run(trace, profile, warmup=warmup)
+
     def test_rejects_outcome_mismatch(self):
         from repro.cache.bankset import AccessOutcome
         from repro.core.flows import AccessTiming
